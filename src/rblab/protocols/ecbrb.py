@@ -26,6 +26,7 @@ from ..codec import (
     SubsetDecoder,
     decode_correcting,
     encode,
+    encode_element,
 )
 from ..core import (
     Action,
@@ -177,7 +178,7 @@ class EcBrb3f1(Automaton):
         echoes = self.st.counter(MsgKind.ECHO, s, digest, h)
         accs = self.st.counter(MsgKind.ACC, s, digest, h)
         if echoes >= self.f_plus_1 and self.st.mark_sent(MsgKind.ECHO, s, h):
-            own = encode(m, self.params)[self.me]
+            own = encode_element(m, self.params, self.me + 1)
             echo = WireMessage(MsgKind.ECHO, s, h, digest=digest, element=own)
             actions += self.send_all(echo)
         if (echoes >= self.n_minus_f or accs >= self.f_plus_1) \

@@ -1,0 +1,176 @@
+"""The table-driven codec kernels against the kernels they replaced
+(tests/oracle_codec.py) and the scalar field oracle (tests/oracle_rs.py)."""
+import random
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from rblab.codec import (
+    _GATHER_MAX_WIDTH,
+    CodedElement,
+    CodeParams,
+    decode_correcting,
+    encode,
+    encode_element,
+    gf_matmul,
+)
+
+import oracle_rs
+from oracle_codec import decode_correcting_sequential, gf_matmul_tensor
+
+# Both sides of the switch between the one-gather and the column kernels.
+WIDTHS = [1, 2, 7, 64, _GATHER_MAX_WIDTH, _GATHER_MAX_WIDTH + 1, 500, 9000]
+SHAPES = [(1, 1), (1, 6), (6, 1), (5, 3), (19, 7), (13, 13), (0, 4)]
+
+
+def _scalar_matmul(a, b, columns):
+    return np.array([[_scalar_dot(a[i], b[:, c]) for c in columns]
+                     for i in range(a.shape[0])], dtype=np.uint8).reshape(a.shape[0], len(columns))
+
+
+def _scalar_dot(row, column):
+    acc = 0
+    for x, y in zip(row, column):
+        acc ^= oracle_rs.mul(int(x), int(y))
+    return acc
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_gf_matmul_matches_tensor_and_scalar_oracles(width):
+    rng = np.random.default_rng(width)
+    for r, k in SHAPES:
+        a = rng.integers(0, 256, (r, k), dtype=np.uint8)
+        b = rng.integers(0, 256, (k, width), dtype=np.uint8)
+        if r > 1:
+            a[r // 2] = 0
+        b[:, width // 2] = 0
+        got = gf_matmul(a, b)
+        assert got.dtype == np.uint8 and got.shape == (r, width)
+        assert np.array_equal(got, gf_matmul_tensor(a, b)), (r, k, width)
+        columns = sorted({0, width // 2, width - 1} | set(range(min(width, 24))))
+        assert np.array_equal(got[:, columns], _scalar_matmul(a, b, columns)), (r, k, width)
+        if r > 1:
+            assert not got[r // 2].any()
+        assert not got[:, width // 2].any()
+    zeros = np.zeros((3, 4), dtype=np.uint8)
+    assert not gf_matmul(zeros, rng.integers(0, 256, (4, width), dtype=np.uint8)).any()
+
+
+def test_encode_element_is_one_row_of_encode():
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randrange(1, 20)
+        k = rng.randrange(1, n + 1)
+        payload = rng.randbytes(rng.choice([0, 1, rng.randrange(2, 600)]))
+        params = CodeParams(n, k)
+        full = encode(payload, params)
+        assert [encode_element(payload, params, i) for i in range(1, n + 1)] == full
+
+
+def _tamper(element, rng):
+    data = bytearray(element.data)
+    data[rng.randrange(len(data))] ^= rng.randrange(1, 256)
+    return CodedElement(element.index, bytes(data), element.claimed_len)
+
+
+def _random_pool(rng: random.Random):
+    """A pool mixing two codewords with corruption, gaps, duplicates,
+    wrong-width junk and misplaced indices; returns (pool, params, f, length)."""
+    f = rng.randrange(1, 4)
+    n = 3 * f + 1 + rng.randrange(0, 3)
+    params = CodeParams(n, n - 3 * f)
+    length = rng.choice([0, rng.randrange(1, 40), rng.randrange(300, 700)])
+    first = encode(rng.randbytes(length), params)
+    second = encode(rng.randbytes(length), params)
+    split = rng.random() < 0.3
+    pool = []
+    for pos in range(n):
+        if rng.random() < 0.15:
+            continue  # short: this position never arrives
+        source = second if split and rng.random() < 0.5 else first
+        element = source[pos]
+        roll = rng.random()
+        if roll < 0.12 and element.data:
+            element = _tamper(element, rng)
+        elif roll < 0.16:
+            element = CodedElement(element.index, element.data + b"\x00", length)
+        elif roll < 0.20:
+            element = CodedElement(rng.randrange(1, n + 1), element.data, length)
+        pool.append(element)
+        if rng.random() < 0.1:
+            pool.append(source[pos] if rng.random() < 0.5 else second[pos])
+    while len(pool) < n - f:
+        pool.append(first[rng.randrange(n)])
+    rng.shuffle(pool)
+    return pool, params, f, length
+
+
+def test_decode_correcting_matches_sequential_oracle_on_random_pools():
+    rng = random.Random(0xD0C)
+    outcomes = {"payload": 0, "none": 0}
+    for _ in range(600):
+        pool, params, f, length = _random_pool(rng)
+        want = decode_correcting_sequential(pool, params, f, length)
+        assert decode_correcting(pool, params, f, length) == want
+        outcomes["none" if want is None else "payload"] += 1
+    assert min(outcomes.values()) > 50, outcomes
+
+
+def test_decode_correcting_matches_sequential_oracle_on_split_brain_pools():
+    # The acceptance split-brain recipe: n=13, f=3, two codewords plus junk.
+    rng = random.Random(5)
+    params = CodeParams(13, 4)
+    words = [encode(rng.randbytes(16), params) for _ in range(2)]
+    results = set()
+    for _ in range(1500):
+        pool = []
+        for pos in rng.sample(range(13), rng.randrange(10, 14)):
+            roll = rng.random()
+            if roll < 0.9:
+                pool.append(words[roll >= 0.45][pos])
+            else:
+                pool.append(CodedElement(pos + 1, rng.randbytes(4), 16))
+        want = decode_correcting_sequential(pool, params, 3, 16)
+        assert decode_correcting(pool, params, 3, 16) == want
+        results.add(want)
+    assert None in results and len(results) == 3
+
+
+def test_ambiguous_pools_return_none_like_the_oracle():
+    # k=1, n=7, f=2 with three positions erased: "A" and "B" both lie within
+    # the corruption budget of what survives.
+    params = CodeParams(7, 1)
+    a = encode(b"A", params)
+    b = encode(b"B", params)
+    pool = [a[0], a[0], a[1], b[2], b[3]]
+    assert decode_correcting_sequential(pool, params, 2, 1) is None
+    assert decode_correcting(pool, params, 2, 1) is None
+    # Wide shards take the per-matrix branch of the batched search.
+    params = CodeParams(7, 1)
+    a = encode(bytes(300), params)
+    b = encode(bytes([1]) * 300, params)
+    pool = [a[0], a[0], a[1], b[2], b[3]]
+    assert decode_correcting_sequential(pool, params, 2, 300) is None
+    assert decode_correcting(pool, params, 2, 300) is None
+
+
+def test_wide_correcting_decode_stays_in_bounded_memory():
+    # n=19, f=4: k=7 shards of 9363 bytes for a 64 KiB payload, with the f
+    # corrupted shards at data positions so the first subset fails and the
+    # batched search runs over all C(11, 7) = 330 window subsets.
+    params = CodeParams(19, 7)
+    rng = random.Random(19)
+    payload = rng.randbytes(64 * 1024)
+    pool = [CodedElement(e.index, rng.randbytes(len(e.data)), e.claimed_len)
+            if e.index <= 4 else e for e in encode(payload, params)]
+    assert len(pool[0].data) == 9363
+    tracemalloc.start()
+    try:
+        got = decode_correcting(pool, params, 4, len(payload))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == payload
+    # One unchunked (330, 7, 7, 9363) product would need about 150 MB.
+    assert peak < 4 * 2**20, peak
