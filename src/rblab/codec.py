@@ -15,9 +15,10 @@ narrow shards one gather forms every product at once and XOR-reduces it;
 for wide shards a loop over the k columns gathers one table row per
 coefficient and XOR-accumulates. Decoding is systematic: shards that sit at
 data positions are copied, and only the decode-matrix rows of the missing
-data shards are multiplied. The correcting search checks the first window
-subset alone, and otherwise scores every window subset in chunked batched
-gathers.
+data shards are multiplied. Decode matrices are Lagrange rows in closed
+form, gathered from the log/exp tables for whole stacks of subsets at once.
+The correcting search checks the first window subset alone, and otherwise
+scores every window subset in chunked batched gathers.
 """
 from __future__ import annotations
 
@@ -70,7 +71,7 @@ def _build_tables() -> tuple[list[int], list[int]]:
 
 _EXP_LIST, _LOG_LIST = _build_tables()
 _EXP = np.array(_EXP_LIST + [0] * 2, dtype=np.uint8)
-_LOG = np.array(_LOG_LIST, dtype=np.int16)
+_LOG = np.array(_LOG_LIST, dtype=np.intp)
 
 
 def gf_mul(a: int, b: int) -> int:
@@ -181,56 +182,50 @@ def shard_width(payload_len: int, k: int) -> int:
     return (payload_len + k - 1) // k if payload_len else 0
 
 
-def _lagrange_row(points: tuple[int, ...], x: int) -> list[int]:
-    """Coefficients c_i with P(x) = xor_i c_i * P(points[i]) for deg < len."""
-    row = []
-    for i, xi in enumerate(points):
-        num, den = 1, 1
-        for j, xj in enumerate(points):
-            if i == j:
-                continue
-            num = gf_mul(num, x ^ xj)
-            den = gf_mul(den, xi ^ xj)
-        row.append(gf_div(num, den))
-    return row
+def _lagrange(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Lagrange coefficients over a (c, k) stack of distinct field points.
+
+    Entry [s, t, i] is L_i(targets[t]) for the points of stack s, so the
+    degree-<k polynomial P through them has P(x_t) = xor_i L_i(x_t) P(x_i).
+    A target that is itself one of the points gets a unit row."""
+    pairs = points[:, :, None] ^ points[:, None, :]
+    if np.count_nonzero(pairs) != pairs.size - points.size:
+        raise InvalidParams("interpolation points must be distinct")
+    # Logs of prod_{j != i} (x_i ^ x_j) and prod_{j != i} (x_t ^ x_j); the
+    # log(0) = 0 terms drop out on the diagonal and are masked for held targets.
+    den = _LOG[pairs].sum(axis=2)
+    gaps = points[:, None, :] ^ targets[None, :, None]
+    logs = _LOG[gaps]
+    num = logs.sum(axis=2, keepdims=True) - logs
+    held = gaps == 0
+    coeffs = _EXP[(num - den[:, None, :]) % 255]
+    return np.where(held.any(axis=2, keepdims=True), held, coeffs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _generator_matrix(n: int, k: int) -> np.ndarray:
     """Rows 1..n of the systematic generator: row j maps data shards to the
     shard at position j. Rows 1..k are unit vectors."""
-    data_points = tuple(range(1, k + 1))
-    rows = []
-    for j in range(1, n + 1):
-        if j <= k:
-            rows.append([1 if i == j - 1 else 0 for i in range(k)])
-        else:
-            rows.append(_lagrange_row(data_points, j))
-    return np.array(rows, dtype=np.uint8)
+    return _lagrange(np.arange(1, k + 1)[None, :], np.arange(1, n + 1))[0].copy()
+
+
+def _decode_matrices(n: int, k: int, positions: np.ndarray) -> np.ndarray:
+    """Inverses of the generator rows at each row of a (c, k) stack of
+    positions, (c, k, k); each maps those shards back to the data shards.
+
+    The code evaluates at the points 1..n, so row d of an inverse is the
+    Lagrange row of data point d over the held positions."""
+    if positions.shape[1] != k or positions.min() < 1 or positions.max() > n:
+        raise InvalidParams(f"positions need k={k} points in [1, {n}]")
+    return _lagrange(positions, np.arange(1, k + 1))
 
 
 @lru_cache(maxsize=4096)
 def _decode_matrix(n: int, k: int, positions: tuple[int, ...]) -> np.ndarray:
     """Inverse of the generator rows at ``positions``; maps those shards
     back to the data shards."""
-    g = _generator_matrix(n, k)
-    m = [[int(g[p - 1][c]) for c in range(k)] for p in positions]
-    inv = [[1 if r == c else 0 for c in range(k)] for r in range(k)]
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if m[r][col]), None)
-        if pivot is None:
-            raise InvalidParams(f"positions {positions} do not span the code")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = gf_inv(m[col][col])
-        m[col] = [gf_mul(v, scale) for v in m[col]]
-        inv[col] = [gf_mul(v, scale) for v in inv[col]]
-        for r in range(k):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [v ^ gf_mul(factor, w) for v, w in zip(m[r], m[col])]
-                inv[r] = [v ^ gf_mul(factor, w) for v, w in zip(inv[r], inv[col])]
-    return np.array(inv, dtype=np.uint8)
+    # A copy, not a view: a view would keep its (1, k, k) base alive in the cache.
+    return _decode_matrices(n, k, np.array([positions], dtype=np.intp))[0].copy()
 
 
 def _data_shards(payload: bytes, k: int) -> np.ndarray:
@@ -322,8 +317,11 @@ def _subset_offsets(m: int, k: int) -> np.ndarray:
 def _window_decoders(n: int, k: int, window: tuple[int, ...]) -> np.ndarray:
     """The (C, k, k) decode matrices of the k-subsets of ``window``, in
     ``_subset_offsets`` order."""
-    return np.stack([_decode_matrix(n, k, tuple(window[i] for i in subset))
-                     for subset in _subset_offsets(len(window), k)])
+    subsets = np.array(window, dtype=np.intp)[_subset_offsets(len(window), k)]
+    # Chunked so that the (chunk, k, k) intp temporaries stay near the budget.
+    chunk = max(1, _CHUNK_BYTES // (np.dtype(np.intp).itemsize * k * k))
+    return np.concatenate([_decode_matrices(n, k, subsets[lo:lo + chunk])
+                           for lo in range(0, len(subsets), chunk)])
 
 
 def decode_correcting(elements, params: CodeParams, f: int, payload_len: int) -> bytes | None:

@@ -260,9 +260,6 @@ class InstanceState:
         self.sent_flags.add(flag)
         return True
 
-    def has_sent(self, kind: MsgKind, s: NodeId, h: SeqIndex) -> bool:
-        return (kind, s, h) in self.sent_flags
-
     def mark_once(self, *key) -> bool:
         if key in self.seen:
             return False

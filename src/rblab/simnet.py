@@ -15,7 +15,10 @@ totals. Scenario scripts can override latency wholesale through
 The world also records everything the analysis layer needs: per-node,
 per-kind message and byte counters, delivery times, causal depth (how many
 network legs the information chain behind a delivery spans), and which
-digests each node vouched for in its ACC wave.
+digests each node vouched for in its ACC wave. A multicast hands the world
+one message object to send to every recipient, so each sent object is
+sized once (the size travels with each copy to its receive event), and an
+ACC payload is hashed once per sent object, not once per copy.
 """
 from __future__ import annotations
 
@@ -194,6 +197,7 @@ class _Recv:
     to: NodeId
     frm: NodeId
     msg: WireMessage
+    size: int
     depth: int
 
 
@@ -255,6 +259,9 @@ class SimWorld:
         self._last_arrival: dict[tuple[NodeId, NodeId], float] = {}
         self._ctx: dict[tuple[NodeId, NodeId, SeqIndex], int] = {}
         self._source_nodes: set[NodeId] = set()
+        # The last sent message object with its envelope size and, for an
+        # ACC, the digest it vouches for.
+        self._last_sent: tuple[WireMessage | None, int, bytes | None] = (None, 0, None)
 
     # -- setup ---------------------------------------------------------------
     @property
@@ -334,8 +341,7 @@ class SimWorld:
         self._apply(node, actions, ctx=0)
 
     def _process_recv(self, item: _Recv) -> None:
-        to, frm, msg = item.to, item.frm, item.msg
-        size = envelope_size(msg)
+        to, frm, msg, size = item.to, item.frm, item.msg, item.size
         self.stats.recv_count[to][msg.kind] += 1
         self.stats.recv_bytes[to][msg.kind] += size
         key = (to, msg.source, msg.h)
@@ -365,19 +371,24 @@ class SimWorld:
 
     def _send(self, frm: NodeId, to: NodeId, msg: WireMessage, depth: int,
               forced_delay: float | None = None) -> None:
-        size = envelope_size(msg)
+        last, size, acc_digest = self._last_sent
+        if msg is not last:
+            size = envelope_size(msg)
+            acc_digest = None
+            if msg.kind is MsgKind.ACC:
+                acc_digest = msg.digest if msg.digest is not None \
+                    else hashing.digest(msg.payload or b"")
+            self._last_sent = (msg, size, acc_digest)
         self.stats.sent_count[frm][msg.kind] += 1
         self.stats.sent_bytes[frm][msg.kind] += size
-        if msg.kind is MsgKind.ACC:
-            digest = msg.digest if msg.digest is not None \
-                else hashing.digest(msg.payload or b"")
+        if acc_digest is not None:
             per_node = self.stats.acc_digests.setdefault((msg.source, msg.h), {})
-            per_node.setdefault(frm, set()).add(digest)
+            per_node.setdefault(frm, set()).add(acc_digest)
         arrival = self.time + self._delay(frm, to, msg, size, forced_delay)
         link = (frm, to)
         arrival = max(arrival, self._last_arrival.get(link, 0.0))
         self._last_arrival[link] = arrival
-        self._push(arrival, _Recv(to, frm, msg, depth))
+        self._push(arrival, _Recv(to, frm, msg, size, depth))
 
     def _delay(self, frm: NodeId, to: NodeId, msg: WireMessage, size: int,
                forced_delay: float | None) -> float:

@@ -1,15 +1,20 @@
 """The table-driven codec kernels against the kernels they replaced
 (tests/oracle_codec.py) and the scalar field oracle (tests/oracle_rs.py)."""
+import itertools
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from rblab import codec
 from rblab.codec import (
     _GATHER_MAX_WIDTH,
     CodedElement,
     CodeParams,
+    InvalidParams,
+    _decode_matrix,
+    _generator_matrix,
     decode_correcting,
     encode,
     encode_element,
@@ -17,7 +22,12 @@ from rblab.codec import (
 )
 
 import oracle_rs
-from oracle_codec import decode_correcting_sequential, gf_matmul_tensor
+from oracle_codec import (
+    decode_correcting_sequential,
+    decode_matrix_gauss_jordan,
+    generator_matrix,
+    gf_matmul_tensor,
+)
 
 # Both sides of the switch between the one-gather and the column kernels.
 WIDTHS = [1, 2, 7, 64, _GATHER_MAX_WIDTH, _GATHER_MAX_WIDTH + 1, 500, 9000]
@@ -66,6 +76,56 @@ def test_encode_element_is_one_row_of_encode():
         params = CodeParams(n, k)
         full = encode(payload, params)
         assert [encode_element(payload, params, i) for i in range(1, n + 1)] == full
+
+
+def test_generator_matrix_matches_scalar_oracle():
+    shapes = [(n, k) for n in range(1, 21) for k in range(1, n + 1)]
+    for n, k in shapes + [(40, 14), (40, 1), (40, 40), (255, 3)]:
+        assert np.array_equal(_generator_matrix(n, k), generator_matrix(n, k)), (n, k)
+    # Row j of the generator encodes position j.
+    payload = bytes(range(1, 40))
+    shards = oracle_rs.encode(payload, 19, 13)
+    data = np.frombuffer(payload.ljust(39, b"\0"), dtype=np.uint8).reshape(13, 3)
+    assert [bytes(row) for row in gf_matmul_tensor(generator_matrix(19, 13), data)] == shards
+
+
+def test_decode_matrix_matches_gauss_jordan_on_every_small_subset():
+    for n in range(1, 11):
+        for k in range(1, n + 1):
+            for positions in itertools.combinations(range(1, n + 1), k):
+                got = _decode_matrix(n, k, positions)
+                assert got.dtype == np.uint8
+                assert np.array_equal(got, decode_matrix_gauss_jordan(n, k, positions)), \
+                    (n, k, positions)
+
+
+@pytest.mark.parametrize("n, k", [(19, 13), (19, 7), (40, 14)])
+def test_decode_matrix_matches_gauss_jordan_on_random_subsets(n, k):
+    rng = random.Random(n * 100 + k)
+    for _ in range(500):
+        positions = tuple(rng.sample(range(1, n + 1), k))
+        if rng.random() < 0.5:
+            positions = tuple(sorted(positions))
+        assert np.array_equal(_decode_matrix(n, k, positions),
+                              decode_matrix_gauss_jordan(n, k, positions)), positions
+
+
+@pytest.mark.parametrize("budget", [codec._CHUNK_BYTES, 1000])
+def test_window_decoders_stack_the_single_subset_matrices(budget, monkeypatch):
+    monkeypatch.setattr(codec, "_CHUNK_BYTES", budget)  # 1000 B: chunks of 7
+    window = (2, 3, 5, 8, 9, 11, 12)
+    stack = codec._window_decoders.__wrapped__(13, 4, window)
+    subsets = list(itertools.combinations(window, 4))
+    assert stack.shape == (len(subsets), 4, 4)
+    for matrix, subset in zip(stack, subsets):
+        assert np.array_equal(matrix, decode_matrix_gauss_jordan(13, 4, subset))
+
+
+@pytest.mark.parametrize("positions", [
+    (1, 1, 2), (3, 5, 3), (0, 1, 2), (1, 2, 8), (2, 3, 256), (-1, 2, 3), (1, 2), (1, 2, 3, 4)])
+def test_decode_matrix_rejects_repeated_or_out_of_range_positions(positions):
+    with pytest.raises(InvalidParams):
+        _decode_matrix(7, 3, positions)
 
 
 def _tamper(element, rng):

@@ -180,7 +180,6 @@ def test_mark_sent_and_mark_once_fire_exactly_once():
     st8 = InstanceState()
     assert st8.mark_sent(MsgKind.ECHO, 0, 1)
     assert not st8.mark_sent(MsgKind.ECHO, 0, 1)
-    assert st8.has_sent(MsgKind.ECHO, 0, 1)
     assert st8.mark_sent(MsgKind.ACC, 0, 1)
     assert st8.mark_once("req", 0, 1, 5)
     assert not st8.mark_once("req", 0, 1, 5)

@@ -1,18 +1,25 @@
 """Discrete-event network: topologies, delay model, stats, determinism."""
+import hashlib
+import random
+import sys
+
 import pytest
 
-from rblab.adversary import build_world
+from rblab import hashing, simnet
+from rblab.adversary import CorruptRelay, build_world
 from rblab.core import MsgKind, WireMessage
 from rblab.protocols import ProtocolKind
 from rblab.simnet import (
     InvalidTopology,
     NetParams,
     NotDelivered,
+    SimWorld,
     StepCapExceeded,
     Topology,
     TopologyKind,
     TraceRow,
     causal_depth,
+    check_acc_consistency,
     check_broadcast_properties,
     run,
 )
@@ -193,3 +200,89 @@ def test_truncated_run_reports_termination_violations():
     world.run(until=0.05)
     violations = check_broadcast_properties(world)
     assert any(v.startswith("termination") for v in violations)
+
+
+def _sha256(data: bytes) -> bytes:
+    return hashlib.sha256(data).digest()
+
+
+class _Bookkeeping:
+    """Counts the simulator's own sizing and hashing during a run, and
+    records every sent message to recompute the ACC digests from scratch."""
+
+    def __init__(self, monkeypatch):
+        self.sizers: list[str] = []
+        self.sim_digests = 0
+        self.sent: list[tuple[int, WireMessage]] = []
+        real_size, real_digest, real_send = simnet.envelope_size, hashing.digest, SimWorld._send
+
+        def size(msg):
+            self.sizers.append(sys._getframe(1).f_code.co_name)
+            return real_size(msg)
+
+        def digest(data):
+            if sys._getframe(1).f_code.co_filename == simnet.__file__:
+                self.sim_digests += 1
+            return real_digest(data)
+
+        def send(world, frm, to, msg, *args, **kwargs):
+            self.sent.append((frm, msg))
+            return real_send(world, frm, to, msg, *args, **kwargs)
+
+        monkeypatch.setattr(simnet, "envelope_size", size)
+        monkeypatch.setattr(hashing, "digest", digest)
+        monkeypatch.setattr(SimWorld, "_send", send)
+
+    def distinct_sent(self) -> int:
+        return len({id(msg) for _, msg in self.sent})
+
+    def acc_digests_by_rehashing(self) -> dict:
+        expected: dict = {}
+        for frm, msg in self.sent:
+            if msg.kind is MsgKind.ACC:
+                d = msg.digest if msg.digest is not None \
+                    else _sha256(msg.payload or b"")
+                expected.setdefault((msg.source, msg.h), {}).setdefault(frm, set()).add(d)
+        return expected
+
+
+def test_each_sent_message_is_sized_and_hashed_once(monkeypatch):
+    n = 19
+    book = _Bookkeeping(monkeypatch)
+    world = build_world(ProtocolKind.BRACHA, n, 6)
+    payload = random.Random(19).randbytes(64 * 1024)
+    world.broadcast(0, payload, 1)
+    stats = world.run()
+    assert check_broadcast_properties(world) == []
+    receives = stats.total_recv_count()
+    assert receives == len(book.sent) == n + 2 * n * n
+    assert set(book.sizers) == {"_send"}          # never at receive
+    assert len(book.sizers) <= book.distinct_sent()
+    assert book.distinct_sent() == 1 + 2 * n      # one object per multicast
+    assert book.sim_digests <= n                  # the ACC wave alone was n * n
+    assert stats.acc_digests == book.acc_digests_by_rehashing()
+    assert stats.acc_digests == {(0, 1): {i: {_sha256(payload)} for i in range(n)}}
+
+
+def test_acc_digests_survive_distinct_equal_and_corrupted_payloads(monkeypatch):
+    # Every ec-crb decoder multicasts its own ACC object, so equal payloads
+    # arrive as distinct objects; a corrupt relay makes two decoders rebuild
+    # wrong payloads.
+    book = _Bookkeeping(monkeypatch)
+    world = build_world(ProtocolKind.EC_CRB, 7, 2, seed=5,
+                        net=NetParams(base_delay=1.0, jitter=0.5))
+    world.attach_adversary(6, CorruptRelay(seed=5))
+    payload = random.Random(5).randbytes(700)
+    world.broadcast(0, payload, 1)
+    stats = world.run()
+    assert stats.acc_digests == book.acc_digests_by_rehashing()
+    good = _sha256(payload)
+    assert sorted(i for i, ds in stats.acc_digests[(0, 1)].items() if ds == {good}) \
+        == [1, 2, 3, 4, 6]
+    assert check_acc_consistency(world) == [
+        "acc-consistency: nodes 0 and 1 vouched for different digests of (0, 1)",
+        "acc-consistency: nodes 0 and 5 vouched for different digests of (0, 1)",
+    ]
+    assert book.sim_digests == 7
+    assert set(book.sizers) == {"_send"}
+    assert len(book.sizers) <= book.distinct_sent() < len(book.sent)
