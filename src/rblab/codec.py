@@ -74,22 +74,6 @@ _EXP = np.array(_EXP_LIST + [0] * 2, dtype=np.uint8)
 _LOG = np.array(_LOG_LIST, dtype=np.intp)
 
 
-def gf_mul(a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return _EXP_LIST[_LOG_LIST[a] + _LOG_LIST[b]]
-
-
-def gf_inv(a: int) -> int:
-    if a == 0:
-        raise ZeroDivisionError("no inverse for 0 in GF(256)")
-    return _EXP_LIST[255 - _LOG_LIST[a]]
-
-
-def gf_div(a: int, b: int) -> int:
-    return gf_mul(a, gf_inv(b))
-
-
 def _build_product_table() -> np.ndarray:
     table = _EXP[_LOG[:, None] + _LOG[None, :]]
     table[0, :] = 0

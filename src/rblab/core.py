@@ -70,6 +70,11 @@ KIND_VARIANTS: dict[MsgKind, frozenset[BodyVariant]] = {
 _HEADER = struct.Struct(">BBBHII")
 HEADER_SIZE = _HEADER.size
 
+# Wire code -> member; a plain dict lookup is much cheaper than the enum
+# constructor on the decode path.
+_KIND_OF = {int(kind): kind for kind in MsgKind}
+_VARIANT_OF = {int(variant): variant for variant in BodyVariant}
+
 _INSTANCE_CODES = {None: 0, "hash-rb": 1}
 _INSTANCE_NAMES = {v: k for k, v in _INSTANCE_CODES.items()}
 
@@ -152,11 +157,12 @@ def decode_envelope(buf: bytes) -> WireMessage:
     if len(buf) < HEADER_SIZE:
         raise MalformedEnvelope(f"{len(buf)} bytes is shorter than the header")
     kind_b, variant_b, instance_b, source, h, body_len = _HEADER.unpack_from(buf)
-    try:
-        kind = MsgKind(kind_b)
-        variant = BodyVariant(variant_b)
-    except ValueError as exc:
-        raise MalformedEnvelope(str(exc)) from None
+    kind = _KIND_OF.get(kind_b)
+    if kind is None:
+        raise MalformedEnvelope(f"{kind_b} is not a valid MsgKind")
+    variant = _VARIANT_OF.get(variant_b)
+    if variant is None:
+        raise MalformedEnvelope(f"{variant_b} is not a valid BodyVariant")
     if instance_b not in _INSTANCE_NAMES:
         raise MalformedEnvelope(f"unknown instance code {instance_b}")
     if variant not in KIND_VARIANTS[kind]:

@@ -41,19 +41,11 @@ class Automaton:
         self.me = config.node
         self.st = InstanceState()
         self._digest_memo: dict[bytes, Digest] = {}
-
-    # Quorum sizes, exposed for tests and for the bench reporter.
-    @property
-    def f_plus_1(self) -> int:
-        return self.f + 1
-
-    @property
-    def n_minus_f(self) -> int:
-        return self.n - self.f
-
-    @property
-    def n_minus_2f(self) -> int:
-        return self.n - 2 * self.f
+        # Quorum sizes, read on every vote and exposed for tests and for
+        # the bench reporter.
+        self.f_plus_1 = self.f + 1
+        self.n_minus_f = self.n - self.f
+        self.n_minus_2f = self.n - 2 * self.f
 
     def digest_of(self, payload: Payload) -> Digest:
         memo = self._digest_memo.get(payload)
@@ -64,13 +56,13 @@ class Automaton:
 
     # -- event entry point -------------------------------------------------
     def step(self, event: Event) -> list[Action]:
+        if isinstance(event, Receive):
+            handler = self._handler_of.get(event.msg.kind)
+            if handler is None:
+                return []
+            return handler(self, event.frm, event.msg)
         if isinstance(event, BroadcastRequest):
             return self.source_sends(event.payload, event.h)
-        if isinstance(event, Receive):
-            name = self._HANDLERS.get(event.msg.kind)
-            if name is None:
-                return []
-            return getattr(self, name)(event.frm, event.msg)
         raise TypeError(f"unknown event {event!r}")
 
     def source_sends(self, payload: Payload, h: SeqIndex) -> list[Send]:
@@ -109,6 +101,11 @@ class Automaton:
         MsgKind.FWD: "on_fwd",
         MsgKind.HASH_RB: "on_hash_rb",
     }
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # Kind -> handler function, resolved once per class for ``step``.
+        cls._handler_of = {kind: getattr(cls, name) for kind, name in cls._HANDLERS.items()}
 
     # -- action helpers -----------------------------------------------------
     def send_all(self, msg: WireMessage) -> list[Action]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import replace
 
+from .. import hashing
 from ..codec import (
     CodedElement,
     CodeParams,
@@ -157,18 +158,21 @@ class EcBrb3f1(Automaton):
         group = self._searchers.setdefault(key, {})
         arrivals = self._arrivals.setdefault(key, [])
         if element.claimed_len not in group:
+            # A bound self.digest_of here would make every world a
+            # reference cycle that only the cyclic collector frees.
             searcher = SubsetDecoder(self.params, digest, element.claimed_len,
-                                     self.digest_of)
+                                     hashing.digest)
             group[element.claimed_len] = searcher
             for prior in arrivals:
-                found = searcher.add(prior)
-                if found is not None:
-                    self.st.msg_set[(s, h)].add(found)
+                self._found(s, digest, h, searcher.add(prior))
         arrivals.append(element)
         for searcher in group.values():
-            found = searcher.add(element)
-            if found is not None:
-                self.st.msg_set[(s, h)].add(found)
+            self._found(s, digest, h, searcher.add(element))
+
+    def _found(self, s: NodeId, digest: Digest, h: SeqIndex, payload: Payload | None) -> None:
+        if payload is not None:
+            self._digest_memo[payload] = digest  # the searcher checked it hashes to digest
+            self.st.msg_set[(s, h)].add(payload)
 
     def check(self, s: NodeId, digest: Digest, h: SeqIndex) -> list[Action]:
         m = self.st.find_msg(s, h, digest, self.digest_of)
@@ -203,8 +207,7 @@ class EcBrb4f1(Automaton):
 
     def source_sends(self, payload: Payload, h: SeqIndex) -> list[Send]:
         digest = self.digest_of(payload)
-        sends = [Send(send.to, self._tunnel(send.msg))
-                 for send in self.inner.source_sends(digest, h)]
+        sends = self._tunnel(self.inner.source_sends(digest, h))
         elements = encode(payload, self.params)
         sends += [
             Send(i, WireMessage(MsgKind.MSG, self.me, h, element=elements[i]))
@@ -212,10 +215,20 @@ class EcBrb4f1(Automaton):
         ]
         return sends
 
-    def _tunnel(self, inner_msg: WireMessage) -> WireMessage:
-        tagged = replace(inner_msg, instance="hash-rb")
-        return WireMessage(MsgKind.HASH_RB, inner_msg.source, inner_msg.h,
-                           payload=encode_envelope(tagged))
+    @staticmethod
+    def _tunnel(sends: list[Send]) -> list[Send]:
+        """Wrap nested-broadcast sends in HASH_RB envelopes. A multicast's
+        copies share one inner message object, so it is encoded once and
+        its copies share one outer object too."""
+        out: list[Send] = []
+        inner = outer = None
+        for send in sends:
+            if send.msg is not inner:
+                inner = send.msg
+                tagged = encode_envelope(replace(inner, instance="hash-rb"))
+                outer = WireMessage(MsgKind.HASH_RB, inner.source, inner.h, payload=tagged)
+            out.append(Send(send.to, outer))
+        return out
 
     def on_hash_rb(self, frm: NodeId, msg: WireMessage) -> list[Action]:
         if msg.payload is None:
@@ -228,16 +241,13 @@ class EcBrb4f1(Automaton):
                 or inner_msg.kind not in (MsgKind.MSG, MsgKind.ECHO, MsgKind.ACC) \
                 or inner_msg.source != msg.source or inner_msg.h != msg.h:
             return []
-        actions: list[Action] = []
-        resolved: list[tuple[NodeId, SeqIndex]] = []
-        for action in self.inner.step(Receive(frm, inner_msg)):
-            if isinstance(action, Send):
-                actions.append(Send(action.to, self._tunnel(action.msg)))
-            elif isinstance(action, Deliver):
-                self.st.hash_set[(action.source, action.h)].add(action.payload)
-                resolved.append((action.source, action.h))
-        for s, h in resolved:
-            actions += self._post_resolve(s, h)
+        inner_actions = self.inner.step(Receive(frm, inner_msg))
+        actions: list[Action] = self._tunnel([a for a in inner_actions if isinstance(a, Send)])
+        resolved = [a for a in inner_actions if isinstance(a, Deliver)]
+        for d in resolved:
+            self.st.hash_set[(d.source, d.h)].add(d.payload)
+        for d in resolved:
+            actions += self._post_resolve(d.source, d.h)
         return actions
 
     def on_msg(self, frm: NodeId, msg: WireMessage) -> list[Action]:

@@ -19,6 +19,11 @@ digests each node vouched for in its ACC wave. A multicast hands the world
 one message object to send to every recipient, so each sent object is
 sized once (the size travels with each copy to its receive event), and an
 ACC payload is hashed once per sent object, not once per copy.
+
+The event loop is the hot path of every run. A receive event is a plain
+``(to, frm, msg, size, depth)`` tuple in the queue, and per-link state
+(``hops * base_delay``, when the link's transmitter frees up, and its
+latest scheduled arrival) lives in n x n lists built with the world.
 """
 from __future__ import annotations
 
@@ -26,7 +31,7 @@ import heapq
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from . import hashing
@@ -193,15 +198,6 @@ class _Bcast:
 
 
 @dataclass(frozen=True)
-class _Recv:
-    to: NodeId
-    frm: NodeId
-    msg: WireMessage
-    size: int
-    depth: int
-
-
-@dataclass(frozen=True)
 class _Inject:
     frm: NodeId
     to: NodeId
@@ -242,11 +238,13 @@ class SimWorld:
         self.n = len(self.automata)
         self.topology = topology
         self.hops = topology.hop_matrix(self.n)
+        self._link_delay = [[hops * net.base_delay for hops in row] for row in self.hops]
         self.net = net
         self.rng = random.Random(seed)
         self.record_trace = record_trace
         self.max_steps = max_steps
         self.perturb_link = perturb_link
+        self._perturb_frm, self._perturb_to = perturb_link or (None, None)
         self.time = 0.0
         self.stats = RunStats(self.n)
         self.strategies: dict[NodeId, object] = {}
@@ -255,8 +253,8 @@ class SimWorld:
         self.trace: list[TraceRow] = []
         self._queue: list[tuple[float, int, object]] = []
         self._seq = itertools.count()
-        self._busy_until: dict[tuple[NodeId, NodeId], float] = {}
-        self._last_arrival: dict[tuple[NodeId, NodeId], float] = {}
+        self._busy_until = [[0.0] * self.n for _ in range(self.n)]
+        self._last_arrival = [[0.0] * self.n for _ in range(self.n)]
         self._ctx: dict[tuple[NodeId, NodeId, SeqIndex], int] = {}
         self._source_nodes: set[NodeId] = set()
         # The last sent message object with its envelope size and, for an
@@ -305,24 +303,42 @@ class SimWorld:
 
     # -- core loop -----------------------------------------------------------
     def run(self, until: float | None = None) -> RunStats:
+        queue, heappop, max_steps = self._queue, heapq.heappop, self.max_steps
+        stats, automata, strategies = self.stats, self.automata, self.strategies
+        recv_count, recv_bytes, ctx_of = stats.recv_count, stats.recv_bytes, self._ctx
+        trace = self.record_trace
         steps = 0
-        while self._queue and (until is None or self._queue[0][0] <= until):
-            time, _, item = heapq.heappop(self._queue)
+        while queue and (until is None or queue[0][0] <= until):
+            time, _, item = heappop(queue)
             self.time = time
             steps += 1
-            if steps > self.max_steps:
+            if steps > max_steps:
                 raise StepCapExceeded(f"exceeded {self.max_steps} events")
-            self.stats.events_processed += 1
-            if isinstance(item, _Bcast):
+            stats.events_processed += 1
+            if type(item) is tuple:
+                to, frm, msg, size, depth = item
+                kind = msg.kind
+                recv_count[to][kind] += 1
+                recv_bytes[to][kind] += size
+                key = (to, msg.source, msg.h)
+                ctx = ctx_of.get(key, 0)
+                if depth > ctx:
+                    ctx = ctx_of[key] = depth
+                if trace:
+                    self._trace("recv", to, frm, kind.name, msg.source, msg.h, size, depth)
+                automaton = automata[to]
+                actions = automaton.step(Receive(frm, msg))
+                if strategies and to in strategies:
+                    actions = strategies[to].transform(self, to, automaton, actions)
+                self._apply(to, actions, ctx)
+            elif type(item) is _Bcast:
                 self._process_bcast(item)
-            elif isinstance(item, _Recv):
-                self._process_recv(item)
-            elif isinstance(item, _Inject):
+            else:
                 self._send(item.frm, item.to, item.msg, item.depth,
                            forced_delay=item.delay)
         if until is not None and until > self.time:
             self.time = until
-        return self.stats
+        return stats
 
     def _process_bcast(self, item: _Bcast) -> None:
         node, payload, h = item.node, item.payload, item.h
@@ -340,26 +356,11 @@ class SimWorld:
         self._trace("bcast", node, node, "-", node, h, 0, 0)
         self._apply(node, actions, ctx=0)
 
-    def _process_recv(self, item: _Recv) -> None:
-        to, frm, msg, size = item.to, item.frm, item.msg, item.size
-        self.stats.recv_count[to][msg.kind] += 1
-        self.stats.recv_bytes[to][msg.kind] += size
-        key = (to, msg.source, msg.h)
-        ctx = max(self._ctx.get(key, 0), item.depth)
-        self._ctx[key] = ctx
-        self._trace("recv", to, frm, msg.kind.name, msg.source, msg.h, size,
-                    item.depth)
-        automaton = self.automata[to]
-        actions = automaton.step(Receive(frm, msg))
-        strategy = self.strategies.get(to)
-        if strategy is not None:
-            actions = strategy.transform(self, to, automaton, actions)
-        self._apply(to, actions, ctx=ctx)
-
     def _apply(self, node: NodeId, actions: list[Action], ctx: int) -> None:
+        send, depth = self._send, ctx + 1
         for action in actions:
-            if isinstance(action, Send):
-                self._send(node, action.to, action.msg, ctx + 1)
+            if type(action) is Send:
+                send(node, action.to, action.msg, depth)
             elif isinstance(action, Deliver):
                 key = (node, action.source, action.h)
                 if key in self.stats.delivers:
@@ -372,48 +373,50 @@ class SimWorld:
     def _send(self, frm: NodeId, to: NodeId, msg: WireMessage, depth: int,
               forced_delay: float | None = None) -> None:
         last, size, acc_digest = self._last_sent
+        kind = msg.kind
         if msg is not last:
             size = envelope_size(msg)
             acc_digest = None
-            if msg.kind is MsgKind.ACC:
+            if kind is MsgKind.ACC:
                 acc_digest = msg.digest if msg.digest is not None \
                     else hashing.digest(msg.payload or b"")
             self._last_sent = (msg, size, acc_digest)
-        self.stats.sent_count[frm][msg.kind] += 1
-        self.stats.sent_bytes[frm][msg.kind] += size
+        stats = self.stats
+        stats.sent_count[frm][kind] += 1
+        stats.sent_bytes[frm][kind] += size
         if acc_digest is not None:
-            per_node = self.stats.acc_digests.setdefault((msg.source, msg.h), {})
+            per_node = stats.acc_digests.setdefault((msg.source, msg.h), {})
             per_node.setdefault(frm, set()).add(acc_digest)
-        arrival = self.time + self._delay(frm, to, msg, size, forced_delay)
-        link = (frm, to)
-        arrival = max(arrival, self._last_arrival.get(link, 0.0))
-        self._last_arrival[link] = arrival
-        self._push(arrival, _Recv(to, frm, msg, size, depth))
-
-    def _delay(self, frm: NodeId, to: NodeId, msg: WireMessage, size: int,
-               forced_delay: float | None) -> float:
-        if forced_delay is not None:
-            return forced_delay
-        if frm == to:
-            return 0.0
-        if self.delay_policy is not None:
-            override = self.delay_policy(frm, to, msg)
-            if override is not None:
-                return override
-        delay = self.hops[frm][to] * self.net.base_delay
-        if self.net.jitter:
-            delay += self.rng.uniform(0.0, self.net.jitter)
-        if self.perturb_link == (frm, to):
-            delay *= 100.0
-        bandwidth = self.net.bandwidth
-        if frm in self._source_nodes and self.net.source_bandwidth is not None:
-            bandwidth = self.net.source_bandwidth
-        if bandwidth:
-            transmit = size / bandwidth
-            start = max(self.time, self._busy_until.get((frm, to), 0.0))
-            self._busy_until[(frm, to)] = start + transmit
-            delay += (start - self.time) + transmit
-        return delay
+        now = self.time
+        delay = forced_delay
+        if delay is None:
+            if frm == to:
+                delay = 0.0
+            elif self.delay_policy is not None:
+                delay = self.delay_policy(frm, to, msg)
+        if delay is None:
+            net = self.net
+            delay = self._link_delay[frm][to]
+            if net.jitter:
+                # uniform(0, jitter) with the same draw and the same float.
+                delay += net.jitter * self.rng.random()
+            if frm == self._perturb_frm and to == self._perturb_to:
+                delay *= 100.0
+            bandwidth = net.bandwidth
+            if net.source_bandwidth is not None and frm in self._source_nodes:
+                bandwidth = net.source_bandwidth
+            if bandwidth:
+                transmit = size / bandwidth
+                busy = self._busy_until[frm]
+                start = busy[to] if busy[to] > now else now
+                busy[to] = start + transmit
+                delay += (start - now) + transmit
+        last_arrival = self._last_arrival[frm]
+        arrival = now + delay
+        if last_arrival[to] > arrival:
+            arrival = last_arrival[to]
+        last_arrival[to] = arrival
+        heapq.heappush(self._queue, (arrival, next(self._seq), (to, frm, msg, size, depth)))
 
     def _trace(self, event: str, node: int, frm: int, kind: str, source: int,
                h: int, size: int, depth: int) -> None:

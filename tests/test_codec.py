@@ -3,9 +3,10 @@ implementation (tests/oracle_rs.py) and frozen vectors derived from it."""
 import itertools
 import random
 
+import numpy as np
 import pytest
 
-from rblab import hashing
+from rblab import codec, hashing
 from rblab.codec import (
     ELEMENT_OVERHEAD,
     CodedElement,
@@ -18,9 +19,6 @@ from rblab.codec import (
     decode_correcting,
     decode_erasure,
     encode,
-    gf_div,
-    gf_inv,
-    gf_mul,
     parse_element,
     serialize_element,
     shard_width,
@@ -44,24 +42,29 @@ FROZEN_N5_K2 = ["010203", "040500", "07f301", "0e0b06", "0dfd07"]
 FROZEN_N7_K3_POS4_PREFIX = "91a274568a15ed9a"
 
 
+def _gf_div(a, b):
+    """Division the way the Lagrange rows do it: exp of a log difference."""
+    return codec._EXP[(codec._LOG[a] - codec._LOG[b]) % 255]
+
+
 def test_field_multiplication_anchors():
     for (a, b), want in HAND_GF_VECTORS:
-        assert gf_mul(a, b) == want
+        assert codec._MUL[a, b] == want
         assert oracle_rs.mul(a, b) == want
-    assert gf_inv(3) == 0xF4
-    assert gf_mul(3, 0xF4) == 1
-    assert gf_div(gf_mul(7, 9), 9) == 7
+    assert _gf_div(1, 3) == 0xF4
+    assert codec._MUL[3, 0xF4] == 1
+    assert _gf_div(codec._MUL[7, 9], 9) == 7
 
 
 def test_field_tables_match_oracle_exhaustively():
-    for a in range(256):
-        for b in range(256):
-            assert gf_mul(a, b) == oracle_rs.mul(a, b)
-    for a in range(1, 256):
-        assert gf_inv(a) == oracle_rs.inv(a)
-        assert gf_mul(a, gf_inv(a)) == 1
-    with pytest.raises(ZeroDivisionError):
-        gf_inv(0)
+    want = [[oracle_rs.mul(a, b) for b in range(256)] for a in range(256)]
+    assert codec._MUL.tolist() == want
+    assert codec._MUL_FLAT.tolist() == [v for row in want for v in row]
+    nonzero = np.arange(1, 256)
+    assert codec._EXP[codec._LOG[nonzero]].tolist() == nonzero.tolist()
+    quotients = _gf_div(nonzero[:, None], nonzero[None, :])
+    assert quotients.tolist() == [[oracle_rs.mul(a, oracle_rs.inv(b)) for b in nonzero]
+                                  for a in nonzero]
 
 
 def test_frozen_encode_vectors():

@@ -8,7 +8,7 @@ import pytest
 from rblab import hashing, simnet
 from rblab.adversary import CorruptRelay, build_world
 from rblab.core import MsgKind, WireMessage
-from rblab.protocols import ProtocolKind
+from rblab.protocols import ProtocolKind, ecbrb
 from rblab.simnet import (
     InvalidTopology,
     NetParams,
@@ -286,3 +286,27 @@ def test_acc_digests_survive_distinct_equal_and_corrupted_payloads(monkeypatch):
     assert book.sim_digests == 7
     assert set(book.sizers) == {"_send"}
     assert len(book.sizers) <= book.distinct_sent() < len(book.sent)
+
+
+def test_nested_multicast_is_tunneled_once(monkeypatch):
+    # ec-brb-4f1 wraps each nested-broadcast multicast in HASH_RB envelopes:
+    # one encoding and one object per multicast, not one per copy.
+    n = 13
+    book = _Bookkeeping(monkeypatch)
+    encoded = []
+    real_encode = ecbrb.encode_envelope
+
+    def encode(msg):
+        encoded.append(msg.kind)
+        return real_encode(msg)
+
+    monkeypatch.setattr(ecbrb, "encode_envelope", encode)
+    world = build_world(ProtocolKind.EC_BRB_4F1, n, 3, seed=13,
+                        net=NetParams(base_delay=1.0, jitter=0.5))
+    world.broadcast(0, random.Random(13).randbytes(4096), 1)
+    world.run()
+    assert check_broadcast_properties(world) == []
+    assert len(encoded) <= 1 + 2 * n              # one MSG, then one ECHO and one ACC per node
+    assert len(book.sizers) <= book.distinct_sent()
+    # A sender's equal copies are one object, so they are sized once.
+    assert len(book.sizers) <= len(set(book.sent))
