@@ -24,12 +24,24 @@ The event loop is the hot path of every run. A receive event is a plain
 ``(to, frm, msg, size, depth)`` tuple in the queue, and per-link state
 (``hops * base_delay``, when the link's transmitter frees up, and its
 latest scheduled arrival) lives in n x n lists built with the world.
+
+A finished world is freed by reference counting the moment it is dropped,
+so a process that runs world after world frees a few MiB at a time. glibc
+gives heap back to the OS whenever twice its mmap threshold (about 2 MiB
+once a MiB-sized numpy buffer has come and gone) lies free at the heap's
+top, and each later MiB-sized buffer then faults its pages in anew. Whether
+that happens after a run depends on where the survivors of earlier runs
+sit, so its cost changes from one process to the next. Importing this
+module fixes the thresholds so that up to 32 MiB of freed heap is kept for
+reuse.
 """
 from __future__ import annotations
 
+import ctypes
 import heapq
 import itertools
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -48,6 +60,24 @@ from .core import (
     WireMessage,
     envelope_size,
 )
+
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
+
+
+def _keep_freed_heap() -> None:
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    # Fixing either threshold turns off glibc's sliding one, so set both.
+    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 32 << 20)
+
+
+_keep_freed_heap()
 
 
 class StepCapExceeded(RuntimeError):

@@ -7,11 +7,17 @@ until a full collection happens to run, so memory would grow with the
 number of finished worlds rather than stay flat.
 """
 import gc
+import os
+import platform
 import random
+import subprocess
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
+import rblab
 from rblab.protocols import RESILIENCE, ProtocolConfig, ProtocolKind, make_automaton
 from rblab.simnet import NetParams, SimWorld, check_broadcast_properties
 from test_acceptance import FAULT_MATRIX, _fault_injected_violations
@@ -56,3 +62,33 @@ def test_fault_matrix_worlds_are_freed_by_refcount(strategy):
                 assert _fault_injected_violations(kind, f, strategy, 0) == []
                 left[(kind.value, f)] = gc.collect()
     assert left and set(left.values()) == {0}, left
+
+
+HEAP_CHURN = """
+import resource
+import rblab.simnet
+
+def churn():
+    blocks = [bytearray(900_000) for _ in range(4)]
+    del blocks
+
+big = bytearray(1 << 20)  # lifts glibc's sliding mmap threshold to 1 MiB
+del big
+churn()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    churn()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds")
+def test_freed_heap_is_reused_not_refaulted():
+    # Four 0.9 MB blocks freed together leave 3.6 MB at the top of the
+    # heap, past glibc's sliding trim threshold; were it given back to the
+    # OS, each of the five rounds would fault over 600 pages in again.
+    src = str(Path(rblab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", HEAP_CHURN], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert int(out) < 200
