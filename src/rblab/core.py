@@ -1,4 +1,4 @@
-"""Wire messages, the envelope byte format, and per-node protocol state.
+"""Wire messages, the envelope byte format, and per-instance protocol state.
 
 Envelope layout (all integers big-endian):
 
@@ -17,16 +17,29 @@ bytes; ELEMENT is index(1) + claimed_len(4) + shard bytes; DIGEST_ELEMENT
 is a digest followed by an element; PAYLOAD_DIGEST is a digest followed by
 raw payload bytes. Each kind admits a fixed set of variants; anything else
 is malformed.
+
+Protocol state: each automaton keeps one ``Instance`` record per broadcast
+instance (source, h) and looks it up once per event. The record holds the
+sent, seen and delivered flags, the masks of senders whose ECHO and ACC
+already counted, the erasure-coded protocols' element sets, and one
+``Candidate`` per digest heard of: its payload once known, its ECHO and
+ACC backers in arrival order, whom its payload was requested from, and
+ec-brb-3f1's subset searchers.
 """
 from __future__ import annotations
 
 import struct
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import IntEnum
 
 from . import hashing
-from .codec import CodedElement, ELEMENT_OVERHEAD, parse_element, serialize_element
+from .codec import (
+    CodedElement,
+    ELEMENT_OVERHEAD,
+    SubsetDecoder,
+    parse_element,
+    serialize_element,
+)
 
 NodeId = int
 SeqIndex = int
@@ -228,61 +241,117 @@ class Deliver:
 Action = Send | Deliver
 
 
-class InstanceState:
-    """A node's bookkeeping across all (source, h) broadcast instances.
+class Candidate:
+    """One digest a broadcast instance has heard of: its payload once held,
+    and the senders whose ECHO and ACC counted for it, in arrival order, so
+    threshold-triggered requests go to the exact senders that crossed the
+    threshold."""
 
-    Quorum counting is sender-deduplicated per (kind, source, h): a sender
-    contributes to at most one digest per kind and instance, so the dedupe
-    key deliberately omits the digest. The per-digest supporter lists keep
-    arrival order so threshold-triggered requests go to the exact senders
-    that crossed the threshold.
+    __slots__ = ("digest", "payload", "echoes", "accs", "asked", "arrivals", "searchers")
+
+    def __init__(self, digest: Digest) -> None:
+        self.digest = digest
+        self.payload: Payload | None = None
+        self.echoes: list[NodeId] = []
+        self.accs: list[NodeId] = []
+        self.asked: set[NodeId] | None = None  # nodes sent a REQ for the payload
+        # ec-brb-3f1: the distinct elements voted with this digest, in
+        # arrival order, and claimed length -> incremental subset searcher
+        self.arrivals: dict[CodedElement, None] | None = None
+        self.searchers: dict[int, SubsetDecoder] | None = None
+
+    def ask(self, backers: list[NodeId]) -> list[NodeId]:
+        """The backers not asked yet, in order; marks them asked."""
+        if self.asked is None:
+            self.asked = set()
+        targets = [j for j in backers if j not in self.asked]
+        self.asked.update(targets)
+        return targets
+
+
+class Instance:
+    """Everything one node knows about one broadcast instance (source, h).
+
+    An automaton keeps one record per instance and looks it up once per
+    event. Per-digest state (payload, backers, requests) lives in the
+    ``candidates`` it maps digests to. A sender counts at most once per
+    kind (ECHO, ACC) and instance, for the first digest it backs, so the
+    per-kind masks of counted senders ignore the digest. The
+    erasure-coded fields stay None in automata that do not use them.
     """
+
+    __slots__ = (
+        "candidates", "echo_voted", "acc_voted",
+        "msg_seen", "echo_sent", "acc_sent", "decoded", "delivered", "seen",
+        "elements", "claims", "decoded_lens", "endorsed",
+    )
 
     def __init__(self) -> None:
-        self.msg_set: dict[tuple, set[bytes]] = defaultdict(set)
-        self.code_set: dict[tuple, set[CodedElement]] = defaultdict(set)
-        self.hash_set: dict[tuple, set[bytes]] = defaultdict(set)
-        self.supporters: dict[tuple, list[NodeId]] = defaultdict(list)
-        self.counted: dict[tuple, set[NodeId]] = defaultdict(set)
-        self.sent_flags: set[tuple] = set()
-        self.asked: dict[tuple, set[NodeId]] = defaultdict(set)
-        self.delivered: set[tuple] = set()
-        self.seen: set[tuple] = set()
+        self.candidates: dict[Digest, Candidate] = {}
+        self.echo_voted = 0     # bit i set once sender i's ECHO was counted
+        self.acc_voted = 0      # likewise for ACC
+        self.msg_seen = False   # the source's MSG (or first flood copy) was taken
+        self.echo_sent = False
+        self.acc_sent = False
+        self.decoded = False    # ec-crb ran its one erasure decode
+        self.delivered = False
+        self.seen: set | None = None  # once-only REQ / FWD keys
+        # ec-crb, ec-brb-4f1: the distinct elements held
+        self.elements: set[CodedElement] | None = None
+        # ec-brb-4f1: claimed length -> elements claiming it; lengths that
+        # decoded; the digest the nested broadcast delivered
+        self.claims: dict[int, int] | None = None
+        self.decoded_lens: set[int] | None = None
+        self.endorsed: Digest | None = None
 
-    def counter(self, kind: MsgKind, s: NodeId, digest: Digest, h: SeqIndex) -> int:
-        return len(self.supporters[(kind, s, digest, h)])
+    def candidate(self, digest: Digest) -> Candidate:
+        c = self.candidates.get(digest)
+        if c is None:
+            c = self.candidates[digest] = Candidate(digest)
+        return c
 
-    def find_msg(self, s: NodeId, h: SeqIndex, digest: Digest, digest_fn) -> bytes | None:
-        for m in self.msg_set[(s, h)]:
-            if digest_fn(m) == digest:
-                return m
-        return None
+    def payload(self, digest: Digest) -> Payload | None:
+        c = self.candidates.get(digest)
+        return None if c is None else c.payload
 
-    def mark_sent(self, kind: MsgKind, s: NodeId, h: SeqIndex) -> bool:
-        """True the first time; False once already sent for this instance."""
-        flag = (kind, s, h)
-        if flag in self.sent_flags:
+    def hold(self, digest: Digest, payload: Payload) -> Candidate:
+        """Keep ``payload`` as the one behind ``digest`` (the caller checked it)."""
+        c = self.candidate(digest)
+        if c.payload is None:
+            c.payload = payload
+        return c
+
+    def count_echo(self, digest: Digest, sender: NodeId) -> Candidate | None:
+        """Count ``sender``'s ECHO for ``digest``; None if it already counted."""
+        bit = 1 << sender
+        if self.echo_voted & bit:
+            return None
+        self.echo_voted |= bit
+        c = self.candidate(digest)
+        c.echoes.append(sender)
+        return c
+
+    def count_acc(self, digest: Digest, sender: NodeId) -> Candidate | None:
+        """Count ``sender``'s ACC for ``digest``; None if it already counted."""
+        bit = 1 << sender
+        if self.acc_voted & bit:
+            return None
+        self.acc_voted |= bit
+        c = self.candidate(digest)
+        c.accs.append(sender)
+        return c
+
+    def once(self, key) -> bool:
+        """True the first time ``key`` is seen in this instance."""
+        seen = self.seen
+        if seen is None:
+            self.seen = {key}
+            return True
+        if key in seen:
             return False
-        self.sent_flags.add(flag)
+        seen.add(key)
         return True
 
-    def mark_once(self, *key) -> bool:
-        if key in self.seen:
-            return False
-        self.seen.add(key)
-        return True
-
-
-def count_once(state: InstanceState, kind: MsgKind, s: NodeId, digest: Digest,
-               h: SeqIndex, sender: NodeId) -> bool:
-    """Count ``sender``'s vote for ``digest`` once per (kind, s, h).
-
-    Returns True when the counter advanced, False when this sender was
-    already counted for this kind and instance under any digest.
-    """
-    counted = state.counted[(kind, s, h)]
-    if sender in counted:
-        return False
-    counted.add(sender)
-    state.supporters[(kind, s, digest, h)].append(sender)
-    return True
+    def was_asked(self, digest: Digest, node: NodeId) -> bool:
+        c = self.candidates.get(digest)
+        return c is not None and c.asked is not None and node in c.asked

@@ -8,6 +8,12 @@ socket, which keeps runs replayable and lets tests drive single handlers.
 A node always sends to itself too (the transport loops the copy back), so
 handler code never special-cases the local node: the source learns about
 its own broadcast the same way everyone else does.
+
+Per-instance state lives in one ``core.Instance`` record per (source, h),
+kept in ``Automaton.instances``. A handler fetches the record once with
+``instance(s, h)`` and reads and writes its fields directly: the sent and
+delivered flags, and per digest a ``core.Candidate`` with its payload and
+its ECHO and ACC backers.
 """
 from __future__ import annotations
 
@@ -15,10 +21,11 @@ from .. import hashing
 from ..core import (
     Action,
     BroadcastRequest,
+    Candidate,
     Deliver,
     Digest,
     Event,
-    InstanceState,
+    Instance,
     MsgKind,
     NodeId,
     Payload,
@@ -39,13 +46,20 @@ class Automaton:
         self.n = config.n
         self.f = config.f
         self.me = config.node
-        self.st = InstanceState()
+        self.instances: dict[tuple[NodeId, SeqIndex], Instance] = {}
         self._digest_memo: dict[bytes, Digest] = {}
         # Quorum sizes, read on every vote and exposed for tests and for
         # the bench reporter.
         self.f_plus_1 = self.f + 1
         self.n_minus_f = self.n - self.f
         self.n_minus_2f = self.n - 2 * self.f
+
+    def instance(self, s: NodeId, h: SeqIndex) -> Instance:
+        """The record of instance (s, h), created on first use."""
+        rec = self.instances.get((s, h))
+        if rec is None:
+            rec = self.instances[(s, h)] = Instance()
+        return rec
 
     def digest_of(self, payload: Payload) -> Digest:
         memo = self._digest_memo.get(payload)
@@ -111,10 +125,16 @@ class Automaton:
     def send_all(self, msg: WireMessage) -> list[Action]:
         return [Send(to, msg) for to in range(self.n)]
 
-    def deliver_once(self, source: NodeId, payload: Payload, h: SeqIndex,
+    def request_payload(self, s: NodeId, h: SeqIndex, c: Candidate,
+                        backers: list[NodeId]) -> list[Action]:
+        """REQ the payload behind a digest from the nodes that vouched for it."""
+        req = WireMessage(MsgKind.REQ, s, h, digest=c.digest)
+        return [Send(j, req) for j in c.ask(backers)]
+
+    def deliver_once(self, rec: Instance, source: NodeId, payload: Payload, h: SeqIndex,
                      out: list[Action]) -> None:
         """Append a Deliver unless (source, h) was already delivered."""
-        if (source, h) in self.st.delivered:
+        if rec.delivered:
             return
-        self.st.delivered.add((source, h))
+        rec.delivered = True
         out.append(Deliver(source, payload, h))

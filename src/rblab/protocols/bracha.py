@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from ..core import (
     Action,
-    Digest,
+    Candidate,
+    Instance,
     MsgKind,
     NodeId,
     Payload,
     Send,
     SeqIndex,
     WireMessage,
-    count_once,
 )
 from .base import Automaton
 
@@ -31,44 +31,47 @@ class Bracha(Automaton):
     def on_msg(self, frm: NodeId, msg: WireMessage) -> list[Action]:
         if frm != msg.source or msg.payload is None:
             return []
-        if not self.st.mark_once("msg", msg.source, msg.h):
-            return []
         s, h, m = msg.source, msg.h, msg.payload
-        self.st.msg_set[(s, h)].add(m)
+        rec = self.instance(s, h)
+        if rec.msg_seen:
+            return []
+        rec.msg_seen = True
         digest = self.digest_of(m)
-        count_once(self.st, MsgKind.ECHO, s, digest, h, self.me)
-        actions: list[Action] = []
-        if self.st.mark_sent(MsgKind.ECHO, s, h):
-            actions += self.send_all(WireMessage(MsgKind.ECHO, s, h, payload=m))
-        return actions
+        rec.hold(digest, m)
+        rec.count_echo(digest, self.me)
+        if rec.echo_sent:
+            return []
+        rec.echo_sent = True
+        return self.send_all(WireMessage(MsgKind.ECHO, s, h, payload=m))
 
     def on_echo(self, frm: NodeId, msg: WireMessage) -> list[Action]:
-        return self._tally(frm, msg, MsgKind.ECHO)
+        return self._tally(frm, msg, Instance.count_echo)
 
     def on_acc(self, frm: NodeId, msg: WireMessage) -> list[Action]:
-        return self._tally(frm, msg, MsgKind.ACC)
+        return self._tally(frm, msg, Instance.count_acc)
 
-    def _tally(self, frm: NodeId, msg: WireMessage, kind: MsgKind) -> list[Action]:
+    def _tally(self, frm: NodeId, msg: WireMessage, count) -> list[Action]:
+        """Hold the payload, then count the vote with ``count`` (ECHO or ACC)."""
         if msg.payload is None:
             return []
-        s, h, m = msg.source, msg.h, msg.payload
-        self.st.msg_set[(s, h)].add(m)
-        if not count_once(self.st, kind, s, self.digest_of(m), h, frm):
+        rec = self.instance(msg.source, msg.h)
+        digest = self.digest_of(msg.payload)
+        rec.hold(digest, msg.payload)
+        c = count(rec, digest, frm)
+        if c is None:
             return []
-        return self.check(s, self.digest_of(m), h)
+        return self.check(rec, msg.source, msg.h, c)
 
-    def check(self, s: NodeId, digest: Digest, h: SeqIndex) -> list[Action]:
-        m = self.st.find_msg(s, h, digest, self.digest_of)
-        if m is None:
-            return []
+    def check(self, rec: Instance, s: NodeId, h: SeqIndex, c: Candidate) -> list[Action]:
+        m = c.payload
         actions: list[Action] = []
-        echoes = self.st.counter(MsgKind.ECHO, s, digest, h)
-        accs = self.st.counter(MsgKind.ACC, s, digest, h)
-        if echoes >= self.f_plus_1 and self.st.mark_sent(MsgKind.ECHO, s, h):
+        echoes, accs = len(c.echoes), len(c.accs)
+        if echoes >= self.f_plus_1 and not rec.echo_sent:
+            rec.echo_sent = True
             actions += self.send_all(WireMessage(MsgKind.ECHO, s, h, payload=m))
-        if (echoes >= self.n_minus_f or accs >= self.f_plus_1) \
-                and self.st.mark_sent(MsgKind.ACC, s, h):
+        if (echoes >= self.n_minus_f or accs >= self.f_plus_1) and not rec.acc_sent:
+            rec.acc_sent = True
             actions += self.send_all(WireMessage(MsgKind.ACC, s, h, payload=m))
         if accs >= self.n_minus_f:
-            self.deliver_once(s, m, h, actions)
+            self.deliver_once(rec, s, m, h, actions)
         return actions

@@ -34,10 +34,12 @@ class CrbFlood(Automaton):
     def on_msg(self, frm: NodeId, msg: WireMessage) -> list[Action]:
         if msg.payload is None:
             return []
-        if not self.st.mark_once("flood", msg.source, msg.h):
+        rec = self.instance(msg.source, msg.h)
+        if rec.msg_seen:
             return []
+        rec.msg_seen = True
         actions: list[Action] = self.send_all(msg)
-        self.deliver_once(msg.source, msg.payload, msg.h, actions)
+        self.deliver_once(rec, msg.source, msg.payload, msg.h, actions)
         return actions
 
 
@@ -70,18 +72,22 @@ class EcCrb(Automaton):
         return self._store(msg.source, msg.h, msg)
 
     def _store(self, s: NodeId, h: SeqIndex, msg: WireMessage) -> list[Action]:
-        code_set = self.st.code_set[(s, h)]
-        code_set.add(msg.element)
-        if len(code_set) < self.k or not self.st.mark_once("decode", s, h):
+        rec = self.instance(s, h)
+        held = rec.elements
+        if held is None:
+            held = rec.elements = set()
+        held.add(msg.element)
+        if len(held) < self.k or rec.decoded:
             return []
-        elements = sorted(code_set, key=lambda e: (e.index, e.data))
+        rec.decoded = True
+        elements = sorted(held, key=lambda e: (e.index, e.data))
         payload_len = elements[0].claimed_len
         try:
             payload = decode_erasure(elements[: self.k], self.params, payload_len)
         except CodecError:
             return []
         actions: list[Action] = []
-        self.deliver_once(s, payload, h, actions)
+        self.deliver_once(rec, s, payload, h, actions)
         acc = WireMessage(MsgKind.ACC, s, h, payload=payload)
         actions += self.send_all(acc)
         return actions
@@ -90,5 +96,6 @@ class EcCrb(Automaton):
         if msg.payload is None:
             return []
         actions: list[Action] = []
-        self.deliver_once(msg.source, msg.payload, msg.h, actions)
+        self.deliver_once(self.instance(msg.source, msg.h), msg.source, msg.payload, msg.h,
+                          actions)
         return actions

@@ -5,8 +5,8 @@ elements rebuild it. Votes travel as (digest, element) pairs; a node that
 sees f+1 ECHOs for a digest it cannot reconstruct runs an incremental
 subset search over the elements it holds, accepting only a reconstruction
 that hashes to the voted digest (up to f elements are adversarial
-garbage). The ACC wave and the REQ/FWD fallback mirror the hash-based
-double-echo protocol.
+garbage). The ACC wave mirrors the hash-based double-echo protocol, whose
+REQ/FWD fallback it inherits.
 
 EcBrb4f1 (n >= 4f+1) codes at k = n-3f, which leaves enough distance to
 decode through f corruptions outright: once n-f elements arrive a node
@@ -16,9 +16,6 @@ agreement, so the source runs a nested full-payload broadcast of the
 reconstruction endorsed by that nested broadcast.
 """
 from __future__ import annotations
-
-from collections import Counter
-from dataclasses import replace
 
 from .. import hashing
 from ..codec import (
@@ -31,8 +28,9 @@ from ..codec import (
 )
 from ..core import (
     Action,
+    Candidate,
     Deliver,
-    Digest,
+    Instance,
     MalformedEnvelope,
     MsgKind,
     NodeId,
@@ -41,29 +39,24 @@ from ..core import (
     Send,
     SeqIndex,
     WireMessage,
-    count_once,
     decode_envelope,
     encode_envelope,
 )
 from . import ProtocolConfig, ProtocolKind
 from .base import Automaton
 from .bracha import Bracha
-
-# ECHO tallies in EcBrb4f1 are digest-free (the digest arrives separately
-# through the nested broadcast), so they count under this placeholder.
-NO_DIGEST: Digest = b""
+from .hbrb import _HashBrb
 
 
-class EcBrb3f1(Automaton):
+class EcBrb3f1(_HashBrb):
+    """REQ / FWD as in the hash-based protocols; MSG and ECHO carry elements."""
+
     def __init__(self, config: ProtocolConfig):
         super().__init__(config)
         k = config.resolved_k()
         assert k is not None
         self.k = k
         self.params = CodeParams(self.n, k)
-        # (s, digest, h) -> {claimed_len: incremental searcher}
-        self._searchers: dict[tuple, dict[int, SubsetDecoder]] = {}
-        self._arrivals: dict[tuple, list[CodedElement]] = {}
 
     def source_sends(self, payload: Payload, h: SeqIndex) -> list[Send]:
         digest = self.digest_of(payload)
@@ -77,119 +70,90 @@ class EcBrb3f1(Automaton):
     def on_msg(self, frm: NodeId, msg: WireMessage) -> list[Action]:
         if frm != msg.source or msg.digest is None or msg.element is None:
             return []
-        if not self.st.mark_once("msg", msg.source, msg.h):
-            return []
         s, h, digest = msg.source, msg.h, msg.digest
-        count_once(self.st, MsgKind.ECHO, s, digest, h, self.me)
-        self._store_element(s, digest, h, msg.element)
-        actions: list[Action] = []
-        if self.st.mark_sent(MsgKind.ECHO, s, h):
-            echo = WireMessage(MsgKind.ECHO, s, h, digest=digest, element=msg.element)
-            actions += self.send_all(echo)
-        return actions
+        rec = self.instance(s, h)
+        if rec.msg_seen:
+            return []
+        rec.msg_seen = True
+        rec.count_echo(digest, self.me)
+        self._store_element(rec.candidate(digest), msg.element)
+        if rec.echo_sent:
+            return []
+        rec.echo_sent = True
+        echo = WireMessage(MsgKind.ECHO, s, h, digest=digest, element=msg.element)
+        return self.send_all(echo)
 
     def on_echo(self, frm: NodeId, msg: WireMessage) -> list[Action]:
         if msg.digest is None or msg.element is None:
             return []
-        s, h, digest = msg.source, msg.h, msg.digest
-        if not count_once(self.st, MsgKind.ECHO, s, digest, h, frm):
+        s, h = msg.source, msg.h
+        rec = self.instance(s, h)
+        c = rec.count_echo(msg.digest, frm)
+        if c is None:
             return []
-        self._store_element(s, digest, h, msg.element)
-        return self.check(s, digest, h)
+        self._store_element(c, msg.element)
+        return self.check(rec, s, h, c)
 
     def on_acc(self, frm: NodeId, msg: WireMessage) -> list[Action]:
         if msg.digest is None:
             return []
-        s, h, digest = msg.source, msg.h, msg.digest
-        if not count_once(self.st, MsgKind.ACC, s, digest, h, frm):
+        s, h = msg.source, msg.h
+        rec = self.instance(s, h)
+        c = rec.count_acc(msg.digest, frm)
+        if c is None:
             return []
         actions: list[Action] = []
-        if self.st.counter(MsgKind.ACC, s, digest, h) >= self.f_plus_1 \
-                and self.st.find_msg(s, h, digest, self.digest_of) is None:
-            supporters = self.st.supporters[(MsgKind.ACC, s, digest, h)]
-            actions += self._request(s, digest, h, supporters)
-        actions += self.check(s, digest, h)
+        if len(c.accs) >= self.f_plus_1 and c.payload is None:
+            actions += self.request_payload(s, h, c, c.accs)
+        actions += self.check(rec, s, h, c)
         return actions
 
-    def on_req(self, frm: NodeId, msg: WireMessage) -> list[Action]:
-        if msg.digest is None:
-            return []
-        s, h = msg.source, msg.h
-        if not self.st.mark_once("req", s, h, frm):
-            return []
-        m = self.st.find_msg(s, h, msg.digest, self.digest_of)
-        if m is None:
-            return []
-        return [Send(frm, WireMessage(MsgKind.FWD, s, h, payload=m))]
-
-    def on_fwd(self, frm: NodeId, msg: WireMessage) -> list[Action]:
-        if msg.payload is None:
-            return []
-        s, h, m = msg.source, msg.h, msg.payload
-        digest = self.digest_of(m)
-        if frm not in self.st.asked.get((s, digest, h), set()):
-            return []
-        if not self.st.mark_once("fwd", s, h, frm, digest):
-            return []
-        self.st.msg_set[(s, h)].add(m)
-        return self.check(s, digest, h)
-
-    def _request(self, s: NodeId, digest: Digest, h: SeqIndex,
-                 supporters: list[NodeId]) -> list[Action]:
-        asked = self.st.asked[(s, digest, h)]
-        targets = [j for j in supporters if j not in asked]
-        asked.update(targets)
-        req = WireMessage(MsgKind.REQ, s, h, digest=digest)
-        return [Send(j, req) for j in targets]
-
-    def _store_element(self, s: NodeId, digest: Digest, h: SeqIndex,
-                       element: CodedElement) -> None:
+    def _store_element(self, c: Candidate, element: CodedElement) -> None:
         """Record the element and advance the subset search for its digest.
 
         One searcher per claimed payload length: honest elements agree on
         the true length, and a lie about it only spawns a searcher that can
         never match the digest. Every element feeds every searcher (each
         one drops lengths whose shard width disagrees)."""
-        code_set = self.st.code_set[(s, digest, h)]
-        if element in code_set:
+        if c.arrivals is None:
+            c.arrivals, c.searchers = {}, {}
+        elif element in c.arrivals:
             return
-        code_set.add(element)
-        key = (s, digest, h)
-        group = self._searchers.setdefault(key, {})
-        arrivals = self._arrivals.setdefault(key, [])
+        group = c.searchers
         if element.claimed_len not in group:
             # A bound self.digest_of here would make every world a
             # reference cycle that only the cyclic collector frees.
-            searcher = SubsetDecoder(self.params, digest, element.claimed_len,
+            searcher = SubsetDecoder(self.params, c.digest, element.claimed_len,
                                      hashing.digest)
             group[element.claimed_len] = searcher
-            for prior in arrivals:
-                self._found(s, digest, h, searcher.add(prior))
-        arrivals.append(element)
+            for prior in c.arrivals:
+                self._found(c, searcher.add(prior))
+        c.arrivals[element] = None
         for searcher in group.values():
-            self._found(s, digest, h, searcher.add(element))
+            self._found(c, searcher.add(element))
 
-    def _found(self, s: NodeId, digest: Digest, h: SeqIndex, payload: Payload | None) -> None:
+    def _found(self, c: Candidate, payload: Payload | None) -> None:
         if payload is not None:
-            self._digest_memo[payload] = digest  # the searcher checked it hashes to digest
-            self.st.msg_set[(s, h)].add(payload)
+            self._digest_memo[payload] = c.digest  # the searcher checked it hashes to digest
+            if c.payload is None:
+                c.payload = payload
 
-    def check(self, s: NodeId, digest: Digest, h: SeqIndex) -> list[Action]:
-        m = self.st.find_msg(s, h, digest, self.digest_of)
+    def check(self, rec: Instance, s: NodeId, h: SeqIndex, c: Candidate) -> list[Action]:
+        m = c.payload
         if m is None:
             return []
         actions: list[Action] = []
-        echoes = self.st.counter(MsgKind.ECHO, s, digest, h)
-        accs = self.st.counter(MsgKind.ACC, s, digest, h)
-        if echoes >= self.f_plus_1 and self.st.mark_sent(MsgKind.ECHO, s, h):
+        echoes, accs = len(c.echoes), len(c.accs)
+        if echoes >= self.f_plus_1 and not rec.echo_sent:
+            rec.echo_sent = True
             own = encode_element(m, self.params, self.me + 1)
-            echo = WireMessage(MsgKind.ECHO, s, h, digest=digest, element=own)
+            echo = WireMessage(MsgKind.ECHO, s, h, digest=c.digest, element=own)
             actions += self.send_all(echo)
-        if (echoes >= self.n_minus_f or accs >= self.f_plus_1) \
-                and self.st.mark_sent(MsgKind.ACC, s, h):
-            actions += self.send_all(WireMessage(MsgKind.ACC, s, h, digest=digest))
+        if (echoes >= self.n_minus_f or accs >= self.f_plus_1) and not rec.acc_sent:
+            rec.acc_sent = True
+            actions += self.send_all(WireMessage(MsgKind.ACC, s, h, digest=c.digest))
         if accs >= self.n_minus_f:
-            self.deliver_once(s, m, h, actions)
+            self.deliver_once(rec, s, m, h, actions)
         return actions
 
 
@@ -203,7 +167,6 @@ class EcBrb4f1(Automaton):
         self.inner = Bracha(ProtocolConfig(
             ProtocolKind.BRACHA, self.n, self.f, self.me,
             strict_resilience=False))
-        self._decoded_lens: dict[tuple, set[int]] = {}
 
     def source_sends(self, payload: Payload, h: SeqIndex) -> list[Send]:
         digest = self.digest_of(payload)
@@ -225,7 +188,9 @@ class EcBrb4f1(Automaton):
         for send in sends:
             if send.msg is not inner:
                 inner = send.msg
-                tagged = encode_envelope(replace(inner, instance="hash-rb"))
+                tagged = encode_envelope(WireMessage(
+                    inner.kind, inner.source, inner.h, inner.payload, inner.digest,
+                    inner.element, "hash-rb"))
                 outer = WireMessage(MsgKind.HASH_RB, inner.source, inner.h, payload=tagged)
             out.append(Send(send.to, outer))
         return out
@@ -243,79 +208,105 @@ class EcBrb4f1(Automaton):
             return []
         inner_actions = self.inner.step(Receive(frm, inner_msg))
         actions: list[Action] = self._tunnel([a for a in inner_actions if isinstance(a, Send)])
-        resolved = [a for a in inner_actions if isinstance(a, Deliver)]
-        for d in resolved:
-            self.st.hash_set[(d.source, d.h)].add(d.payload)
-        for d in resolved:
-            actions += self._post_resolve(d.source, d.h)
+        # The nested instance is (msg.source, msg.h) too and delivers at
+        # most once: its payload is the digest this instance may accept.
+        for action in inner_actions:
+            if isinstance(action, Deliver):
+                rec = self.instance(msg.source, msg.h)
+                rec.endorsed = action.payload
+                actions += self._post_resolve(rec, msg.source, msg.h)
         return actions
 
     def on_msg(self, frm: NodeId, msg: WireMessage) -> list[Action]:
         if frm != msg.source or msg.element is None:
             return []
-        if not self.st.mark_once("msg", msg.source, msg.h):
-            return []
         s, h = msg.source, msg.h
-        self.st.code_set[(s, h)].add(msg.element)
-        actions: list[Action] = []
-        if self.st.mark_sent(MsgKind.ECHO, s, h):
-            echo = WireMessage(MsgKind.ECHO, s, h, element=msg.element)
-            actions += self.send_all(echo)
-        return actions
+        rec = self.instance(s, h)
+        if rec.msg_seen:
+            return []
+        rec.msg_seen = True
+        self._add_element(rec, msg.element)
+        if rec.echo_sent:
+            return []
+        rec.echo_sent = True
+        return self.send_all(WireMessage(MsgKind.ECHO, s, h, element=msg.element))
 
     def on_echo(self, frm: NodeId, msg: WireMessage) -> list[Action]:
         if msg.element is None:
             return []
         s, h = msg.source, msg.h
-        if not count_once(self.st, MsgKind.ECHO, s, NO_DIGEST, h, frm):
+        rec = self.instance(s, h)
+        # ECHO votes here carry no digest (it arrives through the nested
+        # broadcast), so only which senders echoed is counted.
+        bit = 1 << frm
+        if rec.echo_voted & bit:
             return []
-        code_set = self.st.code_set[(s, h)]
-        code_set.add(msg.element)
-        if len(code_set) < self.n_minus_f or not self._attempt_decode(s, h):
+        rec.echo_voted |= bit
+        self._add_element(rec, msg.element)
+        if len(rec.elements) < self.n_minus_f or not self._untried_length(rec) \
+                or not self._attempt_decode(rec):
             return []
-        return self._post_resolve(s, h)
+        return self._post_resolve(rec, s, h)
 
-    def _attempt_decode(self, s: NodeId, h: SeqIndex) -> bool:
+    @staticmethod
+    def _add_element(rec: Instance, element: CodedElement) -> None:
+        """Add a distinct element to the instance and count its claimed length."""
+        if rec.elements is None:
+            rec.elements, rec.claims = set(), {}
+        if element not in rec.elements:
+            rec.elements.add(element)
+            rec.claims[element.claimed_len] = rec.claims.get(element.claimed_len, 0) + 1
+
+    @staticmethod
+    def _untried_length(rec: Instance) -> bool:
+        """Whether some length claimed in the element set has not decoded yet."""
+        return rec.decoded_lens is None or not rec.decoded_lens.issuperset(rec.claims)
+
+    def _attempt_decode(self, rec: Instance) -> bool:
         """Error-correct the element set under each plausible payload length.
 
         Honest elements agree on the true length, so lengths are tried by
         how many elements claim them; a successful reconstruction is only
-        acted on once the nested broadcast endorses its digest."""
-        code_set = self.st.code_set[(s, h)]
-        done = self._decoded_lens.setdefault((s, h), set())
-        elements = sorted(code_set, key=lambda e: (e.index, e.data, e.claimed_len))
-        tally = Counter(e.claimed_len for e in elements)
+        acted on once the nested broadcast endorses its digest. A length
+        that decoded once is not tried again."""
+        if rec.decoded_lens is None:
+            rec.decoded_lens = set()
+        done = rec.decoded_lens
+        elements = sorted(rec.elements, key=lambda e: (e.index, e.data, e.claimed_len))
         progressed = False
-        for length, _ in sorted(tally.items(), key=lambda kv: (-kv[1], kv[0])):
+        for length, _ in sorted(rec.claims.items(), key=lambda kv: (-kv[1], kv[0])):
             if length in done:
                 continue
             payload = decode_correcting(elements, self.params, self.f, length)
             if payload is not None:
                 done.add(length)
-                self.st.msg_set[(s, h)].add(payload)
+                rec.hold(self.digest_of(payload), payload)
                 progressed = True
         return progressed
 
     def on_acc(self, frm: NodeId, msg: WireMessage) -> list[Action]:
         if msg.digest is None:
             return []
-        s, h, digest = msg.source, msg.h, msg.digest
-        if not count_once(self.st, MsgKind.ACC, s, digest, h, frm):
+        s, h = msg.source, msg.h
+        rec = self.instance(s, h)
+        c = rec.count_acc(msg.digest, frm)
+        if c is None:
             return []
         actions: list[Action] = []
-        if self.st.counter(MsgKind.ACC, s, digest, h) == self.f_plus_1 \
-                and self.st.mark_sent(MsgKind.ACC, s, h):
-            actions += self.send_all(WireMessage(MsgKind.ACC, s, h, digest=digest))
-        actions += self.check(s, h)
+        if len(c.accs) == self.f_plus_1 and not rec.acc_sent:
+            rec.acc_sent = True
+            actions += self.send_all(WireMessage(MsgKind.ACC, s, h, digest=c.digest))
+        actions += self.check(rec, s, h)
         return actions
 
     def on_req(self, frm: NodeId, msg: WireMessage) -> list[Action]:
         if msg.digest is None:
             return []
         s, h, digest = msg.source, msg.h, msg.digest
-        if not self.st.mark_once("req", s, digest, h, frm):
+        rec = self.instance(s, h)
+        if not rec.once(("req", digest, frm)):
             return []
-        m = self.st.find_msg(s, h, digest, self.digest_of)
+        m = rec.payload(digest)
         if m is None:
             return []
         return [Send(frm, WireMessage(MsgKind.FWD, s, h, payload=m, digest=digest))]
@@ -326,36 +317,30 @@ class EcBrb4f1(Automaton):
         s, h, m = msg.source, msg.h, msg.payload
         if self.digest_of(m) != msg.digest:
             return []
-        if frm not in self.st.asked.get((s, msg.digest, h), set()):
+        rec = self.instances.get((s, h))
+        if rec is None or not rec.was_asked(msg.digest, frm):
             return []
-        if not self.st.mark_once("fwd", s, h, frm, msg.digest):
+        if not rec.once(("fwd", frm, msg.digest)):
             return []
-        self.st.msg_set[(s, h)].add(m)
-        return self._post_resolve(s, h)
+        rec.hold(msg.digest, m)
+        return self._post_resolve(rec, s, h)
 
-    def _post_resolve(self, s: NodeId, h: SeqIndex) -> list[Action]:
+    def _post_resolve(self, rec: Instance, s: NodeId, h: SeqIndex) -> list[Action]:
         """Run after the node learns a digest or a payload for (s, h)."""
         actions: list[Action] = []
-        for x in sorted(self.st.hash_set.get((s, h), ())):
-            m = self.st.find_msg(s, h, x, self.digest_of)
-            if m is not None and self.st.mark_sent(MsgKind.ACC, s, h):
-                actions += self.send_all(WireMessage(MsgKind.ACC, s, h, digest=x))
-        actions += self.check(s, h)
+        x = rec.endorsed
+        if x is not None and rec.payload(x) is not None and not rec.acc_sent:
+            rec.acc_sent = True
+            actions += self.send_all(WireMessage(MsgKind.ACC, s, h, digest=x))
+        actions += self.check(rec, s, h)
         return actions
 
-    def check(self, s: NodeId, h: SeqIndex) -> list[Action]:
+    def check(self, rec: Instance, s: NodeId, h: SeqIndex) -> list[Action]:
+        c = None if rec.endorsed is None else rec.candidates.get(rec.endorsed)
+        if c is None or len(c.accs) < self.n_minus_f:
+            return []
+        if c.payload is None:
+            return self.request_payload(s, h, c, c.accs)
         actions: list[Action] = []
-        for x in sorted(self.st.hash_set.get((s, h), ())):
-            if self.st.counter(MsgKind.ACC, s, x, h) < self.n_minus_f:
-                continue
-            m = self.st.find_msg(s, h, x, self.digest_of)
-            if m is not None:
-                self.deliver_once(s, m, h, actions)
-            else:
-                asked = self.st.asked[(s, x, h)]
-                supporters = self.st.supporters[(MsgKind.ACC, s, x, h)]
-                targets = [j for j in supporters if j not in asked]
-                asked.update(targets)
-                req = WireMessage(MsgKind.REQ, s, h, digest=x)
-                actions += [Send(j, req) for j in targets]
+        self.deliver_once(rec, s, c.payload, h, actions)
         return actions

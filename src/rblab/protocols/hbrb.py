@@ -14,14 +14,14 @@ from __future__ import annotations
 
 from ..core import (
     Action,
-    Digest,
+    Candidate,
+    Instance,
     MsgKind,
     NodeId,
     Payload,
     Send,
     SeqIndex,
     WireMessage,
-    count_once,
 )
 from .base import Automaton
 
@@ -36,24 +36,27 @@ class _HashBrb(Automaton):
     def on_msg(self, frm: NodeId, msg: WireMessage) -> list[Action]:
         if frm != msg.source or msg.payload is None:
             return []
-        if not self.st.mark_once("msg", msg.source, msg.h):
-            return []
         s, h, m = msg.source, msg.h, msg.payload
-        self.st.msg_set[(s, h)].add(m)
+        rec = self.instance(s, h)
+        if rec.msg_seen:
+            return []
+        rec.msg_seen = True
         digest = self.digest_of(m)
-        count_once(self.st, MsgKind.ECHO, s, digest, h, self.me)
-        actions: list[Action] = []
-        if self.st.mark_sent(MsgKind.ECHO, s, h):
-            actions += self.send_all(WireMessage(MsgKind.ECHO, s, h, digest=digest))
-        return actions
+        rec.hold(digest, m)
+        rec.count_echo(digest, self.me)
+        if rec.echo_sent:
+            return []
+        rec.echo_sent = True
+        return self.send_all(WireMessage(MsgKind.ECHO, s, h, digest=digest))
 
     def on_req(self, frm: NodeId, msg: WireMessage) -> list[Action]:
         if msg.digest is None:
             return []
         s, h = msg.source, msg.h
-        if not self.st.mark_once("req", s, h, frm):
+        rec = self.instance(s, h)
+        if not rec.once(("req", frm)):
             return []
-        m = self.st.find_msg(s, h, msg.digest, self.digest_of)
+        m = rec.payload(msg.digest)
         if m is None:
             return []
         return [Send(frm, WireMessage(MsgKind.FWD, s, h, payload=m))]
@@ -63,23 +66,14 @@ class _HashBrb(Automaton):
             return []
         s, h, m = msg.source, msg.h, msg.payload
         digest = self.digest_of(m)
-        if frm not in self.st.asked.get((s, digest, h), set()):
+        rec = self.instances.get((s, h))
+        if rec is None or not rec.was_asked(digest, frm):
             return []
-        if not self.st.mark_once("fwd", s, h, frm, digest):
+        if not rec.once(("fwd", frm, digest)):
             return []
-        self.st.msg_set[(s, h)].add(m)
-        return self.check(s, digest, h)
+        return self.check(rec, s, h, rec.hold(digest, m))
 
-    def request_payload(self, s: NodeId, digest: Digest, h: SeqIndex,
-                        supporters: list[NodeId]) -> list[Action]:
-        """REQ the payload behind a digest from the nodes that vouched for it."""
-        asked = self.st.asked[(s, digest, h)]
-        targets = [j for j in supporters if j not in asked]
-        asked.update(targets)
-        req = WireMessage(MsgKind.REQ, s, h, digest=digest)
-        return [Send(j, req) for j in targets]
-
-    def check(self, s: NodeId, digest: Digest, h: SeqIndex) -> list[Action]:
+    def check(self, rec: Instance, s: NodeId, h: SeqIndex, c: Candidate) -> list[Action]:
         raise NotImplementedError
 
 
@@ -87,39 +81,40 @@ class HBrb3f1(_HashBrb):
     def on_echo(self, frm: NodeId, msg: WireMessage) -> list[Action]:
         if msg.digest is None:
             return []
-        s, h = msg.source, msg.h
-        if not count_once(self.st, MsgKind.ECHO, s, msg.digest, h, frm):
+        rec = self.instance(msg.source, msg.h)
+        c = rec.count_echo(msg.digest, frm)
+        if c is None:
             return []
-        return self.check(s, msg.digest, h)
+        return self.check(rec, msg.source, msg.h, c)
 
     def on_acc(self, frm: NodeId, msg: WireMessage) -> list[Action]:
         if msg.digest is None:
             return []
-        s, h, digest = msg.source, msg.h, msg.digest
-        if not count_once(self.st, MsgKind.ACC, s, digest, h, frm):
+        s, h = msg.source, msg.h
+        rec = self.instance(s, h)
+        c = rec.count_acc(msg.digest, frm)
+        if c is None:
             return []
         actions: list[Action] = []
-        if self.st.counter(MsgKind.ACC, s, digest, h) == self.f_plus_1 \
-                and self.st.find_msg(s, h, digest, self.digest_of) is None:
-            supporters = self.st.supporters[(MsgKind.ACC, s, digest, h)]
-            actions += self.request_payload(s, digest, h, supporters)
-        actions += self.check(s, digest, h)
+        if len(c.accs) == self.f_plus_1 and c.payload is None:
+            actions += self.request_payload(s, h, c, c.accs)
+        actions += self.check(rec, s, h, c)
         return actions
 
-    def check(self, s: NodeId, digest: Digest, h: SeqIndex) -> list[Action]:
-        m = self.st.find_msg(s, h, digest, self.digest_of)
+    def check(self, rec: Instance, s: NodeId, h: SeqIndex, c: Candidate) -> list[Action]:
+        m = c.payload
         if m is None:
             return []
         actions: list[Action] = []
-        echoes = self.st.counter(MsgKind.ECHO, s, digest, h)
-        accs = self.st.counter(MsgKind.ACC, s, digest, h)
-        if echoes >= self.f_plus_1 and self.st.mark_sent(MsgKind.ECHO, s, h):
-            actions += self.send_all(WireMessage(MsgKind.ECHO, s, h, digest=digest))
-        if (echoes >= self.n_minus_f or accs >= self.f_plus_1) \
-                and self.st.mark_sent(MsgKind.ACC, s, h):
-            actions += self.send_all(WireMessage(MsgKind.ACC, s, h, digest=digest))
+        echoes, accs = len(c.echoes), len(c.accs)
+        if echoes >= self.f_plus_1 and not rec.echo_sent:
+            rec.echo_sent = True
+            actions += self.send_all(WireMessage(MsgKind.ECHO, s, h, digest=c.digest))
+        if (echoes >= self.n_minus_f or accs >= self.f_plus_1) and not rec.acc_sent:
+            rec.acc_sent = True
+            actions += self.send_all(WireMessage(MsgKind.ACC, s, h, digest=c.digest))
         if accs >= self.n_minus_f:
-            self.deliver_once(s, m, h, actions)
+            self.deliver_once(rec, s, m, h, actions)
         return actions
 
 
@@ -127,25 +122,26 @@ class HBrb5f1(_HashBrb):
     def on_echo(self, frm: NodeId, msg: WireMessage) -> list[Action]:
         if msg.digest is None:
             return []
-        s, h, digest = msg.source, msg.h, msg.digest
-        if not count_once(self.st, MsgKind.ECHO, s, digest, h, frm):
+        s, h = msg.source, msg.h
+        rec = self.instance(s, h)
+        c = rec.count_echo(msg.digest, frm)
+        if c is None:
             return []
         actions: list[Action] = []
-        if self.st.counter(MsgKind.ECHO, s, digest, h) == self.f_plus_1 \
-                and self.st.find_msg(s, h, digest, self.digest_of) is None:
-            supporters = self.st.supporters[(MsgKind.ECHO, s, digest, h)]
-            actions += self.request_payload(s, digest, h, supporters)
-        actions += self.check(s, digest, h)
+        if len(c.echoes) == self.f_plus_1 and c.payload is None:
+            actions += self.request_payload(s, h, c, c.echoes)
+        actions += self.check(rec, s, h, c)
         return actions
 
-    def check(self, s: NodeId, digest: Digest, h: SeqIndex) -> list[Action]:
-        m = self.st.find_msg(s, h, digest, self.digest_of)
+    def check(self, rec: Instance, s: NodeId, h: SeqIndex, c: Candidate) -> list[Action]:
+        m = c.payload
         if m is None:
             return []
         actions: list[Action] = []
-        echoes = self.st.counter(MsgKind.ECHO, s, digest, h)
-        if echoes >= self.n_minus_2f and self.st.mark_sent(MsgKind.ECHO, s, h):
-            actions += self.send_all(WireMessage(MsgKind.ECHO, s, h, digest=digest))
+        echoes = len(c.echoes)
+        if echoes >= self.n_minus_2f and not rec.echo_sent:
+            rec.echo_sent = True
+            actions += self.send_all(WireMessage(MsgKind.ECHO, s, h, digest=c.digest))
         if echoes >= self.n_minus_f:
-            self.deliver_once(s, m, h, actions)
+            self.deliver_once(rec, s, m, h, actions)
         return actions

@@ -7,13 +7,12 @@ from rblab import hashing
 from rblab.codec import CodedElement
 from rblab.core import (
     HEADER_SIZE,
-    InstanceState,
+    Instance,
     KIND_VARIANTS,
     BodyVariant,
     MalformedEnvelope,
     MsgKind,
     WireMessage,
-    count_once,
     decode_envelope,
     encode_envelope,
     envelope_size,
@@ -152,42 +151,45 @@ def test_round_trip_property(kv, source, h, payload, digest, index, data,
     assert decode_envelope(buf) == msg
 
 
-def test_count_once_dedupes_senders_across_digests():
-    st8 = InstanceState()
+def test_tally_dedupes_senders_across_digests():
+    rec = Instance()
     d1, d2 = hashing.digest(b"one"), hashing.digest(b"two")
-    assert count_once(st8, MsgKind.ECHO, 0, d1, 1, sender=4)
+    assert rec.count_echo(d1, sender=4)
     # Same sender voting again, even for another digest, does not count.
-    assert not count_once(st8, MsgKind.ECHO, 0, d1, 1, sender=4)
-    assert not count_once(st8, MsgKind.ECHO, 0, d2, 1, sender=4)
-    assert count_once(st8, MsgKind.ECHO, 0, d1, 1, sender=5)
-    assert st8.counter(MsgKind.ECHO, 0, d1, 1) == 2
-    assert st8.counter(MsgKind.ECHO, 0, d2, 1) == 0
+    assert rec.count_echo(d1, sender=4) is None
+    assert rec.count_echo(d2, sender=4) is None
+    assert rec.count_echo(d1, sender=5)
+    assert len(rec.candidate(d1).echoes) == 2
+    assert d2 not in rec.candidates
     # Distinct kind, source, or index are independent tallies.
-    assert count_once(st8, MsgKind.ACC, 0, d1, 1, sender=4)
-    assert count_once(st8, MsgKind.ECHO, 1, d1, 1, sender=4)
-    assert count_once(st8, MsgKind.ECHO, 0, d1, 2, sender=4)
+    assert rec.count_acc(d1, sender=4)
+    assert Instance().count_echo(d1, sender=4)
 
 
 def test_supporters_preserve_arrival_order():
-    st8 = InstanceState()
+    rec = Instance()
     d = hashing.digest(b"v")
     for sender in (9, 3, 7):
-        count_once(st8, MsgKind.ACC, 2, d, 1, sender)
-    assert st8.supporters[(MsgKind.ACC, 2, d, 1)] == [9, 3, 7]
+        rec.count_acc(d, sender)
+    assert rec.candidate(d).accs == [9, 3, 7]
 
 
-def test_mark_sent_and_mark_once_fire_exactly_once():
-    st8 = InstanceState()
-    assert st8.mark_sent(MsgKind.ECHO, 0, 1)
-    assert not st8.mark_sent(MsgKind.ECHO, 0, 1)
-    assert st8.mark_sent(MsgKind.ACC, 0, 1)
-    assert st8.mark_once("req", 0, 1, 5)
-    assert not st8.mark_once("req", 0, 1, 5)
-    assert st8.mark_once("req", 0, 1, 6)
+def test_sent_flags_and_once_fire_exactly_once():
+    rec = Instance()
+    assert not (rec.echo_sent or rec.acc_sent or rec.delivered)
+    assert rec.once(("req", 5))
+    assert not rec.once(("req", 5))
+    assert rec.once(("req", 6))
+    # Each backer is asked once per digest, in backing order.
+    c = rec.candidate(b"d")
+    assert c.ask([3, 1]) == [3, 1]
+    assert c.ask([3, 1, 2]) == [2]
+    assert rec.was_asked(b"d", 2) and not rec.was_asked(b"e", 2)
 
 
-def test_find_msg_matches_by_digest():
-    st8 = InstanceState()
-    st8.msg_set[(0, 1)].update({b"alpha", b"beta"})
-    assert st8.find_msg(0, 1, hashing.digest(b"alpha"), hashing.digest) == b"alpha"
-    assert st8.find_msg(0, 1, hashing.digest(b"gamma"), hashing.digest) is None
+def test_payloads_match_by_digest():
+    rec = Instance()
+    for m in (b"alpha", b"beta"):
+        rec.hold(hashing.digest(m), m)
+    assert rec.payload(hashing.digest(b"alpha")) == b"alpha"
+    assert rec.payload(hashing.digest(b"gamma")) is None

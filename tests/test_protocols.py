@@ -1,10 +1,16 @@
 """Broadcast automata: config validation, quorum walkthroughs, wave counts."""
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rblab import hashing
 from rblab.adversary import build_world
 from rblab.codec import CodedElement, CodeParams, encode
 from rblab.core import (
+    KIND_VARIANTS,
+    BodyVariant,
     BroadcastRequest,
     Deliver,
     MsgKind,
@@ -14,6 +20,7 @@ from rblab.core import (
     encode_envelope,
 )
 from rblab.protocols import (
+    BYZANTINE_KINDS,
     RESILIENCE,
     BadCodeParams,
     ProtocolConfig,
@@ -384,7 +391,7 @@ def test_quorum_of_accepts_triggers_fetch_then_delivery():
     m, h = b"fetched after accept quorum", 1
     d = hashing.digest(m)
     # The nested broadcast has endorsed the digest.
-    node.st.hash_set[(4, h)].add(d)
+    node.instance(4, h).endorsed = d
     acc = WireMessage(MsgKind.ACC, 4, h, digest=d)
     _recv(node, 1, acc)
     _recv(node, 2, acc)
@@ -453,3 +460,93 @@ def test_source_waves():
     assert [a.msg.element for a in sends] == expected
     assert all(a.msg.digest == hashing.digest(m) for a in sends)
     assert [a.msg.element.index for a in sends] == [1, 2, 3, 4]
+
+
+# -- Byzantine inputs -------------------------------------------------------------
+
+FUZZ_PAYLOADS = (b"fuzzed payload", b"x", bytes(40))
+FUZZ_FIELDS = {
+    BodyVariant.PAYLOAD: ("payload",),
+    BodyVariant.DIGEST: ("digest",),
+    BodyVariant.ELEMENT: ("element",),
+    BodyVariant.DIGEST_ELEMENT: ("digest", "element"),
+    BodyVariant.PAYLOAD_DIGEST: ("payload", "digest"),
+}
+
+
+def _fuzz_n(kind):
+    return max(4, RESILIENCE[kind] + 1)
+
+
+def _mostly(pool, other):
+    """Draw mostly from ``pool`` (three of four branches), else from ``other``."""
+    pool = st.sampled_from(pool)
+    return st.one_of(pool, pool, pool, other)
+
+
+@st.composite
+def _fuzz_message(draw, kind):
+    """A well-typed message a Byzantine peer could send: any kind and body
+    variant, digests, elements and tunneled envelopes. Values come mostly
+    from small pools so votes pile up on the same instances and digests
+    and quorums, requests and deliveries are reached."""
+    n = _fuzz_n(kind)
+    k = ProtocolConfig(kind, n, 1, 0).resolved_k() or 1
+    source, h = draw(_mostly([0], st.integers(0, n - 1))), draw(_mostly([1], st.just(2)))
+    payload = draw(_mostly(FUZZ_PAYLOADS[:1], st.sampled_from(FUZZ_PAYLOADS[1:])
+                           | st.binary(max_size=8)))
+    digest = draw(_mostly([hashing.digest(payload)], st.sampled_from(
+        [hashing.digest(FUZZ_PAYLOADS[1]), bytes(32), b"", b"\x01" * 5])))
+    shards = encode(payload, CodeParams(n, k))
+    element = draw(_mostly(shards, st.builds(
+        CodedElement, index=st.integers(0, n + 2),
+        data=st.sampled_from([shards[0].data, b""]) | st.binary(max_size=8),
+        claimed_len=st.sampled_from([0, 1, len(payload), 40]) | st.integers(0, 2**32 - 1))))
+    msg_kind = draw(st.sampled_from(list(MsgKind)))
+    variant = draw(_mostly(sorted(KIND_VARIANTS[msg_kind]), st.sampled_from(list(BodyVariant))))
+    body = {name: {"payload": payload, "digest": digest, "element": element}[name]
+            for name in FUZZ_FIELDS[variant]}
+    if msg_kind is MsgKind.HASH_RB and draw(st.booleans()):
+        inner = WireMessage(draw(st.sampled_from([MsgKind.MSG, MsgKind.ECHO, MsgKind.ACC])),
+                            source, h, payload=digest if draw(st.booleans()) else payload,
+                            instance=draw(_mostly(["hash-rb"], st.none())))
+        body = {"payload": encode_envelope(inner)}
+    instance = draw(_mostly([None], st.just("hash-rb")))
+    frm = draw(st.integers(0, n - 1))
+    return frm, WireMessage(msg_kind, source, h, instance=instance, **body)
+
+
+def _honest_receipts(kind):
+    """Every (sender, message) node 0 receives in an honest run of one
+    broadcast of FUZZ_PAYLOADS[0] from node 0, in FIFO order."""
+    n = _fuzz_n(kind)
+    nodes = [_auto(kind, n, 1, node=i) for i in range(n)]
+    queue = deque((0, a) for a in nodes[0].step(BroadcastRequest(FUZZ_PAYLOADS[0], 1)))
+    received = []
+    while queue:
+        frm, send = queue.popleft()
+        if send.to == 0:
+            received.append((frm, send.msg))
+        queue.extend((send.to, a) for a in _sends(nodes[send.to].step(Receive(frm, send.msg))))
+    return received
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind), ids=lambda kind: kind.value)
+def test_byzantine_inputs_never_raise_and_repeats_are_ignored(kind):
+    # Honest traffic, sampled in any order and with gaps, carries the node
+    # through its quorums, fetches and delivery while the fuzzed messages
+    # land on live state.
+    honest = st.sampled_from(_honest_receipts(kind))
+    fuzzed = _fuzz_message(kind)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.one_of(honest, fuzzed), min_size=10, max_size=40))
+    def run(received):
+        node = _auto(kind, _fuzz_n(kind), 1, node=0)
+        for frm, msg in received:
+            _recv(node, frm, msg)
+            again = _recv(node, frm, msg)
+            if kind in BYZANTINE_KINDS:
+                assert again == [], (frm, msg)
+
+    run()
