@@ -1,45 +1,16 @@
 """Content digests used to stand in for full payloads on the wire.
 
 Every protocol that ships digests instead of payloads assumes a
-collision-resistant function with a fixed output width. The default is
-SHA-256; tests may swap in another function of the same width via
-``set_digest_fn`` (for instance a keyed or truncated variant), as long as
-it keeps the 32-byte output.
+collision-resistant function with a fixed output width: SHA-256, whose
+32-byte output the envelope format fixes as ``DIGEST_SIZE``.
 """
 from __future__ import annotations
 
 import hashlib
-from typing import Callable
 
 DIGEST_SIZE = 32
 
-DigestFn = Callable[[bytes], bytes]
-
-
-def _sha256(data: bytes) -> bytes:
-    return hashlib.sha256(data).digest()
-
-
-_digest_fn: DigestFn = _sha256
-
 
 def digest(data: bytes) -> bytes:
-    """Return the 32-byte digest of ``data`` under the active function."""
-    out = _digest_fn(data)
-    if len(out) != DIGEST_SIZE:
-        raise ValueError(f"digest function returned {len(out)} bytes, want {DIGEST_SIZE}")
-    return out
-
-
-def set_digest_fn(fn: DigestFn) -> DigestFn:
-    """Install ``fn`` as the digest function; returns the previous one."""
-    global _digest_fn
-    old = _digest_fn
-    _digest_fn = fn
-    return old
-
-
-def reset_digest_fn() -> None:
-    """Restore the default SHA-256 implementation."""
-    global _digest_fn
-    _digest_fn = _sha256
+    """Return the 32-byte SHA-256 digest of ``data``."""
+    return hashlib.sha256(data).digest()

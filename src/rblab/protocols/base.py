@@ -14,6 +14,10 @@ kept in ``Automaton.instances``. A handler fetches the record once with
 ``instance(s, h)`` and reads and writes its fields directly: the sent and
 delivered flags, and per digest a ``core.Candidate`` with its payload and
 its ECHO and ACC backers.
+
+``DoubleEcho`` is the one quorum engine of bracha, h-brb-3f1, h-brb-5f1
+and ec-brb-3f1; they differ only in what a vote carries and in how a node
+gets a payload it lacks.
 """
 from __future__ import annotations
 
@@ -48,11 +52,9 @@ class Automaton:
         self.me = config.node
         self.instances: dict[tuple[NodeId, SeqIndex], Instance] = {}
         self._digest_memo: dict[bytes, Digest] = {}
-        # Quorum sizes, read on every vote and exposed for tests and for
-        # the bench reporter.
+        # Quorum sizes, read on every vote.
         self.f_plus_1 = self.f + 1
         self.n_minus_f = self.n - self.f
-        self.n_minus_2f = self.n - 2 * self.f
 
     def instance(self, s: NodeId, h: SeqIndex) -> Instance:
         """The record of instance (s, h), created on first use."""
@@ -80,13 +82,14 @@ class Automaton:
         raise TypeError(f"unknown event {event!r}")
 
     def source_sends(self, payload: Payload, h: SeqIndex) -> list[Send]:
-        """Build the source's initial sends without touching state.
+        """Build the source's initial sends without touching state: by
+        default one MSG with the whole payload to every node.
 
         Pure by design: the source's own state updates happen when its
         loopback copies arrive, and adversary strategies reuse this builder
         to craft per-recipient splits of the initial wave.
         """
-        raise NotImplementedError
+        return self.send_all(WireMessage(MsgKind.MSG, self.me, h, payload=payload))
 
     # -- handlers (override per protocol) ----------------------------------
     def on_msg(self, frm: NodeId, msg: WireMessage) -> list[Action]:
@@ -138,3 +141,104 @@ class Automaton:
             return
         rec.delivered = True
         out.append(Deliver(source, payload, h))
+
+
+class DoubleEcho(Automaton):
+    """Double echo with one threshold table: the source's MSG counts as the
+    node's own ECHO; it amplifies at f+1 ECHOs, accepts (sends its ACC) at
+    n-f ECHOs or f+1 ACCs, and delivers at n-f ACCs. Without an ACC wave
+    (n >= 5f+1) it amplifies at n-2f ECHOs and delivers at n-f ECHOs.
+    Votes are tallied per digest, so an equivocating source splits its
+    support instead of pooling it.
+
+    A subclass supplies its vote body (``vote``) and either its payload
+    resolver (``learn``, or votes that carry the payload) or its fetch
+    trigger (``fetch``). By default the MSG carries the payload and votes
+    its digest.
+    """
+
+    ACC_WAVE = True
+
+    def __init__(self, config: ProtocolConfig):
+        super().__init__(config)
+        n, f = self.n, self.f
+        never = n + 1  # more votes than there are senders
+        if self.ACC_WAVE:
+            self.amplify_at, self.accept_at, self.deliver_at = f + 1, n - f, never
+        else:
+            self.amplify_at, self.accept_at, self.deliver_at = n - 2 * f, never, n - f
+
+    def msg_digest(self, msg: WireMessage) -> Digest | None:
+        """The digest the source's MSG backs; None if the MSG is malformed."""
+        return None if msg.payload is None else self.digest_of(msg.payload)
+
+    def learn(self, c: Candidate, msg: WireMessage) -> None:
+        """Keep what the source's MSG carries for its digest."""
+        if c.payload is None:
+            c.payload = msg.payload
+
+    def vote(self, kind: MsgKind, s: NodeId, h: SeqIndex, c: Candidate,
+             element=None) -> WireMessage:
+        """This node's ECHO or ACC for ``c`` (``element``: the MSG's, if echoed)."""
+        return WireMessage(kind, s, h, digest=c.digest)
+
+    def fetch(self, s: NodeId, h: SeqIndex, c: Candidate) -> list[Action]:
+        """Ask for ``c``'s missing payload; run by every check without it."""
+        return []
+
+    def on_msg(self, frm: NodeId, msg: WireMessage) -> list[Action]:
+        if frm != msg.source:
+            return []
+        digest = self.msg_digest(msg)
+        if digest is None:
+            return []
+        s, h = msg.source, msg.h
+        rec = self.instance(s, h)
+        if rec.msg_seen:
+            return []
+        rec.msg_seen = True
+        rec.count_echo(digest, self.me)
+        c = rec.candidate(digest)
+        self.learn(c, msg)
+        if rec.echo_sent:
+            return []
+        rec.echo_sent = True
+        return self.send_all(self.vote(MsgKind.ECHO, s, h, c, msg.element))
+
+    def on_echo(self, frm: NodeId, msg: WireMessage) -> list[Action]:
+        return self.tally(frm, msg, msg.digest, Instance.count_echo)
+
+    def on_acc(self, frm: NodeId, msg: WireMessage) -> list[Action]:
+        return self.tally(frm, msg, msg.digest, Instance.count_acc)
+
+    def tally(self, frm: NodeId, msg: WireMessage, digest: Digest | None, count,
+              payload: Payload | None = None) -> list[Action]:
+        """Count ``frm``'s vote for ``digest`` with ``count`` (ECHO or ACC),
+        hold the ``payload`` the vote carries, if any, and run the check."""
+        if digest is None:
+            return []
+        s, h = msg.source, msg.h
+        rec = self.instance(s, h)
+        c = count(rec, digest, frm)
+        if c is None:
+            return []
+        if c.payload is None:
+            c.payload = payload
+        return self.check(rec, s, h, c)
+
+    def check(self, rec: Instance, s: NodeId, h: SeqIndex, c: Candidate) -> list[Action]:
+        """Apply the threshold table to ``c``; fetch its payload while missing."""
+        m = c.payload
+        if m is None:
+            return self.fetch(s, h, c)
+        actions: list[Action] = []
+        echoes, accs = len(c.echoes), len(c.accs)
+        if echoes >= self.amplify_at and not rec.echo_sent:
+            rec.echo_sent = True
+            actions += self.send_all(self.vote(MsgKind.ECHO, s, h, c))
+        if (echoes >= self.accept_at or accs >= self.f_plus_1) and not rec.acc_sent:
+            rec.acc_sent = True
+            actions += self.send_all(self.vote(MsgKind.ACC, s, h, c))
+        if accs >= self.n_minus_f or echoes >= self.deliver_at:
+            self.deliver_once(rec, s, m, h, actions)
+        return actions

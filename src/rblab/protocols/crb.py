@@ -27,10 +27,6 @@ from .base import Automaton
 
 
 class CrbFlood(Automaton):
-    def source_sends(self, payload: Payload, h: SeqIndex) -> list[Send]:
-        msg = WireMessage(MsgKind.MSG, self.me, h, payload=payload)
-        return self.send_all(msg)
-
     def on_msg(self, frm: NodeId, msg: WireMessage) -> list[Action]:
         if msg.payload is None:
             return []

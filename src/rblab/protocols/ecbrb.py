@@ -1,12 +1,13 @@
 """Erasure-coded Byzantine broadcast in two bandwidth/resilience trade-offs.
 
 EcBrb3f1 (n >= 3f+1) codes the payload at k = f+1 so any f+1 honest
-elements rebuild it. Votes travel as (digest, element) pairs; a node that
-sees f+1 ECHOs for a digest it cannot reconstruct runs an incremental
-subset search over the elements it holds, accepting only a reconstruction
-that hashes to the voted digest (up to f elements are adversarial
-garbage). The ACC wave mirrors the hash-based double-echo protocol, whose
-REQ/FWD fallback it inherits.
+elements rebuild it. It runs on the ``DoubleEcho`` engine with the
+hash-based protocols' REQ/FWD fallback. Its MSG and ECHO votes travel as
+(digest, element) pairs, its ACCs as digests. Its resolver feeds every
+element voted for a digest to an incremental subset search, which
+accepts only a reconstruction that hashes to that digest (up to f
+elements are adversarial garbage). Its fetch trigger asks every ACC
+backer from the (f+1)-th on while the payload is missing.
 
 EcBrb4f1 (n >= 4f+1) codes at k = n-3f, which leaves enough distance to
 decode through f corruptions outright: once n-f elements arrive a node
@@ -30,6 +31,7 @@ from ..core import (
     Action,
     Candidate,
     Deliver,
+    Digest,
     Instance,
     MalformedEnvelope,
     MsgKind,
@@ -53,10 +55,7 @@ class EcBrb3f1(_HashBrb):
 
     def __init__(self, config: ProtocolConfig):
         super().__init__(config)
-        k = config.resolved_k()
-        assert k is not None
-        self.k = k
-        self.params = CodeParams(self.n, k)
+        self.params = CodeParams(self.n, config.resolved_k())
 
     def source_sends(self, payload: Payload, h: SeqIndex) -> list[Send]:
         digest = self.digest_of(payload)
@@ -67,21 +66,20 @@ class EcBrb3f1(_HashBrb):
             for i in range(self.n)
         ]
 
-    def on_msg(self, frm: NodeId, msg: WireMessage) -> list[Action]:
-        if frm != msg.source or msg.digest is None or msg.element is None:
+    def msg_digest(self, msg: WireMessage) -> Digest | None:
+        return None if msg.element is None else msg.digest
+
+    def vote(self, kind: MsgKind, s: NodeId, h: SeqIndex, c: Candidate,
+             element: CodedElement | None = None) -> WireMessage:
+        if kind is MsgKind.ECHO and element is None:
+            element = encode_element(c.payload, self.params, self.me + 1)
+        return WireMessage(kind, s, h, digest=c.digest, element=element)
+
+    def fetch(self, s: NodeId, h: SeqIndex, c: Candidate) -> list[Action]:
+        # Ask every ACC backer from the (f+1)-th on.
+        if len(c.accs) < self.f_plus_1:
             return []
-        s, h, digest = msg.source, msg.h, msg.digest
-        rec = self.instance(s, h)
-        if rec.msg_seen:
-            return []
-        rec.msg_seen = True
-        rec.count_echo(digest, self.me)
-        self._store_element(rec.candidate(digest), msg.element)
-        if rec.echo_sent:
-            return []
-        rec.echo_sent = True
-        echo = WireMessage(MsgKind.ECHO, s, h, digest=digest, element=msg.element)
-        return self.send_all(echo)
+        return self.request_payload(s, h, c, c.accs)
 
     def on_echo(self, frm: NodeId, msg: WireMessage) -> list[Action]:
         if msg.digest is None or msg.element is None:
@@ -91,30 +89,18 @@ class EcBrb3f1(_HashBrb):
         c = rec.count_echo(msg.digest, frm)
         if c is None:
             return []
-        self._store_element(c, msg.element)
+        self.learn(c, msg)
         return self.check(rec, s, h, c)
 
-    def on_acc(self, frm: NodeId, msg: WireMessage) -> list[Action]:
-        if msg.digest is None:
-            return []
-        s, h = msg.source, msg.h
-        rec = self.instance(s, h)
-        c = rec.count_acc(msg.digest, frm)
-        if c is None:
-            return []
-        actions: list[Action] = []
-        if len(c.accs) >= self.f_plus_1 and c.payload is None:
-            actions += self.request_payload(s, h, c, c.accs)
-        actions += self.check(rec, s, h, c)
-        return actions
-
-    def _store_element(self, c: Candidate, element: CodedElement) -> None:
-        """Record the element and advance the subset search for its digest.
+    def learn(self, c: Candidate, msg: WireMessage) -> None:
+        """Record the message's element and advance the subset search for
+        its digest.
 
         One searcher per claimed payload length: honest elements agree on
         the true length, and a lie about it only spawns a searcher that can
         never match the digest. Every element feeds every searcher (each
         one drops lengths whose shard width disagrees)."""
+        element = msg.element
         if c.arrivals is None:
             c.arrivals, c.searchers = {}, {}
         elif element in c.arrivals:
@@ -138,32 +124,11 @@ class EcBrb3f1(_HashBrb):
             if c.payload is None:
                 c.payload = payload
 
-    def check(self, rec: Instance, s: NodeId, h: SeqIndex, c: Candidate) -> list[Action]:
-        m = c.payload
-        if m is None:
-            return []
-        actions: list[Action] = []
-        echoes, accs = len(c.echoes), len(c.accs)
-        if echoes >= self.f_plus_1 and not rec.echo_sent:
-            rec.echo_sent = True
-            own = encode_element(m, self.params, self.me + 1)
-            echo = WireMessage(MsgKind.ECHO, s, h, digest=c.digest, element=own)
-            actions += self.send_all(echo)
-        if (echoes >= self.n_minus_f or accs >= self.f_plus_1) and not rec.acc_sent:
-            rec.acc_sent = True
-            actions += self.send_all(WireMessage(MsgKind.ACC, s, h, digest=c.digest))
-        if accs >= self.n_minus_f:
-            self.deliver_once(rec, s, m, h, actions)
-        return actions
-
 
 class EcBrb4f1(Automaton):
     def __init__(self, config: ProtocolConfig):
         super().__init__(config)
-        k = config.resolved_k()
-        assert k is not None
-        self.k = k
-        self.params = CodeParams(self.n, k)
+        self.params = CodeParams(self.n, config.resolved_k())
         self.inner = Bracha(ProtocolConfig(
             ProtocolKind.BRACHA, self.n, self.f, self.me,
             strict_resilience=False))
@@ -214,7 +179,7 @@ class EcBrb4f1(Automaton):
             if isinstance(action, Deliver):
                 rec = self.instance(msg.source, msg.h)
                 rec.endorsed = action.payload
-                actions += self._post_resolve(rec, msg.source, msg.h)
+                actions += self.check(rec, msg.source, msg.h)
         return actions
 
     def on_msg(self, frm: NodeId, msg: WireMessage) -> list[Action]:
@@ -246,7 +211,7 @@ class EcBrb4f1(Automaton):
         if len(rec.elements) < self.n_minus_f or not self._untried_length(rec) \
                 or not self._attempt_decode(rec):
             return []
-        return self._post_resolve(rec, s, h)
+        return self.check(rec, s, h)
 
     @staticmethod
     def _add_element(rec: Instance, element: CodedElement) -> None:
@@ -323,24 +288,22 @@ class EcBrb4f1(Automaton):
         if not rec.once(("fwd", frm, msg.digest)):
             return []
         rec.hold(msg.digest, m)
-        return self._post_resolve(rec, s, h)
-
-    def _post_resolve(self, rec: Instance, s: NodeId, h: SeqIndex) -> list[Action]:
-        """Run after the node learns a digest or a payload for (s, h)."""
-        actions: list[Action] = []
-        x = rec.endorsed
-        if x is not None and rec.payload(x) is not None and not rec.acc_sent:
-            rec.acc_sent = True
-            actions += self.send_all(WireMessage(MsgKind.ACC, s, h, digest=x))
-        actions += self.check(rec, s, h)
-        return actions
+        return self.check(rec, s, h)
 
     def check(self, rec: Instance, s: NodeId, h: SeqIndex) -> list[Action]:
+        """Run after the node learns a digest, a payload or an ACC for
+        (s, h): ACC the endorsed digest once its payload is held, and at
+        n-f ACCs for it deliver, or fetch the payload from those backers."""
         c = None if rec.endorsed is None else rec.candidates.get(rec.endorsed)
-        if c is None or len(c.accs) < self.n_minus_f:
+        if c is None:
             return []
+        actions: list[Action] = []
+        if c.payload is not None and not rec.acc_sent:
+            rec.acc_sent = True
+            actions += self.send_all(WireMessage(MsgKind.ACC, s, h, digest=c.digest))
+        if len(c.accs) < self.n_minus_f:
+            return actions
         if c.payload is None:
             return self.request_payload(s, h, c, c.accs)
-        actions: list[Action] = []
         self.deliver_once(rec, s, c.payload, h, actions)
         return actions

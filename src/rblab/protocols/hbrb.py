@@ -4,7 +4,8 @@ Only the source's MSG and the on-demand FWD carry the payload; ECHO, ACC,
 and REQ carry a 32-byte digest. A node that sees a quorum form around a
 digest it cannot resolve asks the quorum members for the payload (REQ) and
 accepts a forwarded copy (FWD) only from nodes it asked, only if the copy
-hashes to the requested digest.
+hashes to the requested digest. The ``DoubleEcho`` engine tallies the
+digest votes; each protocol here supplies only its fetch trigger.
 
 HBrb3f1 runs the double-echo pattern (ECHO then ACC) and needs n >= 3f+1.
 HBrb5f1 drops the ACC wave entirely: with n >= 5f+1 a single ECHO wave
@@ -15,39 +16,17 @@ from __future__ import annotations
 from ..core import (
     Action,
     Candidate,
-    Instance,
     MsgKind,
     NodeId,
-    Payload,
     Send,
     SeqIndex,
     WireMessage,
 )
-from .base import Automaton
+from .base import Automaton, DoubleEcho
 
 
-class _HashBrb(Automaton):
-    """Shared MSG / REQ / FWD plumbing for the digest-voting protocols."""
-
-    def source_sends(self, payload: Payload, h: SeqIndex) -> list[Send]:
-        msg = WireMessage(MsgKind.MSG, self.me, h, payload=payload)
-        return self.send_all(msg)
-
-    def on_msg(self, frm: NodeId, msg: WireMessage) -> list[Action]:
-        if frm != msg.source or msg.payload is None:
-            return []
-        s, h, m = msg.source, msg.h, msg.payload
-        rec = self.instance(s, h)
-        if rec.msg_seen:
-            return []
-        rec.msg_seen = True
-        digest = self.digest_of(m)
-        rec.hold(digest, m)
-        rec.count_echo(digest, self.me)
-        if rec.echo_sent:
-            return []
-        rec.echo_sent = True
-        return self.send_all(WireMessage(MsgKind.ECHO, s, h, digest=digest))
+class _HashBrb(DoubleEcho):
+    """Shared REQ / FWD plumbing for the digest-voting protocols."""
 
     def on_req(self, frm: NodeId, msg: WireMessage) -> list[Action]:
         if msg.digest is None:
@@ -73,75 +52,21 @@ class _HashBrb(Automaton):
             return []
         return self.check(rec, s, h, rec.hold(digest, m))
 
-    def check(self, rec: Instance, s: NodeId, h: SeqIndex, c: Candidate) -> list[Action]:
-        raise NotImplementedError
+    def fetch(self, s: NodeId, h: SeqIndex, c: Candidate) -> list[Action]:
+        # Ask the backers of the last wave once, when exactly f+1 of them
+        # back the digest.
+        backers = c.accs if self.ACC_WAVE else c.echoes
+        if len(backers) != self.f_plus_1:
+            return []
+        return self.request_payload(s, h, c, backers)
 
 
 class HBrb3f1(_HashBrb):
-    def on_echo(self, frm: NodeId, msg: WireMessage) -> list[Action]:
-        if msg.digest is None:
-            return []
-        rec = self.instance(msg.source, msg.h)
-        c = rec.count_echo(msg.digest, frm)
-        if c is None:
-            return []
-        return self.check(rec, msg.source, msg.h, c)
-
-    def on_acc(self, frm: NodeId, msg: WireMessage) -> list[Action]:
-        if msg.digest is None:
-            return []
-        s, h = msg.source, msg.h
-        rec = self.instance(s, h)
-        c = rec.count_acc(msg.digest, frm)
-        if c is None:
-            return []
-        actions: list[Action] = []
-        if len(c.accs) == self.f_plus_1 and c.payload is None:
-            actions += self.request_payload(s, h, c, c.accs)
-        actions += self.check(rec, s, h, c)
-        return actions
-
-    def check(self, rec: Instance, s: NodeId, h: SeqIndex, c: Candidate) -> list[Action]:
-        m = c.payload
-        if m is None:
-            return []
-        actions: list[Action] = []
-        echoes, accs = len(c.echoes), len(c.accs)
-        if echoes >= self.f_plus_1 and not rec.echo_sent:
-            rec.echo_sent = True
-            actions += self.send_all(WireMessage(MsgKind.ECHO, s, h, digest=c.digest))
-        if (echoes >= self.n_minus_f or accs >= self.f_plus_1) and not rec.acc_sent:
-            rec.acc_sent = True
-            actions += self.send_all(WireMessage(MsgKind.ACC, s, h, digest=c.digest))
-        if accs >= self.n_minus_f:
-            self.deliver_once(rec, s, m, h, actions)
-        return actions
+    """ECHO then ACC wave, n >= 3f+1."""
 
 
 class HBrb5f1(_HashBrb):
-    def on_echo(self, frm: NodeId, msg: WireMessage) -> list[Action]:
-        if msg.digest is None:
-            return []
-        s, h = msg.source, msg.h
-        rec = self.instance(s, h)
-        c = rec.count_echo(msg.digest, frm)
-        if c is None:
-            return []
-        actions: list[Action] = []
-        if len(c.echoes) == self.f_plus_1 and c.payload is None:
-            actions += self.request_payload(s, h, c, c.echoes)
-        actions += self.check(rec, s, h, c)
-        return actions
+    """One ECHO wave, n >= 5f+1."""
 
-    def check(self, rec: Instance, s: NodeId, h: SeqIndex, c: Candidate) -> list[Action]:
-        m = c.payload
-        if m is None:
-            return []
-        actions: list[Action] = []
-        echoes = len(c.echoes)
-        if echoes >= self.n_minus_2f and not rec.echo_sent:
-            rec.echo_sent = True
-            actions += self.send_all(WireMessage(MsgKind.ECHO, s, h, digest=c.digest))
-        if echoes >= self.n_minus_f:
-            self.deliver_once(rec, s, m, h, actions)
-        return actions
+    ACC_WAVE = False
+    on_acc = Automaton.on_acc  # no ACC wave: an ACC is not a vote here

@@ -1,7 +1,5 @@
-"""Digest helper: fixed vectors, determinism, and pluggability."""
+"""Digest helper: fixed vectors and determinism."""
 import hashlib
-
-import pytest
 
 from rblab import hashing
 
@@ -29,28 +27,3 @@ def test_digest_is_deterministic_and_collision_free_on_distinct_inputs():
         assert hashing.digest(payload) == d
         assert d not in seen
         seen[d] = payload
-
-
-def test_digest_function_is_pluggable():
-    calls = []
-
-    def fake(data: bytes) -> bytes:
-        calls.append(data)
-        return b"\x42" * hashing.DIGEST_SIZE
-
-    hashing.set_digest_fn(fake)
-    try:
-        assert hashing.digest(b"abc") == b"\x42" * hashing.DIGEST_SIZE
-        assert calls == [b"abc"]
-    finally:
-        hashing.reset_digest_fn()
-    assert hashing.digest(b"abc") == hashlib.sha256(b"abc").digest()
-
-
-def test_wrong_size_output_is_rejected_at_call_time():
-    hashing.set_digest_fn(lambda data: b"short")
-    try:
-        with pytest.raises(ValueError):
-            hashing.digest(b"abc")
-    finally:
-        hashing.reset_digest_fn()

@@ -301,6 +301,71 @@ def test_single_echo_wave_walkthrough():
     assert _sends(acts) == []
 
 
+# -- the double-echo engine's table and fetch triggers ------------------------
+
+ENGINE_KINDS = (ProtocolKind.BRACHA, ProtocolKind.H_BRB_3F1, ProtocolKind.H_BRB_5F1,
+                ProtocolKind.EC_BRB_3F1)
+
+
+def _first_action_counts(node, votes):
+    """Feed ``votes`` in order; for each action kind (ECHO, ACC, REQ sends
+    and deliveries), the number of votes fed when the node first took it."""
+    firsts = {}
+    for count, (frm, msg) in enumerate(votes, 1):
+        for action in _recv(node, frm, msg):
+            name = "deliver" if isinstance(action, Deliver) else action.msg.kind.name
+            firsts.setdefault(name, count)
+    return firsts
+
+
+@pytest.mark.parametrize("kind", ENGINE_KINDS, ids=lambda kind: kind.value)
+def test_threshold_table_where_quorums_differ(kind):
+    # At n=4, f=1 the walkthroughs cannot tell f+1 from n-2f; here every
+    # entry of the table has its own count.
+    f = 2
+    n = 11 if kind is ProtocolKind.H_BRB_5F1 else 7
+    m, s, h = b"thresholds", 1, 1
+    d = hashing.digest(m)
+    elements = encode(m, CodeParams(n, f + 1))
+    senders = range(1, n)
+
+    def held_node():
+        node = _auto(kind, n, f, node=0)
+        node.instance(s, h).hold(d, m)
+        return node
+
+    def vote(vote_kind, j):
+        if kind is ProtocolKind.BRACHA:
+            return j, WireMessage(vote_kind, s, h, payload=m)
+        if kind is ProtocolKind.EC_BRB_3F1 and vote_kind is MsgKind.ECHO:
+            return j, WireMessage(vote_kind, s, h, digest=d, element=elements[j])
+        return j, WireMessage(vote_kind, s, h, digest=d)
+
+    by_echoes = _first_action_counts(held_node(), [vote(MsgKind.ECHO, j) for j in senders])
+    by_accs = _first_action_counts(held_node(), [vote(MsgKind.ACC, j) for j in senders])
+    if kind is ProtocolKind.H_BRB_5F1:
+        # No ACC wave: amplify at n-2f ECHOs, deliver at n-f, ignore ACCs.
+        assert by_echoes == {"ECHO": n - 2 * f, "deliver": n - f}
+        assert by_accs == {}
+    else:
+        assert by_echoes == {"ECHO": f + 1, "ACC": n - f}
+        assert by_accs == {"ACC": f + 1, "deliver": n - f}
+
+
+def test_fetch_triggers_on_accepts_for_an_unheld_digest():
+    # h-brb-3f1 asks the ACC backers once, at exactly f+1 of them;
+    # ec-brb-3f1 also asks each later ACC sender while the payload is missing.
+    n, f = 7, 2
+    d = hashing.digest(b"never held")
+    acc = WireMessage(MsgKind.ACC, 6, 1, digest=d)
+    for kind, asks_later in ((ProtocolKind.H_BRB_3F1, False), (ProtocolKind.EC_BRB_3F1, True)):
+        node = _auto(kind, n, f, node=0)
+        asked = [[(a.to, a.msg.kind) for a in _sends(_recv(node, j, acc))]
+                 for j in range(1, f + 4)]
+        later = [[(j, MsgKind.REQ)] if asks_later else [] for j in (f + 2, f + 3)]
+        assert asked == [[]] * f + [[(j, MsgKind.REQ) for j in range(1, f + 2)]] + later, kind
+
+
 # -- coded Byzantine broadcast, low-rate variant -------------------------------
 
 def test_coded_vote_reassembly_tolerates_garbage_elements():
