@@ -43,12 +43,14 @@ from .core import (
     Deliver,
     MalformedEnvelope,
     MsgKind,
+    Multicast,
     Receive,
     Send,
     WireMessage,
     decode_envelope,
     encode_envelope,
     envelope_size,
+    expand,
 )
 from .protocols import (
     BadCodeParams,
@@ -79,7 +81,7 @@ __all__ = [
     "BadCodeParams", "BroadcastRequest", "CodecError", "CodeParams",
     "CodedElement", "ConfigMismatch", "CorruptRelay", "Crash", "Deliver",
     "EquivocatingSource", "FaultBudgetExceeded", "FaultBudgetTooLarge",
-    "InvalidTopology", "MalformedEnvelope", "MsgKind", "NetParams",
+    "InvalidTopology", "MalformedEnvelope", "MsgKind", "Multicast", "NetParams",
     "NotDelivered", "ProtocolConfig", "ProtocolKind", "RESILIENCE",
     "Receive", "ResilienceViolation", "ScenarioResult", "Scripted", "Send",
     "SimWorld", "StepCapExceeded", "Strategy", "SubsetDecoder", "Topology",
@@ -87,7 +89,7 @@ __all__ = [
     "WitnessProtocolConfig", "build_witness_world", "build_world",
     "causal_depth", "check_acc_consistency", "check_broadcast_properties",
     "corrupt_element", "decode_correcting", "decode_envelope",
-    "decode_erasure", "encode", "encode_envelope", "envelope_size",
+    "decode_erasure", "encode", "encode_envelope", "envelope_size", "expand",
     "make_automaton", "naive_witness_step", "phase_of", "run",
     "run_scenario", "script_exec1", "script_exec2", "script_helper4",
     "Silent", "__version__",

@@ -4,7 +4,9 @@ Strategies bind to one node and shape only that node's output: Silent
 swallows everything, Crash stops mid-multicast after a send budget,
 EquivocatingSource hands different payloads to different recipients,
 CorruptRelay flips bytes inside the coded elements it relays, and Scripted
-mutes the node so a scenario can inject its traffic explicitly.
+mutes the node so a scenario can inject its traffic explicitly. The
+simulator expands a faulty node's multicasts (``core.expand``), so
+``transform`` sees one Send per recipient.
 
 The witness protocol here is deliberately naive: a node announces
 ("witnesses") a value when it hears it from the source or from f+1 other
@@ -28,12 +30,14 @@ from .core import (
     Deliver,
     Event,
     MsgKind,
+    Multicast,
     NodeId,
     Payload,
     Receive,
     Send,
     SeqIndex,
     WireMessage,
+    expand,
 )
 from .protocols import RESILIENCE, ProtocolConfig, ProtocolKind, make_automaton
 from .simnet import NetParams, SimWorld, Topology
@@ -76,7 +80,7 @@ class Strategy:
 
     def transform(self, world: SimWorld, node: NodeId, automaton,
                   actions: list[Action]) -> list[Action]:
-        """Rewrite the node's outgoing actions."""
+        """Rewrite the node's outgoing actions, given one Send per recipient."""
         return actions
 
 
@@ -123,7 +127,8 @@ class EquivocatingSource(Strategy):
         sends: list[Action] = []
         for to in range(world.n):
             variant = self.partition.get(to, payload)
-            sends += [s for s in automaton.source_sends(variant, h) if s.to == to]
+            sends += [s for s in expand(automaton.source_sends(variant, h), world.n)
+                      if s.to == to]
         return sends
 
 
@@ -207,16 +212,14 @@ def _witness_wave(state: WitnessState, config: WitnessProtocolConfig,
     elif done:
         return []
     done.add(m)
-    msg = WireMessage(MsgKind.ECHO, s, h, payload=m)
-    return [Send(to, msg) for to in range(config.n)]
+    return [Multicast(WireMessage(MsgKind.ECHO, s, h, payload=m))]
 
 
 def naive_witness_step(state: WitnessState, event: Event,
                        config: WitnessProtocolConfig) -> list[Action]:
     """One step of the strawman witness protocol (see module docstring)."""
     if isinstance(event, BroadcastRequest):
-        msg = WireMessage(MsgKind.MSG, state.node, event.h, payload=event.payload)
-        return [Send(to, msg) for to in range(config.n)]
+        return [Multicast(WireMessage(MsgKind.MSG, state.node, event.h, payload=event.payload))]
     if not isinstance(event, Receive):
         raise TypeError(f"unknown event {event!r}")
     msg = event.msg
@@ -256,9 +259,8 @@ class WitnessAutomaton:
     def step(self, event: Event) -> list[Action]:
         return naive_witness_step(self.state, event, self.config)
 
-    def source_sends(self, payload: Payload, h: SeqIndex) -> list[Send]:
-        msg = WireMessage(MsgKind.MSG, self.me, h, payload=payload)
-        return [Send(to, msg) for to in range(self.n)]
+    def source_sends(self, payload: Payload, h: SeqIndex) -> list[Action]:
+        return [Multicast(WireMessage(MsgKind.MSG, self.me, h, payload=payload))]
 
     def witness_counts(self, s: NodeId, h: SeqIndex) -> dict[Payload, int]:
         return {m: len(senders) for (ss, hh, m), senders

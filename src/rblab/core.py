@@ -18,6 +18,10 @@ is a digest followed by an element; PAYLOAD_DIGEST is a digest followed by
 raw payload bytes. Each kind admits a fixed set of variants; anything else
 is malformed.
 
+An automaton answers ``BroadcastRequest`` and ``Receive`` events with
+``Send``, ``Multicast`` (one message to every node) and ``Deliver``
+actions; ``expand`` lists a Multicast as its n Sends.
+
 Protocol state: each automaton keeps one ``Instance`` record per broadcast
 instance (source, h) and looks it up once per event. The record holds the
 sent, seen and delivered flags, the masks of senders whose ECHO and ACC
@@ -227,7 +231,16 @@ Event = BroadcastRequest | Receive
 
 @dataclass(frozen=True)
 class Send:
+    """One message to one node."""
+
     to: NodeId
+    msg: WireMessage
+
+
+@dataclass(frozen=True)
+class Multicast:
+    """One message to every node 0..n-1, the sender included, as one action."""
+
     msg: WireMessage
 
 
@@ -238,7 +251,19 @@ class Deliver:
     h: SeqIndex
 
 
-Action = Send | Deliver
+Action = Send | Multicast | Deliver
+
+
+def expand(actions: list[Action], n: int) -> list[Action]:
+    """The per-recipient form of ``actions``: each Multicast becomes
+    ``Send(0, msg) .. Send(n-1, msg)`` in its place; other actions stay."""
+    out: list[Action] = []
+    for action in actions:
+        if type(action) is Multicast:
+            out += [Send(to, action.msg) for to in range(n)]
+        else:
+            out.append(action)
+    return out
 
 
 class Candidate:

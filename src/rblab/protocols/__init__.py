@@ -1,8 +1,8 @@
 """Reliable-broadcast protocol automata.
 
 Seven deterministic state machines share one event interface: feed a
-BroadcastRequest or Receive event to ``Automaton.step`` and collect Send
-and Deliver actions. Two tolerate crash faults only (flooding and its
+BroadcastRequest or Receive event to ``Automaton.step`` and collect Send,
+Multicast and Deliver actions. Two tolerate crash faults only (flooding and its
 erasure-coded variant); the rest tolerate Byzantine nodes at resilience
 n >= 3f+1, 4f+1, or 5f+1 depending on how they trade redundancy for
 latency and bandwidth.

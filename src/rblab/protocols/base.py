@@ -1,13 +1,16 @@
 """Shared machinery for the broadcast automata.
 
 Every automaton is a pure-ish state machine: ``step(event)`` mutates only
-the automaton's own bookkeeping and returns the list of Send / Deliver
-actions the node performs in response. Nothing here touches a clock or a
-socket, which keeps runs replayable and lets tests drive single handlers.
+the automaton's own bookkeeping and returns the list of Send / Multicast /
+Deliver actions the node performs in response. Nothing here touches a clock
+or a socket, which keeps runs replayable and lets tests drive single
+handlers.
 
-A node always sends to itself too (the transport loops the copy back), so
+A message to everyone is one ``Multicast`` action (``send_all``), which
+reaches the node itself too (the transport loops the copy back), so
 handler code never special-cases the local node: the source learns about
-its own broadcast the same way everyone else does.
+its own broadcast the same way everyone else does. ``core.expand`` lists a
+Multicast as one Send per recipient.
 
 Per-instance state lives in one ``core.Instance`` record per (source, h),
 kept in ``Automaton.instances``. A handler fetches the record once with
@@ -31,6 +34,7 @@ from ..core import (
     Event,
     Instance,
     MsgKind,
+    Multicast,
     NodeId,
     Payload,
     Receive,
@@ -81,13 +85,13 @@ class Automaton:
             return self.source_sends(event.payload, event.h)
         raise TypeError(f"unknown event {event!r}")
 
-    def source_sends(self, payload: Payload, h: SeqIndex) -> list[Send]:
+    def source_sends(self, payload: Payload, h: SeqIndex) -> list[Action]:
         """Build the source's initial sends without touching state: by
-        default one MSG with the whole payload to every node.
+        default one MSG with the whole payload, multicast to every node.
 
         Pure by design: the source's own state updates happen when its
-        loopback copies arrive, and adversary strategies reuse this builder
-        to craft per-recipient splits of the initial wave.
+        loopback copies arrive, and adversary strategies expand this
+        builder's output to craft per-recipient splits of the initial wave.
         """
         return self.send_all(WireMessage(MsgKind.MSG, self.me, h, payload=payload))
 
@@ -126,7 +130,8 @@ class Automaton:
 
     # -- action helpers -----------------------------------------------------
     def send_all(self, msg: WireMessage) -> list[Action]:
-        return [Send(to, msg) for to in range(self.n)]
+        """``msg`` to every node, as one action."""
+        return [Multicast(msg)]
 
     def request_payload(self, s: NodeId, h: SeqIndex, c: Candidate,
                         backers: list[NodeId]) -> list[Action]:
@@ -200,10 +205,13 @@ class DoubleEcho(Automaton):
         rec.count_echo(digest, self.me)
         c = rec.candidate(digest)
         self.learn(c, msg)
-        if rec.echo_sent:
-            return []
-        rec.echo_sent = True
-        return self.send_all(self.vote(MsgKind.ECHO, s, h, c, msg.element))
+        actions: list[Action] = []
+        if not rec.echo_sent:
+            rec.echo_sent = True
+            actions += self.send_all(self.vote(MsgKind.ECHO, s, h, c, msg.element))
+        # The node's own ECHO may complete a quorum the earlier ECHOs began.
+        actions += self.check(rec, s, h, c)
+        return actions
 
     def on_echo(self, frm: NodeId, msg: WireMessage) -> list[Action]:
         return self.tally(frm, msg, msg.digest, Instance.count_echo)

@@ -47,7 +47,7 @@ class EcCrb(Automaton):
         self.k = k
         self.params = CodeParams(self.n, k)
 
-    def source_sends(self, payload: Payload, h: SeqIndex) -> list[Send]:
+    def source_sends(self, payload: Payload, h: SeqIndex) -> list[Action]:
         elements = encode(payload, self.params)
         return [
             Send(i, WireMessage(MsgKind.MSG, self.me, h, element=elements[i]))

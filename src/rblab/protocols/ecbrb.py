@@ -35,6 +35,7 @@ from ..core import (
     Instance,
     MalformedEnvelope,
     MsgKind,
+    Multicast,
     NodeId,
     Payload,
     Receive,
@@ -57,7 +58,7 @@ class EcBrb3f1(_HashBrb):
         super().__init__(config)
         self.params = CodeParams(self.n, config.resolved_k())
 
-    def source_sends(self, payload: Payload, h: SeqIndex) -> list[Send]:
+    def source_sends(self, payload: Payload, h: SeqIndex) -> list[Action]:
         digest = self.digest_of(payload)
         elements = encode(payload, self.params)
         return [
@@ -133,7 +134,7 @@ class EcBrb4f1(Automaton):
             ProtocolKind.BRACHA, self.n, self.f, self.me,
             strict_resilience=False))
 
-    def source_sends(self, payload: Payload, h: SeqIndex) -> list[Send]:
+    def source_sends(self, payload: Payload, h: SeqIndex) -> list[Action]:
         digest = self.digest_of(payload)
         sends = self._tunnel(self.inner.source_sends(digest, h))
         elements = encode(payload, self.params)
@@ -144,20 +145,18 @@ class EcBrb4f1(Automaton):
         return sends
 
     @staticmethod
-    def _tunnel(sends: list[Send]) -> list[Send]:
-        """Wrap nested-broadcast sends in HASH_RB envelopes. A multicast's
-        copies share one inner message object, so it is encoded once and
-        its copies share one outer object too."""
-        out: list[Send] = []
-        inner = outer = None
-        for send in sends:
-            if send.msg is not inner:
-                inner = send.msg
+    def _tunnel(inner_actions: list[Action]) -> list[Action]:
+        """Wrap each multicast of the nested broadcast in a HASH_RB envelope
+        and multicast that (the nested Bracha sends nothing else)."""
+        out: list[Action] = []
+        for action in inner_actions:
+            if type(action) is Multicast:
+                inner = action.msg
                 tagged = encode_envelope(WireMessage(
                     inner.kind, inner.source, inner.h, inner.payload, inner.digest,
                     inner.element, "hash-rb"))
-                outer = WireMessage(MsgKind.HASH_RB, inner.source, inner.h, payload=tagged)
-            out.append(Send(send.to, outer))
+                out.append(Multicast(WireMessage(MsgKind.HASH_RB, inner.source, inner.h,
+                                                 payload=tagged)))
         return out
 
     def on_hash_rb(self, frm: NodeId, msg: WireMessage) -> list[Action]:
@@ -172,7 +171,7 @@ class EcBrb4f1(Automaton):
                 or inner_msg.source != msg.source or inner_msg.h != msg.h:
             return []
         inner_actions = self.inner.step(Receive(frm, inner_msg))
-        actions: list[Action] = self._tunnel([a for a in inner_actions if isinstance(a, Send)])
+        actions = self._tunnel(inner_actions)
         # The nested instance is (msg.source, msg.h) too and delivers at
         # most once: its payload is the digest this instance may accept.
         for action in inner_actions:

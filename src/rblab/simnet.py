@@ -15,15 +15,17 @@ totals. Scenario scripts can override latency wholesale through
 The world also records everything the analysis layer needs: per-node,
 per-kind message and byte counters, delivery times, causal depth (how many
 network legs the information chain behind a delivery spans), and which
-digests each node vouched for in its ACC wave. A multicast hands the world
-one message object to send to every recipient, so each sent object is
-sized once (the size travels with each copy to its receive event), and an
-ACC payload is hashed once per sent object, not once per copy.
+digests each node vouched for in its ACC wave.
 
-The event loop is the hot path of every run. A receive event is a plain
-``(to, frm, msg, size, depth)`` tuple in the queue, and per-link state
+The event loop is the hot path of every run. ``_emit`` takes a
+``Multicast`` whole: it sizes the message, counts its n copies, records an
+ACC's digest and builds the one ``Receive`` event its copies share, then
+does only link work per copy, for recipients 0..n-1 in order. A unicast
+``Send`` or an injected message takes the same loop with one recipient. A
+queued copy is a ``(to, event, size, depth)`` tuple, and per-link state
 (``hops * base_delay``, when the link's transmitter frees up, and its
-latest scheduled arrival) lives in n x n lists built with the world.
+latest scheduled arrival) lives in n x n lists built with the world. A
+faulty node's strategy sees its actions expanded to one Send per recipient.
 
 A finished world is freed by reference counting the moment it is dropped,
 so a process that runs world after world frees a few MiB at a time. glibc
@@ -52,6 +54,7 @@ from .core import (
     BroadcastRequest,
     Deliver,
     MsgKind,
+    Multicast,
     NodeId,
     Payload,
     Receive,
@@ -59,6 +62,7 @@ from .core import (
     SeqIndex,
     WireMessage,
     envelope_size,
+    expand,
 )
 
 
@@ -287,9 +291,6 @@ class SimWorld:
         self._last_arrival = [[0.0] * self.n for _ in range(self.n)]
         self._ctx: dict[tuple[NodeId, NodeId, SeqIndex], int] = {}
         self._source_nodes: set[NodeId] = set()
-        # The last sent message object with its envelope size and, for an
-        # ACC, the digest it vouches for.
-        self._last_sent: tuple[WireMessage | None, int, bytes | None] = (None, 0, None)
 
     # -- setup ---------------------------------------------------------------
     @property
@@ -346,7 +347,8 @@ class SimWorld:
                 raise StepCapExceeded(f"exceeded {self.max_steps} events")
             stats.events_processed += 1
             if type(item) is tuple:
-                to, frm, msg, size, depth = item
+                to, event, size, depth = item
+                msg = event.msg
                 kind = msg.kind
                 recv_count[to][kind] += 1
                 recv_bytes[to][kind] += size
@@ -355,16 +357,19 @@ class SimWorld:
                 if depth > ctx:
                     ctx = ctx_of[key] = depth
                 if trace:
-                    self._trace("recv", to, frm, kind.name, msg.source, msg.h, size, depth)
+                    self._trace("recv", to, event.frm, kind.name, msg.source, msg.h,
+                                size, depth)
                 automaton = automata[to]
-                actions = automaton.step(Receive(frm, msg))
+                actions = automaton.step(event)
                 if strategies and to in strategies:
-                    actions = strategies[to].transform(self, to, automaton, actions)
-                self._apply(to, actions, ctx)
+                    actions = strategies[to].transform(self, to, automaton,
+                                                       expand(actions, self.n))
+                if actions:
+                    self._apply(to, actions, ctx)
             elif type(item) is _Bcast:
                 self._process_bcast(item)
             else:
-                self._send(item.frm, item.to, item.msg, item.depth,
+                self._emit(item.frm, (item.to,), item.msg, item.depth,
                            forced_delay=item.delay)
         if until is not None and until > self.time:
             self.time = until
@@ -382,16 +387,19 @@ class SimWorld:
         if actions is None:
             actions = automaton.step(BroadcastRequest(payload, h))
         if strategy is not None:
-            actions = strategy.transform(self, node, automaton, actions)
+            actions = strategy.transform(self, node, automaton, expand(actions, self.n))
         self._trace("bcast", node, node, "-", node, h, 0, 0)
         self._apply(node, actions, ctx=0)
 
     def _apply(self, node: NodeId, actions: list[Action], ctx: int) -> None:
-        send, depth = self._send, ctx + 1
+        emit, depth = self._emit, ctx + 1
         for action in actions:
-            if type(action) is Send:
-                send(node, action.to, action.msg, depth)
-            elif isinstance(action, Deliver):
+            cls = type(action)
+            if cls is Multicast:
+                emit(node, range(self.n), action.msg, depth)
+            elif cls is Send:
+                emit(node, (action.to,), action.msg, depth)
+            elif cls is Deliver:
                 key = (node, action.source, action.h)
                 if key in self.stats.delivers:
                     self.stats.double_deliveries.append(key)
@@ -400,53 +408,54 @@ class SimWorld:
                 self._trace("deliver", node, node, "-", action.source, action.h,
                             len(action.payload), ctx)
 
-    def _send(self, frm: NodeId, to: NodeId, msg: WireMessage, depth: int,
+    def _emit(self, frm: NodeId, recipients, msg: WireMessage, depth: int,
               forced_delay: float | None = None) -> None:
-        last, size, acc_digest = self._last_sent
+        """Send ``msg`` from ``frm`` to each of ``recipients`` in order:
+        message bookkeeping once, link work and a queued copy per recipient."""
+        size = envelope_size(msg)
         kind = msg.kind
-        if msg is not last:
-            size = envelope_size(msg)
-            acc_digest = None
-            if kind is MsgKind.ACC:
-                acc_digest = msg.digest if msg.digest is not None \
-                    else hashing.digest(msg.payload or b"")
-            self._last_sent = (msg, size, acc_digest)
         stats = self.stats
-        stats.sent_count[frm][kind] += 1
-        stats.sent_bytes[frm][kind] += size
-        if acc_digest is not None:
+        copies = len(recipients)
+        stats.sent_count[frm][kind] += copies
+        stats.sent_bytes[frm][kind] += copies * size
+        if kind is MsgKind.ACC:
+            digest = msg.digest if msg.digest is not None \
+                else hashing.digest(msg.payload or b"")
             per_node = stats.acc_digests.setdefault((msg.source, msg.h), {})
-            per_node.setdefault(frm, set()).add(acc_digest)
-        now = self.time
-        delay = forced_delay
-        if delay is None:
-            if frm == to:
-                delay = 0.0
-            elif self.delay_policy is not None:
-                delay = self.delay_policy(frm, to, msg)
-        if delay is None:
-            net = self.net
-            delay = self._link_delay[frm][to]
-            if net.jitter:
-                # uniform(0, jitter) with the same draw and the same float.
-                delay += net.jitter * self.rng.random()
-            if frm == self._perturb_frm and to == self._perturb_to:
-                delay *= 100.0
-            bandwidth = net.bandwidth
-            if net.source_bandwidth is not None and frm in self._source_nodes:
-                bandwidth = net.source_bandwidth
-            if bandwidth:
-                transmit = size / bandwidth
-                busy = self._busy_until[frm]
-                start = busy[to] if busy[to] > now else now
-                busy[to] = start + transmit
-                delay += (start - now) + transmit
-        last_arrival = self._last_arrival[frm]
-        arrival = now + delay
-        if last_arrival[to] > arrival:
-            arrival = last_arrival[to]
-        last_arrival[to] = arrival
-        heapq.heappush(self._queue, (arrival, next(self._seq), (to, frm, msg, size, depth)))
+            per_node.setdefault(frm, set()).add(digest)
+        event = Receive(frm, msg)
+        now, net, policy = self.time, self.net, self.delay_policy
+        link_delay, jitter, draw = self._link_delay[frm], net.jitter, self.rng.random
+        stretched = self._perturb_to if frm == self._perturb_frm else None
+        bandwidth = net.bandwidth
+        if net.source_bandwidth is not None and frm in self._source_nodes:
+            bandwidth = net.source_bandwidth
+        transmit = size / bandwidth if bandwidth else 0.0
+        busy, last_arrival = self._busy_until[frm], self._last_arrival[frm]
+        queue, seq, push = self._queue, self._seq, heapq.heappush
+        for to in recipients:
+            delay = forced_delay
+            if delay is None:
+                if frm == to:
+                    delay = 0.0
+                elif policy is not None:
+                    delay = policy(frm, to, msg)
+            if delay is None:
+                delay = link_delay[to]
+                if jitter:
+                    # uniform(0, jitter) with the same draw and the same float.
+                    delay += jitter * draw()
+                if to == stretched:
+                    delay *= 100.0
+                if bandwidth:
+                    start = busy[to] if busy[to] > now else now
+                    busy[to] = start + transmit
+                    delay += (start - now) + transmit
+            arrival = now + delay
+            if last_arrival[to] > arrival:
+                arrival = last_arrival[to]
+            last_arrival[to] = arrival
+            push(queue, (arrival, next(seq), (to, event, size, depth)))
 
     def _trace(self, event: str, node: int, frm: int, kind: str, source: int,
                h: int, size: int, depth: int) -> None:

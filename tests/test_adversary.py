@@ -28,9 +28,11 @@ from rblab.core import (
     BroadcastRequest,
     Deliver,
     MsgKind,
+    Multicast,
     Receive,
     Send,
     WireMessage,
+    expand,
 )
 from rblab.protocols import ProtocolKind
 from rblab.simnet import FaultBudgetExceeded
@@ -54,12 +56,14 @@ def test_witness_config_bounds():
 def test_witness_source_and_direct_witness():
     cfg = _wcfg(3)
     state = WitnessState(node=0)
-    wave = naive_witness_step(state, BroadcastRequest(b"m", 1), cfg)
+    acts = naive_witness_step(state, BroadcastRequest(b"m", 1), cfg)
+    assert [type(a) for a in acts] == [Multicast]  # one action per wave
+    wave = expand(acts, cfg.n)
     assert [a.to for a in wave] == [0, 1, 2, 3, 4]
     assert all(a.msg.kind is MsgKind.MSG for a in wave)
     # Direct witness: MSG from its claimed source triggers a witness wave.
     msg = WireMessage(MsgKind.MSG, 2, 1, payload=b"v")
-    wave = naive_witness_step(state, Receive(2, msg), cfg)
+    wave = expand(naive_witness_step(state, Receive(2, msg), cfg), cfg.n)
     assert all(a.msg.kind is MsgKind.ECHO and a.msg.payload == b"v" for a in wave)
     assert len(wave) == 5
     # A relayed MSG (sender is not the source) is not trusted.
@@ -76,7 +80,7 @@ def test_witness_indirect_threshold_and_delivery():
     assert naive_witness_step(state, Receive(1, wit), cfg) == []
     assert naive_witness_step(state, Receive(1, wit), cfg) == []  # same sender
     # f+1 distinct witnesses: witness indirectly.
-    acts = naive_witness_step(state, Receive(2, wit), cfg)
+    acts = expand(naive_witness_step(state, Receive(2, wit), cfg), cfg.n)
     assert len(acts) == 5 and all(isinstance(a, Send) for a in acts)
     acts = naive_witness_step(state, Receive(3, wit), cfg)
     assert acts == [Deliver(4, b"v", 1)]
@@ -101,7 +105,7 @@ def test_double_witness_toggle():
         naive_witness_step(eager, Receive(frm, wit1), cfg_on)
     acts = naive_witness_step(eager, Receive(1, wit2), cfg_on)
     assert acts == []
-    acts = naive_witness_step(eager, Receive(2, wit2), cfg_on)
+    acts = expand(naive_witness_step(eager, Receive(2, wit2), cfg_on), cfg_on.n)
     assert len(acts) == 5  # second witness wave, for the second value
     # But each value is witnessed at most once.
     assert naive_witness_step(eager, Receive(3, wit2), cfg_on) == []
@@ -145,6 +149,47 @@ def test_crash_budget_spares_non_send_actions_before_cutoff():
                         for i in range(3)]
     out = crash.transform(None, 0, None, wave)
     assert out == [deliver, wave[1]]
+
+
+def test_crash_budget_cuts_a_world_fan_out_partway():
+    # Node 1 sends a 4-copy ECHO multicast, then its ACC multicast; a budget
+    # of 6 lets two ACC copies out, and the node's sent total is exactly 6.
+    world = build_world(ProtocolKind.BRACHA, 4, 1)
+    world.attach_adversary(1, Crash(after_sends=6))
+    world.broadcast(0, b"cut mid-wave", 1)
+    world.run()
+    from rblab.simnet import check_broadcast_properties
+    assert check_broadcast_properties(world) == []
+    sent = world.stats.sent_count[1]
+    assert sum(sent.values()) == 6
+    assert (sent[MsgKind.ECHO], sent[MsgKind.ACC]) == (4, 2)
+
+
+def test_corrupt_relay_in_a_world_sees_one_send_per_recipient():
+    seen = []  # (actions given, actions returned) per transform call
+
+    class Recording(CorruptRelay):
+        def transform(self, world, node, automaton, actions):
+            out = super().transform(world, node, automaton, actions)
+            seen.append((list(actions), out))
+            return out
+
+    world = build_world(ProtocolKind.EC_BRB_3F1, 4, 1, seed=3)
+    world.attach_adversary(2, Recording(seed=3))
+    world.broadcast(0, b"relayed per recipient", 1)
+    world.run()
+    from rblab.simnet import check_broadcast_properties
+    assert check_broadcast_properties(world) == []
+    given = [a for actions, _ in seen for a in actions if not isinstance(a, Deliver)]
+    assert given and all(type(a) is Send for a in given)
+    echo_in, echo_out = next(
+        (actions, out) for actions, out in seen
+        if any(a.msg.kind is MsgKind.ECHO for a in actions if isinstance(a, Send)))
+    assert [a.to for a in echo_in] == [0, 1, 2, 3]
+    # Each copy to another node carries its own corrupted element.
+    assert [a.msg.element == e.msg.element for a, e in zip(echo_out, echo_in)] \
+        == [False, False, True, False]
+    assert world.stats.sent_count[2][MsgKind.ECHO] == 4
 
 
 def test_crashed_source_leaves_no_violations():

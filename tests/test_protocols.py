@@ -14,10 +14,12 @@ from rblab.core import (
     BroadcastRequest,
     Deliver,
     MsgKind,
+    Multicast,
     Receive,
     Send,
     WireMessage,
     encode_envelope,
+    expand,
 )
 from rblab.protocols import (
     BYZANTINE_KINDS,
@@ -43,8 +45,9 @@ def _recv(automaton, frm, msg):
     return automaton.step(Receive(frm, msg))
 
 
-def _sends(actions):
-    return [a for a in actions if isinstance(a, Send)]
+def _sends(automaton, actions):
+    """The Sends in ``actions`` once its multicasts are expanded to ``automaton``'s n nodes."""
+    return [a for a in expand(actions, automaton.n) if isinstance(a, Send)]
 
 
 def _delivers(actions):
@@ -199,16 +202,16 @@ def test_double_echo_walkthrough():
     assert _recv(node, 1, echo) == []
     # Second distinct echoer reaches f+1: amplify.
     acts = _recv(node, 2, echo)
-    assert [a.to for a in _sends(acts)] == [0, 1, 2, 3]
+    assert [a.to for a in _sends(node, acts)] == [0, 1, 2, 3]
     assert all(a.msg.kind is MsgKind.ECHO and a.msg.payload == m
-               for a in _sends(acts))
+               for a in _sends(node, acts))
     # Duplicate sender and equivocating same-sender echo both ignored.
     assert _recv(node, 2, echo) == []
     assert _recv(node, 1, WireMessage(MsgKind.ECHO, 3, h, payload=b"liar")) == []
     # Third echoer reaches n-f: accept wave (echo already sent).
     acts = _recv(node, 3, echo)
-    assert all(a.msg.kind is MsgKind.ACC for a in _sends(acts))
-    assert len(_sends(acts)) == 4
+    assert all(a.msg.kind is MsgKind.ACC for a in _sends(node, acts))
+    assert len(_sends(node, acts)) == 4
     acc = WireMessage(MsgKind.ACC, 3, h, payload=m)
     assert _recv(node, 1, acc) == []
     assert _recv(node, 2, acc) == []
@@ -226,7 +229,7 @@ def test_double_echo_accept_short_circuit():
     assert _recv(node, 1, acc) == []
     # f+1 accepts trigger the node's own accept without n-f echoes.
     acts = _recv(node, 2, acc)
-    sends = _sends(acts)
+    sends = _sends(node, acts)
     assert len(sends) == 4 and all(a.msg.kind is MsgKind.ACC for a in sends)
 
 
@@ -247,7 +250,7 @@ def test_digest_vote_fetch_walkthrough():
     assert _recv(node, 0, acc) == []
     # Exactly f+1 accepts for an unknown payload: ask the voters.
     acts = _recv(node, 1, acc)
-    reqs = _sends(acts)
+    reqs = _sends(node, acts)
     assert [a.to for a in reqs] == [0, 1]
     assert all(a.msg.kind is MsgKind.REQ and a.msg.digest == d for a in reqs)
     # Forwarded copies count only from nodes actually asked...
@@ -256,7 +259,7 @@ def test_digest_vote_fetch_walkthrough():
     # ...and only when the payload hashes to the requested digest.
     assert _recv(node, 0, WireMessage(MsgKind.FWD, 0, h, payload=b"forged")) == []
     acts = _recv(node, 0, WireMessage(MsgKind.FWD, 0, h, payload=m))
-    sends = _sends(acts)
+    sends = _sends(node, acts)
     assert len(sends) == 4 and all(a.msg.kind is MsgKind.ACC for a in sends)
     assert all(a.msg.digest == d for a in sends)
     acts = _recv(node, 2, acc)
@@ -269,7 +272,7 @@ def test_payload_requests_are_answered_once_per_asker():
     d = hashing.digest(m)
     _recv(holder, 0, WireMessage(MsgKind.MSG, 0, h, payload=m))
     acts = _recv(holder, 2, WireMessage(MsgKind.REQ, 0, h, digest=d))
-    assert [ (a.to, a.msg.kind, a.msg.payload) for a in _sends(acts) ] \
+    assert [ (a.to, a.msg.kind, a.msg.payload) for a in _sends(holder, acts) ] \
         == [(2, MsgKind.FWD, m)]
     # Same asker again: budget consumed.
     assert _recv(holder, 2, WireMessage(MsgKind.REQ, 0, h, digest=d)) == []
@@ -287,21 +290,70 @@ def test_single_echo_wave_walkthrough():
     assert _recv(node, 1, echo) == []
     # f+1 echoes for an unknown payload: fetch from the echoers.
     acts = _recv(node, 2, echo)
-    assert [a.to for a in _sends(acts)] == [1, 2]
-    assert all(a.msg.kind is MsgKind.REQ for a in _sends(acts))
+    assert [a.to for a in _sends(node, acts)] == [1, 2]
+    assert all(a.msg.kind is MsgKind.REQ for a in _sends(node, acts))
     assert _recv(node, 1, WireMessage(MsgKind.FWD, 5, h, payload=m)) == []
     assert _recv(node, 3, echo) == []
     # n-2f echoes: amplify with our own echo.
     acts = _recv(node, 4, echo)
-    sends = _sends(acts)
+    sends = _sends(node, acts)
     assert len(sends) == 6 and all(a.msg.kind is MsgKind.ECHO for a in sends)
     # n-f echoes: deliver, with no accept wave in this protocol.
     acts = _recv(node, 5, echo)
     assert _delivers(acts) == [Deliver(5, m, h)]
-    assert _sends(acts) == []
+    assert _sends(node, acts) == []
 
 
 # -- the double-echo engine's table and fetch triggers ------------------------
+
+def test_send_all_is_one_multicast_and_expands_to_n_sends():
+    for kind in ProtocolKind:
+        n = RESILIENCE[kind] + 1
+        node = _auto(kind, n, 1, node=1)
+        msg = WireMessage(MsgKind.ECHO, 0, 1, payload=b"to all")
+        actions = node.send_all(msg)
+        assert actions == [Multicast(msg)]
+        # The Send list a multicast stands for: every node, in order.
+        assert expand(actions, n) == [Send(to, msg) for to in range(n)]
+
+
+def test_expand_keeps_action_order():
+    a, b = (WireMessage(MsgKind.REQ, 0, 1, digest=bytes(32)),
+            WireMessage(MsgKind.ACC, 0, 1, digest=bytes(32)))
+    deliver = Deliver(0, b"p", 1)
+    assert expand([Send(2, a), Multicast(b), deliver], 3) == \
+        [Send(2, a), Send(0, b), Send(1, b), Send(2, b), deliver]
+    assert expand([], 3) == []
+
+
+def _late_msg_actions(kind, n, echoers):
+    """A node's actions on the source's MSG after ECHOs from ``echoers``."""
+    m, s, h = b"late source", 0, 1
+    node = _auto(kind, n, 1, node=n - 1)
+    echo = WireMessage(MsgKind.ECHO, s, h, payload=m) if kind is ProtocolKind.BRACHA \
+        else WireMessage(MsgKind.ECHO, s, h, digest=hashing.digest(m))
+    for j in echoers:
+        _recv(node, j, echo)
+    actions = _recv(node, s, WireMessage(MsgKind.MSG, s, h, payload=m))
+    rec = node.instance(s, h)
+    names = ["deliver" if isinstance(a, Deliver) else a.msg.kind.name for a in actions]
+    return names, rec
+
+
+def test_own_echo_on_a_late_msg_completes_the_quorum():
+    # n-f-1 other ECHOs, then the source's MSG: the node's own ECHO makes
+    # n-f, so it must accept (or, without an ACC wave, deliver) right away.
+    names, rec = _late_msg_actions(ProtocolKind.BRACHA, 4, [1, 2])
+    assert names == ["ACC"]              # bracha amplified its ECHO at f+1 already
+    assert len(rec.candidates[hashing.digest(b"late source")].echoes) == 3
+    assert rec.acc_sent
+    names, rec = _late_msg_actions(ProtocolKind.H_BRB_3F1, 4, [1, 2])
+    assert names == ["ECHO", "ACC"]      # digest ECHOs alone could not amplify
+    assert rec.acc_sent
+    names, rec = _late_msg_actions(ProtocolKind.H_BRB_5F1, 6, [1, 2, 3, 4])
+    assert names == ["ECHO", "deliver"]
+    assert rec.delivered
+
 
 ENGINE_KINDS = (ProtocolKind.BRACHA, ProtocolKind.H_BRB_3F1, ProtocolKind.H_BRB_5F1,
                 ProtocolKind.EC_BRB_3F1)
@@ -360,7 +412,7 @@ def test_fetch_triggers_on_accepts_for_an_unheld_digest():
     acc = WireMessage(MsgKind.ACC, 6, 1, digest=d)
     for kind, asks_later in ((ProtocolKind.H_BRB_3F1, False), (ProtocolKind.EC_BRB_3F1, True)):
         node = _auto(kind, n, f, node=0)
-        asked = [[(a.to, a.msg.kind) for a in _sends(_recv(node, j, acc))]
+        asked = [[(a.to, a.msg.kind) for a in _sends(node, _recv(node, j, acc))]
                  for j in range(1, f + 4)]
         later = [[(j, MsgKind.REQ)] if asks_later else [] for j in (f + 2, f + 3)]
         assert asked == [[]] * f + [[(j, MsgKind.REQ) for j in range(1, f + 2)]] + later, kind
@@ -389,7 +441,7 @@ def test_coded_vote_reassembly_tolerates_garbage_elements():
     assert acts == []
     acts = _recv(node, 0, WireMessage(
         MsgKind.ECHO, 3, h, digest=d, element=elements[1]))
-    sends = _sends(acts)
+    sends = _sends(node, acts)
     echoes = [a for a in sends if a.msg.kind is MsgKind.ECHO]
     accs = [a for a in sends if a.msg.kind is MsgKind.ACC]
     assert len(echoes) == 4 and len(accs) == 4
@@ -431,7 +483,7 @@ def test_nested_digest_broadcast_echoes_through_tunnel():
     d = hashing.digest(b"tunnel payload")
     inner = WireMessage(MsgKind.MSG, 4, 1, payload=d, instance="hash-rb")
     acts = _recv(node, 4, _tunneled(inner))
-    sends = _sends(acts)
+    sends = _sends(node, acts)
     assert len(sends) == 5
     assert all(a.msg.kind is MsgKind.HASH_RB for a in sends)
     from rblab.core import decode_envelope
@@ -446,7 +498,7 @@ def test_accept_votes_relay_at_f_plus_1_without_payload():
     acc = WireMessage(MsgKind.ACC, 4, 1, digest=d)
     assert _recv(node, 1, acc) == []
     acts = _recv(node, 2, acc)
-    sends = _sends(acts)
+    sends = _sends(node, acts)
     assert len(sends) == 5 and all(a.msg.kind is MsgKind.ACC for a in sends)
     assert _recv(node, 3, acc) == []
 
@@ -462,7 +514,7 @@ def test_quorum_of_accepts_triggers_fetch_then_delivery():
     _recv(node, 2, acc)
     _recv(node, 3, acc)
     acts = _recv(node, 4, acc)
-    reqs = _sends(acts)
+    reqs = _sends(node, acts)
     assert [a.to for a in reqs] == [1, 2, 3, 4]
     assert all(a.msg.kind is MsgKind.REQ and a.msg.digest == d for a in reqs)
     # Forged forward is rejected; a genuine one completes delivery.
@@ -478,7 +530,7 @@ def test_element_flood_only_from_source():
     relayed = WireMessage(MsgKind.MSG, 4, 1, element=elements[0])
     assert _recv(node, 3, relayed) == []
     acts = _recv(node, 4, relayed)
-    sends = _sends(acts)
+    sends = _sends(node, acts)
     assert len(sends) == 5 and all(a.msg.kind is MsgKind.ECHO for a in sends)
     assert _recv(node, 4, relayed) == []
 
@@ -489,7 +541,7 @@ def test_flood_refloods_once_and_delivers():
     node = _auto(ProtocolKind.CRB_FLOOD, 4, 0, node=1)
     m = WireMessage(MsgKind.MSG, 0, 1, payload=b"flood")
     acts = _recv(node, 0, m)
-    assert len(_sends(acts)) == 4
+    assert len(_sends(node, acts)) == 4
     assert _delivers(acts) == [Deliver(0, b"flood", 1)]
     assert _recv(node, 2, m) == []
 
@@ -499,11 +551,11 @@ def test_coded_crash_decode_and_rescue():
     elements = encode(m, CodeParams(4, 3))
     node = _auto(ProtocolKind.EC_CRB, 4, 1, node=0)
     acts = _recv(node, 3, WireMessage(MsgKind.MSG, 3, h, element=elements[0]))
-    assert all(a.msg.kind is MsgKind.ECHO for a in _sends(acts))
+    assert all(a.msg.kind is MsgKind.ECHO for a in _sends(node, acts))
     assert _recv(node, 1, WireMessage(MsgKind.ECHO, 3, h, element=elements[1])) == []
     acts = _recv(node, 2, WireMessage(MsgKind.ECHO, 3, h, element=elements[2]))
     assert _delivers(acts) == [Deliver(3, m, h)]
-    accs = [a for a in _sends(acts) if a.msg.kind is MsgKind.ACC]
+    accs = [a for a in _sends(node, acts) if a.msg.kind is MsgKind.ACC]
     assert len(accs) == 4 and all(a.msg.payload == m for a in accs)
     # A node with no elements at all is rescued by the full-payload accept.
     empty = _auto(ProtocolKind.EC_CRB, 4, 1, node=2)
@@ -516,11 +568,11 @@ def test_coded_crash_decode_and_rescue():
 def test_source_waves():
     m, h = b"initial wave", 3
     bracha = _auto(ProtocolKind.BRACHA, 4, 1, node=2)
-    sends = bracha.step(BroadcastRequest(m, h))
+    sends = _sends(bracha, bracha.step(BroadcastRequest(m, h)))
     assert [a.to for a in sends] == [0, 1, 2, 3]
     assert all(a.msg.kind is MsgKind.MSG and a.msg.payload == m for a in sends)
     coded = _auto(ProtocolKind.EC_BRB_3F1, 4, 1, node=2)
-    sends = coded.step(BroadcastRequest(m, h))
+    sends = _sends(coded, coded.step(BroadcastRequest(m, h)))
     expected = encode(m, CodeParams(4, 2))
     assert [a.msg.element for a in sends] == expected
     assert all(a.msg.digest == hashing.digest(m) for a in sends)
@@ -586,13 +638,15 @@ def _honest_receipts(kind):
     broadcast of FUZZ_PAYLOADS[0] from node 0, in FIFO order."""
     n = _fuzz_n(kind)
     nodes = [_auto(kind, n, 1, node=i) for i in range(n)]
-    queue = deque((0, a) for a in nodes[0].step(BroadcastRequest(FUZZ_PAYLOADS[0], 1)))
+    wave = nodes[0].step(BroadcastRequest(FUZZ_PAYLOADS[0], 1))
+    queue = deque((0, a) for a in _sends(nodes[0], wave))
     received = []
     while queue:
         frm, send = queue.popleft()
         if send.to == 0:
             received.append((frm, send.msg))
-        queue.extend((send.to, a) for a in _sends(nodes[send.to].step(Receive(frm, send.msg))))
+        queue.extend((send.to, a)
+                     for a in _sends(nodes[send.to], nodes[send.to].step(Receive(frm, send.msg))))
     return received
 
 

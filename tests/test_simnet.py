@@ -7,7 +7,7 @@ import pytest
 
 from rblab import hashing, simnet
 from rblab.adversary import CorruptRelay, build_world
-from rblab.core import MsgKind, WireMessage
+from rblab.core import MsgKind, Receive, WireMessage
 from rblab.protocols import ProtocolKind, ecbrb
 from rblab.simnet import (
     InvalidTopology,
@@ -208,13 +208,15 @@ def _sha256(data: bytes) -> bytes:
 
 class _Bookkeeping:
     """Counts the simulator's own sizing and hashing during a run, and
-    records every sent message to recompute the ACC digests from scratch."""
+    records every emitted message with its recipients to recompute the ACC
+    digests from scratch."""
 
     def __init__(self, monkeypatch):
         self.sizers: list[str] = []
         self.sim_digests = 0
-        self.sent: list[tuple[int, WireMessage]] = []
-        real_size, real_digest, real_send = simnet.envelope_size, hashing.digest, SimWorld._send
+        self.digests_by: dict[int, int] = {}  # sender -> simulator digests of its emits
+        self.emits: list[tuple[int, tuple[int, ...], WireMessage]] = []
+        real_size, real_digest, real_emit = simnet.envelope_size, hashing.digest, SimWorld._emit
 
         def size(msg):
             self.sizers.append(sys._getframe(1).f_code.co_name)
@@ -223,18 +225,29 @@ class _Bookkeeping:
         def digest(data):
             if sys._getframe(1).f_code.co_filename == simnet.__file__:
                 self.sim_digests += 1
+                frm = self.emits[-1][0]
+                self.digests_by[frm] = self.digests_by.get(frm, 0) + 1
             return real_digest(data)
 
-        def send(world, frm, to, msg, *args, **kwargs):
-            self.sent.append((frm, msg))
-            return real_send(world, frm, to, msg, *args, **kwargs)
+        def emit(world, frm, recipients, msg, *args, **kwargs):
+            self.emits.append((frm, tuple(recipients), msg))
+            return real_emit(world, frm, recipients, msg, *args, **kwargs)
 
         monkeypatch.setattr(simnet, "envelope_size", size)
         monkeypatch.setattr(hashing, "digest", digest)
-        monkeypatch.setattr(SimWorld, "_send", send)
+        monkeypatch.setattr(SimWorld, "_emit", emit)
 
-    def distinct_sent(self) -> int:
-        return len({id(msg) for _, msg in self.sent})
+    @property
+    def sent(self) -> list[tuple[int, WireMessage]]:
+        """Every copy sent, as (sender, message)."""
+        return [(frm, msg) for frm, recipients, msg in self.emits for _ in recipients]
+
+    def distinct_sent(self, senders=None) -> int:
+        return len({id(msg) for frm, _, msg in self.emits
+                    if senders is None or frm in senders})
+
+    def emits_by(self, senders) -> int:
+        return sum(frm in senders for frm, _, _ in self.emits)
 
     def acc_digests_by_rehashing(self) -> dict:
         expected: dict = {}
@@ -256,9 +269,10 @@ def test_each_sent_message_is_sized_and_hashed_once(monkeypatch):
     assert check_broadcast_properties(world) == []
     receives = stats.total_recv_count()
     assert receives == len(book.sent) == n + 2 * n * n
-    assert set(book.sizers) == {"_send"}          # never at receive
-    assert len(book.sizers) <= book.distinct_sent()
-    assert book.distinct_sent() == 1 + 2 * n      # one object per multicast
+    assert set(book.sizers) == {"_emit"}          # never at receive
+    assert len(book.sizers) == len(book.emits)    # once per emitted message
+    assert len(book.emits) == book.distinct_sent() == 1 + 2 * n  # one per multicast
+    assert all(recipients == tuple(range(n)) for _, recipients, _ in book.emits)
     assert book.sim_digests <= n                  # the ACC wave alone was n * n
     assert stats.acc_digests == book.acc_digests_by_rehashing()
     assert stats.acc_digests == {(0, 1): {i: {_sha256(payload)} for i in range(n)}}
@@ -283,9 +297,17 @@ def test_acc_digests_survive_distinct_equal_and_corrupted_payloads(monkeypatch):
         "acc-consistency: nodes 0 and 1 vouched for different digests of (0, 1)",
         "acc-consistency: nodes 0 and 5 vouched for different digests of (0, 1)",
     ]
-    assert book.sim_digests == 7
-    assert set(book.sizers) == {"_send"}
-    assert len(book.sizers) <= book.distinct_sent() < len(book.sent)
+    # Each honest ACC multicast is hashed once. The relay's output reaches
+    # the simulator per recipient, so each of its n payload ACCs is hashed.
+    assert {i: book.digests_by[i] for i in range(6)} == {i: 1 for i in range(6)}
+    assert book.digests_by[6] == 7
+    assert book.sim_digests == 6 + 7
+    assert set(book.sizers) == {"_emit"}
+    assert len(book.sizers) == len(book.emits) < len(book.sent)
+    # Every honest message object is emitted, and so sized, once.
+    honest = set(range(6))
+    assert book.emits_by(honest) == book.distinct_sent(honest)
+    assert book.emits_by({6}) > book.distinct_sent({6})
 
 
 def test_nested_multicast_is_tunneled_once(monkeypatch):
@@ -307,6 +329,31 @@ def test_nested_multicast_is_tunneled_once(monkeypatch):
     world.run()
     assert check_broadcast_properties(world) == []
     assert len(encoded) <= 1 + 2 * n              # one MSG, then one ECHO and one ACC per node
-    assert len(book.sizers) <= book.distinct_sent()
-    # A sender's equal copies are one object, so they are sized once.
-    assert len(book.sizers) <= len(set(book.sent))
+    tunneled = [(frm, recipients) for frm, recipients, msg in book.emits
+                if msg.kind is MsgKind.HASH_RB]
+    assert len(tunneled) == len(encoded)          # one outer multicast per encoding
+    assert all(recipients == tuple(range(n)) for _, recipients in tunneled)
+    # Equal copies are one object, so they are sized once.
+    assert len(book.sizers) == len(book.emits) == book.distinct_sent()
+
+
+def test_copies_of_a_multicast_share_one_receive_event():
+    n = 7
+    world = build_world(ProtocolKind.BRACHA, n, 2, net=NetParams(base_delay=1.0, jitter=0.5))
+    received = []  # (recipient, event) for every step the simulator runs
+    for node, automaton in enumerate(world.automata):
+        def step(event, node=node, real=automaton.step):
+            received.append((node, event))
+            return real(event)
+        automaton.step = step
+    world.broadcast(0, b"shared", 1)
+    world.run()
+    assert check_broadcast_properties(world) == []
+    by_msg = {}
+    for node, event in received:
+        if isinstance(event, Receive):
+            by_msg.setdefault(id(event.msg), []).append((node, event))
+    assert len(by_msg) == 1 + 2 * n                # one message object per multicast
+    for copies in by_msg.values():
+        assert sorted(node for node, _ in copies) == list(range(n))
+        assert len({id(event) for _, event in copies}) == 1
