@@ -146,17 +146,19 @@ class EcBrb4f1(Automaton):
 
     @staticmethod
     def _tunnel(inner_actions: list[Action]) -> list[Action]:
-        """Wrap each multicast of the nested broadcast in a HASH_RB envelope
-        and multicast that (the nested Bracha sends nothing else)."""
+        """Wrap each message the nested broadcast sends in a HASH_RB envelope
+        and send that the same way: a Multicast as one Multicast, a unicast
+        Send to its one recipient. The nested Delivers stay inside."""
         out: list[Action] = []
         for action in inner_actions:
-            if type(action) is Multicast:
+            cls = type(action)
+            if cls is Multicast or cls is Send:
                 inner = action.msg
                 tagged = encode_envelope(WireMessage(
                     inner.kind, inner.source, inner.h, inner.payload, inner.digest,
                     inner.element, "hash-rb"))
-                out.append(Multicast(WireMessage(MsgKind.HASH_RB, inner.source, inner.h,
-                                                 payload=tagged)))
+                outer = WireMessage(MsgKind.HASH_RB, inner.source, inner.h, payload=tagged)
+                out.append(Multicast(outer) if cls is Multicast else Send(action.to, outer))
         return out
 
     def on_hash_rb(self, frm: NodeId, msg: WireMessage) -> list[Action]:

@@ -20,8 +20,9 @@ digests each node vouched for in its ACC wave.
 The event loop is the hot path of every run. ``_emit`` takes a
 ``Multicast`` whole: it sizes the message, counts its n copies, records an
 ACC's digest and builds the one ``Receive`` event its copies share, then
-does only link work per copy, for recipients 0..n-1 in order. A unicast
-``Send`` or an injected message takes the same loop with one recipient. A
+does only link work per copy, for recipients 0..n-1 in order. A run of
+consecutive unicast ``Send``s of one message object takes the same loop
+with their recipients, and an injected message with one recipient. A
 queued copy is a ``(to, event, size, depth)`` tuple, and per-link state
 (``hops * base_delay``, when the link's transmitter frees up, and its
 latest scheduled arrival) lives in n x n lists built with the world. A
@@ -393,12 +394,23 @@ class SimWorld:
 
     def _apply(self, node: NodeId, actions: list[Action], ctx: int) -> None:
         emit, depth = self._emit, ctx + 1
+        # Consecutive Sends of one message object (a faulty node's expanded
+        # multicast) are emitted together, so the message is sized once.
+        run_msg, run_to = None, []
         for action in actions:
             cls = type(action)
+            if cls is Send:
+                if action.msg is not run_msg:
+                    if run_to:
+                        emit(node, run_to, run_msg, depth)
+                    run_msg, run_to = action.msg, []
+                run_to.append(action.to)
+                continue
+            if run_to:
+                emit(node, run_to, run_msg, depth)
+                run_msg, run_to = None, []
             if cls is Multicast:
                 emit(node, range(self.n), action.msg, depth)
-            elif cls is Send:
-                emit(node, (action.to,), action.msg, depth)
             elif cls is Deliver:
                 key = (node, action.source, action.h)
                 if key in self.stats.delivers:
@@ -407,6 +419,8 @@ class SimWorld:
                 self.stats.delivers[key] = DeliverRecord(self.time, action.payload, ctx)
                 self._trace("deliver", node, node, "-", action.source, action.h,
                             len(action.payload), ctx)
+        if run_to:
+            emit(node, run_to, run_msg, depth)
 
     def _emit(self, frm: NodeId, recipients, msg: WireMessage, depth: int,
               forced_delay: float | None = None) -> None:

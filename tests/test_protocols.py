@@ -18,6 +18,7 @@ from rblab.core import (
     Receive,
     Send,
     WireMessage,
+    decode_envelope,
     encode_envelope,
     expand,
 )
@@ -490,6 +491,20 @@ def test_nested_digest_broadcast_echoes_through_tunnel():
     relayed = decode_envelope(sends[0].msg.payload)
     assert relayed.kind is MsgKind.ECHO and relayed.payload == d
     assert relayed.instance == "hash-rb"
+
+
+def test_tunnel_keeps_multicast_and_unicast_shape():
+    d = hashing.digest(b"shape")
+    echo = WireMessage(MsgKind.ECHO, 4, 1, payload=d)
+    fwd = WireMessage(MsgKind.FWD, 4, 1, payload=d)
+    out = EcBrb4f1._tunnel([Multicast(echo), Send(2, fwd), Deliver(4, d, 1)])
+    assert [type(a) for a in out] == [Multicast, Send]
+    assert out[1].to == 2
+    for action, inner in zip(out, (echo, fwd)):
+        assert action.msg.kind is MsgKind.HASH_RB
+        relayed = decode_envelope(action.msg.payload)
+        assert (relayed.kind, relayed.payload, relayed.instance) == \
+            (inner.kind, d, "hash-rb")
 
 
 def test_accept_votes_relay_at_f_plus_1_without_payload():
