@@ -32,7 +32,6 @@ from .codec import (
     CodecError,
     CodedElement,
     CodeParams,
-    FaultBudgetTooLarge,
     SubsetDecoder,
     decode_correcting,
     decode_erasure,
@@ -80,7 +79,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BadCodeParams", "BroadcastRequest", "CodecError", "CodeParams",
     "CodedElement", "ConfigMismatch", "CorruptRelay", "Crash", "Deliver",
-    "EquivocatingSource", "FaultBudgetExceeded", "FaultBudgetTooLarge",
+    "EquivocatingSource", "FaultBudgetExceeded",
     "InvalidTopology", "MalformedEnvelope", "MsgKind", "Multicast", "NetParams",
     "NotDelivered", "ProtocolConfig", "ProtocolKind", "RESILIENCE",
     "Receive", "ResilienceViolation", "ScenarioResult", "Scripted", "Send",

@@ -28,7 +28,7 @@ sent, seen and delivered flags, the masks of senders whose ECHO and ACC
 already counted, the erasure-coded protocols' element sets, and one
 ``Candidate`` per digest heard of: its payload once known, its ECHO and
 ACC backers in arrival order, whom its payload was requested from, and
-ec-brb-3f1's subset searchers.
+ec-brb-3f1's online decoder of the elements voted for it.
 """
 from __future__ import annotations
 
@@ -272,7 +272,7 @@ class Candidate:
     threshold-triggered requests go to the exact senders that crossed the
     threshold."""
 
-    __slots__ = ("digest", "payload", "echoes", "accs", "asked", "arrivals", "searchers")
+    __slots__ = ("digest", "payload", "echoes", "accs", "asked", "decoder")
 
     def __init__(self, digest: Digest) -> None:
         self.digest = digest
@@ -280,10 +280,8 @@ class Candidate:
         self.echoes: list[NodeId] = []
         self.accs: list[NodeId] = []
         self.asked: set[NodeId] | None = None  # nodes sent a REQ for the payload
-        # ec-brb-3f1: the distinct elements voted with this digest, in
-        # arrival order, and claimed length -> incremental subset searcher
-        self.arrivals: dict[CodedElement, None] | None = None
-        self.searchers: dict[int, SubsetDecoder] | None = None
+        # ec-brb-3f1: the online decoder of the elements voted with this digest
+        self.decoder: SubsetDecoder | None = None
 
     def ask(self, backers: list[NodeId]) -> list[NodeId]:
         """The backers not asked yet, in order; marks them asked."""

@@ -4,10 +4,11 @@ EcBrb3f1 (n >= 3f+1) codes the payload at k = f+1 so any f+1 honest
 elements rebuild it. It runs on the ``DoubleEcho`` engine with the
 hash-based protocols' REQ/FWD fallback. Its MSG and ECHO votes travel as
 (digest, element) pairs, its ACCs as digests. Its resolver feeds every
-element voted for a digest to an incremental subset search, which
+element voted for a digest to an online error-correcting decoder, which
 accepts only a reconstruction that hashes to that digest (up to f
-elements are adversarial garbage). Its fetch trigger asks every ACC
-backer from the (f+1)-th on while the payload is missing.
+elements are adversarial garbage, and with c of them held the payload
+decodes from k + 2c elements). Its fetch trigger asks every ACC backer
+from the (f+1)-th on while the payload is missing.
 
 EcBrb4f1 (n >= 4f+1) codes at k = n-3f, which leaves enough distance to
 decode through f corruptions outright: once n-f elements arrive a node
@@ -15,6 +16,11 @@ error-corrects without any digest hint. The digest still matters for
 agreement, so the source runs a nested full-payload broadcast of the
 32-byte digest, tunneled inside HASH_RB envelopes; a node only accepts a
 reconstruction endorsed by that nested broadcast.
+
+In both, node i only ever sends the element at position i+1 (the source
+sends it the same one), so an ECHO whose element index is not its
+sender's + 1, or a MSG whose index is not the receiver's + 1, is dropped:
+it cannot void or take another node's position.
 """
 from __future__ import annotations
 
@@ -68,7 +74,9 @@ class EcBrb3f1(_HashBrb):
         ]
 
     def msg_digest(self, msg: WireMessage) -> Digest | None:
-        return None if msg.element is None else msg.digest
+        # The source sends node i the element at position i+1.
+        element = msg.element
+        return None if element is None or element.index != self.me + 1 else msg.digest
 
     def vote(self, kind: MsgKind, s: NodeId, h: SeqIndex, c: Candidate,
              element: CodedElement | None = None) -> WireMessage:
@@ -83,7 +91,8 @@ class EcBrb3f1(_HashBrb):
         return self.request_payload(s, h, c, c.accs)
 
     def on_echo(self, frm: NodeId, msg: WireMessage) -> list[Action]:
-        if msg.digest is None or msg.element is None:
+        # Node j only ever echoes the element at its own position j+1.
+        if msg.digest is None or msg.element is None or msg.element.index != frm + 1:
             return []
         s, h = msg.source, msg.h
         rec = self.instance(s, h)
@@ -94,34 +103,15 @@ class EcBrb3f1(_HashBrb):
         return self.check(rec, s, h, c)
 
     def learn(self, c: Candidate, msg: WireMessage) -> None:
-        """Record the message's element and advance the subset search for
-        its digest.
-
-        One searcher per claimed payload length: honest elements agree on
-        the true length, and a lie about it only spawns a searcher that can
-        never match the digest. Every element feeds every searcher (each
-        one drops lengths whose shard width disagrees)."""
-        element = msg.element
-        if c.arrivals is None:
-            c.arrivals, c.searchers = {}, {}
-        elif element in c.arrivals:
-            return
-        group = c.searchers
-        if element.claimed_len not in group:
+        """Feed the message's element to the online decoder of its digest,
+        which returns the payload once a decode hashes to that digest."""
+        if c.decoder is None:
             # A bound self.digest_of here would make every world a
             # reference cycle that only the cyclic collector frees.
-            searcher = SubsetDecoder(self.params, c.digest, element.claimed_len,
-                                     hashing.digest)
-            group[element.claimed_len] = searcher
-            for prior in c.arrivals:
-                self._found(c, searcher.add(prior))
-        c.arrivals[element] = None
-        for searcher in group.values():
-            self._found(c, searcher.add(element))
-
-    def _found(self, c: Candidate, payload: Payload | None) -> None:
+            c.decoder = SubsetDecoder(self.params, c.digest, hashing.digest)
+        payload = c.decoder.add(msg.element)
         if payload is not None:
-            self._digest_memo[payload] = c.digest  # the searcher checked it hashes to digest
+            self._digest_memo[payload] = c.digest  # the decoder checked it hashes to digest
             if c.payload is None:
                 c.payload = payload
 
@@ -184,7 +174,7 @@ class EcBrb4f1(Automaton):
         return actions
 
     def on_msg(self, frm: NodeId, msg: WireMessage) -> list[Action]:
-        if frm != msg.source or msg.element is None:
+        if frm != msg.source or msg.element is None or msg.element.index != self.me + 1:
             return []
         s, h = msg.source, msg.h
         rec = self.instance(s, h)
@@ -198,7 +188,7 @@ class EcBrb4f1(Automaton):
         return self.send_all(WireMessage(MsgKind.ECHO, s, h, element=msg.element))
 
     def on_echo(self, frm: NodeId, msg: WireMessage) -> list[Action]:
-        if msg.element is None:
+        if msg.element is None or msg.element.index != frm + 1:
             return []
         s, h = msg.source, msg.h
         rec = self.instance(s, h)
@@ -238,12 +228,11 @@ class EcBrb4f1(Automaton):
         if rec.decoded_lens is None:
             rec.decoded_lens = set()
         done = rec.decoded_lens
-        elements = sorted(rec.elements, key=lambda e: (e.index, e.data, e.claimed_len))
         progressed = False
         for length, _ in sorted(rec.claims.items(), key=lambda kv: (-kv[1], kv[0])):
             if length in done:
                 continue
-            payload = decode_correcting(elements, self.params, self.f, length)
+            payload = decode_correcting(rec.elements, self.params, self.f, length)
             if payload is not None:
                 done.add(length)
                 rec.hold(self.digest_of(payload), payload)

@@ -11,10 +11,13 @@ first computed it: Gauss-Jordan elimination on the generator rows of the
 held positions, here in oracle_rs's scalar arithmetic. ``generator_matrix``
 builds those rows from scalar Lagrange weights.
 
-``decode_correcting_sequential`` is the correcting decoder as one loop over
-the k-subsets of the window: decode each subset, re-encode it, count the
-positions that disagree. Its matrices come from the two oracles above; it
-shares only the codec's error types and shard-width rule.
+``decode_correcting_sequential`` is the correcting decoder as it was before
+the error locator: one loop over the k-subsets of the window that decodes
+each subset, re-encodes it and counts the positions that disagree.
+``subset_search_decode`` is ec-brb-3f1's decoder as it was: it tries every
+k-subset of the elements and accepts a decode that hashes to the target
+digest. Their matrices come from the two oracles above; they share only
+the codec's error types and shard-width rule.
 """
 from __future__ import annotations
 
@@ -124,4 +127,26 @@ def decode_correcting_sequential(elements, params, f: int, payload_len: int) -> 
                 return None
     if len(candidates) == 1:
         return next(iter(candidates.values()))
+    return None
+
+
+def subset_search_decode(elements, target, params, payload_len: int, digest_fn) -> bytes | None:
+    """The payload of the first k-subset of ``elements`` (distinct indices,
+    matching shard width) whose decode hashes to ``target``, or None."""
+    n, k = params.n, params.k
+    width = shard_width(payload_len, k)
+    usable = sorted({(e.index, e.data) for e in elements
+                     if 1 <= e.index <= n and len(e.data) == width})
+    for subset in itertools.combinations(usable, k):
+        positions = tuple(index for index, _ in subset)
+        if len(set(positions)) != k:
+            continue
+        if width:
+            shards = np.stack([np.frombuffer(data, dtype=np.uint8) for _, data in subset])
+            data = gf_matmul_tensor(decode_matrix_gauss_jordan(n, k, positions), shards)
+            payload = data.tobytes()[:payload_len]
+        else:
+            payload = b""
+        if digest_fn(payload) == target:
+            return payload
     return None

@@ -1,7 +1,9 @@
 """Fault strategies, the naive witness strawman, and scripted timelines."""
+import time
+
 import pytest
 
-from rblab import hashing
+from rblab import codec, hashing
 from rblab.adversary import (
     SCENARIOS,
     ConfigMismatch,
@@ -34,8 +36,13 @@ from rblab.core import (
     WireMessage,
     expand,
 )
-from rblab.protocols import ProtocolKind
-from rblab.simnet import FaultBudgetExceeded
+from rblab.protocols import RESILIENCE, ProtocolKind, ecbrb
+from rblab.simnet import (
+    FaultBudgetExceeded,
+    NetParams,
+    check_acc_consistency,
+    check_broadcast_properties,
+)
 
 
 # -- naive witness protocol ------------------------------------------------------
@@ -255,6 +262,74 @@ def test_fault_budget_is_enforced():
         world.attach_adversary(1, Silent())
     world.attach_adversary(1, Silent(), allow_overfault=True)
     assert world.byzantine == {0, 1}
+
+
+# -- decode cost under corrupt relays ----------------------------------------------
+
+def _corrupt_relay_world(kind, f, payload):
+    """One broadcast from node 0 with CorruptRelay on nodes 1..f, run to the end."""
+    n = RESILIENCE[kind] * f + 1
+    world = build_world(kind, n, f, seed=0, net=NetParams(base_delay=1, jitter=0.5))
+    for node in range(1, f + 1):
+        world.attach_adversary(node, CorruptRelay())
+    world.broadcast(0, payload, 1)
+    world.run()
+    return world
+
+
+# Measured on a 2-core shared x86-64 host at 1.4 s and 0.2 s; the
+# k-subset searches these runs used to take were killed after 200 s.
+@pytest.mark.parametrize("kind, f, budget_s", [
+    (ProtocolKind.EC_BRB_3F1, 13, 15.0),
+    (ProtocolKind.EC_BRB_4F1, 10, 5.0),
+], ids=["ec-brb-3f1-n40", "ec-brb-4f1-n41"])
+def test_corrupt_relays_at_large_f_finish_within_budget(kind, f, budget_s):
+    started = time.perf_counter()
+    world = _corrupt_relay_world(kind, f, bytes(range(64)))
+    elapsed = time.perf_counter() - started
+    assert check_broadcast_properties(world) + check_acc_consistency(world) == []
+    honest = set(range(world.n)) - set(range(1, f + 1))
+    assert honest <= {node for node, _, _ in world.stats.delivers}
+    assert elapsed < budget_s, f"{elapsed:.1f}s"
+
+
+@pytest.mark.parametrize("kind", [ProtocolKind.EC_BRB_3F1, ProtocolKind.EC_BRB_4F1],
+                         ids=lambda kind: kind.value)
+def test_decode_work_is_linear_in_f_under_corrupt_relays(kind, monkeypatch):
+    # A decode makes 2 gf_matmul calls for its first check and 3 per locator
+    # round (interpolate, decode, re-encode), and runs at most f rounds.
+    # Shards are wider than _GATHER_MAX_WIDTH so that a search over
+    # k-subsets would also show up as gf_matmul calls.
+    matmul = codec.gf_matmul
+    calls = [0]
+
+    def counted(a, b):
+        calls[0] += 1
+        return matmul(a, b)
+
+    bound = [0]
+    worst: dict[int, int] = {}
+
+    def per_decode(decode):
+        def measured(*args):
+            before = calls[0]
+            out = decode(*args)
+            used = calls[0] - before
+            worst[bound[0]] = max(worst.get(bound[0], 0), used)
+            assert used <= 3 * bound[0] + 2, (kind.value, bound[0], used)
+            return out
+        return measured
+
+    monkeypatch.setattr(codec, "gf_matmul", counted)
+    monkeypatch.setattr(ecbrb, "decode_correcting", per_decode(ecbrb.decode_correcting))
+    monkeypatch.setattr(codec.SubsetDecoder, "add", per_decode(codec.SubsetDecoder.add))
+    for f in range(1, 11):
+        bound[0] = f
+        width = codec._GATHER_MAX_WIDTH + 1
+        world = _corrupt_relay_world(kind, f, bytes(range(256)) * (width * (f + 1) // 256 + 1))
+        assert check_broadcast_properties(world) + check_acc_consistency(world) == []
+    # The corrupt elements did make decodes run the locator.
+    assert max(worst.values()) > 2, worst
 
 
 # -- scripted timelines --------------------------------------------------------------

@@ -11,7 +11,6 @@ from rblab.codec import (
     ELEMENT_OVERHEAD,
     CodedElement,
     CodeParams,
-    FaultBudgetTooLarge,
     InconsistentIndices,
     InvalidParams,
     NotEnoughElements,
@@ -22,10 +21,10 @@ from rblab.codec import (
     parse_element,
     serialize_element,
     shard_width,
-    subset_search_decode,
 )
 
 import oracle_rs
+from oracle_codec import subset_search_decode
 
 # Anchors computed by hand from the field definition (x^8+x^4+x^3+x^2+1):
 # 0x80*2 overflows to 0x100, reduced by 0x11D -> 0x1D; 3*0xF4 expands to
@@ -259,6 +258,8 @@ def test_decode_correcting_ambiguous_candidates_return_none():
 
 
 def test_subset_decoder_finds_payload_among_garbage():
+    # k = f+1 = 3 at n = 7 with f = 2 garbage elements: unique decoding
+    # needs m >= k + 2c = 7 positions, so the payload appears at the last.
     f = 2
     params = CodeParams(7, f + 1)
     payload = b"subset search payload"
@@ -266,10 +267,10 @@ def test_subset_decoder_finds_payload_among_garbage():
     elems = encode(payload, params)
     garbage = [CodedElement(e.index, bytes(len(e.data)), e.claimed_len)
                for e in elems[:f]]
-    pool = garbage + elems[: f + 1]
-    got = subset_search_decode(pool, target, f, params, len(payload),
-                               hashing.digest)
-    assert got == payload
+    dec = SubsetDecoder(params, target, hashing.digest)
+    pool = garbage + elems[f:]
+    assert [dec.add(e) for e in pool] == [None] * 6 + [payload]
+    assert subset_search_decode(pool, target, params, len(payload), hashing.digest) == payload
 
 
 def test_subset_decoder_incremental_and_dedupe():
@@ -278,32 +279,73 @@ def test_subset_decoder_incremental_and_dedupe():
     payload = b"pq"
     target = hashing.digest(payload)
     elems = encode(payload, params)
-    dec = SubsetDecoder(params, target, len(payload), hashing.digest)
+    dec = SubsetDecoder(params, target, hashing.digest)
     assert dec.add(elems[0]) is None
     assert dec.add(elems[0]) is None  # duplicate ignored
-    assert len(dec.elements) == 1
+    assert dec.groups == {2: {1: elems[0].data}}
     assert dec.add(CodedElement(2, b"\xff" * len(elems[1].data), 2)) is None
-    assert dec.add(elems[1]) == payload
-    assert dec.add(elems[2]) == payload  # latched after success
+    assert dec.add(elems[1]) is None  # position 2 is taken by the first element there
+    assert dec.add(elems[2]) is None  # m = 3 < k + 2c = 4
+    assert dec.add(elems[3]) == payload
+    assert dec.add(CodedElement(1, b"\x00", 2)) == payload  # latched after success
 
 
 def test_subset_decoder_wrong_width_ignored():
     params = CodeParams(4, 2)
-    dec = SubsetDecoder(params, hashing.digest(b"pq"), 2, hashing.digest)
+    dec = SubsetDecoder(params, hashing.digest(b"pq"), hashing.digest)
     assert dec.add(CodedElement(1, b"toolong", 2)) is None
-    assert dec.elements == []
+    assert dec.add(CodedElement(5, b"p", 2)) is None  # position outside [1, n]
+    assert dec.groups == {}
 
 
-def test_subset_decoder_cap():
-    params = CodeParams(200, 2)
-    dec = SubsetDecoder(params, hashing.digest(b"zz"), 2, hashing.digest,
-                        cap=100)
-    with pytest.raises(FaultBudgetTooLarge):
-        for i in range(1, 60):
-            dec.add(CodedElement(i, bytes([i]), 2))
+def test_subset_decoder_groups_by_claimed_length():
+    params = CodeParams(4, 2)
+    payload = b"abc"
+    target = hashing.digest(payload)
+    elems = encode(payload, params)
+    liars = [CodedElement(e.index, e.data, 4) for e in elems]
+    dec = SubsetDecoder(params, target, hashing.digest)
+    assert [dec.add(e) for e in liars] == [None] * 4
+    assert dec.add(elems[3]) is None
+    assert dec.add(elems[0]) == payload
+    assert set(dec.groups) == {3, 4}
 
 
-def test_subset_search_requires_k_equal_f_plus_one():
-    with pytest.raises(InvalidParams):
-        subset_search_decode([], b"\0" * 32, 2, CodeParams(7, 4), 5,
-                             hashing.digest)
+def test_subset_decoder_within_unique_radius_matches_the_subset_oracle():
+    # Honest elements and c corrupt ones arrive in random order. Whenever
+    # m >= k + 2c the decoder holds the payload; whatever it returns hashes
+    # to the target, and the k-subset search finds the same payload then.
+    rng = random.Random(0x3F1)
+    corrected = 0
+    for _ in range(300):
+        f = rng.randrange(1, 5)
+        params = CodeParams(3 * f + 1, f + 1)
+        k = params.k
+        payload = rng.randbytes(rng.randrange(0, 40))
+        target = hashing.digest(payload)
+        elems = encode(payload, params)
+        other = encode(rng.randbytes(len(payload)), params)
+        corrupt = set(rng.sample(range(params.n), rng.randrange(0, f + 1)))
+        arrivals = []
+        for pos in rng.sample(range(params.n), rng.randrange(k, params.n + 1)):
+            element = elems[pos]
+            if pos in corrupt and element.data:
+                element = other[pos] if rng.random() < 0.5 else _corrupt(element, rng)
+            arrivals.append(element)
+        dec = SubsetDecoder(params, target, hashing.digest)
+        held, bad = [], 0
+        for element in arrivals:
+            got = dec.add(element)
+            held.append(element)
+            bad += element != elems[element.index - 1]
+            if got is not None:
+                assert got == payload
+                assert subset_search_decode(held, target, params, len(payload),
+                                            hashing.digest) == payload
+            if len(held) >= k + 2 * bad:
+                assert got == payload, (f, len(held), bad)
+        corrected += dec.found is not None and bad > 0
+        # A decoder aimed at another digest never returns this payload.
+        stray = SubsetDecoder(params, hashing.digest(b"not " + payload), hashing.digest)
+        assert all(stray.add(e) is None for e in arrivals)
+    assert corrected > 50, corrected

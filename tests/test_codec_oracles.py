@@ -7,7 +7,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rblab import codec
 from rblab.codec import (
     _GATHER_MAX_WIDTH,
     CodedElement,
@@ -19,6 +18,7 @@ from rblab.codec import (
     encode,
     encode_element,
     gf_matmul,
+    shard_width,
 )
 
 import oracle_rs
@@ -110,17 +110,6 @@ def test_decode_matrix_matches_gauss_jordan_on_random_subsets(n, k):
                               decode_matrix_gauss_jordan(n, k, positions)), positions
 
 
-@pytest.mark.parametrize("budget", [codec._CHUNK_BYTES, 1000])
-def test_window_decoders_stack_the_single_subset_matrices(budget, monkeypatch):
-    monkeypatch.setattr(codec, "_CHUNK_BYTES", budget)  # 1000 B: chunks of 7
-    window = (2, 3, 5, 8, 9, 11, 12)
-    stack = codec._window_decoders.__wrapped__(13, 4, window)
-    subsets = list(itertools.combinations(window, 4))
-    assert stack.shape == (len(subsets), 4, 4)
-    for matrix, subset in zip(stack, subsets):
-        assert np.array_equal(matrix, decode_matrix_gauss_jordan(13, 4, subset))
-
-
 @pytest.mark.parametrize("positions", [
     (1, 1, 2), (3, 5, 3), (0, 1, 2), (1, 2, 8), (2, 3, 256), (-1, 2, 3), (1, 2), (1, 2, 3, 4)])
 def test_decode_matrix_rejects_repeated_or_out_of_range_positions(positions):
@@ -166,15 +155,59 @@ def _random_pool(rng: random.Random):
     return pool, params, f, length
 
 
+def _usable_positions(pool, params, length) -> dict[int, bytes]:
+    """Position -> shard after decode_correcting's filter: in range, of the
+    right width, and not voided by a conflicting duplicate."""
+    width = shard_width(length, params.k)
+    by_pos: dict[int, bytes] = {}
+    voided: set[int] = set()
+    for e in pool:
+        if not 1 <= e.index <= params.n or len(e.data) != width or e.index in voided:
+            continue
+        if by_pos.setdefault(e.index, e.data) != e.data:
+            del by_pos[e.index]
+            voided.add(e.index)
+    return by_pos
+
+
+def _distance(held: dict[int, bytes], params, payload: bytes) -> int:
+    """Positions of ``held`` that disagree with the nearest codeword whose
+    data shards start with ``payload`` (its padding bytes may be nonzero),
+    searched over the k-subsets of ``held`` with the oracle matrices."""
+    n, k = params.n, params.k
+    best = len(held)
+    for subset in itertools.combinations(sorted(held), k):
+        shards = np.stack([np.frombuffer(held[p], dtype=np.uint8) for p in subset])
+        data = gf_matmul_tensor(decode_matrix_gauss_jordan(n, k, subset), shards)
+        if data.tobytes()[:len(payload)] == payload:
+            codeword = gf_matmul_tensor(generator_matrix(n, k), data)
+            best = min(best, sum(codeword[p - 1].tobytes() != held[p] for p in held))
+    return best
+
+
 def test_decode_correcting_matches_sequential_oracle_on_random_pools():
+    # Exact equality, except on one declared class: dirty input with
+    # P < k + 2f usable positions whose nearest codeword lies at distance d
+    # with d + f > P - k. There the window search may return the one
+    # candidate it saw, while the locator refuses, since a second codeword
+    # within f cannot be ruled out.
     rng = random.Random(0xD0C)
     outcomes = {"payload": 0, "none": 0}
+    declared = 0
     for _ in range(600):
         pool, params, f, length = _random_pool(rng)
         want = decode_correcting_sequential(pool, params, f, length)
-        assert decode_correcting(pool, params, f, length) == want
         outcomes["none" if want is None else "payload"] += 1
+        if want is not None:
+            held = _usable_positions(pool, params, length)
+            d = _distance(held, params, want) if length else 0
+            size, k = len(held), params.k
+            if d and size < k + 2 * f and d + f > size - k:
+                want = None
+                declared += 1
+        assert decode_correcting(pool, params, f, length) == want
     assert min(outcomes.values()) > 50, outcomes
+    assert declared == 22
 
 
 def test_decode_correcting_matches_sequential_oracle_on_split_brain_pools():
@@ -206,7 +239,7 @@ def test_ambiguous_pools_return_none_like_the_oracle():
     pool = [a[0], a[0], a[1], b[2], b[3]]
     assert decode_correcting_sequential(pool, params, 2, 1) is None
     assert decode_correcting(pool, params, 2, 1) is None
-    # Wide shards take the per-matrix branch of the batched search.
+    # The same with wide shards.
     params = CodeParams(7, 1)
     a = encode(bytes(300), params)
     b = encode(bytes([1]) * 300, params)
@@ -217,8 +250,8 @@ def test_ambiguous_pools_return_none_like_the_oracle():
 
 def test_wide_correcting_decode_stays_in_bounded_memory():
     # n=19, f=4: k=7 shards of 9363 bytes for a 64 KiB payload, with the f
-    # corrupted shards at data positions so the first subset fails and the
-    # batched search runs over all C(11, 7) = 330 window subsets.
+    # corrupted shards at data positions so the first check fails and the
+    # locator erases them before the data shards are decoded again.
     params = CodeParams(19, 7)
     rng = random.Random(19)
     payload = rng.randbytes(64 * 1024)
@@ -232,5 +265,6 @@ def test_wide_correcting_decode_stays_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert got == payload
-    # One unchunked (330, 7, 7, 9363) product would need about 150 MB.
+    # A search that decoded the C(11, 7) = 330 window subsets in one
+    # (330, 7, 7, 9363) product would need about 150 MB.
     assert peak < 4 * 2**20, peak

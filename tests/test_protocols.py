@@ -422,37 +422,62 @@ def test_fetch_triggers_on_accepts_for_an_unheld_digest():
 # -- coded Byzantine broadcast, low-rate variant -------------------------------
 
 def test_coded_vote_reassembly_tolerates_garbage_elements():
-    node = _auto(ProtocolKind.EC_BRB_3F1, 4, 1, node=0)
-    m, h = b"reassembled from coded votes", 1
+    # One corrupt relay (f = 1) echoes garbage at its own position 2, with
+    # the true claimed length or with a false one. Garbage of the true
+    # length is one error among the held elements, so the payload decodes
+    # once m >= k + 2 = 4 elements are held (at the source's MSG); garbage
+    # of another length sits apart and the two honest ECHOs decode alone.
+    m, s, h = b"reassembled from coded votes", 3, 1
     d = hashing.digest(m)
     elements = encode(m, CodeParams(4, 2))
     width = len(elements[0].data)
-    garbage_same_len = CodedElement(1, b"\xff" * width, len(m))
-    garbage_liar_len = CodedElement(4, b"\x00" * 50, 99)
-    acts = _recv(node, 1, WireMessage(
-        MsgKind.ECHO, 3, h, digest=d, element=garbage_liar_len))
-    assert acts == []
-    acts = _recv(node, 2, WireMessage(
-        MsgKind.ECHO, 3, h, digest=d, element=garbage_same_len))
-    assert acts == []
-    # Third echo completes both quorums; the honest pair reconstructs the
-    # payload through the two garbage elements.
-    acts = _recv(node, 3, WireMessage(
-        MsgKind.ECHO, 3, h, digest=d, element=elements[2]))
-    assert acts == []
-    acts = _recv(node, 0, WireMessage(
-        MsgKind.ECHO, 3, h, digest=d, element=elements[1]))
-    sends = _sends(node, acts)
-    echoes = [a for a in sends if a.msg.kind is MsgKind.ECHO]
-    accs = [a for a in sends if a.msg.kind is MsgKind.ACC]
-    assert len(echoes) == 4 and len(accs) == 4
-    # The amplified echo carries this node's own element, index node+1.
-    assert all(a.msg.element == encode(m, CodeParams(4, 2))[0] for a in echoes)
-    acc = WireMessage(MsgKind.ACC, 3, h, digest=d)
-    assert _recv(node, 1, acc) == []
-    assert _recv(node, 2, acc) == []
-    acts = _recv(node, 3, acc)
-    assert _delivers(acts) == [Deliver(3, m, h)]
+    for garbage, decoded_at in ((CodedElement(2, b"\xff" * width, len(m)), "MSG"),
+                                (CodedElement(2, b"\x00" * 50, 99), "ECHO 3")):
+        node = _auto(ProtocolKind.EC_BRB_3F1, 4, 1, node=0)
+        steps = [
+            ("ECHO 1", 1, WireMessage(MsgKind.ECHO, s, h, digest=d, element=garbage)),
+            ("ECHO 2", 2, WireMessage(MsgKind.ECHO, s, h, digest=d, element=elements[2])),
+            ("ECHO 3", 3, WireMessage(MsgKind.ECHO, s, h, digest=d, element=elements[3])),
+            ("MSG", s, WireMessage(MsgKind.MSG, s, h, digest=d, element=elements[0])),
+        ]
+        sent = {label: _sends(node, _recv(node, frm, msg)) for label, frm, msg in steps}
+        assert next(label for label, sends in sent.items() if sends) == decoded_at
+        sends = [a for batch in sent.values() for a in batch]
+        echoes = [a for a in sends if a.msg.kind is MsgKind.ECHO]
+        accs = [a for a in sends if a.msg.kind is MsgKind.ACC]
+        assert len(echoes) == 4 and len(accs) == 4
+        # The echo carries this node's own element, index node+1.
+        assert all(a.msg.element == elements[0] for a in echoes)
+        acc = WireMessage(MsgKind.ACC, s, h, digest=d)
+        assert _recv(node, 1, acc) == []
+        assert _recv(node, 2, acc) == []
+        assert _delivers(_recv(node, 3, acc)) == [Deliver(s, m, h)]
+
+
+@pytest.mark.parametrize("kind", [ProtocolKind.EC_BRB_3F1, ProtocolKind.EC_BRB_4F1],
+                         ids=lambda kind: kind.value)
+def test_misindexed_coded_element_is_not_held(kind):
+    # Node j only ever sends the element at position j+1, and the source
+    # sends node i position i+1. An ECHO from node 1 that carries position
+    # 3 is dropped, so it cannot void or take node 2's position.
+    n = RESILIENCE[kind] + 1
+    m, s, h = b"misindexed", n - 1, 1
+    d = hashing.digest(m)
+    node = _auto(kind, n, 1, node=0)
+    elements = encode(m, node.params)
+    digest = d if kind is ProtocolKind.EC_BRB_3F1 else None
+    forged = CodedElement(3, bytes(len(elements[2].data)), len(m))
+    assert _recv(node, 1, WireMessage(MsgKind.ECHO, s, h, digest=digest, element=forged)) == []
+    rec = node.instance(s, h)
+    assert rec.echo_voted == 0 and rec.elements is None and not rec.candidates
+    # Likewise a MSG whose element is not at this node's position.
+    assert _recv(node, s, WireMessage(MsgKind.MSG, s, h, digest=digest, element=elements[1])) == []
+    assert not rec.msg_seen
+    _recv(node, 2, WireMessage(MsgKind.ECHO, s, h, digest=digest, element=elements[2]))
+    if kind is ProtocolKind.EC_BRB_3F1:
+        assert rec.candidates[d].decoder.groups == {len(m): {3: elements[2].data}}
+    else:
+        assert rec.elements == {elements[2]}
 
 
 # -- coded Byzantine broadcast, high-rate variant ------------------------------
