@@ -289,8 +289,8 @@ def run_experiment(config: ExperimentConfig, *, record_trace: bool = False,
     started = {(source, h): at for at, source, _, h in workload}
     latencies = [rec.time - started[(s, h)]
                  for (i, s, h), rec in stats.delivers.items() if (s, h) in started]
-    depths = [rec.depth for (i, s, h), rec in stats.delivers.items()
-              if i in world.honest]
+    honest = world.honest
+    depths = [rec.depth for (i, s, h), rec in stats.delivers.items() if i in honest]
     deliveries = len(stats.delivers)
     duration = world.time
     resolved_k = ProtocolConfig(config.kind, config.n, config.f, node=0,

@@ -345,7 +345,8 @@ def _nearest_codeword(n: int, k: int, shards: dict[int, bytes],
 
     The radius is capped at the unique-decoding radius (P-k)/2, so the
     answer is unique. A clean input passes the first check: decode the
-    first k positions and re-encode the rest. Otherwise Gao's decoder runs
+    first k positions, re-encode the rest and compare it with the held rest
+    byte for byte. Otherwise Gao's decoder runs
     on one column that fails the check; a corrupt shard sits at the same
     position in every column, so the roots of its error locator become
     erasures and every column is checked again on the other positions.
@@ -354,19 +355,19 @@ def _nearest_codeword(n: int, k: int, shards: dict[int, bytes],
     positions = sorted(shards)
     budget = min(radius, (len(positions) - k) // 2)
     gen = _generator_matrix(n, k)
-    held, rows = positions, np.stack([np.frombuffer(shards[p], dtype=np.uint8)
-                                      for p in positions])
+    joined = b"".join([shards[p] for p in positions])
+    held, rows = positions, np.frombuffer(joined, dtype=np.uint8).reshape(len(positions), -1)
     while True:
         erased = len(positions) - len(held)
         data = _systematic_decode(n, k, tuple(held[:k]), rows[:k])
         if len(held) == k:
             return data, erased
         rest = gf_matmul(gen[np.array(held[k:]) - 1], data)
-        failing = np.flatnonzero((rest != rows[k:]).any(axis=0))
-        if not failing.size:
+        if rest.tobytes() == rows[k:].tobytes():
             return data, erased
         if erased == budget:
             return None
+        failing = np.flatnonzero((rest != rows[k:]).any(axis=0))
         locator = _error_locator(tuple(held), rows[:, failing[0]], k)
         xs = np.array(held)
         value = np.zeros(len(held), dtype=np.uint8)

@@ -301,12 +301,14 @@ class Instance:
     kind (ECHO, ACC) and instance, for the first digest it backs, so the
     per-kind masks of counted senders ignore the digest. The
     erasure-coded fields stay None in automata that do not use them.
+    ec-brb-4f1 also keeps ``tunneled``, the parse of each distinct HASH_RB
+    envelope of the instance, until the instance delivers.
     """
 
     __slots__ = (
         "candidates", "echo_voted", "acc_voted",
         "msg_seen", "echo_sent", "acc_sent", "decoded", "delivered", "seen",
-        "elements", "claims", "decoded_lens", "endorsed",
+        "elements", "claims", "decoded_lens", "endorsed", "tunneled",
     )
 
     def __init__(self) -> None:
@@ -326,6 +328,10 @@ class Instance:
         self.claims: dict[int, int] | None = None
         self.decoded_lens: set[int] | None = None
         self.endorsed: Digest | None = None
+        # ec-brb-4f1: each distinct tunneled envelope -> the nested-broadcast
+        # message it holds, or None if it holds none for this instance;
+        # dropped on delivery
+        self.tunneled: dict[bytes, WireMessage | None] | None = None
 
     def candidate(self, digest: Digest) -> Candidate:
         c = self.candidates.get(digest)

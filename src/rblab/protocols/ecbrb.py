@@ -15,7 +15,13 @@ decode through f corruptions outright: once n-f elements arrive a node
 error-corrects without any digest hint. The digest still matters for
 agreement, so the source runs a nested full-payload broadcast of the
 32-byte digest, tunneled inside HASH_RB envelopes; a node only accepts a
-reconstruction endorsed by that nested broadcast.
+reconstruction endorsed by that nested broadcast. The envelope does not
+name its sender, so every honest node's ECHO of one digest is the same
+bytes, and an honest instance tunnels three distinct envelopes (the nested
+MSG, ECHO and ACC) in 1 + 2n multicasts. A node parses each distinct
+envelope once per instance and keeps the result, or None for an envelope
+it rejects, on the instance record until the instance delivers; later
+copies are parsed one by one.
 
 In both, node i only ever sends the element at position i+1 (the source
 sends it the same one), so an ECHO whose element index is not its
@@ -116,6 +122,14 @@ class EcBrb3f1(_HashBrb):
                 c.payload = payload
 
 
+# An honest instance tunnels three distinct envelopes: the nested MSG and
+# the ECHO and ACC of its digest. The cap leaves room for an equivocating
+# source and bounds what a faulty node's distinct envelopes can make a node
+# hold; envelopes past it are parsed per copy.
+_TUNNEL_MEMO_CAP = 8
+_UNPARSED = object()
+
+
 class EcBrb4f1(Automaton):
     def __init__(self, config: ProtocolConfig):
         super().__init__(config)
@@ -152,26 +166,48 @@ class EcBrb4f1(Automaton):
         return out
 
     def on_hash_rb(self, frm: NodeId, msg: WireMessage) -> list[Action]:
-        if msg.payload is None:
+        envelope = msg.payload
+        if envelope is None:
             return []
-        try:
-            inner_msg = decode_envelope(msg.payload)
-        except MalformedEnvelope:
-            return []
-        if inner_msg.instance != "hash-rb" \
-                or inner_msg.kind not in (MsgKind.MSG, MsgKind.ECHO, MsgKind.ACC) \
-                or inner_msg.source != msg.source or inner_msg.h != msg.h:
+        s, h = msg.source, msg.h
+        rec = self.instance(s, h)
+        memo = rec.tunneled
+        if memo is None:
+            memo = {}
+            if not rec.delivered:
+                rec.tunneled = memo
+        inner_msg = memo.get(envelope, _UNPARSED)
+        if inner_msg is _UNPARSED:
+            inner_msg = self._untunnel(envelope, s, h)
+            if len(memo) < _TUNNEL_MEMO_CAP:
+                memo[envelope] = inner_msg
+        if inner_msg is None:
             return []
         inner_actions = self.inner.step(Receive(frm, inner_msg))
+        if not inner_actions:
+            return []
         actions = self._tunnel(inner_actions)
-        # The nested instance is (msg.source, msg.h) too and delivers at
-        # most once: its payload is the digest this instance may accept.
+        # The nested instance is (s, h) too and delivers at most once: its
+        # payload is the digest this instance may accept.
         for action in inner_actions:
-            if isinstance(action, Deliver):
-                rec = self.instance(msg.source, msg.h)
+            if type(action) is Deliver:
                 rec.endorsed = action.payload
-                actions += self.check(rec, msg.source, msg.h)
+                actions += self.check(rec, s, h)
         return actions
+
+    @staticmethod
+    def _untunnel(envelope: bytes, s: NodeId, h: SeqIndex) -> WireMessage | None:
+        """The nested-broadcast message of instance (s, h) that ``envelope``
+        carries; None if it is malformed or carries anything else."""
+        try:
+            inner_msg = decode_envelope(envelope)
+        except MalformedEnvelope:
+            return None
+        if inner_msg.instance != "hash-rb" \
+                or inner_msg.kind not in (MsgKind.MSG, MsgKind.ECHO, MsgKind.ACC) \
+                or inner_msg.source != s or inner_msg.h != h:
+            return None
+        return inner_msg
 
     def on_msg(self, frm: NodeId, msg: WireMessage) -> list[Action]:
         if frm != msg.source or msg.element is None or msg.element.index != self.me + 1:
@@ -296,4 +332,5 @@ class EcBrb4f1(Automaton):
         if c.payload is None:
             return self.request_payload(s, h, c, c.accs)
         self.deliver_once(rec, s, c.payload, h, actions)
+        rec.tunneled = None
         return actions

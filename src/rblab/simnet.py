@@ -37,10 +37,24 @@ that happens after a run depends on where the survivors of earlier runs
 sit, so its cost changes from one process to the next. Importing this
 module fixes the thresholds so that up to 32 MiB of freed heap is kept for
 reuse.
+
+``SimWorld.run`` pauses the cyclic garbage collector while it processes
+events and restores the caller's setting when it returns or raises. A long
+world allocates many container objects that stay alive (instance records,
+queued events, delivery records), and each young collection passes them on
+to the older generations until a full collection rescans every one of
+them. None of that can be freed by the collector: the automata, the
+simulator's records and its events form no reference cycles, which
+``tests/test_memory.py`` checks by running whole worlds with the collector
+off and finding nothing for ``gc.collect()``. The pause assumes that stays
+true. Cyclic garbage made during a run by callbacks such as a
+``delay_policy`` or an adversary strategy is collected after ``run``
+returns.
 """
 from __future__ import annotations
 
 import ctypes
+import gc
 import heapq
 import itertools
 import random
@@ -335,6 +349,18 @@ class SimWorld:
 
     # -- core loop -----------------------------------------------------------
     def run(self, until: float | None = None) -> RunStats:
+        """Process events in order until the queue is empty or the next one
+        is later than ``until``. The cyclic garbage collector is paused
+        meanwhile and left as the caller had it (see the module docstring)."""
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return self._drain(until)
+        finally:
+            if collecting:
+                gc.enable()
+
+    def _drain(self, until: float | None) -> RunStats:
         queue, heappop, max_steps = self._queue, heapq.heappop, self.max_steps
         stats, automata, strategies = self.stats, self.automata, self.strategies
         recv_count, recv_bytes, ctx_of = stats.recv_count, stats.recv_bytes, self._ctx
@@ -511,12 +537,13 @@ def check_broadcast_properties(world: SimWorld) -> list[str]:
     Returns human-readable violation descriptions (empty = clean).
     """
     violations: list[str] = []
-    honest = sorted(world.honest)
+    honest_set = world.honest
+    honest = sorted(honest_set)
     stats = world.stats
     for key in stats.double_deliveries:
         violations.append(f"integrity: node {key[0]} delivered {key[1:]} twice")
     honest_broadcasts = [(s, payload, h) for s, payload, h in world.broadcasts
-                         if s in world.honest]
+                         if s in honest_set]
     for s, payload, h in honest_broadcasts:
         for i in honest:
             rec = stats.delivers.get((i, s, h))
@@ -526,7 +553,7 @@ def check_broadcast_properties(world: SimWorld) -> list[str]:
             elif rec.payload != payload:
                 violations.append(
                     f"validity: node {i} delivered a different payload for ({s}, {h})")
-    pairs = {(s, h) for (i, s, h) in stats.delivers if i in world.honest}
+    pairs = {(s, h) for (i, s, h) in stats.delivers if i in honest_set}
     for s, h in sorted(pairs):
         payloads = {stats.delivers[(i, s, h)].payload
                     for i in honest if (i, s, h) in stats.delivers}
@@ -544,10 +571,11 @@ def check_acc_consistency(world: SimWorld) -> list[str]:
     """No honest node vouches for two digests of one (source, index), and no
     two honest nodes vouch for different ones."""
     violations: list[str] = []
+    honest = world.honest
     for (s, h), per_node in sorted(world.stats.acc_digests.items()):
         seen: dict[bytes, NodeId] = {}
         for node in sorted(per_node):
-            if node not in world.honest:
+            if node not in honest:
                 continue
             digests = per_node[node]
             if len(digests) > 1:

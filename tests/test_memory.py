@@ -74,8 +74,10 @@ def test_fault_matrix_worlds_are_freed_by_refcount(strategy):
 # Bytes a finished world still holds per broadcast (tracemalloc), for the
 # stream configs at 300 x 1 KiB broadcasts: about 1.25x the measured 9.3
 # KiB (bracha) and 8.5 KiB (h-brb-3f1). Tuple-keyed per-node maps held 19.3
-# and 18.4 KiB.
-HELD_BUDGET_KIB = {"bracha": 11.7, "h-brb-3f1": 10.6}
+# and 18.4 KiB. ec-brb-4f1 held 26.1 KiB before each instance kept its
+# tunneled envelopes' parses; its budget of 1.1x that fails if they are not
+# dropped on delivery (30.8 KiB).
+HELD_BUDGET_KIB = {"bracha": 11.7, "h-brb-3f1": 10.6, "ec-brb-4f1": 28.7}
 CONFIGS = Path(__file__).resolve().parent.parent / "configs" / "tables"
 
 

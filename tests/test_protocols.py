@@ -29,6 +29,7 @@ from rblab.protocols import (
     ProtocolConfig,
     ProtocolKind,
     ResilienceViolation,
+    ecbrb,
     make_automaton,
 )
 from rblab.protocols.bracha import Bracha
@@ -502,6 +503,28 @@ def test_nested_envelope_guards():
     # Inner kinds outside the nested broadcast's vocabulary.
     req = WireMessage(MsgKind.REQ, 4, 1, digest=d, instance="hash-rb")
     assert _recv(node, 4, _tunneled(req)) == []
+
+
+def test_rejected_tunneled_envelopes_stay_rejected_on_every_copy():
+    # Each envelope's parse is kept for the instance, so every later copy
+    # of a rejected one must be rejected again, and a good one accepted.
+    node = _auto(ProtocolKind.EC_BRB_4F1, 5, 1, node=0)
+    d = hashing.digest(b"m")
+    other_source = encode_envelope(WireMessage(MsgKind.MSG, 3, 1, payload=d, instance="hash-rb"))
+    other_h = encode_envelope(WireMessage(MsgKind.MSG, 4, 2, payload=d, instance="hash-rb"))
+    for envelope in (b"garbage", other_source, other_h):
+        for frm in (4, 4, 2, 4):
+            assert _recv(node, frm, WireMessage(MsgKind.HASH_RB, 4, 1, payload=envelope)) == []
+    assert node.inner.instances == {}
+    assert len(node.instance(4, 1).tunneled) == 3
+    # Distinct envelopes past the cap are still rejected, but not held.
+    for i in range(2 * ecbrb._TUNNEL_MEMO_CAP):
+        garbage = WireMessage(MsgKind.HASH_RB, 4, 1, payload=b"garbage %d" % i)
+        assert _recv(node, 4, garbage) == [] and _recv(node, 4, garbage) == []
+    assert len(node.instance(4, 1).tunneled) == ecbrb._TUNNEL_MEMO_CAP
+    good = _tunneled(WireMessage(MsgKind.MSG, 4, 1, payload=d, instance="hash-rb"))
+    assert len(_sends(node, _recv(node, 4, good))) == 5
+    assert _recv(node, 4, good) == []          # the nested MSG counts once
 
 
 def test_nested_digest_broadcast_echoes_through_tunnel():

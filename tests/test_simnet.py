@@ -1,4 +1,5 @@
 """Discrete-event network: topologies, delay model, stats, determinism."""
+import gc
 import hashlib
 import random
 import sys
@@ -164,6 +165,63 @@ def test_step_cap_guards_runaway_runs():
         world.run()
 
 
+class _CollectionWatch:
+    """Counts collections the cyclic collector starts, and makes each step
+    of every automaton in ``world`` allocate cyclic garbage, so that an
+    unpaused collector would run several times during a run."""
+
+    def __init__(self, world):
+        self.starts = 0
+        self.seen_at_step: list[int] = []
+        for automaton in world.automata:
+            def step(event, real=automaton.step):
+                self.seen_at_step.append(self.starts)
+                for _ in range(50):
+                    loop = []
+                    loop.append(loop)
+                return real(event)
+            automaton.step = step
+
+    def __call__(self, phase, info):
+        if phase == "start":
+            self.starts += 1
+
+    def __enter__(self):
+        gc.callbacks.append(self)
+        return self
+
+    def __exit__(self, *exc):
+        gc.callbacks.remove(self)
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_run_starts_no_collection_and_restores_the_collector(collecting):
+    world = build_world(ProtocolKind.BRACHA, 7, 2)
+    for h in range(1, 11):
+        world.broadcast(h % 7, b"gc", h)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        with _CollectionWatch(world) as watch:
+            world.run()
+            assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert check_broadcast_properties(world) == []
+    assert len(watch.seen_at_step) > 1000    # about 50 000 cycles made in the run
+    assert len(set(watch.seen_at_step)) == 1, "a collection started mid-run"
+
+
+def test_step_cap_restores_the_collector():
+    world = build_world(ProtocolKind.BRACHA, 4, 1, max_steps=5)
+    world.broadcast(0, b"too many", 1)
+    assert gc.isenabled()
+    with _CollectionWatch(world) as watch, pytest.raises(StepCapExceeded):
+        world.run()
+    assert gc.isenabled()
+    assert len(set(watch.seen_at_step)) == 1
+
+
 def test_causal_depth_and_deliveries():
     world = build_world(ProtocolKind.CRB_FLOOD, 3, 0)
     stats = run(world, [(0.0, 0, b"one hop", 1)])
@@ -320,6 +378,35 @@ def test_nested_multicast_is_tunneled_once(monkeypatch):
     assert all(recipients == tuple(range(n)) for _, recipients in tunneled)
     # Equal copies are one object, so they are sized once.
     assert len(book.sizers) == len(book.emits) == book.distinct_sent()
+
+
+def test_each_distinct_tunneled_envelope_is_parsed_once_per_node(monkeypatch):
+    # Of an honest broadcast's 1 + 2n tunneled multicasts a node receives
+    # three distinct envelopes: the nested MSG and the ECHO and ACC of its
+    # digest. Parsing every copy would cost 1 + 2n = 11 per node.
+    n = 5
+    world = build_world(ProtocolKind.EC_BRB_4F1, n, 1, seed=5,
+                        net=NetParams(base_delay=1.0, jitter=0.5))
+    current, parses = [None], [0] * n
+    for node, automaton in enumerate(world.automata):
+        def step(event, node=node, real=automaton.step):
+            current[0] = node
+            return real(event)
+        automaton.step = step
+    real_decode = ecbrb.decode_envelope
+
+    def decode(buf):
+        parses[current[0]] += 1
+        return real_decode(buf)
+
+    monkeypatch.setattr(ecbrb, "decode_envelope", decode)
+    world.broadcast(0, random.Random(5).randbytes(1024), 1)
+    world.run()
+    assert check_broadcast_properties(world) == []
+    assert world.stats.total_recv_count(MsgKind.HASH_RB) == n * (1 + 2 * n)
+    assert max(parses) <= 3, parses
+    # The parses are dropped with the rest of the instance's tunnel state.
+    assert all(a.instances[(0, 1)].tunneled is None for a in world.automata)
 
 
 def test_copies_of_a_multicast_share_one_receive_event():
