@@ -4,7 +4,7 @@ Strategies bind to one node and shape only that node's output: Silent
 swallows everything, Crash stops mid-multicast after a send budget,
 EquivocatingSource hands different payloads to different recipients,
 CorruptRelay flips bytes inside the coded elements it relays, and Scripted
-mutes the node so a scenario can inject its traffic explicitly. The
+is a Silent for a node whose traffic a scenario injects explicitly. The
 simulator expands a faulty node's multicasts (``core.expand``), so
 ``transform`` sees one Send per recipient.
 
@@ -54,8 +54,7 @@ class UnknownScenario(KeyError):
 def build_world(kind: ProtocolKind, n: int, f: int, *, k: int | None = None,
                 topology: Topology | None = None, net: NetParams | None = None,
                 seed: int = 0, strict_resilience: bool = True,
-                record_trace: bool = False, max_steps: int = 1_000_000,
-                perturb_link=None) -> SimWorld:
+                record_trace: bool = False, max_steps: int = 1_000_000) -> SimWorld:
     """One automaton per node, wired into a fresh simulated network."""
     automata = [
         make_automaton(ProtocolConfig(kind, n, f, node=i, k=k,
@@ -64,8 +63,7 @@ def build_world(kind: ProtocolKind, n: int, f: int, *, k: int | None = None,
     ]
     return SimWorld(automata, topology=topology or Topology(),
                     net=net or NetParams(), seed=seed,
-                    record_trace=record_trace, max_steps=max_steps,
-                    perturb_link=perturb_link)
+                    record_trace=record_trace, max_steps=max_steps)
 
 
 # -- strategies ---------------------------------------------------------------
@@ -118,17 +116,21 @@ class EquivocatingSource(Strategy):
     """Sends recipient-dependent payloads in its broadcast wave, then runs
     the protocol honestly. The per-recipient waves come from the automaton's
     own pure send builder, so coded elements, digests, and any nested
-    broadcast stay internally consistent per recipient."""
+    broadcast stay internally consistent per recipient. Each distinct
+    variant's wave is built once and shared by the recipients it goes to."""
 
     def __init__(self, partition: dict[NodeId, Payload]):
         self.partition = dict(partition)
 
     def source_actions(self, world, node, automaton, payload, h):
+        waves: dict[Payload, list[Action]] = {}
         sends: list[Action] = []
         for to in range(world.n):
             variant = self.partition.get(to, payload)
-            sends += [s for s in expand(automaton.source_sends(variant, h), world.n)
-                      if s.to == to]
+            wave = waves.get(variant)
+            if wave is None:
+                wave = waves[variant] = expand(automaton.source_sends(variant, h), world.n)
+            sends += [s for s in wave if s.to == to]
         return sends
 
 
@@ -166,14 +168,8 @@ class CorruptRelay(Strategy):
         return out
 
 
-class Scripted(Strategy):
+class Scripted(Silent):
     """Mute shell: the node's traffic is injected by a scenario script."""
-
-    def source_actions(self, world, node, automaton, payload, h):
-        return []
-
-    def transform(self, world, node, automaton, actions):
-        return []
 
 
 # -- naive witness protocol ---------------------------------------------------
@@ -290,7 +286,7 @@ class ScriptInfo:
     phase: float
 
 
-def _groups(n: int, f: int) -> dict[str, list[NodeId]]:
+def _groups(f: int) -> dict[str, list[NodeId]]:
     return {
         "S1": list(range(0, f)),
         "S2": list(range(f, 2 * f)),
@@ -328,7 +324,7 @@ def script_exec1(world: SimWorld, m1: Payload = b"value-one",
     double-witness votes, before the value-one votes arrive. S1 and the
     middle deliver value one while S4 delivers value two."""
     f = _require_5f(world, "exec1")
-    g = _groups(world.n, f)
+    g = _groups(f)
     s1, s4, bz = set(g["S1"]), set(g["S4"]), set(g["B"])
     b = g["B"][0]
     h = 1
@@ -367,7 +363,7 @@ def script_exec2(world: SimWorld, m1: Payload = b"value-one",
     exactly 3f witnesses for m1 and 2f for m2, both below the safe
     threshold, so no two-phase delivery rule can fire."""
     f = _require_5f(world, "exec2")
-    g = _groups(world.n, f)
+    g = _groups(f)
     bz = set(g["B"])
     b = g["B"][0]
     h = 1

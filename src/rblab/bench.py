@@ -387,17 +387,28 @@ def _row_text(row: dict, args) -> str:
     return "".join(f"{c.ljust(width)}  {_fmt(row[c])}\n" for c in REPORT_COLUMNS)
 
 
-def _cmd_run(args) -> int:
+def _run_config(args, record_trace: bool = False):
+    """Load ``args.config``, apply ``--seed`` and run it; returns (config,
+    row, world), or None after reporting a bad config. The run records its
+    trace if asked to or if the config names a trace file."""
     try:
         config = load_config(args.config)
         if args.seed is not None:
             config.seed = args.seed
-        want_trace = bool(config.trace_path)
-        row, world = run_experiment(config, record_trace=want_trace,
+        row, world = run_experiment(config,
+                                    record_trace=record_trace or bool(config.trace_path),
                                     allow_overfault=args.allow_overfault)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return None
+    return config, row, world
+
+
+def _cmd_run(args) -> int:
+    ran = _run_config(args)
+    if ran is None:
         return 2
+    config, row, world = ran
     _emit(_row_text(row, args), args.out)
     if config.csv_path:
         Path(config.csv_path).write_text(rows_to_csv([row]), encoding="utf-8")
@@ -442,15 +453,10 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    try:
-        config = load_config(args.config)
-        if args.seed is not None:
-            config.seed = args.seed
-        row, world = run_experiment(config, record_trace=True,
-                                    allow_overfault=args.allow_overfault)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    ran = _run_config(args, record_trace=True)
+    if ran is None:
         return 2
+    _, row, world = ran
     _emit(trace_to_text(world), args.out)
     return 1 if row["error"] else 0
 

@@ -27,6 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import hashing
+
 GF_ORDER = 256
 _PRIM = 0x11D
 
@@ -428,10 +430,9 @@ class SubsetDecoder:
     the benchmark can rename both.
     """
 
-    def __init__(self, params: CodeParams, target, digest_fn):
+    def __init__(self, params: CodeParams, target):
         self.params = params
         self.target = target
-        self.digest_fn = digest_fn
         self.groups: dict[int, dict[int, bytes]] = {}  # claimed length -> position -> shard
         self.found: bytes | None = None
 
@@ -456,7 +457,7 @@ class SubsetDecoder:
         if found is None:
             return None
         payload = found[0].tobytes()[:length]
-        if self.digest_fn(payload) != self.target:
+        if hashing.digest(payload) != self.target:
             return None
         self.found = payload
         return payload

@@ -308,7 +308,7 @@ class Instance:
     __slots__ = (
         "candidates", "echo_voted", "acc_voted",
         "msg_seen", "echo_sent", "acc_sent", "decoded", "delivered", "seen",
-        "elements", "claims", "decoded_lens", "endorsed", "tunneled",
+        "elements", "decoded_lens", "endorsed", "tunneled",
     )
 
     def __init__(self) -> None:
@@ -323,9 +323,8 @@ class Instance:
         self.seen: set | None = None  # once-only REQ / FWD keys
         # ec-crb, ec-brb-4f1: the distinct elements held
         self.elements: set[CodedElement] | None = None
-        # ec-brb-4f1: claimed length -> elements claiming it; lengths that
-        # decoded; the digest the nested broadcast delivered
-        self.claims: dict[int, int] | None = None
+        # ec-brb-4f1: lengths that decoded; the digest the nested broadcast
+        # delivered
         self.decoded_lens: set[int] | None = None
         self.endorsed: Digest | None = None
         # ec-brb-4f1: each distinct tunneled envelope -> the nested-broadcast

@@ -30,7 +30,8 @@ it cannot void or take another node's position.
 """
 from __future__ import annotations
 
-from .. import hashing
+from collections import Counter
+
 from ..codec import (
     CodedElement,
     CodeParams,
@@ -112,9 +113,7 @@ class EcBrb3f1(_HashBrb):
         """Feed the message's element to the online decoder of its digest,
         which returns the payload once a decode hashes to that digest."""
         if c.decoder is None:
-            # A bound self.digest_of here would make every world a
-            # reference cycle that only the cyclic collector frees.
-            c.decoder = SubsetDecoder(self.params, c.digest, hashing.digest)
+            c.decoder = SubsetDecoder(self.params, c.digest)
         payload = c.decoder.add(msg.element)
         if payload is not None:
             self._digest_memo[payload] = c.digest  # the decoder checked it hashes to digest
@@ -218,9 +217,6 @@ class EcBrb4f1(Automaton):
             return []
         rec.msg_seen = True
         self._add_element(rec, msg.element)
-        if rec.echo_sent:
-            return []
-        rec.echo_sent = True
         return self.send_all(WireMessage(MsgKind.ECHO, s, h, element=msg.element))
 
     def on_echo(self, frm: NodeId, msg: WireMessage) -> list[Action]:
@@ -242,17 +238,15 @@ class EcBrb4f1(Automaton):
 
     @staticmethod
     def _add_element(rec: Instance, element: CodedElement) -> None:
-        """Add a distinct element to the instance and count its claimed length."""
         if rec.elements is None:
-            rec.elements, rec.claims = set(), {}
-        if element not in rec.elements:
-            rec.elements.add(element)
-            rec.claims[element.claimed_len] = rec.claims.get(element.claimed_len, 0) + 1
+            rec.elements = set()
+        rec.elements.add(element)
 
     @staticmethod
     def _untried_length(rec: Instance) -> bool:
         """Whether some length claimed in the element set has not decoded yet."""
-        return rec.decoded_lens is None or not rec.decoded_lens.issuperset(rec.claims)
+        done = rec.decoded_lens
+        return done is None or any(e.claimed_len not in done for e in rec.elements)
 
     def _attempt_decode(self, rec: Instance) -> bool:
         """Error-correct the element set under each plausible payload length.
@@ -264,8 +258,9 @@ class EcBrb4f1(Automaton):
         if rec.decoded_lens is None:
             rec.decoded_lens = set()
         done = rec.decoded_lens
+        claims = Counter(e.claimed_len for e in rec.elements)
         progressed = False
-        for length, _ in sorted(rec.claims.items(), key=lambda kv: (-kv[1], kv[0])):
+        for length, _ in sorted(claims.items(), key=lambda kv: (-kv[1], kv[0])):
             if length in done:
                 continue
             payload = decode_correcting(rec.elements, self.params, self.f, length)

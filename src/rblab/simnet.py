@@ -9,8 +9,9 @@ pure function of its inputs and seed. Message latency is
 with per-directed-link transmit serialization (a link finishes clocking one
 message out before the next starts) and FIFO arrival ordering per link.
 Self-addressed copies loop back instantly but still count toward byte
-totals. Scenario scripts can override latency wholesale through
-``delay_policy`` and inject hand-crafted traffic with ``inject``.
+totals. Latency is shaped only through ``delay_policy``, which may replace
+a copy's whole delay (transmit time included) on any link, and ``inject``,
+which schedules hand-crafted traffic with a delay of its own.
 
 The world also records everything the analysis layer needs: per-node,
 per-kind message and byte counters, delivery times, causal depth (how many
@@ -149,7 +150,7 @@ class Topology:
         if self.kind is TopologyKind.FAT_TREE and self.fanout < 1:
             raise InvalidTopology("fat tree needs fanout >= 1")
 
-    def hop(self, i: int, j: int, n: int) -> int:
+    def hop(self, i: int, j: int) -> int:
         if i == j:
             return 0
         if self.kind is TopologyKind.SINGLE_SWITCH:
@@ -170,7 +171,7 @@ class Topology:
 
     def hop_matrix(self, n: int) -> list[list[int]]:
         self.validate(n)
-        return [[self.hop(i, j, n) for j in range(n)] for i in range(n)]
+        return [[self.hop(i, j) for j in range(n)] for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -230,9 +231,6 @@ class RunStats:
         return (self.total_sent_bytes() == self.total_recv_bytes()
                 and self.total_sent_count() == self.total_recv_count())
 
-    def deliveries_of(self, node: NodeId) -> dict[tuple[NodeId, SeqIndex], DeliverRecord]:
-        return {(s, h): rec for (i, s, h), rec in self.delivers.items() if i == node}
-
     def max_depth(self, nodes, s: NodeId, h: SeqIndex) -> int | None:
         depths = [rec.depth for (i, src, hh), rec in self.delivers.items()
                   if i in nodes and src == s and hh == h]
@@ -281,8 +279,7 @@ class SimWorld:
 
     def __init__(self, automata, *, topology: Topology = Topology(),
                  net: NetParams = NetParams(), seed: int = 0,
-                 record_trace: bool = False, max_steps: int = 1_000_000,
-                 perturb_link: tuple[NodeId, NodeId] | None = None):
+                 record_trace: bool = False, max_steps: int = 1_000_000):
         self.automata = list(automata)
         self.n = len(self.automata)
         self.topology = topology
@@ -292,8 +289,6 @@ class SimWorld:
         self.rng = random.Random(seed)
         self.record_trace = record_trace
         self.max_steps = max_steps
-        self.perturb_link = perturb_link
-        self._perturb_frm, self._perturb_to = perturb_link or (None, None)
         self.time = 0.0
         self.stats = RunStats(self.n)
         self.strategies: dict[NodeId, object] = {}
@@ -325,9 +320,6 @@ class SimWorld:
         if not allow_overfault and count > f:
             raise FaultBudgetExceeded(f"attaching faulty node #{count} exceeds f={f}")
         self.strategies[node] = strategy
-        on_attach = getattr(strategy, "on_attach", None)
-        if on_attach is not None:
-            on_attach(self, node)
 
     # -- scheduling ----------------------------------------------------------
     def _push(self, time: float, item) -> None:
@@ -408,9 +400,7 @@ class SimWorld:
         strategy = self.strategies.get(node)
         actions = None
         if strategy is not None:
-            builder = getattr(strategy, "source_actions", None)
-            if builder is not None:
-                actions = builder(self, node, automaton, payload, h)
+            actions = strategy.source_actions(self, node, automaton, payload, h)
         if actions is None:
             actions = automaton.step(BroadcastRequest(payload, h))
         if strategy is not None:
@@ -466,7 +456,6 @@ class SimWorld:
         event = Receive(frm, msg)
         now, net, policy = self.time, self.net, self.delay_policy
         link_delay, jitter, draw = self._link_delay[frm], net.jitter, self.rng.random
-        stretched = self._perturb_to if frm == self._perturb_frm else None
         bandwidth = net.bandwidth
         if net.source_bandwidth is not None and frm in self._source_nodes:
             bandwidth = net.source_bandwidth
@@ -485,8 +474,6 @@ class SimWorld:
                 if jitter:
                     # uniform(0, jitter) with the same draw and the same float.
                     delay += jitter * draw()
-                if to == stretched:
-                    delay *= 100.0
                 if bandwidth:
                     start = busy[to] if busy[to] > now else now
                     busy[to] = start + transmit

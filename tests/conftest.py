@@ -7,6 +7,26 @@ of the run so the verdict on every headline property is visible at a glance.
 _criterion_lines: list[str] = []
 
 
+def stretch_link(world, frm: int, to: int) -> None:
+    """Make the directed link ``frm -> to`` 100 times slower on a net without
+    a bandwidth cap: each copy on it takes (hops * base_delay + jitter *
+    draw) * 100, drawing from the world's RNG where the default delay would,
+    and only when there is jitter. Other links keep the default. The policy
+    holds no reference to the world, which keeps the world free of cycles."""
+    base = world.hops[frm][to] * world.net.base_delay
+    jitter, draw = world.net.jitter, world.rng.random
+
+    def policy(src, dst, msg):
+        if src != frm or dst != to:
+            return None
+        delay = base
+        if jitter:
+            delay += jitter * draw()
+        return delay * 100.0
+
+    world.delay_policy = policy
+
+
 def record_criterion(name: str, passed: bool, detail: str = "") -> None:
     """Record one acceptance-criterion outcome for the end-of-run summary."""
     status = "PASS" if passed else "FAIL"

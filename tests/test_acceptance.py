@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import record_criterion
+from conftest import record_criterion, stretch_link
 from rblab.adversary import (
     CorruptRelay,
     Crash,
@@ -58,16 +58,17 @@ def _fault_injected_violations(kind: ProtocolKind, f: int, strategy: str,
     """One randomized schedule: build, sabotage, run, check all properties."""
     rng = random.Random(f"{kind.value}:{f}:{strategy}:{seed}")
     n = RESILIENCE[kind] * f + 1
-    perturb = None
+    slow = None
     if rng.random() < 0.5:
         a = rng.randrange(n)
         b = rng.randrange(n)
         while b == a:
             b = rng.randrange(n)
-        perturb = (a, b)
+        slow = (a, b)
     world = build_world(kind, n, f, seed=rng.getrandbits(32),
-                        net=NetParams(base_delay=1.0, jitter=1.0),
-                        perturb_link=perturb)
+                        net=NetParams(base_delay=1.0, jitter=1.0))
+    if slow is not None:
+        stretch_link(world, *slow)
     source = rng.randrange(n)
     payload = rng.randbytes(rng.randrange(1, 33))
     if strategy == "silent":

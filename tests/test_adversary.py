@@ -255,6 +255,28 @@ def test_equivocating_source_builds_consistent_per_recipient_waves():
     assert sends[3].msg.element == encode(m2, params)[3]
 
 
+def test_equivocating_source_builds_each_variant_once():
+    n, m1, m2 = 5, b"left story", b"right story"
+    partition = {1: m2, 3: m2}
+    world = build_world(ProtocolKind.EC_BRB_4F1, n, 1)
+    automaton = world.automata[0]
+    build, built = automaton.source_sends, []
+
+    def counted(payload, h):
+        built.append(payload)
+        return build(payload, h)
+
+    automaton.source_sends = counted
+    sends = EquivocatingSource(partition).source_actions(world, 0, automaton, m1, 1)
+    assert sorted(built) == sorted([m1, m2])
+    # Each recipient gets what a wave built for it alone would send it.
+    expected = []
+    for to in range(n):
+        wave = build(partition.get(to, m1), 1)
+        expected += [s for s in expand(wave, n) if s.to == to]
+    assert sends == expected
+
+
 def test_fault_budget_is_enforced():
     world = build_world(ProtocolKind.BRACHA, 4, 1)
     world.attach_adversary(0, Silent())

@@ -267,7 +267,7 @@ def test_subset_decoder_finds_payload_among_garbage():
     elems = encode(payload, params)
     garbage = [CodedElement(e.index, bytes(len(e.data)), e.claimed_len)
                for e in elems[:f]]
-    dec = SubsetDecoder(params, target, hashing.digest)
+    dec = SubsetDecoder(params, target)
     pool = garbage + elems[f:]
     assert [dec.add(e) for e in pool] == [None] * 6 + [payload]
     assert subset_search_decode(pool, target, params, len(payload), hashing.digest) == payload
@@ -279,7 +279,7 @@ def test_subset_decoder_incremental_and_dedupe():
     payload = b"pq"
     target = hashing.digest(payload)
     elems = encode(payload, params)
-    dec = SubsetDecoder(params, target, hashing.digest)
+    dec = SubsetDecoder(params, target)
     assert dec.add(elems[0]) is None
     assert dec.add(elems[0]) is None  # duplicate ignored
     assert dec.groups == {2: {1: elems[0].data}}
@@ -292,7 +292,7 @@ def test_subset_decoder_incremental_and_dedupe():
 
 def test_subset_decoder_wrong_width_ignored():
     params = CodeParams(4, 2)
-    dec = SubsetDecoder(params, hashing.digest(b"pq"), hashing.digest)
+    dec = SubsetDecoder(params, hashing.digest(b"pq"))
     assert dec.add(CodedElement(1, b"toolong", 2)) is None
     assert dec.add(CodedElement(5, b"p", 2)) is None  # position outside [1, n]
     assert dec.groups == {}
@@ -304,7 +304,7 @@ def test_subset_decoder_groups_by_claimed_length():
     target = hashing.digest(payload)
     elems = encode(payload, params)
     liars = [CodedElement(e.index, e.data, 4) for e in elems]
-    dec = SubsetDecoder(params, target, hashing.digest)
+    dec = SubsetDecoder(params, target)
     assert [dec.add(e) for e in liars] == [None] * 4
     assert dec.add(elems[3]) is None
     assert dec.add(elems[0]) == payload
@@ -332,7 +332,7 @@ def test_subset_decoder_within_unique_radius_matches_the_subset_oracle():
             if pos in corrupt and element.data:
                 element = other[pos] if rng.random() < 0.5 else _corrupt(element, rng)
             arrivals.append(element)
-        dec = SubsetDecoder(params, target, hashing.digest)
+        dec = SubsetDecoder(params, target)
         held, bad = [], 0
         for element in arrivals:
             got = dec.add(element)
@@ -346,6 +346,6 @@ def test_subset_decoder_within_unique_radius_matches_the_subset_oracle():
                 assert got == payload, (f, len(held), bad)
         corrected += dec.found is not None and bad > 0
         # A decoder aimed at another digest never returns this payload.
-        stray = SubsetDecoder(params, hashing.digest(b"not " + payload), hashing.digest)
+        stray = SubsetDecoder(params, hashing.digest(b"not " + payload))
         assert all(stray.add(e) is None for e in arrivals)
     assert corrected > 50, corrected

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from conftest import stretch_link
 from rblab import hashing, simnet
 from rblab.adversary import CorruptRelay, build_world
 from rblab.core import MsgKind, Receive, WireMessage
@@ -37,17 +38,17 @@ def test_single_switch_hops():
 
 def test_linear_hops_grow_with_distance():
     topo = Topology(TopologyKind.LINEAR)
-    assert topo.hop(0, 1, 5) == 3
-    assert topo.hop(0, 4, 5) == 6
-    assert topo.hop(4, 0, 5) == 6
-    assert topo.hop(2, 2, 5) == 0
+    assert topo.hop(0, 1) == 3
+    assert topo.hop(0, 4) == 6
+    assert topo.hop(4, 0) == 6
+    assert topo.hop(2, 2) == 0
 
 
 def test_tree_hops_follow_common_ancestor():
     topo = Topology(TopologyKind.TREE, depth=3, fanout=2)
-    assert topo.hop(0, 1, 8) == 2   # same leaf switch
-    assert topo.hop(0, 2, 8) == 4   # one level up
-    assert topo.hop(0, 7, 8) == 6   # through the root
+    assert topo.hop(0, 1) == 2   # same leaf switch
+    assert topo.hop(0, 2) == 4   # one level up
+    assert topo.hop(0, 7) == 6   # through the root
     with pytest.raises(InvalidTopology):
         topo.validate(9)            # 2^3 hosts max
     with pytest.raises(InvalidTopology):
@@ -56,10 +57,10 @@ def test_tree_hops_follow_common_ancestor():
 
 def test_fat_tree_hops():
     topo = Topology(TopologyKind.FAT_TREE, fanout=2)
-    assert topo.hop(0, 1, 6) == 2   # same edge switch
-    assert topo.hop(0, 2, 6) == 4   # across the spine
+    assert topo.hop(0, 1) == 2   # same edge switch
+    assert topo.hop(0, 2) == 4   # across the spine
     solo = Topology(TopologyKind.FAT_TREE, fanout=1)
-    assert all(solo.hop(i, j, 4) == 4 for i in range(4) for j in range(4)
+    assert all(solo.hop(i, j) == 4 for i in range(4) for j in range(4)
                if i != j)
     with pytest.raises(InvalidTopology):
         Topology(TopologyKind.FAT_TREE, fanout=0).validate(2)
@@ -127,8 +128,8 @@ def test_link_fifo_never_reorders():
 
 
 def test_perturbed_link_stretches_delay():
-    world = build_world(ProtocolKind.CRB_FLOOD, 2, 0,
-                        net=NetParams(base_delay=0.1), perturb_link=(0, 1))
+    world = build_world(ProtocolKind.CRB_FLOOD, 2, 0, net=NetParams(base_delay=0.1))
+    stretch_link(world, 0, 1)
     world.broadcast(0, b"m", 1)
     stats = world.run()
     assert stats.delivers[(1, 0, 1)].time == pytest.approx(20.0)
@@ -228,7 +229,7 @@ def test_causal_depth_and_deliveries():
     for node in range(3):
         assert causal_depth(stats, 0, 1, node) == 1
     assert stats.max_depth(range(3), 0, 1) == 1
-    assert set(stats.deliveries_of(2)) == {(0, 1)}
+    assert {(s, h) for (i, s, h) in stats.delivers if i == 2} == {(0, 1)}
     with pytest.raises(NotDelivered):
         causal_depth(stats, 0, 99, 0)
 
