@@ -12,7 +12,6 @@ from .adversary import (
     Crash,
     EquivocatingSource,
     ScenarioResult,
-    Scripted,
     Silent,
     Strategy,
     UnknownScenario,
@@ -82,7 +81,7 @@ __all__ = [
     "EquivocatingSource", "FaultBudgetExceeded",
     "InvalidTopology", "MalformedEnvelope", "MsgKind", "Multicast", "NetParams",
     "NotDelivered", "ProtocolConfig", "ProtocolKind", "RESILIENCE",
-    "Receive", "ResilienceViolation", "ScenarioResult", "Scripted", "Send",
+    "Receive", "ResilienceViolation", "ScenarioResult", "Send",
     "SimWorld", "StepCapExceeded", "Strategy", "SubsetDecoder", "Topology",
     "TopologyKind", "UnknownScenario", "WireMessage", "WitnessAutomaton",
     "WitnessProtocolConfig", "build_witness_world", "build_world",

@@ -3,8 +3,8 @@
 Strategies bind to one node and shape only that node's output: Silent
 swallows everything, Crash stops mid-multicast after a send budget,
 EquivocatingSource hands different payloads to different recipients,
-CorruptRelay flips bytes inside the coded elements it relays, and Scripted
-is a Silent for a node whose traffic a scenario injects explicitly. The
+and CorruptRelay flips bytes inside the coded elements it relays. A
+scenario that injects a node's traffic itself attaches Silent to it. The
 simulator expands a faulty node's multicasts (``core.expand``), so
 ``transform`` sees one Send per recipient.
 
@@ -168,10 +168,6 @@ class CorruptRelay(Strategy):
         return out
 
 
-class Scripted(Silent):
-    """Mute shell: the node's traffic is injected by a scenario script."""
-
-
 # -- naive witness protocol ---------------------------------------------------
 
 @dataclass
@@ -329,7 +325,7 @@ def script_exec1(world: SimWorld, m1: Payload = b"value-one",
     b = g["B"][0]
     h = 1
     for node in g["B"]:
-        world.attach_adversary(node, Scripted())
+        world.attach_adversary(node, Silent())
 
     def policy(frm: int, to: int, msg: WireMessage) -> float | None:
         if frm in bz:
@@ -368,7 +364,7 @@ def script_exec2(world: SimWorld, m1: Payload = b"value-one",
     b = g["B"][0]
     h = 1
     for node in g["B"]:
-        world.attach_adversary(node, Scripted())
+        world.attach_adversary(node, Silent())
 
     def policy(frm: int, to: int, msg: WireMessage) -> float | None:
         return None if frm in bz else 1.0
@@ -399,7 +395,7 @@ def script_helper4(world: SimWorld, m: Payload = b"good-value",
     b, victim = 5, 0
     h = 1
     digest = hashing.digest(m)
-    world.attach_adversary(b, Scripted())
+    world.attach_adversary(b, Silent())
 
     def policy(frm: int, to: int, msg: WireMessage) -> float | None:
         if frm == b:
@@ -438,8 +434,9 @@ class ScenarioResult:
 
 
 def _honest_payloads(world: SimWorld, s: NodeId, h: SeqIndex) -> set[Payload]:
+    honest = world.honest
     return {rec.payload for (i, ss, hh), rec in world.stats.delivers.items()
-            if i in world.honest and (ss, hh) == (s, h)}
+            if i in honest and (ss, hh) == (s, h)}
 
 
 def _substitute_world(protocol: str, n: int, f: int, seed: int) -> SimWorld:
@@ -486,8 +483,9 @@ def scenario_exec2(seed: int = 0, f: int = 1, protocol: str | None = None,
         world = _substitute_world(protocol, n, f, seed)
         info = script_exec2(world)
         world.run()
+        honest = world.honest
         times = [rec.time for (i, s, h), rec in world.stats.delivers.items()
-                 if i in world.honest and (s, h) == (info.source, info.h)]
+                 if i in honest and (s, h) == (info.source, info.h)]
         passed = all(t >= boundary for t in times)
         return ScenarioResult(
             "exec2", passed, {"protocol": protocol, "deliveries": len(times)},
@@ -580,9 +578,10 @@ def scenario_corrupt_relay(seed: int = 0, payload_len: int = 512,
     world.broadcast(0, payload, h=1)
     world.run()
     violations = check_broadcast_properties(world)
+    honest = world.honest
     delivered = sum(1 for (i, s, h) in world.stats.delivers
-                    if i in world.honest and (s, h) == (0, 1))
-    messages = [f"{delivered}/{len(world.honest)} honest nodes delivered"]
+                    if i in honest and (s, h) == (0, 1))
+    messages = [f"{delivered}/{len(honest)} honest nodes delivered"]
     messages += violations
     return ScenarioResult("corrupt-relay", not violations,
                           {"honest_deliveries": delivered}, messages)
@@ -597,11 +596,12 @@ def scenario_silent(seed: int = 0, **_: object) -> ScenarioResult:
     world.broadcast(0, b"quiet-test", h=1)
     world.run()
     violations = check_broadcast_properties(world)
+    honest = world.honest
     delivered = sum(1 for (i, s, h) in world.stats.delivers
-                    if i in world.honest and (s, h) == (0, 1))
+                    if i in honest and (s, h) == (0, 1))
     return ScenarioResult("silent", not violations,
                           {"honest_deliveries": delivered},
-                          [f"{delivered}/{len(world.honest)} honest nodes delivered"]
+                          [f"{delivered}/{len(honest)} honest nodes delivered"]
                           + violations)
 
 

@@ -26,9 +26,10 @@ Protocol state: each automaton keeps one ``Instance`` record per broadcast
 instance (source, h) and looks it up once per event. The record holds the
 sent, seen and delivered flags, the masks of senders whose ECHO and ACC
 already counted, the erasure-coded protocols' element sets, and one
-``Candidate`` per digest heard of: its payload once known, its ECHO and
-ACC backers in arrival order, whom its payload was requested from, and
-ec-brb-3f1's online decoder of the elements voted for it.
+``Candidate`` per digest heard of (per payload in bracha): its payload
+once known, its ECHO and ACC backers in arrival order, whom its payload was
+requested from, and ec-brb-3f1's online decoder of the elements voted for
+it.
 """
 from __future__ import annotations
 
@@ -267,10 +268,10 @@ def expand(actions: list[Action], n: int) -> list[Action]:
 
 
 class Candidate:
-    """One digest a broadcast instance has heard of: its payload once held,
-    and the senders whose ECHO and ACC counted for it, in arrival order, so
-    threshold-triggered requests go to the exact senders that crossed the
-    threshold."""
+    """One value a broadcast instance has heard of, keyed by its digest (by
+    the payload itself in bracha): its payload once held, and the senders
+    whose ECHO and ACC counted for it, in arrival order, so a threshold's
+    requests go to the exact senders that crossed it."""
 
     __slots__ = ("digest", "payload", "echoes", "accs", "asked", "decoder")
 
@@ -291,18 +292,22 @@ class Candidate:
         self.asked.update(targets)
         return targets
 
+    def awaits(self, node: NodeId) -> bool:
+        """Whether ``node`` was asked for this payload and it is still missing."""
+        return self.payload is None and self.asked is not None and node in self.asked
+
 
 class Instance:
     """Everything one node knows about one broadcast instance (source, h).
 
     An automaton keeps one record per instance and looks it up once per
-    event. Per-digest state (payload, backers, requests) lives in the
-    ``candidates`` it maps digests to. A sender counts at most once per
-    kind (ECHO, ACC) and instance, for the first digest it backs, so the
-    per-kind masks of counted senders ignore the digest. The
-    erasure-coded fields stay None in automata that do not use them.
-    ec-brb-4f1 also keeps ``tunneled``, the parse of each distinct HASH_RB
-    envelope of the instance, until the instance delivers.
+    event. Per-candidate state (payload, backers, requests) lives in the
+    ``candidates`` it maps keys (digests, or bracha's payloads) to. A
+    sender counts at most once per kind (ECHO, ACC) and instance, for the
+    first candidate it backs, so the per-kind masks of counted senders
+    ignore the key. The erasure-coded fields stay None in automata that do
+    not use them. ec-brb-4f1 also keeps ``tunneled``, the parse of each
+    distinct HASH_RB envelope of the instance, until the instance delivers.
     """
 
     __slots__ = (
@@ -320,7 +325,7 @@ class Instance:
         self.acc_sent = False
         self.decoded = False    # ec-crb ran its one erasure decode
         self.delivered = False
-        self.seen: set | None = None  # once-only REQ / FWD keys
+        self.seen: set | None = None  # once-only REQ keys
         # ec-crb, ec-brb-4f1: the distinct elements held
         self.elements: set[CodedElement] | None = None
         # ec-brb-4f1: lengths that decoded; the digest the nested broadcast
@@ -379,7 +384,3 @@ class Instance:
             return False
         seen.add(key)
         return True
-
-    def was_asked(self, digest: Digest, node: NodeId) -> bool:
-        c = self.candidates.get(digest)
-        return c is not None and c.asked is not None and node in c.asked

@@ -15,8 +15,11 @@ Multicast as one Send per recipient.
 Per-instance state lives in one ``core.Instance`` record per (source, h),
 kept in ``Automaton.instances``. A handler fetches the record once with
 ``instance(s, h)`` and reads and writes its fields directly: the sent and
-delivered flags, and per digest a ``core.Candidate`` with its payload and
-its ECHO and ACC backers.
+delivered flags, and per digest (per payload in bracha) a
+``core.Candidate`` with its payload and its ECHO and ACC backers. Handlers
+make their cheap checks (vote masks, ``msg_seen``, whom a payload was
+requested from) before they hash, so a repeated vote or MSG, or an
+unsolicited FWD, is neither hashed nor held.
 
 ``DoubleEcho`` is the one quorum engine of bracha, h-brb-3f1, h-brb-5f1
 and ec-brb-3f1; they differ only in what a vote carries and in how a node
@@ -55,7 +58,6 @@ class Automaton:
         self.f = config.f
         self.me = config.node
         self.instances: dict[tuple[NodeId, SeqIndex], Instance] = {}
-        self._digest_memo: dict[bytes, Digest] = {}
         # Quorum sizes, read on every vote.
         self.f_plus_1 = self.f + 1
         self.n_minus_f = self.n - self.f
@@ -68,11 +70,10 @@ class Automaton:
         return rec
 
     def digest_of(self, payload: Payload) -> Digest:
-        memo = self._digest_memo.get(payload)
-        if memo is None:
-            memo = hashing.digest(payload)
-            self._digest_memo[payload] = memo
-        return memo
+        """The digest of ``payload``, uncached: handlers hash only payloads
+        new to their instance. A method so that perfbench's
+        ``protocols.digest_of`` span can patch it by name."""
+        return hashing.digest(payload)
 
     # -- event entry point -------------------------------------------------
     def step(self, event: Event) -> list[Action]:
@@ -153,8 +154,8 @@ class DoubleEcho(Automaton):
     node's own ECHO; it amplifies at f+1 ECHOs, accepts (sends its ACC) at
     n-f ECHOs or f+1 ACCs, and delivers at n-f ACCs. Without an ACC wave
     (n >= 5f+1) it amplifies at n-2f ECHOs and delivers at n-f ECHOs.
-    Votes are tallied per digest, so an equivocating source splits its
-    support instead of pooling it.
+    Votes are tallied per candidate key, so an equivocating source splits
+    its support instead of pooling it.
 
     A subclass supplies its vote body (``vote``) and either its payload
     resolver (``learn``, or votes that carry the payload) or its fetch
@@ -174,7 +175,7 @@ class DoubleEcho(Automaton):
             self.amplify_at, self.accept_at, self.deliver_at = n - 2 * f, never, n - f
 
     def msg_digest(self, msg: WireMessage) -> Digest | None:
-        """The digest the source's MSG backs; None if the MSG is malformed."""
+        """The candidate key the source's MSG backs; None if it is malformed."""
         return None if msg.payload is None else self.digest_of(msg.payload)
 
     def learn(self, c: Candidate, msg: WireMessage) -> None:
@@ -194,13 +195,15 @@ class DoubleEcho(Automaton):
     def on_msg(self, frm: NodeId, msg: WireMessage) -> list[Action]:
         if frm != msg.source:
             return []
+        s, h = msg.source, msg.h
+        rec = self.instances.get((s, h))
+        if rec is not None and rec.msg_seen:
+            return []
         digest = self.msg_digest(msg)
         if digest is None:
             return []
-        s, h = msg.source, msg.h
-        rec = self.instance(s, h)
-        if rec.msg_seen:
-            return []
+        if rec is None:
+            rec = self.instance(s, h)
         rec.msg_seen = True
         rec.count_echo(digest, self.me)
         c = rec.candidate(digest)
@@ -219,15 +222,15 @@ class DoubleEcho(Automaton):
     def on_acc(self, frm: NodeId, msg: WireMessage) -> list[Action]:
         return self.tally(frm, msg, msg.digest, Instance.count_acc)
 
-    def tally(self, frm: NodeId, msg: WireMessage, digest: Digest | None, count,
+    def tally(self, frm: NodeId, msg: WireMessage, key: Digest | None, count,
               payload: Payload | None = None) -> list[Action]:
-        """Count ``frm``'s vote for ``digest`` with ``count`` (ECHO or ACC),
-        hold the ``payload`` the vote carries, if any, and run the check."""
-        if digest is None:
+        """Count ``frm``'s vote for candidate ``key`` with ``count`` (ECHO or
+        ACC), hold the ``payload`` the vote carries, if any, and run the check."""
+        if key is None:
             return []
         s, h = msg.source, msg.h
         rec = self.instance(s, h)
-        c = count(rec, digest, frm)
+        c = count(rec, key, frm)
         if c is None:
             return []
         if c.payload is None:

@@ -3,8 +3,9 @@
 Three waves: the source's MSG, an ECHO wave, and an ACC wave, with the
 thresholds of the ``DoubleEcho`` engine. Every message carries the whole
 payload, so its resolver is the vote itself and nodes never have to fetch
-it separately; internally the tallies are keyed by payload digest so
-equivocating sources split their support instead of pooling it.
+it separately. The tallies are keyed by the payload a vote carries, not by
+its digest, so Bracha never hashes: distinct bytes are distinct candidates,
+and an equivocating source still splits its support instead of pooling it.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from ..core import (
     Instance,
     MsgKind,
     NodeId,
+    Payload,
     SeqIndex,
     WireMessage,
 )
@@ -21,17 +23,14 @@ from .base import DoubleEcho
 
 
 class Bracha(DoubleEcho):
+    def msg_digest(self, msg: WireMessage) -> Payload | None:
+        return msg.payload
+
     def on_echo(self, frm: NodeId, msg: WireMessage) -> list[Action]:
-        m = msg.payload
-        if m is None:
-            return []
-        return self.tally(frm, msg, self.digest_of(m), Instance.count_echo, m)
+        return self.tally(frm, msg, msg.payload, Instance.count_echo, msg.payload)
 
     def on_acc(self, frm: NodeId, msg: WireMessage) -> list[Action]:
-        m = msg.payload
-        if m is None:
-            return []
-        return self.tally(frm, msg, self.digest_of(m), Instance.count_acc, m)
+        return self.tally(frm, msg, msg.payload, Instance.count_acc, msg.payload)
 
     def vote(self, kind: MsgKind, s: NodeId, h: SeqIndex, c: Candidate,
              element=None) -> WireMessage:

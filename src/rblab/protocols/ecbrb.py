@@ -7,8 +7,10 @@ hash-based protocols' REQ/FWD fallback. Its MSG and ECHO votes travel as
 element voted for a digest to an online error-correcting decoder, which
 accepts only a reconstruction that hashes to that digest (up to f
 elements are adversarial garbage, and with c of them held the payload
-decodes from k + 2c elements). Its fetch trigger asks every ACC backer
-from the (f+1)-th on while the payload is missing.
+decodes from k + 2c elements). Its fetch trigger is h-brb-3f1's: it asks
+the ACC backers once, when exactly f+1 of them back a digest whose payload
+is missing. One of those f+1 is honest, and an honest node ACCs only a
+payload it holds, so it answers.
 
 EcBrb4f1 (n >= 4f+1) codes at k = n-3f, which leaves enough distance to
 decode through f corruptions outright: once n-f elements arrive a node
@@ -91,12 +93,6 @@ class EcBrb3f1(_HashBrb):
             element = encode_element(c.payload, self.params, self.me + 1)
         return WireMessage(kind, s, h, digest=c.digest, element=element)
 
-    def fetch(self, s: NodeId, h: SeqIndex, c: Candidate) -> list[Action]:
-        # Ask every ACC backer from the (f+1)-th on.
-        if len(c.accs) < self.f_plus_1:
-            return []
-        return self.request_payload(s, h, c, c.accs)
-
     def on_echo(self, frm: NodeId, msg: WireMessage) -> list[Action]:
         # Node j only ever echoes the element at its own position j+1.
         if msg.digest is None or msg.element is None or msg.element.index != frm + 1:
@@ -115,10 +111,8 @@ class EcBrb3f1(_HashBrb):
         if c.decoder is None:
             c.decoder = SubsetDecoder(self.params, c.digest)
         payload = c.decoder.add(msg.element)
-        if payload is not None:
-            self._digest_memo[payload] = c.digest  # the decoder checked it hashes to digest
-            if c.payload is None:
-                c.payload = payload
+        if payload is not None and c.payload is None:
+            c.payload = payload
 
 
 # An honest instance tunnels three distinct envelopes: the nested MSG and
@@ -298,17 +292,14 @@ class EcBrb4f1(Automaton):
         return [Send(frm, WireMessage(MsgKind.FWD, s, h, payload=m, digest=digest))]
 
     def on_fwd(self, frm: NodeId, msg: WireMessage) -> list[Action]:
-        if msg.payload is None or msg.digest is None:
-            return []
+        # Hash only a FWD from a node asked for the payload it names while
+        # that payload is missing; once it is held, ``check`` has run.
         s, h, m = msg.source, msg.h, msg.payload
-        if self.digest_of(m) != msg.digest:
+        rec = None if m is None or msg.digest is None else self.instances.get((s, h))
+        c = None if rec is None else rec.candidates.get(msg.digest)
+        if c is None or not c.awaits(frm) or self.digest_of(m) != msg.digest:
             return []
-        rec = self.instances.get((s, h))
-        if rec is None or not rec.was_asked(msg.digest, frm):
-            return []
-        if not rec.once(("fwd", frm, msg.digest)):
-            return []
-        rec.hold(msg.digest, m)
+        c.payload = m
         return self.check(rec, s, h)
 
     def check(self, rec: Instance, s: NodeId, h: SeqIndex) -> list[Action]:

@@ -41,16 +41,17 @@ class _HashBrb(DoubleEcho):
         return [Send(frm, WireMessage(MsgKind.FWD, s, h, payload=m))]
 
     def on_fwd(self, frm: NodeId, msg: WireMessage) -> list[Action]:
-        if msg.payload is None:
-            return []
+        # Hash only a FWD from a node asked for a payload still missing;
+        # once it is held, ``check`` has already run with it.
         s, h, m = msg.source, msg.h, msg.payload
-        digest = self.digest_of(m)
-        rec = self.instances.get((s, h))
-        if rec is None or not rec.was_asked(digest, frm):
+        rec = None if m is None else self.instances.get((s, h))
+        if rec is None or not any(c.awaits(frm) for c in rec.candidates.values()):
             return []
-        if not rec.once(("fwd", frm, digest)):
+        c = rec.candidates.get(self.digest_of(m))
+        if c is None or not c.awaits(frm):
             return []
-        return self.check(rec, s, h, rec.hold(digest, m))
+        c.payload = m
+        return self.check(rec, s, h, c)
 
     def fetch(self, s: NodeId, h: SeqIndex, c: Candidate) -> list[Action]:
         # Ask the backers of the last wave once, when exactly f+1 of them

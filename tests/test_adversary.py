@@ -10,7 +10,6 @@ from rblab.adversary import (
     Crash,
     CorruptRelay,
     EquivocatingSource,
-    Scripted,
     Silent,
     UnknownScenario,
     WitnessAutomaton,
@@ -423,6 +422,9 @@ def test_unknown_scenario_lists_choices():
 
 
 def test_scripted_strategy_is_mute():
-    s = Scripted()
-    assert s.source_actions(None, 0, None, b"x", 1) == []
-    assert s.transform(None, 0, None, [Deliver(0, b"x", 1)]) == []
+    world = build_witness_world(1, 2)
+    info = script_exec1(world)
+    assert set(world.strategies) == set(info.groups["B"])
+    for s in world.strategies.values():
+        assert s.source_actions(None, 0, None, b"x", 1) == []
+        assert s.transform(None, 0, None, [Deliver(0, b"x", 1)]) == []

@@ -184,7 +184,10 @@ def test_sent_flags_and_once_fire_exactly_once():
     c = rec.candidate(b"d")
     assert c.ask([3, 1]) == [3, 1]
     assert c.ask([3, 1, 2]) == [2]
-    assert rec.was_asked(b"d", 2) and not rec.was_asked(b"e", 2)
+    # A payload is awaited from a node asked for it until it is held.
+    assert c.awaits(2) and not c.awaits(4) and not rec.candidate(b"e").awaits(2)
+    rec.hold(b"d", b"payload")
+    assert not c.awaits(2)
 
 
 def test_payloads_match_by_digest():

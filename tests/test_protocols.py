@@ -347,7 +347,7 @@ def test_own_echo_on_a_late_msg_completes_the_quorum():
     # n-f, so it must accept (or, without an ACC wave, deliver) right away.
     names, rec = _late_msg_actions(ProtocolKind.BRACHA, 4, [1, 2])
     assert names == ["ACC"]              # bracha amplified its ECHO at f+1 already
-    assert len(rec.candidates[hashing.digest(b"late source")].echoes) == 3
+    assert len(rec.candidates[b"late source"].echoes) == 3  # bracha keys on the payload
     assert rec.acc_sent
     names, rec = _late_msg_actions(ProtocolKind.H_BRB_3F1, 4, [1, 2])
     assert names == ["ECHO", "ACC"]      # digest ECHOs alone could not amplify
@@ -407,17 +407,16 @@ def test_threshold_table_where_quorums_differ(kind):
 
 
 def test_fetch_triggers_on_accepts_for_an_unheld_digest():
-    # h-brb-3f1 asks the ACC backers once, at exactly f+1 of them;
-    # ec-brb-3f1 also asks each later ACC sender while the payload is missing.
+    # h-brb-3f1 and ec-brb-3f1 ask the ACC backers once, at exactly f+1 of
+    # them, and no later ACC sender while the payload is missing.
     n, f = 7, 2
     d = hashing.digest(b"never held")
     acc = WireMessage(MsgKind.ACC, 6, 1, digest=d)
-    for kind, asks_later in ((ProtocolKind.H_BRB_3F1, False), (ProtocolKind.EC_BRB_3F1, True)):
+    for kind in (ProtocolKind.H_BRB_3F1, ProtocolKind.EC_BRB_3F1):
         node = _auto(kind, n, f, node=0)
         asked = [[(a.to, a.msg.kind) for a in _sends(node, _recv(node, j, acc))]
                  for j in range(1, f + 4)]
-        later = [[(j, MsgKind.REQ)] if asks_later else [] for j in (f + 2, f + 3)]
-        assert asked == [[]] * f + [[(j, MsgKind.REQ) for j in range(1, f + 2)]] + later, kind
+        assert asked == [[]] * f + [[(j, MsgKind.REQ) for j in range(1, f + 2)]] + [[]] * 2, kind
 
 
 # -- coded Byzantine broadcast, low-rate variant -------------------------------
