@@ -5,7 +5,7 @@ Envelope layout (all integers big-endian):
     offset  size  field
     0       1     kind        (MSG=1 ECHO=2 ACC=3 REQ=4 FWD=5 HASH_RB=6)
     1       1     variant     (PAYLOAD=1 DIGEST=2 ELEMENT=3
-                               DIGEST_ELEMENT=4 PAYLOAD_DIGEST=5)
+                               DIGEST_ELEMENT=4)
     2       1     instance    (0 = top level, 1 = nested hash broadcast)
     3       2     source      broadcasting node id
     5       4     h           per-source sequence index
@@ -14,9 +14,8 @@ Envelope layout (all integers big-endian):
 
 Body encodings by variant: PAYLOAD is raw bytes; DIGEST is exactly 32
 bytes; ELEMENT is index(1) + claimed_len(4) + shard bytes; DIGEST_ELEMENT
-is a digest followed by an element; PAYLOAD_DIGEST is a digest followed by
-raw payload bytes. Each kind admits a fixed set of variants; anything else
-is malformed.
+is a digest followed by an element. Each kind admits a fixed set of
+variants; anything else is malformed.
 
 An automaton answers ``BroadcastRequest`` and ``Receive`` events with
 ``Send``, ``Multicast`` (one message to every node) and ``Deliver``
@@ -25,11 +24,11 @@ actions; ``expand`` lists a Multicast as its n Sends.
 Protocol state: each automaton keeps one ``Instance`` record per broadcast
 instance (source, h) and looks it up once per event. The record holds the
 sent, seen and delivered flags, the masks of senders whose ECHO and ACC
-already counted, the erasure-coded protocols' element sets, and one
-``Candidate`` per digest heard of (per payload in bracha): its payload
-once known, its ECHO and ACC backers in arrival order, whom its payload was
-requested from, and ec-brb-3f1's online decoder of the elements voted for
-it.
+already counted and whose REQ and FWD were taken, the erasure-coded
+protocols' element sets, and one ``Candidate`` per digest heard of (per
+payload in bracha): its payload once known, its ECHO and ACC backers in
+arrival order, whom its payload was requested from, and ec-brb-3f1's online
+decoder of the elements voted for it.
 """
 from __future__ import annotations
 
@@ -70,7 +69,6 @@ class BodyVariant(IntEnum):
     DIGEST = 2
     ELEMENT = 3
     DIGEST_ELEMENT = 4
-    PAYLOAD_DIGEST = 5
 
 
 # Which body shapes each message kind may legally carry.
@@ -81,7 +79,7 @@ KIND_VARIANTS: dict[MsgKind, frozenset[BodyVariant]] = {
                              BodyVariant.ELEMENT, BodyVariant.DIGEST_ELEMENT}),
     MsgKind.ACC: frozenset({BodyVariant.PAYLOAD, BodyVariant.DIGEST}),
     MsgKind.REQ: frozenset({BodyVariant.DIGEST}),
-    MsgKind.FWD: frozenset({BodyVariant.PAYLOAD, BodyVariant.PAYLOAD_DIGEST}),
+    MsgKind.FWD: frozenset({BodyVariant.PAYLOAD}),
     MsgKind.HASH_RB: frozenset({BodyVariant.PAYLOAD}),
 }
 
@@ -100,8 +98,8 @@ _INSTANCE_NAMES = {v: k for k, v in _INSTANCE_CODES.items()}
 @dataclass(frozen=True)
 class WireMessage:
     """One protocol message. The populated optional fields determine the
-    body variant: payload only, digest only, element only, digest+element,
-    or payload+digest."""
+    body variant: payload only, digest only, element only, or
+    digest+element."""
 
     kind: MsgKind
     source: NodeId
@@ -123,20 +121,17 @@ class WireMessage:
                 return BodyVariant.ELEMENT
             case (False, True, True):
                 return BodyVariant.DIGEST_ELEMENT
-            case (True, True, False):
-                return BodyVariant.PAYLOAD_DIGEST
         raise MalformedEnvelope(f"no body variant for fields {has}")
 
 
 def _body_size(msg: WireMessage) -> int:
     variant = msg.variant()
     size = 0
-    if variant in (BodyVariant.DIGEST, BodyVariant.DIGEST_ELEMENT,
-                   BodyVariant.PAYLOAD_DIGEST):
+    if variant in (BodyVariant.DIGEST, BodyVariant.DIGEST_ELEMENT):
         size += hashing.DIGEST_SIZE
     if variant in (BodyVariant.ELEMENT, BodyVariant.DIGEST_ELEMENT):
         size += ELEMENT_OVERHEAD + len(msg.element.data)
-    if variant in (BodyVariant.PAYLOAD, BodyVariant.PAYLOAD_DIGEST):
+    if variant is BodyVariant.PAYLOAD:
         size += len(msg.payload)
     return size
 
@@ -191,15 +186,14 @@ def decode_envelope(buf: bytes) -> WireMessage:
     body = buf[HEADER_SIZE:]
     payload = digest = element = None
     try:
-        if variant in (BodyVariant.DIGEST, BodyVariant.DIGEST_ELEMENT,
-                       BodyVariant.PAYLOAD_DIGEST):
+        if variant in (BodyVariant.DIGEST, BodyVariant.DIGEST_ELEMENT):
             if len(body) < hashing.DIGEST_SIZE:
                 raise ValueError("body shorter than a digest")
             digest, body = body[:hashing.DIGEST_SIZE], body[hashing.DIGEST_SIZE:]
         if variant in (BodyVariant.ELEMENT, BodyVariant.DIGEST_ELEMENT):
             element = parse_element(body)
             body = b""
-        if variant in (BodyVariant.PAYLOAD, BodyVariant.PAYLOAD_DIGEST):
+        if variant is BodyVariant.PAYLOAD:
             payload, body = body, b""
         if variant == BodyVariant.DIGEST and body:
             raise ValueError("digest body has trailing bytes")
@@ -305,14 +299,16 @@ class Instance:
     ``candidates`` it maps keys (digests, or bracha's payloads) to. A
     sender counts at most once per kind (ECHO, ACC) and instance, for the
     first candidate it backs, so the per-kind masks of counted senders
-    ignore the key. The erasure-coded fields stay None in automata that do
-    not use them. ec-brb-4f1 also keeps ``tunneled``, the parse of each
-    distinct HASH_RB envelope of the instance, until the instance delivers.
+    ignore the key. Its REQ and its FWD are likewise taken once per
+    instance, whatever digest or payload they carry. The erasure-coded
+    fields stay None in automata that do not use them. ec-brb-4f1 also
+    keeps ``tunneled``, the parse of each distinct HASH_RB envelope of the
+    instance, until the instance delivers.
     """
 
     __slots__ = (
-        "candidates", "echo_voted", "acc_voted",
-        "msg_seen", "echo_sent", "acc_sent", "decoded", "delivered", "seen",
+        "candidates", "echo_voted", "acc_voted", "req_taken", "fwd_taken",
+        "msg_seen", "echo_sent", "acc_sent", "decoded", "delivered",
         "elements", "decoded_lens", "endorsed", "tunneled",
     )
 
@@ -320,12 +316,13 @@ class Instance:
         self.candidates: dict[Digest, Candidate] = {}
         self.echo_voted = 0     # bit i set once sender i's ECHO was counted
         self.acc_voted = 0      # likewise for ACC
+        self.req_taken = 0      # likewise for REQ, whether answered or not
+        self.fwd_taken = 0      # likewise for a FWD that was hashed
         self.msg_seen = False   # the source's MSG (or first flood copy) was taken
         self.echo_sent = False
         self.acc_sent = False
         self.decoded = False    # ec-crb ran its one erasure decode
         self.delivered = False
-        self.seen: set | None = None  # once-only REQ keys
         # ec-crb, ec-brb-4f1: the distinct elements held
         self.elements: set[CodedElement] | None = None
         # ec-brb-4f1: lengths that decoded; the digest the nested broadcast
@@ -373,14 +370,3 @@ class Instance:
         c = self.candidate(digest)
         c.accs.append(sender)
         return c
-
-    def once(self, key) -> bool:
-        """True the first time ``key`` is seen in this instance."""
-        seen = self.seen
-        if seen is None:
-            self.seen = {key}
-            return True
-        if key in seen:
-            return False
-        seen.add(key)
-        return True

@@ -17,8 +17,8 @@ kept in ``Automaton.instances``. A handler fetches the record once with
 ``instance(s, h)`` and reads and writes its fields directly: the sent and
 delivered flags, and per digest (per payload in bracha) a
 ``core.Candidate`` with its payload and its ECHO and ACC backers. Handlers
-make their cheap checks (vote masks, ``msg_seen``, whom a payload was
-requested from) before they hash, so a repeated vote or MSG, or an
+make their cheap checks (vote and FWD masks, ``msg_seen``, whom a payload
+was requested from) before they hash, so a repeated vote, MSG or FWD, or an
 unsolicited FWD, is neither hashed nor held.
 
 ``DoubleEcho`` is the one quorum engine of bracha, h-brb-3f1, h-brb-5f1

@@ -17,7 +17,10 @@ decode through f corruptions outright: once n-f elements arrive a node
 error-corrects without any digest hint. The digest still matters for
 agreement, so the source runs a nested full-payload broadcast of the
 32-byte digest, tunneled inside HASH_RB envelopes; a node only accepts a
-reconstruction endorsed by that nested broadcast. The envelope does not
+reconstruction endorsed by that nested broadcast. When n-f ACCs back the
+endorsed digest and its payload is still missing, a node asks those
+backers for it and takes the forwarded copy as the hash-based protocols do,
+with their REQ and FWD handlers. The envelope does not
 name its sender, so every honest node's ECHO of one digest is the same
 bytes, and an honest instance tunnels three distinct envelopes (the nested
 MSG, ECHO and ACC) in 1 + 2n multicasts. A node parses each distinct
@@ -124,6 +127,10 @@ _UNPARSED = object()
 
 
 class EcBrb4f1(Automaton):
+    # REQ and FWD exactly as the hash-based protocols take them.
+    on_req = _HashBrb.on_req
+    on_fwd = _HashBrb.on_fwd
+
     def __init__(self, config: ProtocolConfig):
         super().__init__(config)
         self.params = CodeParams(self.n, config.resolved_k())
@@ -279,33 +286,12 @@ class EcBrb4f1(Automaton):
         actions += self.check(rec, s, h)
         return actions
 
-    def on_req(self, frm: NodeId, msg: WireMessage) -> list[Action]:
-        if msg.digest is None:
-            return []
-        s, h, digest = msg.source, msg.h, msg.digest
-        rec = self.instance(s, h)
-        if not rec.once(("req", digest, frm)):
-            return []
-        m = rec.payload(digest)
-        if m is None:
-            return []
-        return [Send(frm, WireMessage(MsgKind.FWD, s, h, payload=m, digest=digest))]
-
-    def on_fwd(self, frm: NodeId, msg: WireMessage) -> list[Action]:
-        # Hash only a FWD from a node asked for the payload it names while
-        # that payload is missing; once it is held, ``check`` has run.
-        s, h, m = msg.source, msg.h, msg.payload
-        rec = None if m is None or msg.digest is None else self.instances.get((s, h))
-        c = None if rec is None else rec.candidates.get(msg.digest)
-        if c is None or not c.awaits(frm) or self.digest_of(m) != msg.digest:
-            return []
-        c.payload = m
-        return self.check(rec, s, h)
-
-    def check(self, rec: Instance, s: NodeId, h: SeqIndex) -> list[Action]:
+    def check(self, rec: Instance, s: NodeId, h: SeqIndex,
+              c: Candidate | None = None) -> list[Action]:
         """Run after the node learns a digest, a payload or an ACC for
         (s, h): ACC the endorsed digest once its payload is held, and at
-        n-f ACCs for it deliver, or fetch the payload from those backers."""
+        n-f ACCs for it deliver, or fetch the payload from those backers.
+        Only the endorsed candidate counts, whichever ``c`` changed."""
         c = None if rec.endorsed is None else rec.candidates.get(rec.endorsed)
         if c is None:
             return []

@@ -4,8 +4,10 @@ Only the source's MSG and the on-demand FWD carry the payload; ECHO, ACC,
 and REQ carry a 32-byte digest. A node that sees a quorum form around a
 digest it cannot resolve asks the quorum members for the payload (REQ) and
 accepts a forwarded copy (FWD) only from nodes it asked, only if the copy
-hashes to the requested digest. The ``DoubleEcho`` engine tallies the
-digest votes; each protocol here supplies only its fetch trigger.
+hashes to the requested digest. A node takes one REQ and hashes one FWD per
+sender and instance. The ``DoubleEcho`` engine tallies the digest votes;
+each protocol here supplies only its fetch trigger. ec-brb-4f1 answers REQs
+and takes FWDs with the same two handlers.
 
 HBrb3f1 runs the double-echo pattern (ECHO then ACC) and needs n >= 3f+1.
 HBrb5f1 drops the ACC wave entirely: with n >= 5f+1 a single ECHO wave
@@ -29,24 +31,30 @@ class _HashBrb(DoubleEcho):
     """Shared REQ / FWD plumbing for the digest-voting protocols."""
 
     def on_req(self, frm: NodeId, msg: WireMessage) -> list[Action]:
-        if msg.digest is None:
-            return []
+        # A node without a record of the instance holds no payload for it,
+        # and a REQ makes no record.
         s, h = msg.source, msg.h
-        rec = self.instance(s, h)
-        if not rec.once(("req", frm)):
+        rec = None if msg.digest is None else self.instances.get((s, h))
+        bit = 1 << frm
+        if rec is None or rec.req_taken & bit:
             return []
+        rec.req_taken |= bit
         m = rec.payload(msg.digest)
         if m is None:
             return []
         return [Send(frm, WireMessage(MsgKind.FWD, s, h, payload=m))]
 
     def on_fwd(self, frm: NodeId, msg: WireMessage) -> list[Action]:
-        # Hash only a FWD from a node asked for a payload still missing;
-        # once it is held, ``check`` has already run with it.
+        # Hash only the first FWD from a node asked for a payload still
+        # missing: an honest node answers a requester once per instance, and
+        # once the payload is held ``check`` has already run with it.
         s, h, m = msg.source, msg.h, msg.payload
         rec = None if m is None else self.instances.get((s, h))
-        if rec is None or not any(c.awaits(frm) for c in rec.candidates.values()):
+        bit = 1 << frm
+        if rec is None or rec.fwd_taken & bit \
+                or not any(c.awaits(frm) for c in rec.candidates.values()):
             return []
+        rec.fwd_taken |= bit
         c = rec.candidates.get(self.digest_of(m))
         if c is None or not c.awaits(frm):
             return []

@@ -226,16 +226,6 @@ class RunStats:
             return sum(sum(c.values()) for c in counters)
         return sum(c[kind] for c in counters)
 
-    def conserved(self) -> bool:
-        """At quiescence every byte sent has been received."""
-        return (self.total_sent_bytes() == self.total_recv_bytes()
-                and self.total_sent_count() == self.total_recv_count())
-
-    def max_depth(self, nodes, s: NodeId, h: SeqIndex) -> int | None:
-        depths = [rec.depth for (i, src, hh), rec in self.delivers.items()
-                  if i in nodes and src == s and hh == h]
-        return max(depths) if depths else None
-
 
 @dataclass(frozen=True)
 class _Bcast:

@@ -28,7 +28,6 @@ def _message(kind: MsgKind, variant: BodyVariant) -> WireMessage:
         BodyVariant.DIGEST: dict(digest=DIGEST),
         BodyVariant.ELEMENT: dict(element=ELEMENT),
         BodyVariant.DIGEST_ELEMENT: dict(digest=DIGEST, element=ELEMENT),
-        BodyVariant.PAYLOAD_DIGEST: dict(payload=b"some payload", digest=DIGEST),
     }[variant]
     return WireMessage(kind=kind, source=2, h=7, **fields)
 
@@ -57,6 +56,10 @@ def test_illegal_kind_variant_combinations_are_rejected():
                 continue
             with pytest.raises(MalformedEnvelope):
                 encode_envelope(_message(kind, variant))
+    # A payload with a digest is no body at all, for any kind.
+    for kind in MsgKind:
+        with pytest.raises(MalformedEnvelope):
+            encode_envelope(WireMessage(kind, 2, 7, payload=b"some payload", digest=DIGEST))
 
 
 def test_nested_instance_tag_round_trips():
@@ -78,8 +81,8 @@ def test_field_range_limits():
 
 
 def test_truncations_never_parse():
-    buf = encode_envelope(WireMessage(MsgKind.FWD, 5, 9, payload=b"pay",
-                                      digest=DIGEST))
+    buf = encode_envelope(WireMessage(MsgKind.ECHO, 5, 9, digest=DIGEST,
+                                      element=ELEMENT))
     for cut in range(len(buf)):
         with pytest.raises(MalformedEnvelope):
             decode_envelope(buf[:cut])
@@ -96,9 +99,10 @@ def test_spliced_fields_are_rejected():
     bad_kind = bytes([99]) + bytes(buf[1:])
     with pytest.raises(MalformedEnvelope):
         decode_envelope(bad_kind)
-    bad_variant = bytes(buf[:1]) + bytes([99]) + bytes(buf[2:])
-    with pytest.raises(MalformedEnvelope):
-        decode_envelope(bad_variant)
+    for code in (5, 99):
+        bad_variant = bytes(buf[:1]) + bytes([code]) + bytes(buf[2:])
+        with pytest.raises(MalformedEnvelope):
+            decode_envelope(bad_variant)
     bad_instance = bytes(buf[:2]) + bytes([9]) + bytes(buf[3:])
     with pytest.raises(MalformedEnvelope):
         decode_envelope(bad_instance)
@@ -137,11 +141,9 @@ def test_round_trip_property(kv, source, h, payload, digest, index, data,
     kind, variant = kv
     msg = WireMessage(
         kind=kind, source=source, h=h,
-        payload=payload if variant in (BodyVariant.PAYLOAD,
-                                       BodyVariant.PAYLOAD_DIGEST) else None,
+        payload=payload if variant is BodyVariant.PAYLOAD else None,
         digest=digest if variant in (BodyVariant.DIGEST,
-                                     BodyVariant.DIGEST_ELEMENT,
-                                     BodyVariant.PAYLOAD_DIGEST) else None,
+                                     BodyVariant.DIGEST_ELEMENT) else None,
         element=CodedElement(index, data, claimed)
         if variant in (BodyVariant.ELEMENT, BodyVariant.DIGEST_ELEMENT) else None,
         instance="hash-rb" if nested else None,
@@ -177,9 +179,8 @@ def test_supporters_preserve_arrival_order():
 def test_sent_flags_and_once_fire_exactly_once():
     rec = Instance()
     assert not (rec.echo_sent or rec.acc_sent or rec.delivered)
-    assert rec.once(("req", 5))
-    assert not rec.once(("req", 5))
-    assert rec.once(("req", 6))
+    # No sender's REQ or FWD is taken yet; the handlers set one bit each.
+    assert rec.req_taken == rec.fwd_taken == 0
     # Each backer is asked once per digest, in backing order.
     c = rec.candidate(b"d")
     assert c.ask([3, 1]) == [3, 1]

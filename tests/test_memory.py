@@ -10,7 +10,8 @@ A world that is still alive holds per-broadcast state in every automaton
 and in the simulator's records; its size per broadcast is budgeted.
 
 A faulty node that repeats a message with fresh payloads must not grow what
-an honest node holds, nor make it hash each copy.
+an honest node holds, nor make it hash each copy, and its requests for
+instances a node has no record of make none.
 """
 import dataclasses
 import gc
@@ -28,7 +29,7 @@ import pytest
 
 import rblab
 from rblab import bench, hashing
-from rblab.core import MsgKind, Receive, WireMessage
+from rblab.core import MsgKind, Receive, Send, WireMessage, encode_envelope
 from rblab.protocols import RESILIENCE, ProtocolConfig, ProtocolKind, make_automaton
 from rblab.simnet import NetParams, SimWorld, check_broadcast_properties
 from test_acceptance import FAULT_MATRIX, _fault_injected_violations
@@ -133,10 +134,24 @@ def test_freed_heap_is_reused_not_refaulted():
 
 # Each case: the protocol, the messages node 0 takes first, the faulty
 # sender, and the message it then repeats with a fresh 1 KiB payload each
-# time (instance (3, 1), n=9, f=2). Only the first vote or MSG may count;
-# node 6 was never asked for a payload, so its FWDs are unsolicited.
+# time (instance (3, 1), n=9, f=2). Only the first vote or MSG may count.
+# In the "-fwd" cases node 6 was never asked for a payload, so its FWDs are
+# unsolicited; in the "-asked" cases node 0 asks node 6 for the payload of
+# HONEST_DIGEST, and only node 6's first FWD may be hashed. h-brb-3f1 asks at
+# f+1 ACCs; ec-brb-4f1 asks at n-f ACCs for the digest its nested broadcast
+# endorsed, here with n-f nested ACCs. The ec-brb-4f1 FWDs also name the
+# digest, a field no honest FWD carries and the receiver does not read.
 HONEST_MSG = (3, WireMessage(MsgKind.MSG, 3, 1, payload=b"honest"))
 HONEST_DIGEST = hashing.digest(b"honest")
+HONEST_ACCS = [(j, WireMessage(MsgKind.ACC, 3, 1, digest=HONEST_DIGEST)) for j in range(7)]
+NESTED_ACC = WireMessage(MsgKind.HASH_RB, 3, 1, payload=encode_envelope(
+    WireMessage(MsgKind.ACC, 3, 1, payload=HONEST_DIGEST, instance="hash-rb")))
+
+
+def _fwd_naming_digest(m):
+    return WireMessage(MsgKind.FWD, 3, 1, payload=m, digest=HONEST_DIGEST)
+
+
 FLOODS = {
     "bracha-echo": (ProtocolKind.BRACHA, [HONEST_MSG], 6,
                     lambda m: WireMessage(MsgKind.ECHO, 3, 1, payload=m)),
@@ -148,9 +163,11 @@ FLOODS = {
                       lambda m: WireMessage(MsgKind.MSG, 3, 1, payload=m)),
     "h-brb-3f1-fwd": (ProtocolKind.H_BRB_3F1, [HONEST_MSG], 6,
                       lambda m: WireMessage(MsgKind.FWD, 3, 1, payload=m)),
-    "ec-brb-4f1-fwd": (ProtocolKind.EC_BRB_4F1,
-                       [(1, WireMessage(MsgKind.ACC, 3, 1, digest=HONEST_DIGEST))], 6,
-                       lambda m: WireMessage(MsgKind.FWD, 3, 1, payload=m, digest=HONEST_DIGEST)),
+    "h-brb-3f1-asked": (ProtocolKind.H_BRB_3F1, HONEST_ACCS[4:7], 6,
+                        lambda m: WireMessage(MsgKind.FWD, 3, 1, payload=m)),
+    "ec-brb-4f1-fwd": (ProtocolKind.EC_BRB_4F1, HONEST_ACCS[1:2], 6, _fwd_naming_digest),
+    "ec-brb-4f1-asked": (ProtocolKind.EC_BRB_4F1,
+                         [(j, NESTED_ACC) for j in range(7)] + HONEST_ACCS, 6, _fwd_naming_digest),
 }
 
 
@@ -169,8 +186,11 @@ def test_repeated_byzantine_messages_are_neither_held_nor_hashed(case, monkeypat
     for count in (1_000, 10_000):
         node = make_automaton(ProtocolConfig(kind, 9, 2, node=0))
         hashed.clear()
+        sent = []
         for j, msg in prime:
-            node.step(Receive(j, msg))
+            sent += node.step(Receive(j, msg))
+        if case.endswith("-asked"):
+            assert Send(frm, WireMessage(MsgKind.REQ, 3, 1, digest=HONEST_DIGEST)) in sent
         rng = random.Random(count)
         tracemalloc.start()
         try:
@@ -183,3 +203,12 @@ def test_repeated_byzantine_messages_are_neither_held_nor_hashed(case, monkeypat
         assert len(hashed) <= 1, (count, len(hashed))
     # Ten times the messages hold no more: at most the first one's state.
     assert held[10_000] - held[1_000] < 1024 and held[1_000] < 4096, held
+
+
+@pytest.mark.parametrize("kind", [ProtocolKind.H_BRB_3F1, ProtocolKind.EC_BRB_4F1],
+                         ids=lambda kind: kind.value)
+def test_requests_for_unknown_instances_make_no_records(kind):
+    node = make_automaton(ProtocolConfig(kind, 9, 2, node=0))
+    for h in range(1, 10_001):
+        assert node.step(Receive(6, WireMessage(MsgKind.REQ, 3, h, digest=HONEST_DIGEST))) == []
+    assert node.instances == {}

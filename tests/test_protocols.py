@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import stretch_link
 from rblab import hashing
 from rblab.adversary import build_world
 from rblab.codec import CodedElement, CodeParams, encode
 from rblab.core import (
+    HEADER_SIZE,
     KIND_VARIANTS,
     BodyVariant,
     BroadcastRequest,
@@ -36,7 +38,7 @@ from rblab.protocols.bracha import Bracha
 from rblab.protocols.crb import CrbFlood, EcCrb
 from rblab.protocols.ecbrb import EcBrb3f1, EcBrb4f1
 from rblab.protocols.hbrb import HBrb3f1, HBrb5f1
-from rblab.simnet import check_broadcast_properties
+from rblab.simnet import NetParams, check_broadcast_properties
 
 
 def _auto(kind, n, f, node=0, k=None):
@@ -145,7 +147,8 @@ def _count_run(kind, n, f, payload=b"count me"):
     world.broadcast(0, payload, 1)
     stats = world.run()
     assert check_broadcast_properties(world) == []
-    assert stats.conserved()
+    assert stats.total_sent_bytes() == stats.total_recv_bytes()
+    assert stats.total_sent_count() == stats.total_recv_count()
     assert not stats.double_deliveries
     assert len(stats.delivers) == n
     return stats
@@ -256,11 +259,13 @@ def test_digest_vote_fetch_walkthrough():
     assert [a.to for a in reqs] == [0, 1]
     assert all(a.msg.kind is MsgKind.REQ and a.msg.digest == d for a in reqs)
     # Forwarded copies count only from nodes actually asked...
-    fwd_uninvited = WireMessage(MsgKind.FWD, 0, h, payload=m)
-    assert _recv(node, 2, fwd_uninvited) == []
-    # ...and only when the payload hashes to the requested digest.
+    fwd = WireMessage(MsgKind.FWD, 0, h, payload=m)
+    assert _recv(node, 2, fwd) == []
+    # ...only when the payload hashes to the requested digest...
     assert _recv(node, 0, WireMessage(MsgKind.FWD, 0, h, payload=b"forged")) == []
-    acts = _recv(node, 0, WireMessage(MsgKind.FWD, 0, h, payload=m))
+    # ...and only the first FWD of each: node 0 had its one.
+    assert _recv(node, 0, fwd) == []
+    acts = _recv(node, 1, fwd)
     sends = _sends(node, acts)
     assert len(sends) == 4 and all(a.msg.kind is MsgKind.ACC for a in sends)
     assert all(a.msg.digest == d for a in sends)
@@ -580,10 +585,27 @@ def test_quorum_of_accepts_triggers_fetch_then_delivery():
     assert [a.to for a in reqs] == [1, 2, 3, 4]
     assert all(a.msg.kind is MsgKind.REQ and a.msg.digest == d for a in reqs)
     # Forged forward is rejected; a genuine one completes delivery.
-    assert _recv(node, 2, WireMessage(MsgKind.FWD, 4, h, payload=b"no",
-                                      digest=d)) == []
-    acts = _recv(node, 1, WireMessage(MsgKind.FWD, 4, h, payload=m, digest=d))
+    assert _recv(node, 2, WireMessage(MsgKind.FWD, 4, h, payload=b"no")) == []
+    acts = _recv(node, 1, WireMessage(MsgKind.FWD, 4, h, payload=m))
     assert _delivers(acts) == [Deliver(4, m, h)]
+
+
+def test_slow_source_link_is_bridged_by_a_payload_fetch():
+    # The source's link to node 1 carries node 1's element and the source's
+    # own ECHO and ACC, so node 1 holds too few elements to decode when n-f
+    # ACCs back the endorsed digest: it asks those backers, and each FWD
+    # carries the payload alone.
+    m = bytes(range(100))
+    world = build_world(ProtocolKind.EC_BRB_4F1, 5, 1, net=NetParams(base_delay=1.0),
+                        record_trace=True)
+    stretch_link(world, 0, 1)
+    world.broadcast(0, m, 1)
+    stats = world.run()
+    assert check_broadcast_properties(world) == []
+    assert len(stats.delivers) == 5
+    assert stats.total_sent_count(MsgKind.REQ) > 0
+    fwds = [row for row in world.trace if row.kind == "FWD"]
+    assert fwds and {(row.node, row.size) for row in fwds} == {(1, HEADER_SIZE + len(m))}
 
 
 def test_element_flood_only_from_source():
@@ -649,8 +671,9 @@ FUZZ_FIELDS = {
     BodyVariant.DIGEST: ("digest",),
     BodyVariant.ELEMENT: ("element",),
     BodyVariant.DIGEST_ELEMENT: ("digest", "element"),
-    BodyVariant.PAYLOAD_DIGEST: ("payload", "digest"),
 }
+# A payload with a digest fits no body variant; a peer may still send it.
+FUZZ_SHAPES = [*FUZZ_FIELDS.values(), ("payload", "digest")]
 
 
 def _fuzz_n(kind):
@@ -682,9 +705,10 @@ def _fuzz_message(draw, kind):
         data=st.sampled_from([shards[0].data, b""]) | st.binary(max_size=8),
         claimed_len=st.sampled_from([0, 1, len(payload), 40]) | st.integers(0, 2**32 - 1))))
     msg_kind = draw(st.sampled_from(list(MsgKind)))
-    variant = draw(_mostly(sorted(KIND_VARIANTS[msg_kind]), st.sampled_from(list(BodyVariant))))
+    fields = draw(_mostly([FUZZ_FIELDS[v] for v in sorted(KIND_VARIANTS[msg_kind])],
+                          st.sampled_from(FUZZ_SHAPES)))
     body = {name: {"payload": payload, "digest": digest, "element": element}[name]
-            for name in FUZZ_FIELDS[variant]}
+            for name in fields}
     if msg_kind is MsgKind.HASH_RB and draw(st.booleans()):
         inner = WireMessage(draw(st.sampled_from([MsgKind.MSG, MsgKind.ECHO, MsgKind.ACC])),
                             source, h, payload=digest if draw(st.booleans()) else payload,

@@ -154,7 +154,8 @@ def test_conservation_and_loopback_accounting():
     world = build_world(ProtocolKind.CRB_FLOOD, 1, 0)
     world.broadcast(0, b"self", 1)
     stats = world.run()
-    assert stats.conserved()
+    assert stats.total_sent_bytes() == stats.total_recv_bytes()
+    assert stats.total_sent_count() == stats.total_recv_count()
     assert stats.total_sent_bytes() > 0  # loopback copies are still counted
     assert stats.delivers[(0, 0, 1)].payload == b"self"
 
@@ -228,7 +229,6 @@ def test_causal_depth_and_deliveries():
     stats = run(world, [(0.0, 0, b"one hop", 1)])
     for node in range(3):
         assert causal_depth(stats, 0, 1, node) == 1
-    assert stats.max_depth(range(3), 0, 1) == 1
     assert {(s, h) for (i, s, h) in stats.delivers if i == 2} == {(0, 1)}
     with pytest.raises(NotDelivered):
         causal_depth(stats, 0, 99, 0)
