@@ -9,15 +9,20 @@ locator finds in polynomial time.
 
 Shard arithmetic runs on numpy uint8 arrays over the field generated by
 x^8 + x^4 + x^3 + x^2 + 1, through a 256 x 256 product table (64 KiB, built
-once from exp/log tables). ``gf_matmul`` has two table-gather kernels: for
-narrow shards one gather forms every product at once and XOR-reduces it;
-for wide shards a loop over the k columns gathers one table row per
-coefficient and XOR-accumulates. Decoding is systematic: shards that sit at
-data positions are copied, and only the decode-matrix rows of the missing
-data shards are multiplied. Decode matrices are Lagrange rows in closed
-form, gathered from the log/exp tables. ``decode_correcting`` (ec-brb-4f1)
-and ``SubsetDecoder`` (ec-brb-3f1) share one error locator,
-``_nearest_codeword``, which runs Gao's decoder only on dirty input.
+once from exp/log tables). ``gf_matmul`` has three table-gather kernels,
+chosen by shape. Narrow shards take one gather that forms every product at
+once and XOR-reduces it. Wide shards with one output row, or with few
+products in all, loop over the k columns and gather one byte per output
+byte. Other wide shards gather whole product rows: a (k, 256, p) table
+holds, for each column and data byte, the products with all r coefficients,
+zero-padded to a power of two p, so each data byte costs one p-byte copy
+and an XOR; one transpose at the end puts the r output rows in order.
+Decoding is systematic: shards that sit at data positions are copied, and
+only the decode-matrix rows of the missing data shards are multiplied.
+Decode matrices are Lagrange rows in closed form, gathered from the log/exp
+tables. ``decode_correcting`` (ec-brb-4f1) and ``SubsetDecoder``
+(ec-brb-3f1) share one error locator, ``_nearest_codeword``, which runs
+Gao's decoder only on dirty input.
 """
 from __future__ import annotations
 
@@ -80,19 +85,42 @@ def _build_product_table() -> np.ndarray:
 _MUL = _build_product_table()
 _MUL_FLAT = _MUL.reshape(-1)
 
-# Shards up to this width take one (r, k, w) gather; wider ones loop over
-# the k columns. Measured crossover: 64-128 bytes at k = 2..13.
+# Shards up to this width take one (r, k, w) gather. Timed against both
+# wide kernels at r = 2..26, k = 2..14 on a 2-core x86-64 host, it is the
+# fastest up to 96 bytes.
 _GATHER_MAX_WIDTH = 96
+# Wider shards gather product rows when r >= 2 and r * k * w reaches this.
+# Below it the column loop wins on its lower fixed cost: the two break even
+# at 6-8K products for r = 2..12, k = 2..13 on the same host, and the rows
+# are 1.05-1.3x faster at 12K and about 3x at (8, 7, 9363). With r = 1 the
+# loop gathers no more bytes than the rows do, and is the faster of the two.
+_ROW_GATHER_MIN_PRODUCTS = 8192
+
 
 def gf_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Multiply matrices over GF(256); a is (r, k), b is (k, w)."""
-    if b.shape[1] <= _GATHER_MAX_WIDTH:
+    (r, k), w = a.shape, b.shape[1]
+    if w <= _GATHER_MAX_WIDTH:
         rows = a.astype(np.intp) << 8
         return np.bitwise_xor.reduce(_MUL_FLAT[rows[:, :, None] + b[None, :, :]], axis=1)
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
-    for j in range(a.shape[1]):
-        out ^= _MUL[a[:, j]].take(b[j], axis=1)
-    return out
+    if r < 2 or r * k * w < _ROW_GATHER_MIN_PRODUCTS:
+        out = np.zeros((r, w), dtype=np.uint8)
+        for j in range(k):
+            out ^= _MUL[a[:, j]].take(b[j], axis=1)
+        return out
+    # table[j, x, i] = a[i, j] * x. numpy's take copies a row of 2-32 bytes
+    # as one fixed-size chunk (wider rows, r > 32, go through memmove). Under the default mode="raise" it would
+    # buffer ``out``; b's uint8 entries always index one of the 256 rows, so
+    # "clip" changes no result.
+    p = 1 << (r - 1).bit_length()
+    table = np.zeros((k, 256, p), dtype=np.uint8)
+    table[:, :, :r] = _MUL[a.T].transpose(0, 2, 1)
+    acc = table[0].take(b[0], axis=0)
+    scratch = np.empty_like(acc)
+    for j in range(1, k):
+        table[j].take(b[j], axis=0, out=scratch, mode="clip")
+        acc ^= scratch
+    return np.ascontiguousarray(acc[:, :r].T)
 
 
 @dataclass(frozen=True)
@@ -261,7 +289,7 @@ def decode_erasure(elements, params: CodeParams, payload_len: int) -> bytes:
         return b""
     values = np.stack([np.frombuffer(e.data, dtype=np.uint8) for e in chosen])
     data = _systematic_decode(params.n, params.k, tuple(e.index for e in chosen), values)
-    return data.tobytes()[:payload_len]
+    return data.reshape(-1)[:payload_len].tobytes()
 
 
 # Scalar polynomial arithmetic for the error locator. Polynomials are lists
@@ -365,6 +393,7 @@ def _nearest_codeword(n: int, k: int, shards: dict[int, bytes],
         if len(held) == k:
             return data, erased
         rest = gf_matmul(gen[np.array(held[k:]) - 1], data)
+        # Two byte copies and one memcmp: np.array_equal timed slower here.
         if rest.tobytes() == rows[k:].tobytes():
             return data, erased
         if erased == budget:
@@ -413,7 +442,7 @@ def decode_correcting(elements, params: CodeParams, f: int, payload_len: int) ->
         return None
     radius = max(0, min(f, len(by_pos) - k - f))
     found = _nearest_codeword(n, k, by_pos, radius)
-    return None if found is None else found[0].tobytes()[:payload_len]
+    return None if found is None else found[0].reshape(-1)[:payload_len].tobytes()
 
 
 class SubsetDecoder:
@@ -456,7 +485,7 @@ class SubsetDecoder:
         found = _nearest_codeword(n, k, group, len(group))
         if found is None:
             return None
-        payload = found[0].tobytes()[:length]
+        payload = found[0].reshape(-1)[:length].tobytes()
         if hashing.digest(payload) != self.target:
             return None
         self.found = payload

@@ -7,8 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rblab import codec
 from rblab.codec import (
     _GATHER_MAX_WIDTH,
+    _ROW_GATHER_MIN_PRODUCTS,
     CodedElement,
     CodeParams,
     InvalidParams,
@@ -29,9 +31,12 @@ from oracle_codec import (
     gf_matmul_tensor,
 )
 
-# Both sides of the switch between the one-gather and the column kernels.
+# Both sides of the switch between the one-gather and the wide kernels. Row
+# counts pad to 2, 4, 8, 16 and 32 bytes, and past 32 to 64; each padding
+# boundary is covered from both sides.
 WIDTHS = [1, 2, 7, 64, _GATHER_MAX_WIDTH, _GATHER_MAX_WIDTH + 1, 500, 9000]
-SHAPES = [(1, 1), (1, 6), (6, 1), (5, 3), (19, 7), (13, 13), (0, 4)]
+SHAPES = [(r, k) for r in (0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 32, 33, 40)
+          for k in (1, 2, 7, 13)]
 
 
 def _scalar_matmul(a, b, columns):
@@ -46,25 +51,62 @@ def _scalar_dot(row, column):
     return acc
 
 
+def _check_against_oracles(rng, r, k, width):
+    a = rng.integers(0, 256, (r, k), dtype=np.uint8)
+    b = rng.integers(0, 256, (k, width), dtype=np.uint8)
+    if r > 1:
+        a[r // 2] = 0
+    b[:, width // 2] = 0
+    got = gf_matmul(a, b)
+    assert got.dtype == np.uint8 and got.shape == (r, width)
+    assert np.array_equal(got, gf_matmul_tensor(a, b)), (r, k, width)
+    columns = sorted({0, width // 2, width - 1} | set(range(min(width, 24))))
+    assert np.array_equal(got[:, columns], _scalar_matmul(a, b, columns)), (r, k, width)
+    if r > 1:
+        assert not got[r // 2].any()
+    assert not got[:, width // 2].any()
+
+
 @pytest.mark.parametrize("width", WIDTHS)
 def test_gf_matmul_matches_tensor_and_scalar_oracles(width):
     rng = np.random.default_rng(width)
     for r, k in SHAPES:
-        a = rng.integers(0, 256, (r, k), dtype=np.uint8)
-        b = rng.integers(0, 256, (k, width), dtype=np.uint8)
-        if r > 1:
-            a[r // 2] = 0
-        b[:, width // 2] = 0
-        got = gf_matmul(a, b)
-        assert got.dtype == np.uint8 and got.shape == (r, width)
-        assert np.array_equal(got, gf_matmul_tensor(a, b)), (r, k, width)
-        columns = sorted({0, width // 2, width - 1} | set(range(min(width, 24))))
-        assert np.array_equal(got[:, columns], _scalar_matmul(a, b, columns)), (r, k, width)
-        if r > 1:
-            assert not got[r // 2].any()
-        assert not got[:, width // 2].any()
+        _check_against_oracles(rng, r, k, width)
     zeros = np.zeros((3, 4), dtype=np.uint8)
     assert not gf_matmul(zeros, rng.integers(0, 256, (4, width), dtype=np.uint8)).any()
+
+
+def test_gf_matmul_matches_oracles_either_side_of_the_row_gather_switch():
+    # A wide product with r >= 2 switches from the column loop to the row
+    # gather where r * k * w reaches _ROW_GATHER_MIN_PRODUCTS.
+    rng = np.random.default_rng(8192)
+    edges = 0
+    for r, k in SHAPES:
+        edge = -(-_ROW_GATHER_MIN_PRODUCTS // (r * k)) if r >= 2 else 0
+        if edge - 1 <= _GATHER_MAX_WIDTH:
+            continue
+        edges += 1
+        for width in (edge - 1, edge, edge + 1):
+            _check_against_oracles(rng, r, k, width)
+    assert edges >= 20
+
+
+@pytest.mark.parametrize("r, k, width", [
+    (3, 4, 50), (1, 7, 9363), (2, 2, 512), (2, 7, 9363), (8, 7, 9363), (12, 13, 5042),
+    (33, 7, 500)])
+def test_gf_matmul_leaves_inputs_and_tables_unchanged(r, k, width):
+    # Every kernel, and row gathers padded to 2, 8, 16 and 64 bytes; the row
+    # gather XORs in place into buffers of its own.
+    rng = np.random.default_rng(r * k)
+    a = rng.integers(0, 256, (r, k), dtype=np.uint8)
+    b = rng.integers(0, 256, (k, width), dtype=np.uint8)
+    before = [x.copy() for x in (codec._MUL, a, b)]
+    got = gf_matmul(a, b)
+    for x, old in zip((codec._MUL, a, b), before):
+        assert np.array_equal(x, old)
+        assert not np.shares_memory(got, x)
+    got ^= 0xFF
+    assert np.array_equal(gf_matmul(a, b) ^ 0xFF, got)
 
 
 def test_encode_element_is_one_row_of_encode():
