@@ -21,14 +21,44 @@ An automaton answers ``BroadcastRequest`` and ``Receive`` events with
 ``Send``, ``Multicast`` (one message to every node) and ``Deliver``
 actions; ``expand`` lists a Multicast as its n Sends.
 
-Protocol state: each automaton keeps one ``Instance`` record per broadcast
-instance (source, h) and looks it up once per event. The record holds the
-sent, seen and delivered flags, the masks of senders whose ECHO and ACC
-already counted and whose REQ and FWD were taken, the erasure-coded
-protocols' element sets, and one ``Candidate`` per digest heard of (per
-payload in bracha): its payload once known, its ECHO and ACC backers in
-arrival order, whom its payload was requested from, and ec-brb-3f1's online
-decoder of the elements voted for it.
+Protocol state: each automaton keeps one record per broadcast instance
+(source, h) and looks it up once per event. An instance is open, then
+closed.
+
+An open instance is an ``Instance``. It holds the sent, seen and delivered
+flags, the masks of senders whose ECHO and ACC already counted and whose
+REQ and FWD were taken, the erasure-coded protocols' element sets, and one
+``Candidate`` per digest heard of (per payload in bracha): its payload once
+known, its ECHO and ACC backers in arrival order, whom its payload was
+requested from, and ec-brb-3f1's online decoder of the elements voted for
+it.
+
+A node closes an instance once the protocol's only work left there is
+answering REQs: it has delivered and sent every vote it will send (each
+protocol states its rule). The ``Instance`` is then swapped for a
+``Closed`` record. Where the protocol answers REQs, that record keeps every
+digest -> payload pair held at close and the mask of REQs taken; elsewhere
+it is the shared ``CLOSED``. ``Automaton.step`` drops every message but a
+REQ for a closed instance before any parse, hash or decode, so a late vote,
+MSG, FWD or HASH_RB makes no new record and no second Deliver.
+
+Closing changes no output. Had the node kept the open record, a late input
+could have changed only what it holds: a payload for a digest other than
+the one delivered (through a FWD, or an element decode), which only a later
+REQ for that digest could read. A node REQs a digest only from the nodes
+whose last-wave votes back it (ACCs; ECHOs in h-brb-5f1), and it starts
+that fetch at f+1 of them (ec-brb-4f1: at n-f, and only for the digest its
+nested broadcast endorsed, which is the one it delivers). An honest node
+casts such a vote only for a payload it holds, except that ec-brb-4f1 may
+ACC the endorsed digest first; it holds that payload once it delivers.
+Within f faults no two honest nodes ACC different digests, and in h-brb-5f1
+the n-f ECHOs a node delivered on leave at most f senders for any other
+digest. So no digest but the delivered one gathers the f+1 backers that
+start a fetch, no FWD is awaited at close, and a closed node is asked only
+for payloads it held at close: its record answers those REQs as the open
+one would. bracha and the crash-tolerant protocols fetch nothing, and
+ec-crb, which echoes every MSG from the source, closes only after echoing
+one; a crash-faulty source sends each node one.
 """
 from __future__ import annotations
 
@@ -291,8 +321,33 @@ class Candidate:
         return self.payload is None and self.asked is not None and node in self.asked
 
 
+class Closed:
+    """What a node keeps of an instance it has closed: every digest and
+    payload it held at close, flat in ``held`` (digest, payload, digest,
+    ...), to answer REQs from, and the mask of senders whose REQ was taken.
+    A closed instance has delivered."""
+
+    __slots__ = ("held", "req_taken")
+    delivered = True
+
+    def __init__(self, held: tuple[bytes, ...] = (), req_taken: int = 0) -> None:
+        self.held = held
+        self.req_taken = req_taken
+
+    def payload(self, digest: Digest) -> Payload | None:
+        held = self.held
+        for d, m in zip(held[::2], held[1::2]):
+            if d == digest:
+                return m
+        return None
+
+
+# The closed record of every instance in a protocol that answers no REQs.
+CLOSED = Closed()
+
+
 class Instance:
-    """Everything one node knows about one broadcast instance (source, h).
+    """Everything one node knows about one open broadcast instance (source, h).
 
     An automaton keeps one record per instance and looks it up once per
     event. Per-candidate state (payload, backers, requests) lives in the
@@ -303,7 +358,7 @@ class Instance:
     instance, whatever digest or payload they carry. The erasure-coded
     fields stay None in automata that do not use them. ec-brb-4f1 also
     keeps ``tunneled``, the parse of each distinct HASH_RB envelope of the
-    instance, until the instance delivers.
+    instance, until the instance closes.
     """
 
     __slots__ = (
@@ -330,9 +385,16 @@ class Instance:
         self.decoded_lens: set[int] | None = None
         self.endorsed: Digest | None = None
         # ec-brb-4f1: each distinct tunneled envelope -> the nested-broadcast
-        # message it holds, or None if it holds none for this instance;
-        # dropped on delivery
+        # message it holds, or None if it holds none for this instance
         self.tunneled: dict[bytes, WireMessage | None] | None = None
+
+    def closed(self) -> Closed:
+        """This instance's closed record, for a protocol that answers REQs."""
+        held: tuple[bytes, ...] = ()
+        for c in self.candidates.values():
+            if c.payload is not None:
+                held += (c.digest, c.payload)
+        return Closed(held, self.req_taken)
 
     def candidate(self, digest: Digest) -> Candidate:
         c = self.candidates.get(digest)

@@ -12,14 +12,17 @@ handler code never special-cases the local node: the source learns about
 its own broadcast the same way everyone else does. ``core.expand`` lists a
 Multicast as one Send per recipient.
 
-Per-instance state lives in one ``core.Instance`` record per (source, h),
-kept in ``Automaton.instances``. A handler fetches the record once with
-``instance(s, h)`` and reads and writes its fields directly: the sent and
-delivered flags, and per digest (per payload in bracha) a
-``core.Candidate`` with its payload and its ECHO and ACC backers. Handlers
-make their cheap checks (vote and FWD masks, ``msg_seen``, whom a payload
-was requested from) before they hash, so a repeated vote, MSG or FWD, or an
-unsolicited FWD, is neither hashed nor held.
+Per-instance state lives in one record per (source, h), kept in
+``Automaton.instances``: a ``core.Instance`` while the instance is open. A
+handler fetches the record once with ``instance(s, h)`` and reads and
+writes its fields directly: the sent and delivered flags, and per digest
+(per payload in bracha) a ``core.Candidate`` with its payload and its ECHO
+and ACC backers. Handlers make their cheap checks (vote and FWD masks,
+``msg_seen``, whom a payload was requested from) before they hash, so a
+repeated vote, MSG or FWD, or an unsolicited FWD, is neither hashed nor
+held. Once a node's only work left for an instance is answering REQs, its
+protocol ``close``s the instance (see ``core``), and ``step`` passes it
+nothing but REQs from then on.
 
 ``DoubleEcho`` is the one quorum engine of bracha, h-brb-3f1, h-brb-5f1
 and ec-brb-3f1; they differ only in what a vote carries and in how a node
@@ -29,9 +32,11 @@ from __future__ import annotations
 
 from .. import hashing
 from ..core import (
+    CLOSED,
     Action,
     BroadcastRequest,
     Candidate,
+    Closed,
     Deliver,
     Digest,
     Event,
@@ -63,7 +68,8 @@ class Automaton:
         self.n_minus_f = self.n - self.f
 
     def instance(self, s: NodeId, h: SeqIndex) -> Instance:
-        """The record of instance (s, h), created on first use."""
+        """The record of instance (s, h), created on first use; ``step``
+        never runs a handler for a closed one, save ``on_req``."""
         rec = self.instances.get((s, h))
         if rec is None:
             rec = self.instances[(s, h)] = Instance()
@@ -78,10 +84,15 @@ class Automaton:
     # -- event entry point -------------------------------------------------
     def step(self, event: Event) -> list[Action]:
         if isinstance(event, Receive):
-            handler = self._handler_of.get(event.msg.kind)
+            msg = event.msg
+            handler = self._handler_of.get(msg.kind)
             if handler is None:
                 return []
-            return handler(self, event.frm, event.msg)
+            # A closed instance takes REQs only.
+            if type(self.instances.get((msg.source, msg.h))) is Closed \
+                    and msg.kind is not MsgKind.REQ:
+                return []
+            return handler(self, event.frm, msg)
         if isinstance(event, BroadcastRequest):
             return self.source_sends(event.payload, event.h)
         raise TypeError(f"unknown event {event!r}")
@@ -140,6 +151,10 @@ class Automaton:
         req = WireMessage(MsgKind.REQ, s, h, digest=c.digest)
         return [Send(j, req) for j in c.ask(backers)]
 
+    def close(self, s: NodeId, h: SeqIndex, rec: Instance) -> None:
+        """Swap open instance (s, h)'s record for its closed one."""
+        self.instances[(s, h)] = CLOSED
+
     def deliver_once(self, rec: Instance, source: NodeId, payload: Payload, h: SeqIndex,
                      out: list[Action]) -> None:
         """Append a Deliver unless (source, h) was already delivered."""
@@ -155,7 +170,8 @@ class DoubleEcho(Automaton):
     n-f ECHOs or f+1 ACCs, and delivers at n-f ACCs. Without an ACC wave
     (n >= 5f+1) it amplifies at n-2f ECHOs and delivers at n-f ECHOs.
     Votes are tallied per candidate key, so an equivocating source splits
-    its support instead of pooling it.
+    its support instead of pooling it. A node closes the instance once it
+    has delivered and sent its ECHO and, with an ACC wave, its ACC.
 
     A subclass supplies its vote body (``vote``) and either its payload
     resolver (``learn``, or votes that carry the payload) or its fetch
@@ -252,4 +268,6 @@ class DoubleEcho(Automaton):
             actions += self.send_all(self.vote(MsgKind.ACC, s, h, c))
         if accs >= self.n_minus_f or echoes >= self.deliver_at:
             self.deliver_once(rec, s, m, h, actions)
+        if rec.delivered and rec.echo_sent and (rec.acc_sent or not self.ACC_WAVE):
+            self.close(s, h, rec)
         return actions

@@ -2,19 +2,26 @@
 
 CrbFlood sends the full payload to everyone and every first receiver
 re-floods it, so each broadcast costs n + n^2 messages but finishes one
-hop after the source's wave lands.
+hop after the source's wave lands. A node closes the instance at its first
+MSG.
 
 EcCrb splits the payload into n coded elements of which any k reconstruct
 it. The source sends one element per node, nodes echo their element to
 everyone, and whoever collects k elements decodes, delivers, and hands the
 reassembled payload to any node that decoded nothing (e.g. because the
-crashed source never reached it) via an ACC carrying the full payload.
+crashed source never reached it) via an ACC carrying the full payload. A
+node closes the instance once it has decoded, delivered and sent its ACC,
+and has echoed the source's MSG: it echoes every MSG from the source, so
+closing before would lose the ECHO of a late one.
 """
 from __future__ import annotations
 
-from ..codec import CodecError, CodeParams, decode_erasure, encode
+from ..codec import CodecError, CodedElement, CodeParams, decode_erasure, encode
 from ..core import (
+    CLOSED,
     Action,
+    Deliver,
+    Instance,
     MsgKind,
     NodeId,
     Payload,
@@ -28,15 +35,11 @@ from .base import Automaton
 
 class CrbFlood(Automaton):
     def on_msg(self, frm: NodeId, msg: WireMessage) -> list[Action]:
+        # Only a first MSG reaches here: it closes the instance.
         if msg.payload is None:
             return []
-        rec = self.instance(msg.source, msg.h)
-        if rec.msg_seen:
-            return []
-        rec.msg_seen = True
-        actions: list[Action] = self.send_all(msg)
-        self.deliver_once(rec, msg.source, msg.payload, msg.h, actions)
-        return actions
+        self.instances[(msg.source, msg.h)] = CLOSED
+        return self.send_all(msg) + [Deliver(msg.source, msg.payload, msg.h)]
 
 
 class EcCrb(Automaton):
@@ -57,26 +60,37 @@ class EcCrb(Automaton):
     def on_msg(self, frm: NodeId, msg: WireMessage) -> list[Action]:
         if frm != msg.source or msg.element is None:
             return []
-        echo = WireMessage(MsgKind.ECHO, msg.source, msg.h, element=msg.element)
+        s, h = msg.source, msg.h
+        rec = self.instance(s, h)
+        rec.msg_seen = True
+        echo = WireMessage(MsgKind.ECHO, s, h, element=msg.element)
         actions: list[Action] = self.send_all(echo)
-        actions += self._store(msg.source, msg.h, msg)
+        actions += self._store(rec, s, h, msg.element)
         return actions
 
     def on_echo(self, frm: NodeId, msg: WireMessage) -> list[Action]:
         if msg.element is None:
             return []
-        return self._store(msg.source, msg.h, msg)
+        s, h = msg.source, msg.h
+        return self._store(self.instance(s, h), s, h, msg.element)
 
-    def _store(self, s: NodeId, h: SeqIndex, msg: WireMessage) -> list[Action]:
-        rec = self.instance(s, h)
+    def _store(self, rec: Instance, s: NodeId, h: SeqIndex,
+               element: CodedElement) -> list[Action]:
         held = rec.elements
         if held is None:
             held = rec.elements = set()
-        held.add(msg.element)
-        if len(held) < self.k or rec.decoded:
-            return []
-        rec.decoded = True
-        elements = sorted(held, key=lambda e: (e.index, e.data))
+        held.add(element)
+        actions: list[Action] = []
+        if len(held) >= self.k and not rec.decoded:
+            rec.decoded = True
+            actions = self._decode(rec, s, h)
+        if rec.acc_sent and rec.msg_seen:
+            self.close(s, h, rec)
+        return actions
+
+    def _decode(self, rec: Instance, s: NodeId, h: SeqIndex) -> list[Action]:
+        """Decode the held elements once; deliver and ACC the payload."""
+        elements = sorted(rec.elements, key=lambda e: (e.index, e.data))
         payload_len = elements[0].claimed_len
         try:
             payload = decode_erasure(elements[: self.k], self.params, payload_len)
@@ -84,8 +98,8 @@ class EcCrb(Automaton):
             return []
         actions: list[Action] = []
         self.deliver_once(rec, s, payload, h, actions)
-        acc = WireMessage(MsgKind.ACC, s, h, payload=payload)
-        actions += self.send_all(acc)
+        rec.acc_sent = True
+        actions += self.send_all(WireMessage(MsgKind.ACC, s, h, payload=payload))
         return actions
 
     def on_acc(self, frm: NodeId, msg: WireMessage) -> list[Action]:

@@ -25,8 +25,10 @@ name its sender, so every honest node's ECHO of one digest is the same
 bytes, and an honest instance tunnels three distinct envelopes (the nested
 MSG, ECHO and ACC) in 1 + 2n multicasts. A node parses each distinct
 envelope once per instance and keeps the result, or None for an envelope
-it rejects, on the instance record until the instance delivers; later
-copies are parsed one by one.
+it rejects, on the instance record; envelopes past a small cap are parsed
+copy by copy. A node closes the instance once it has delivered, taken the
+source's MSG and sent its ACC, and its nested instance has closed; the
+nested record retires with it.
 
 In both, node i only ever sends the element at position i+1 (the source
 sends it the same one), so an ECHO whose element index is not its
@@ -48,6 +50,7 @@ from ..codec import (
 from ..core import (
     Action,
     Candidate,
+    Closed,
     Deliver,
     Digest,
     Instance,
@@ -127,9 +130,11 @@ _UNPARSED = object()
 
 
 class EcBrb4f1(Automaton):
-    # REQ and FWD exactly as the hash-based protocols take them.
+    # REQ and FWD exactly as the hash-based protocols take them, and a
+    # closed instance keeps what REQs are answered from.
     on_req = _HashBrb.on_req
     on_fwd = _HashBrb.on_fwd
+    close = _HashBrb.close
 
     def __init__(self, config: ProtocolConfig):
         super().__init__(config)
@@ -173,9 +178,7 @@ class EcBrb4f1(Automaton):
         rec = self.instance(s, h)
         memo = rec.tunneled
         if memo is None:
-            memo = {}
-            if not rec.delivered:
-                rec.tunneled = memo
+            memo = rec.tunneled = {}
         inner_msg = memo.get(envelope, _UNPARSED)
         if inner_msg is _UNPARSED:
             inner_msg = self._untunnel(envelope, s, h)
@@ -193,7 +196,15 @@ class EcBrb4f1(Automaton):
             if type(action) is Deliver:
                 rec.endorsed = action.payload
                 actions += self.check(rec, s, h)
+        self._close_if_done(rec, s, h)
         return actions
+
+    def _close_if_done(self, rec: Instance, s: NodeId, h: SeqIndex) -> None:
+        """Close (s, h), and drop its nested record, once both are done."""
+        if rec.delivered and rec.msg_seen and rec.acc_sent \
+                and type(self.inner.instances.get((s, h))) is Closed:
+            del self.inner.instances[(s, h)]
+            self.close(s, h, rec)
 
     @staticmethod
     def _untunnel(envelope: bytes, s: NodeId, h: SeqIndex) -> WireMessage | None:
@@ -218,6 +229,7 @@ class EcBrb4f1(Automaton):
             return []
         rec.msg_seen = True
         self._add_element(rec, msg.element)
+        self._close_if_done(rec, s, h)
         return self.send_all(WireMessage(MsgKind.ECHO, s, h, element=msg.element))
 
     def on_echo(self, frm: NodeId, msg: WireMessage) -> list[Action]:
@@ -304,5 +316,5 @@ class EcBrb4f1(Automaton):
         if c.payload is None:
             return self.request_payload(s, h, c, c.accs)
         self.deliver_once(rec, s, c.payload, h, actions)
-        rec.tunneled = None
+        self._close_if_done(rec, s, h)
         return actions

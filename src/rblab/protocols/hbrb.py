@@ -7,7 +7,8 @@ accepts a forwarded copy (FWD) only from nodes it asked, only if the copy
 hashes to the requested digest. A node takes one REQ and hashes one FWD per
 sender and instance. The ``DoubleEcho`` engine tallies the digest votes;
 each protocol here supplies only its fetch trigger. ec-brb-4f1 answers REQs
-and takes FWDs with the same two handlers.
+and takes FWDs with the same two handlers. A closed instance keeps the
+payloads it held and answers REQs from them as before.
 
 HBrb3f1 runs the double-echo pattern (ECHO then ACC) and needs n >= 3f+1.
 HBrb5f1 drops the ACC wave entirely: with n >= 5f+1 a single ECHO wave
@@ -18,6 +19,7 @@ from __future__ import annotations
 from ..core import (
     Action,
     Candidate,
+    Instance,
     MsgKind,
     NodeId,
     Send,
@@ -32,7 +34,8 @@ class _HashBrb(DoubleEcho):
 
     def on_req(self, frm: NodeId, msg: WireMessage) -> list[Action]:
         # A node without a record of the instance holds no payload for it,
-        # and a REQ makes no record.
+        # and a REQ makes no record. An open and a closed record answer
+        # alike.
         s, h = msg.source, msg.h
         rec = None if msg.digest is None else self.instances.get((s, h))
         bit = 1 << frm
@@ -43,6 +46,9 @@ class _HashBrb(DoubleEcho):
         if m is None:
             return []
         return [Send(frm, WireMessage(MsgKind.FWD, s, h, payload=m))]
+
+    def close(self, s: NodeId, h: SeqIndex, rec: Instance) -> None:
+        self.instances[(s, h)] = rec.closed()
 
     def on_fwd(self, frm: NodeId, msg: WireMessage) -> list[Action]:
         # Hash only the first FWD from a node asked for a payload still

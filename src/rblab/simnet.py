@@ -24,10 +24,12 @@ ACC's digest and builds the one ``Receive`` event its copies share, then
 does only link work per copy, for recipients 0..n-1 in order. A run of
 consecutive unicast ``Send``s of one message object takes the same loop
 with their recipients, and an injected message with one recipient. A
-queued copy is a ``(to, event, size, depth)`` tuple, and per-link state
-(``hops * base_delay``, when the link's transmitter frees up, and its
-latest scheduled arrival) lives in n x n lists built with the world. A
-faulty node's strategy sees its actions expanded to one Send per recipient.
+message sent on as the very object a node just received (crb-flood's
+reflood) keeps the size its receive event carries. A queued copy is a
+``(to, event, size, depth)`` tuple, and per-link state (``hops *
+base_delay``, when the link's transmitter frees up, and its latest
+scheduled arrival) lives in n x n lists built with the world. A faulty
+node's strategy sees its actions expanded to one Send per recipient.
 
 A finished world is freed by reference counting the moment it is dropped,
 so a process that runs world after world frees a few MiB at a time. glibc
@@ -41,10 +43,14 @@ reuse.
 
 ``SimWorld.run`` pauses the cyclic garbage collector while it processes
 events and restores the caller's setting when it returns or raises. A long
-world allocates many container objects that stay alive (instance records,
-queued events, delivery records), and each young collection passes them on
-to the older generations until a full collection rescans every one of
-them. None of that can be freed by the collector: the automata, the
+world allocates many container objects, and each young collection passes
+those that stay alive on to the older generations until a full collection
+rescans every one of them. Only a few stay alive per broadcast: each node
+closes an instance once it is done with it (see ``core``), so it keeps a
+few open records and one compact closed record per instance, and the
+world keeps its delivery records, each node's causal depth per instance,
+and one digest and voter mask per instance for the ACC bookkeeping. None
+of that can be freed by the collector: the automata, the
 simulator's records and its events form no reference cycles, which
 ``tests/test_memory.py`` checks by running whole worlds with the collector
 off and finding nothing for ``gc.collect()``. The pause assumes that stays
@@ -205,8 +211,37 @@ class RunStats:
         self.recv_bytes = [Counter() for _ in range(n)]
         self.delivers: dict[tuple[NodeId, NodeId, SeqIndex], DeliverRecord] = {}
         self.double_deliveries: list[tuple[NodeId, NodeId, SeqIndex]] = []
-        self.acc_digests: dict[tuple[NodeId, SeqIndex], dict[NodeId, set[bytes]]] = {}
+        # (s, h) -> (digest, mask of the nodes that ACCed it) while every
+        # ACC of the instance names one digest; from the first other digest
+        # on, node -> the digests it ACCed, as ``acc_digests`` shows them.
+        self._accs: dict[tuple[NodeId, SeqIndex],
+                         tuple[bytes, int] | dict[NodeId, set[bytes]]] = {}
         self.events_processed = 0
+
+    def vouch(self, s: NodeId, h: SeqIndex, node: NodeId, digest: bytes) -> None:
+        """Record that ``node`` sent an ACC for ``digest`` in instance (s, h)."""
+        key = (s, h)
+        entry = self._accs.get(key)
+        if entry is None:
+            self._accs[key] = (digest, 1 << node)
+        elif type(entry) is tuple and entry[0] == digest:
+            self._accs[key] = (entry[0], entry[1] | 1 << node)
+        else:
+            if type(entry) is tuple:
+                entry = self._accs[key] = self._per_node(entry)
+            entry.setdefault(node, set()).add(digest)
+
+    @staticmethod
+    def _per_node(entry: tuple[bytes, int]) -> dict[NodeId, set[bytes]]:
+        digest, mask = entry
+        return {node: {digest} for node in range(mask.bit_length()) if mask >> node & 1}
+
+    @property
+    def acc_digests(self) -> dict[tuple[NodeId, SeqIndex], dict[NodeId, set[bytes]]]:
+        """(s, h) -> node -> the digests it vouched for in its ACCs."""
+        return {key: self._per_node(entry) if type(entry) is tuple
+                else {node: set(digests) for node, digests in entry.items()}
+                for key, entry in self._accs.items()}
 
     def total_sent_bytes(self, kind: MsgKind | None = None) -> int:
         return self._total(self.sent_bytes, kind)
@@ -374,7 +409,7 @@ class SimWorld:
                     actions = strategies[to].transform(self, to, automaton,
                                                        expand(actions, self.n))
                 if actions:
-                    self._apply(to, actions, ctx)
+                    self._apply(to, actions, ctx, msg, size)
             elif type(item) is _Bcast:
                 self._process_bcast(item)
             else:
@@ -398,7 +433,10 @@ class SimWorld:
         self._trace("bcast", node, node, "-", node, h, 0, 0)
         self._apply(node, actions, ctx=0)
 
-    def _apply(self, node: NodeId, actions: list[Action], ctx: int) -> None:
+    def _apply(self, node: NodeId, actions: list[Action], ctx: int,
+               received: WireMessage | None = None, received_size: int = 0) -> None:
+        """Carry out ``node``'s actions; ``received`` is the message it just
+        took, of envelope size ``received_size``."""
         emit, depth = self._emit, ctx + 1
         # Consecutive Sends of one message object (a faulty node's expanded
         # multicast) are emitted together, so the message is sized once.
@@ -408,15 +446,15 @@ class SimWorld:
             if cls is Send:
                 if action.msg is not run_msg:
                     if run_to:
-                        emit(node, run_to, run_msg, depth)
+                        emit(node, run_to, run_msg, depth, None, received, received_size)
                     run_msg, run_to = action.msg, []
                 run_to.append(action.to)
                 continue
             if run_to:
-                emit(node, run_to, run_msg, depth)
+                emit(node, run_to, run_msg, depth, None, received, received_size)
                 run_msg, run_to = None, []
             if cls is Multicast:
-                emit(node, range(self.n), action.msg, depth)
+                emit(node, range(self.n), action.msg, depth, None, received, received_size)
             elif cls is Deliver:
                 key = (node, action.source, action.h)
                 if key in self.stats.delivers:
@@ -426,13 +464,17 @@ class SimWorld:
                 self._trace("deliver", node, node, "-", action.source, action.h,
                             len(action.payload), ctx)
         if run_to:
-            emit(node, run_to, run_msg, depth)
+            emit(node, run_to, run_msg, depth, None, received, received_size)
 
     def _emit(self, frm: NodeId, recipients, msg: WireMessage, depth: int,
-              forced_delay: float | None = None) -> None:
+              forced_delay: float | None = None, sized: WireMessage | None = None,
+              size: int = 0) -> None:
         """Send ``msg`` from ``frm`` to each of ``recipients`` in order:
-        message bookkeeping once, link work and a queued copy per recipient."""
-        size = envelope_size(msg)
+        message bookkeeping once, link work and a queued copy per recipient.
+        ``size`` is the envelope size of ``sized``, so a message sent on as
+        the very object received (a crb-flood reflood) is not sized again."""
+        if msg is not sized:
+            size = envelope_size(msg)
         kind = msg.kind
         stats = self.stats
         copies = len(recipients)
@@ -441,8 +483,7 @@ class SimWorld:
         if kind is MsgKind.ACC:
             digest = msg.digest if msg.digest is not None \
                 else hashing.digest(msg.payload or b"")
-            per_node = stats.acc_digests.setdefault((msg.source, msg.h), {})
-            per_node.setdefault(frm, set()).add(digest)
+            stats.vouch(msg.source, msg.h, frm, digest)
         event = Receive(frm, msg)
         now, net, policy = self.time, self.net, self.delay_policy
         link_delay, jitter, draw = self._link_delay[frm], net.jitter, self.rng.random

@@ -7,13 +7,16 @@ until a full collection happens to run, so memory would grow with the
 number of finished worlds rather than stay flat.
 
 A world that is still alive holds per-broadcast state in every automaton
-and in the simulator's records; its size per broadcast is budgeted.
+and in the simulator's records; its size per broadcast is budgeted, and it
+stays the same per broadcast as the stream grows, since each node closes
+an instance once it is done with it and keeps only a few open.
 
 A faulty node that repeats a message with fresh payloads must not grow what
 an honest node holds, nor make it hash each copy, and its requests for
 instances a node has no record of make none.
 """
 import dataclasses
+import functools
 import gc
 import os
 import platform
@@ -29,7 +32,7 @@ import pytest
 
 import rblab
 from rblab import bench, hashing
-from rblab.core import MsgKind, Receive, Send, WireMessage, encode_envelope
+from rblab.core import Instance, MsgKind, Receive, Send, WireMessage, encode_envelope
 from rblab.protocols import RESILIENCE, ProtocolConfig, ProtocolKind, make_automaton
 from rblab.simnet import NetParams, SimWorld, check_broadcast_properties
 from test_acceptance import FAULT_MATRIX, _fault_injected_violations
@@ -76,30 +79,80 @@ def test_fault_matrix_worlds_are_freed_by_refcount(strategy):
     assert left and set(left.values()) == {0}, left
 
 
-# Bytes a finished world still holds per broadcast (tracemalloc), for the
-# stream configs at 300 x 1 KiB broadcasts: about 1.25x the measured 8.83
-# KiB (bracha) and 7.55 KiB (h-brb-3f1). Tuple-keyed per-node maps held 19.3
-# and 18.4 KiB. ec-brb-4f1 holds 24.46 KiB; its budget of 1.1x that fails
-# if the tunneled envelopes' parses are not dropped on delivery (they added
-# 4.6 KiB).
-HELD_BUDGET_KIB = {"bracha": 11.0, "h-brb-3f1": 9.4, "ec-brb-4f1": 26.9}
+# Bytes a finished world holds per broadcast beyond its schedule
+# (tracemalloc), for the five stream configs at 300 x 1 KiB broadcasts:
+# 1.25x the measured 2.05 KiB (crb-flood), 2.25 (bracha), 3.02 (h-brb-3f1),
+# 7.92 (ec-brb-3f1) and 8.19 (ec-brb-4f1). Before nodes closed their
+# instances, the same reading was 3.07, 7.09, 7.09, 17.49 and 23.94 KiB.
+# What is left is mostly the run's output: delivery records, each node's
+# causal depth per instance, the payloads each coded node decodes for
+# itself, and a closed record per node and instance.
+HELD_BUDGET_KIB = {"crb-flood": 2.6, "bracha": 2.8, "h-brb-3f1": 3.8,
+                   "ec-brb-3f1": 9.9, "ec-brb-4f1": 10.2}
+# The most instances open at one node when a broadcast starts: the shipped
+# configs peak at 7 (bracha, h-brb-3f1, ec-brb-3f1), 0 (crb-flood) and 16
+# (ec-brb-4f1: 9 plus 7 nested). An instance that never closed would pile
+# up past this.
+OPEN_BOUND = 20
 CONFIGS = Path(__file__).resolve().parent.parent / "configs" / "tables"
+
+
+def _open_records(automaton) -> int:
+    count = sum(type(rec) is Instance for rec in automaton.instances.values())
+    inner = getattr(automaton, "inner", None)
+    return count if inner is None else count + _open_records(inner)
+
+
+def _stream_world(kind: str, broadcasts: int):
+    """A stream world of ``broadcasts`` x 1 KiB, scheduled but not run."""
+    config = dataclasses.replace(bench.load_config(CONFIGS / f"{kind}-fat-tree-42mbit.ini"),
+                                 broadcasts=broadcasts)
+    world = bench.build_experiment(config)
+    schedule = bench._workload(config)
+    for at, source, payload, h in schedule:
+        world.broadcast(source, payload, h, at=at)
+    return world, [at for at, *_ in schedule]
+
+
+@functools.cache
+def stream_reading(kind: str, broadcasts: int) -> tuple[float, int]:
+    """KiB a stream world of ``broadcasts`` x 1 KiB holds per broadcast once
+    run, beyond its schedule, and the most instances open at one node at
+    any tenth broadcast's start. A short run first pays one-time costs,
+    and a full collection before each reading empties the interpreter's
+    free lists, whose blocks tracemalloc would count as held."""
+    _stream_world(kind, 10)[0].run()
+    world, schedule = _stream_world(kind, broadcasts)
+    peak = 0
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for at in schedule[::10]:
+            world.run(until=at)
+            peak = max(peak, max(map(_open_records, world.automata)))
+        world.run()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert not any(map(_open_records, world.automata))  # every instance closed
+    assert check_broadcast_properties(world) == []
+    assert len(world.stats.delivers) == broadcasts * world.n
+    return held / broadcasts / 1024, peak
 
 
 @pytest.mark.parametrize("kind", sorted(HELD_BUDGET_KIB))
 def test_held_state_per_broadcast_is_within_budget(kind):
-    broadcasts = 300
-    config = dataclasses.replace(bench.load_config(CONFIGS / f"{kind}-fat-tree-42mbit.ini"),
-                                 broadcasts=broadcasts)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        row, world = bench.run_experiment(config)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert row["deliveries"] == broadcasts * config.n and row["error"] == ""
-    assert held / broadcasts / 1024 < HELD_BUDGET_KIB[kind]
+    assert stream_reading(kind, 300)[0] < HELD_BUDGET_KIB[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(HELD_BUDGET_KIB))
+def test_long_stream_holds_the_same_per_broadcast_and_few_open_instances(kind):
+    short, _ = stream_reading(kind, 300)
+    long, peak = stream_reading(kind, 1200)
+    assert abs(long / short - 1) <= 0.10, (short, long)
+    assert peak <= OPEN_BOUND
 
 
 HEAP_CHURN = """

@@ -3,13 +3,14 @@ import gc
 import hashlib
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import stretch_link
-from rblab import hashing, simnet
+from rblab import bench, hashing, simnet
 from rblab.adversary import CorruptRelay, build_world
-from rblab.core import MsgKind, Receive, WireMessage
+from rblab.core import Closed, MsgKind, Receive, WireMessage
 from rblab.protocols import ProtocolKind, ecbrb
 from rblab.simnet import (
     InvalidTopology,
@@ -260,6 +261,8 @@ def test_truncated_run_reports_termination_violations():
     violations = check_broadcast_properties(world)
     assert any(v.startswith("termination") for v in violations)
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs" / "tables"
+
 
 def _sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
@@ -328,6 +331,19 @@ def test_each_sent_message_is_sized_and_hashed_once(monkeypatch):
     assert book.sim_digests <= n                  # the ACC wave alone was n * n
     assert stats.acc_digests == book.acc_digests_by_rehashing()
     assert stats.acc_digests == {(0, 1): {i: {_sha256(payload)} for i in range(n)}}
+
+
+def test_a_reflood_keeps_the_size_of_the_message_it_sends_on(monkeypatch):
+    # crb-flood re-multicasts the very MSG object it received, so only the
+    # source's multicast is sized: 200 calls, where sizing each of the
+    # n = 5 refloods again made 1,200.
+    config = bench.load_config(CONFIGS / "crb-flood-fat-tree-42mbit.ini")
+    config.broadcasts = 200
+    book = _Bookkeeping(monkeypatch)
+    row, world = bench.run_experiment(config)
+    assert row["error"] == "" and check_broadcast_properties(world) == []
+    assert len(book.emits) == 200 * (1 + config.n)
+    assert len(book.sizers) <= 400
 
 
 def test_acc_digests_survive_distinct_equal_and_corrupted_payloads(monkeypatch):
@@ -406,8 +422,8 @@ def test_each_distinct_tunneled_envelope_is_parsed_once_per_node(monkeypatch):
     assert check_broadcast_properties(world) == []
     assert world.stats.total_recv_count(MsgKind.HASH_RB) == n * (1 + 2 * n)
     assert max(parses) <= 3, parses
-    # The parses are dropped with the rest of the instance's tunnel state.
-    assert all(a.instances[(0, 1)].tunneled is None for a in world.automata)
+    # Every node closed the instance, and its parses went with the open record.
+    assert all(type(a.instances[(0, 1)]) is Closed for a in world.automata)
 
 
 def test_copies_of_a_multicast_share_one_receive_event():
