@@ -553,8 +553,9 @@ def scenario_equivocate_split(seed: int = 0, f: int = 2, payload_len: int = 4096
     bound = (f + 1) * (payload_len + HEADER_SIZE)
     fwd_ok = True
     worst = 0
+    recv_bytes = world.stats.recv_bytes
     for node in world.honest:
-        got = world.stats.recv_bytes[node][MsgKind.FWD]
+        got = recv_bytes[node][MsgKind.FWD]
         worst = max(worst, got)
         if got > bound:
             fwd_ok = False

@@ -154,21 +154,26 @@ class WireMessage:
         raise MalformedEnvelope(f"no body variant for fields {has}")
 
 
-def _body_size(msg: WireMessage) -> int:
-    variant = msg.variant()
-    size = 0
-    if variant in (BodyVariant.DIGEST, BodyVariant.DIGEST_ELEMENT):
-        size += hashing.DIGEST_SIZE
-    if variant in (BodyVariant.ELEMENT, BodyVariant.DIGEST_ELEMENT):
-        size += ELEMENT_OVERHEAD + len(msg.element.data)
-    if variant is BodyVariant.PAYLOAD:
-        size += len(msg.payload)
-    return size
+# Envelope size without the variable part (a payload or a shard), per variant.
+_DIGEST_ENVELOPE = HEADER_SIZE + hashing.DIGEST_SIZE
+_ELEMENT_HEADERS = HEADER_SIZE + ELEMENT_OVERHEAD
+_DIGEST_ELEMENT_HEADERS = _DIGEST_ENVELOPE + ELEMENT_OVERHEAD
 
 
 def envelope_size(msg: WireMessage) -> int:
     """Exact serialized size without building the bytes."""
-    return HEADER_SIZE + _body_size(msg)
+    payload, digest, element = msg.payload, msg.digest, msg.element
+    if payload is not None:
+        if digest is None and element is None:
+            return HEADER_SIZE + len(payload)
+    elif element is not None:
+        if digest is None:
+            return _ELEMENT_HEADERS + len(element.data)
+        return _DIGEST_ELEMENT_HEADERS + len(element.data)
+    elif digest is not None:
+        return _DIGEST_ENVELOPE
+    has = (payload is not None, digest is not None, element is not None)
+    raise MalformedEnvelope(f"no body variant for fields {has}")
 
 
 def encode_envelope(msg: WireMessage) -> bytes:

@@ -13,8 +13,9 @@ its own broadcast the same way everyone else does. ``core.expand`` lists a
 Multicast as one Send per recipient.
 
 Per-instance state lives in one record per (source, h), kept in
-``Automaton.instances``: a ``core.Instance`` while the instance is open. A
-handler fetches the record once with ``instance(s, h)`` and reads and
+``Automaton.instances``: a ``core.Instance`` while the instance is open.
+``step`` looks the record up once per received message and hands it to the
+handler, which opens a new one only where it got none, and reads and
 writes its fields directly: the sent and delivered flags, and per digest
 (per payload in bracha) a ``core.Candidate`` with its payload and its ECHO
 and ACC backers. Handlers make their cheap checks (vote and FWD masks,
@@ -52,6 +53,8 @@ from ..core import (
 )
 from . import ProtocolConfig
 
+_REQ = MsgKind.REQ  # read per message: cheaper than the enum member
+
 
 class Automaton:
     """Base class: event dispatch, fan-out helpers, delivery bookkeeping."""
@@ -68,8 +71,10 @@ class Automaton:
         self.n_minus_f = self.n - self.f
 
     def instance(self, s: NodeId, h: SeqIndex) -> Instance:
-        """The record of instance (s, h), created on first use; ``step``
-        never runs a handler for a closed one, save ``on_req``."""
+        """The record of instance (s, h), created on first use, for callers
+        outside ``step``. ``step`` looks the record up once and hands it to
+        the handler, which creates one only where it got none; no handler
+        but ``on_req`` runs for a closed one."""
         rec = self.instances.get((s, h))
         if rec is None:
             rec = self.instances[(s, h)] = Instance()
@@ -85,14 +90,16 @@ class Automaton:
     def step(self, event: Event) -> list[Action]:
         if isinstance(event, Receive):
             msg = event.msg
-            handler = self._handler_of.get(msg.kind)
+            kind = msg.kind
+            handler = self._handler_of.get(kind)
             if handler is None:
                 return []
-            # A closed instance takes REQs only.
-            if type(self.instances.get((msg.source, msg.h))) is Closed \
-                    and msg.kind is not MsgKind.REQ:
+            # The one lookup of the instance's record; a closed instance
+            # takes REQs only.
+            rec = self.instances.get((msg.source, msg.h))
+            if type(rec) is Closed and kind is not _REQ:
                 return []
-            return handler(self, event.frm, msg)
+            return handler(self, event.frm, msg, rec)
         if isinstance(event, BroadcastRequest):
             return self.source_sends(event.payload, event.h)
         raise TypeError(f"unknown event {event!r}")
@@ -108,22 +115,26 @@ class Automaton:
         return self.send_all(WireMessage(MsgKind.MSG, self.me, h, payload=payload))
 
     # -- handlers (override per protocol) ----------------------------------
-    def on_msg(self, frm: NodeId, msg: WireMessage) -> list[Action]:
+    # Each takes the sender, the message and the instance's record as
+    # ``step`` found it: the open Instance, a Closed one (``on_req`` only),
+    # or None.
+    def on_msg(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
         return []
 
-    def on_echo(self, frm: NodeId, msg: WireMessage) -> list[Action]:
+    def on_echo(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
         return []
 
-    def on_acc(self, frm: NodeId, msg: WireMessage) -> list[Action]:
+    def on_acc(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
         return []
 
-    def on_req(self, frm: NodeId, msg: WireMessage) -> list[Action]:
+    def on_req(self, frm: NodeId, msg: WireMessage,
+               rec: Instance | Closed | None) -> list[Action]:
         return []
 
-    def on_fwd(self, frm: NodeId, msg: WireMessage) -> list[Action]:
+    def on_fwd(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
         return []
 
-    def on_hash_rb(self, frm: NodeId, msg: WireMessage) -> list[Action]:
+    def on_hash_rb(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
         return []
 
     _HANDLERS = {
@@ -208,18 +219,17 @@ class DoubleEcho(Automaton):
         """Ask for ``c``'s missing payload; run by every check without it."""
         return []
 
-    def on_msg(self, frm: NodeId, msg: WireMessage) -> list[Action]:
+    def on_msg(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
         if frm != msg.source:
             return []
-        s, h = msg.source, msg.h
-        rec = self.instances.get((s, h))
         if rec is not None and rec.msg_seen:
             return []
         digest = self.msg_digest(msg)
         if digest is None:
             return []
+        s, h = msg.source, msg.h
         if rec is None:
-            rec = self.instance(s, h)
+            rec = self.instances[(s, h)] = Instance()
         rec.msg_seen = True
         rec.count_echo(digest, self.me)
         c = rec.candidate(digest)
@@ -232,20 +242,22 @@ class DoubleEcho(Automaton):
         actions += self.check(rec, s, h, c)
         return actions
 
-    def on_echo(self, frm: NodeId, msg: WireMessage) -> list[Action]:
-        return self.tally(frm, msg, msg.digest, Instance.count_echo)
+    def on_echo(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
+        return self.tally(frm, msg, rec, msg.digest, Instance.count_echo)
 
-    def on_acc(self, frm: NodeId, msg: WireMessage) -> list[Action]:
-        return self.tally(frm, msg, msg.digest, Instance.count_acc)
+    def on_acc(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
+        return self.tally(frm, msg, rec, msg.digest, Instance.count_acc)
 
-    def tally(self, frm: NodeId, msg: WireMessage, key: Digest | None, count,
-              payload: Payload | None = None) -> list[Action]:
+    def tally(self, frm: NodeId, msg: WireMessage, rec: Instance | None,
+              key: Digest | None, count, payload: Payload | None = None) -> list[Action]:
         """Count ``frm``'s vote for candidate ``key`` with ``count`` (ECHO or
-        ACC), hold the ``payload`` the vote carries, if any, and run the check."""
+        ACC) in ``rec``, opened if None, hold the ``payload`` the vote
+        carries, if any, and run the check."""
         if key is None:
             return []
         s, h = msg.source, msg.h
-        rec = self.instance(s, h)
+        if rec is None:
+            rec = self.instances[(s, h)] = Instance()
         c = count(rec, key, frm)
         if c is None:
             return []

@@ -26,11 +26,11 @@ class Bracha(DoubleEcho):
     def msg_digest(self, msg: WireMessage) -> Payload | None:
         return msg.payload
 
-    def on_echo(self, frm: NodeId, msg: WireMessage) -> list[Action]:
-        return self.tally(frm, msg, msg.payload, Instance.count_echo, msg.payload)
+    def on_echo(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
+        return self.tally(frm, msg, rec, msg.payload, Instance.count_echo, msg.payload)
 
-    def on_acc(self, frm: NodeId, msg: WireMessage) -> list[Action]:
-        return self.tally(frm, msg, msg.payload, Instance.count_acc, msg.payload)
+    def on_acc(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
+        return self.tally(frm, msg, rec, msg.payload, Instance.count_acc, msg.payload)
 
     def vote(self, kind: MsgKind, s: NodeId, h: SeqIndex, c: Candidate,
              element=None) -> WireMessage:

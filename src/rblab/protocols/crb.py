@@ -34,8 +34,9 @@ from .base import Automaton
 
 
 class CrbFlood(Automaton):
-    def on_msg(self, frm: NodeId, msg: WireMessage) -> list[Action]:
-        # Only a first MSG reaches here: it closes the instance.
+    def on_msg(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
+        # Only a first MSG reaches here (``rec`` is None): it closes the
+        # instance.
         if msg.payload is None:
             return []
         self.instances[(msg.source, msg.h)] = CLOSED
@@ -57,22 +58,25 @@ class EcCrb(Automaton):
             for i in range(self.n)
         ]
 
-    def on_msg(self, frm: NodeId, msg: WireMessage) -> list[Action]:
+    def on_msg(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
         if frm != msg.source or msg.element is None:
             return []
         s, h = msg.source, msg.h
-        rec = self.instance(s, h)
+        if rec is None:
+            rec = self.instances[(s, h)] = Instance()
         rec.msg_seen = True
         echo = WireMessage(MsgKind.ECHO, s, h, element=msg.element)
         actions: list[Action] = self.send_all(echo)
         actions += self._store(rec, s, h, msg.element)
         return actions
 
-    def on_echo(self, frm: NodeId, msg: WireMessage) -> list[Action]:
+    def on_echo(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
         if msg.element is None:
             return []
         s, h = msg.source, msg.h
-        return self._store(self.instance(s, h), s, h, msg.element)
+        if rec is None:
+            rec = self.instances[(s, h)] = Instance()
+        return self._store(rec, s, h, msg.element)
 
     def _store(self, rec: Instance, s: NodeId, h: SeqIndex,
                element: CodedElement) -> list[Action]:
@@ -102,10 +106,12 @@ class EcCrb(Automaton):
         actions += self.send_all(WireMessage(MsgKind.ACC, s, h, payload=payload))
         return actions
 
-    def on_acc(self, frm: NodeId, msg: WireMessage) -> list[Action]:
+    def on_acc(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
         if msg.payload is None:
             return []
+        s, h = msg.source, msg.h
+        if rec is None:
+            rec = self.instances[(s, h)] = Instance()
         actions: list[Action] = []
-        self.deliver_once(self.instance(msg.source, msg.h), msg.source, msg.payload, msg.h,
-                          actions)
+        self.deliver_once(rec, s, msg.payload, h, actions)
         return actions

@@ -71,6 +71,11 @@ from .base import Automaton
 from .bracha import Bracha
 from .hbrb import _HashBrb
 
+# Read per message or per parse: module constants cost less than enum
+# member reads.
+_ECHO = MsgKind.ECHO
+_NESTED_KINDS = (MsgKind.MSG, MsgKind.ECHO, MsgKind.ACC)
+
 
 class EcBrb3f1(_HashBrb):
     """REQ / FWD as in the hash-based protocols; MSG and ECHO carry elements."""
@@ -95,16 +100,17 @@ class EcBrb3f1(_HashBrb):
 
     def vote(self, kind: MsgKind, s: NodeId, h: SeqIndex, c: Candidate,
              element: CodedElement | None = None) -> WireMessage:
-        if kind is MsgKind.ECHO and element is None:
+        if kind is _ECHO and element is None:
             element = encode_element(c.payload, self.params, self.me + 1)
         return WireMessage(kind, s, h, digest=c.digest, element=element)
 
-    def on_echo(self, frm: NodeId, msg: WireMessage) -> list[Action]:
+    def on_echo(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
         # Node j only ever echoes the element at its own position j+1.
         if msg.digest is None or msg.element is None or msg.element.index != frm + 1:
             return []
         s, h = msg.source, msg.h
-        rec = self.instance(s, h)
+        if rec is None:
+            rec = self.instances[(s, h)] = Instance()
         c = rec.count_echo(msg.digest, frm)
         if c is None:
             return []
@@ -170,12 +176,13 @@ class EcBrb4f1(Automaton):
                 out.append(Multicast(outer) if cls is Multicast else Send(action.to, outer))
         return out
 
-    def on_hash_rb(self, frm: NodeId, msg: WireMessage) -> list[Action]:
+    def on_hash_rb(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
         envelope = msg.payload
         if envelope is None:
             return []
         s, h = msg.source, msg.h
-        rec = self.instance(s, h)
+        if rec is None:
+            rec = self.instances[(s, h)] = Instance()
         memo = rec.tunneled
         if memo is None:
             memo = rec.tunneled = {}
@@ -215,16 +222,17 @@ class EcBrb4f1(Automaton):
         except MalformedEnvelope:
             return None
         if inner_msg.instance != "hash-rb" \
-                or inner_msg.kind not in (MsgKind.MSG, MsgKind.ECHO, MsgKind.ACC) \
+                or inner_msg.kind not in _NESTED_KINDS \
                 or inner_msg.source != s or inner_msg.h != h:
             return None
         return inner_msg
 
-    def on_msg(self, frm: NodeId, msg: WireMessage) -> list[Action]:
+    def on_msg(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
         if frm != msg.source or msg.element is None or msg.element.index != self.me + 1:
             return []
         s, h = msg.source, msg.h
-        rec = self.instance(s, h)
+        if rec is None:
+            rec = self.instances[(s, h)] = Instance()
         if rec.msg_seen:
             return []
         rec.msg_seen = True
@@ -232,11 +240,12 @@ class EcBrb4f1(Automaton):
         self._close_if_done(rec, s, h)
         return self.send_all(WireMessage(MsgKind.ECHO, s, h, element=msg.element))
 
-    def on_echo(self, frm: NodeId, msg: WireMessage) -> list[Action]:
+    def on_echo(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
         if msg.element is None or msg.element.index != frm + 1:
             return []
         s, h = msg.source, msg.h
-        rec = self.instance(s, h)
+        if rec is None:
+            rec = self.instances[(s, h)] = Instance()
         # ECHO votes here carry no digest (it arrives through the nested
         # broadcast), so only which senders echoed is counted.
         bit = 1 << frm
@@ -283,11 +292,12 @@ class EcBrb4f1(Automaton):
                 progressed = True
         return progressed
 
-    def on_acc(self, frm: NodeId, msg: WireMessage) -> list[Action]:
+    def on_acc(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
         if msg.digest is None:
             return []
         s, h = msg.source, msg.h
-        rec = self.instance(s, h)
+        if rec is None:
+            rec = self.instances[(s, h)] = Instance()
         c = rec.count_acc(msg.digest, frm)
         if c is None:
             return []

@@ -19,6 +19,7 @@ from __future__ import annotations
 from ..core import (
     Action,
     Candidate,
+    Closed,
     Instance,
     MsgKind,
     NodeId,
@@ -32,32 +33,30 @@ from .base import Automaton, DoubleEcho
 class _HashBrb(DoubleEcho):
     """Shared REQ / FWD plumbing for the digest-voting protocols."""
 
-    def on_req(self, frm: NodeId, msg: WireMessage) -> list[Action]:
+    def on_req(self, frm: NodeId, msg: WireMessage,
+               rec: Instance | Closed | None) -> list[Action]:
         # A node without a record of the instance holds no payload for it,
         # and a REQ makes no record. An open and a closed record answer
         # alike.
-        s, h = msg.source, msg.h
-        rec = None if msg.digest is None else self.instances.get((s, h))
         bit = 1 << frm
-        if rec is None or rec.req_taken & bit:
+        if rec is None or msg.digest is None or rec.req_taken & bit:
             return []
         rec.req_taken |= bit
         m = rec.payload(msg.digest)
         if m is None:
             return []
-        return [Send(frm, WireMessage(MsgKind.FWD, s, h, payload=m))]
+        return [Send(frm, WireMessage(MsgKind.FWD, msg.source, msg.h, payload=m))]
 
     def close(self, s: NodeId, h: SeqIndex, rec: Instance) -> None:
         self.instances[(s, h)] = rec.closed()
 
-    def on_fwd(self, frm: NodeId, msg: WireMessage) -> list[Action]:
+    def on_fwd(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
         # Hash only the first FWD from a node asked for a payload still
         # missing: an honest node answers a requester once per instance, and
         # once the payload is held ``check`` has already run with it.
-        s, h, m = msg.source, msg.h, msg.payload
-        rec = None if m is None else self.instances.get((s, h))
+        m = msg.payload
         bit = 1 << frm
-        if rec is None or rec.fwd_taken & bit \
+        if rec is None or m is None or rec.fwd_taken & bit \
                 or not any(c.awaits(frm) for c in rec.candidates.values()):
             return []
         rec.fwd_taken |= bit
@@ -65,7 +64,7 @@ class _HashBrb(DoubleEcho):
         if c is None or not c.awaits(frm):
             return []
         c.payload = m
-        return self.check(rec, s, h, c)
+        return self.check(rec, msg.source, msg.h, c)
 
     def fetch(self, s: NodeId, h: SeqIndex, c: Candidate) -> list[Action]:
         # Ask the backers of the last wave once, when exactly f+1 of them

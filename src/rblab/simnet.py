@@ -18,18 +18,22 @@ per-kind message and byte counters, delivery times, causal depth (how many
 network legs the information chain behind a delivery spans), and which
 digests each node vouched for in its ACC wave.
 
-The event loop is the hot path of every run. ``_emit`` takes a
-``Multicast`` whole: it sizes the message, counts its n copies, records an
-ACC's digest and builds the one ``Receive`` event its copies share, then
-does only link work per copy, for recipients 0..n-1 in order. A run of
-consecutive unicast ``Send``s of one message object takes the same loop
-with their recipients, and an injected message with one recipient. A
-message sent on as the very object a node just received (crb-flood's
-reflood) keeps the size its receive event carries. A queued copy is a
-``(to, event, size, depth)`` tuple, and per-link state (``hops *
-base_delay``, when the link's transmitter frees up, and its latest
-scheduled arrival) lives in n x n lists built with the world. A faulty
-node's strategy sees its actions expanded to one Send per recipient.
+The event loop is the hot path of every run. Its per-kind tallies are
+flat: per node, one list of ints indexed by the kind's wire code, which a
+receive or a send updates in place. ``RunStats`` shows them through
+read-only views that build a fresh ``Counter`` per node. The loop counts
+its events once per drain, not once per event. ``_emit`` takes a
+``Multicast`` whole: it sizes the message from the fields it has set,
+counts its n copies, records an ACC's digest and builds the one ``Receive``
+event its copies share, then does only link work per copy, for recipients
+0..n-1 in order. A run of consecutive unicast ``Send``s of one message
+object takes the same loop with their recipients, and an injected message
+with one recipient. A message sent on as the very object a node just
+received (crb-flood's reflood) keeps the size its receive event carries. A
+queued copy is a ``(to, event, size, depth)`` tuple, and per-link state
+(``hops * base_delay``, when the link's transmitter frees up, and its
+latest scheduled arrival) lives in n x n lists built with the world. A
+faulty node's strategy sees its actions expanded to one Send per recipient.
 
 A finished world is freed by reference counting the moment it is dropped,
 so a process that runs world after world frees a few MiB at a time. glibc
@@ -89,6 +93,10 @@ from .core import (
 
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
+
+# Read per message: a module constant costs less than an enum member read.
+_ACC = MsgKind.ACC
+_CODES = max(MsgKind) + 1  # tally slots per node, indexed by wire code
 
 
 def _keep_freed_heap() -> None:
@@ -205,10 +213,11 @@ class RunStats:
 
     def __init__(self, n: int):
         self.n = n
-        self.sent_count = [Counter() for _ in range(n)]
-        self.sent_bytes = [Counter() for _ in range(n)]
-        self.recv_count = [Counter() for _ in range(n)]
-        self.recv_bytes = [Counter() for _ in range(n)]
+        # Per node, one slot per wire code; read through the Counter views.
+        self._sent_count = [[0] * _CODES for _ in range(n)]
+        self._sent_bytes = [[0] * _CODES for _ in range(n)]
+        self._recv_count = [[0] * _CODES for _ in range(n)]
+        self._recv_bytes = [[0] * _CODES for _ in range(n)]
         self.delivers: dict[tuple[NodeId, NodeId, SeqIndex], DeliverRecord] = {}
         self.double_deliveries: list[tuple[NodeId, NodeId, SeqIndex]] = []
         # (s, h) -> (digest, mask of the nodes that ACCed it) while every
@@ -243,23 +252,48 @@ class RunStats:
                 else {node: set(digests) for node, digests in entry.items()}
                 for key, entry in self._accs.items()}
 
+    @property
+    def sent_count(self) -> list[Counter]:
+        """Per node, kind -> messages sent (each copy of a multicast counts)."""
+        return _views(self._sent_count)
+
+    @property
+    def sent_bytes(self) -> list[Counter]:
+        """Per node, kind -> envelope bytes sent."""
+        return _views(self._sent_bytes)
+
+    @property
+    def recv_count(self) -> list[Counter]:
+        """Per node, kind -> messages received."""
+        return _views(self._recv_count)
+
+    @property
+    def recv_bytes(self) -> list[Counter]:
+        """Per node, kind -> envelope bytes received."""
+        return _views(self._recv_bytes)
+
     def total_sent_bytes(self, kind: MsgKind | None = None) -> int:
-        return self._total(self.sent_bytes, kind)
+        return _total(self._sent_bytes, kind)
 
     def total_recv_bytes(self, kind: MsgKind | None = None) -> int:
-        return self._total(self.recv_bytes, kind)
+        return _total(self._recv_bytes, kind)
 
     def total_sent_count(self, kind: MsgKind | None = None) -> int:
-        return self._total(self.sent_count, kind)
+        return _total(self._sent_count, kind)
 
     def total_recv_count(self, kind: MsgKind | None = None) -> int:
-        return self._total(self.recv_count, kind)
+        return _total(self._recv_count, kind)
 
-    @staticmethod
-    def _total(counters: list[Counter], kind: MsgKind | None) -> int:
-        if kind is None:
-            return sum(sum(c.values()) for c in counters)
-        return sum(c[kind] for c in counters)
+
+def _views(tallies: list[list[int]]) -> list[Counter]:
+    """Fresh per-node Counters of flat tallies, without zero entries."""
+    return [Counter({kind: row[kind] for kind in MsgKind if row[kind]}) for row in tallies]
+
+
+def _total(tallies: list[list[int]], kind: MsgKind | None) -> int:
+    if kind is None:
+        return sum(map(sum, tallies))
+    return sum(row[kind] for row in tallies)
 
 
 @dataclass(frozen=True)
@@ -380,41 +414,43 @@ class SimWorld:
     def _drain(self, until: float | None) -> RunStats:
         queue, heappop, max_steps = self._queue, heapq.heappop, self.max_steps
         stats, automata, strategies = self.stats, self.automata, self.strategies
-        recv_count, recv_bytes, ctx_of = stats.recv_count, stats.recv_bytes, self._ctx
+        recv_count, recv_bytes, ctx_of = stats._recv_count, stats._recv_bytes, self._ctx
         trace = self.record_trace
         steps = 0
-        while queue and (until is None or queue[0][0] <= until):
-            time, _, item = heappop(queue)
-            self.time = time
-            steps += 1
-            if steps > max_steps:
-                raise StepCapExceeded(f"exceeded {self.max_steps} events")
-            stats.events_processed += 1
-            if type(item) is tuple:
-                to, event, size, depth = item
-                msg = event.msg
-                kind = msg.kind
-                recv_count[to][kind] += 1
-                recv_bytes[to][kind] += size
-                key = (to, msg.source, msg.h)
-                ctx = ctx_of.get(key, 0)
-                if depth > ctx:
-                    ctx = ctx_of[key] = depth
-                if trace:
-                    self._trace("recv", to, event.frm, kind.name, msg.source, msg.h,
-                                size, depth)
-                automaton = automata[to]
-                actions = automaton.step(event)
-                if strategies and to in strategies:
-                    actions = strategies[to].transform(self, to, automaton,
-                                                       expand(actions, self.n))
-                if actions:
-                    self._apply(to, actions, ctx, msg, size)
-            elif type(item) is _Bcast:
-                self._process_bcast(item)
-            else:
-                self._emit(item.frm, (item.to,), item.msg, item.depth,
-                           forced_delay=item.delay)
+        try:
+            while queue and (until is None or queue[0][0] <= until):
+                time, _, item = heappop(queue)
+                self.time = time
+                if steps == max_steps:
+                    raise StepCapExceeded(f"exceeded {self.max_steps} events")
+                steps += 1
+                if type(item) is tuple:
+                    to, event, size, depth = item
+                    msg = event.msg
+                    kind = msg.kind
+                    recv_count[to][kind] += 1
+                    recv_bytes[to][kind] += size
+                    key = (to, msg.source, msg.h)
+                    ctx = ctx_of.get(key, 0)
+                    if depth > ctx:
+                        ctx = ctx_of[key] = depth
+                    if trace:
+                        self._trace("recv", to, event.frm, kind.name, msg.source, msg.h,
+                                    size, depth)
+                    automaton = automata[to]
+                    actions = automaton.step(event)
+                    if strategies and to in strategies:
+                        actions = strategies[to].transform(self, to, automaton,
+                                                           expand(actions, self.n))
+                    if actions:
+                        self._apply(to, actions, ctx, msg, size)
+                elif type(item) is _Bcast:
+                    self._process_bcast(item)
+                else:
+                    self._emit(item.frm, (item.to,), item.msg, item.depth,
+                               forced_delay=item.delay)
+        finally:
+            stats.events_processed += steps
         if until is not None and until > self.time:
             self.time = until
         return stats
@@ -478,9 +514,9 @@ class SimWorld:
         kind = msg.kind
         stats = self.stats
         copies = len(recipients)
-        stats.sent_count[frm][kind] += copies
-        stats.sent_bytes[frm][kind] += copies * size
-        if kind is MsgKind.ACC:
+        stats._sent_count[frm][kind] += copies
+        stats._sent_bytes[frm][kind] += copies * size
+        if kind is _ACC:
             digest = msg.digest if msg.digest is not None \
                 else hashing.digest(msg.payload or b"")
             stats.vouch(msg.source, msg.h, frm, digest)

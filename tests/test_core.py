@@ -1,4 +1,6 @@
 """Envelope format and per-node state bookkeeping."""
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,6 +49,41 @@ def test_every_legal_kind_variant_combination_round_trips():
             assert decode_envelope(buf) == msg
             covered += 1
     assert covered == sum(len(v) for v in KIND_VARIANTS.values())
+
+
+def test_envelope_size_is_the_encoded_length_or_a_rejection():
+    # Sized from which fields are set, without building the bytes: it must
+    # match the encoding for every shape a kind admits, empty payloads and
+    # zero-width shards included, and reject every field set that names no
+    # body variant.
+    narrow = CodedElement(index=1, data=b"", claimed_len=0)
+    bodies = {
+        BodyVariant.PAYLOAD: [dict(payload=b""), dict(payload=b"some payload")],
+        BodyVariant.DIGEST: [dict(digest=DIGEST)],
+        BodyVariant.ELEMENT: [dict(element=ELEMENT), dict(element=narrow)],
+        BodyVariant.DIGEST_ELEMENT: [dict(digest=DIGEST, element=ELEMENT),
+                                     dict(digest=DIGEST, element=narrow)],
+    }
+    for kind, variants in KIND_VARIANTS.items():
+        for variant in variants:
+            for fields in bodies[variant]:
+                msg = WireMessage(kind, 2, 7, **fields)
+                assert envelope_size(msg) == len(encode_envelope(msg)), (kind, fields)
+    rejected = []
+    for has in itertools.product((False, True), repeat=3):
+        fields = {name: value for name, value, on in zip(
+            ("payload", "digest", "element"), (b"x", DIGEST, ELEMENT), has) if on}
+        for kind in MsgKind:
+            msg = WireMessage(kind, 2, 7, **fields)
+            try:
+                msg.variant()
+            except MalformedEnvelope:
+                with pytest.raises(MalformedEnvelope):
+                    envelope_size(msg)
+                rejected.append(has)
+    # none set, payload+digest, payload+element, and all three
+    assert sorted(set(rejected)) == [(False, False, False), (True, False, True),
+                                     (True, True, False), (True, True, True)]
 
 
 def test_illegal_kind_variant_combinations_are_rejected():

@@ -1,4 +1,5 @@
 """Broadcast automata: config validation, quorum walkthroughs, wave counts."""
+import sys
 from collections import deque
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import stretch_link
 from rblab import hashing
-from rblab.adversary import build_world
+from rblab.adversary import CorruptRelay, build_world
 from rblab.codec import CodedElement, CodeParams, encode
 from rblab.core import (
     HEADER_SIZE,
@@ -34,6 +35,7 @@ from rblab.protocols import (
     ecbrb,
     make_automaton,
 )
+from rblab.protocols.base import Automaton
 from rblab.protocols.bracha import Bracha
 from rblab.protocols.crb import CrbFlood, EcCrb
 from rblab.protocols.ecbrb import EcBrb3f1, EcBrb4f1
@@ -755,3 +757,93 @@ def test_byzantine_inputs_never_raise_and_repeats_are_ignored(kind):
                 assert again == [], (frm, msg)
 
     run()
+
+
+# -- one record lookup per receive ---------------------------------------------
+
+FETCHING_KINDS = {ProtocolKind.H_BRB_3F1, ProtocolKind.H_BRB_5F1,
+                  ProtocolKind.EC_BRB_3F1, ProtocolKind.EC_BRB_4F1}
+
+
+class _CountingGets(dict):
+    """An instance table that counts its ``get`` calls."""
+
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+
+def _handlers_reached_only_through_step(monkeypatch, cls, called):
+    """Make every handler of ``cls`` record its calls in ``called`` and
+    fail unless ``Automaton.step`` made the call; a call by attribute name
+    bypasses ``step``'s table and fails too."""
+    step_code = Automaton.step.__code__
+    table = {}
+    for kind, handler in cls._handler_of.items():
+        def through_step(self, *args, _handler=handler, _kind=kind):
+            assert sys._getframe(1).f_code is step_code, f"{_kind.name} handler called directly"
+            called.add((cls.__name__, _kind.name))
+            return _handler(self, *args)
+        table[kind] = through_step
+
+        def direct(self, *args, _kind=kind):
+            raise AssertionError(f"{cls.__name__} called its {_kind.name} handler by name")
+        monkeypatch.setattr(cls, Automaton._HANDLERS[kind], direct)
+    monkeypatch.setattr(cls, "_handler_of", table)
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind), ids=lambda kind: kind.value)
+def test_a_receive_looks_its_record_up_once(kind, monkeypatch):
+    n = max(5, RESILIENCE[kind] + 1)
+    world = build_world(kind, n, 1, seed=3, net=NetParams(base_delay=1.0, jitter=0.5))
+    relay = n - 1
+    if kind in BYZANTINE_KINDS:
+        world.attach_adversary(relay, CorruptRelay(seed=3))
+
+    def slow_into_node_1(src, dst, msg):
+        # Node 1 hears the source and every honest ECHO late, so the
+        # protocols that fetch must fetch the payload there (ec-brb-3f1
+        # decodes any two honest ECHOs, so it fetches only past a corrupt
+        # relay's).
+        if dst != 1 or src == dst:
+            return None
+        if src == 0:
+            return 250.0
+        return 100.0 if msg.kind is MsgKind.ECHO and src != relay else None
+    world.delay_policy = slow_into_node_1
+    called: set = set()
+    classes = {type(world.automata[0])}
+    if kind is ProtocolKind.EC_BRB_4F1:
+        classes.add(type(world.automata[0].inner))
+    for cls in classes:
+        _handlers_reached_only_through_step(monkeypatch, cls, called)
+    receives = []
+    for node in world.automata:
+        node.instances = table = _CountingGets(node.instances)
+
+        def step(event, real=node.step, table=table):
+            before = table.gets
+            actions = real(event)
+            if isinstance(event, Receive):
+                receives.append(table.gets - before)
+            return actions
+        node.step = step
+    for h in range(1, 9):
+        world.broadcast(h % n, bytes([h]) * 200, h, at=0.5 * h)
+    world.run()
+    assert check_broadcast_properties(world) == []
+    assert len(receives) == world.stats.total_recv_count()
+    assert max(receives) == 1
+    # The run reached the handlers of the kinds the protocol acts on.
+    reached = {name for cls, name in called if cls == type(world.automata[0]).__name__}
+    expected = {"MSG", "ECHO"} if kind is not ProtocolKind.CRB_FLOOD else {"MSG"}
+    if kind not in (ProtocolKind.CRB_FLOOD, ProtocolKind.H_BRB_5F1):
+        expected.add("ACC")
+    if kind in FETCHING_KINDS:
+        expected |= {"REQ", "FWD"}
+    if kind is ProtocolKind.EC_BRB_4F1:
+        expected.add("HASH_RB")
+        assert {("Bracha", "MSG"), ("Bracha", "ECHO"), ("Bracha", "ACC")} <= called
+    assert expected <= reached

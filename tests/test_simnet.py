@@ -3,6 +3,7 @@ import gc
 import hashlib
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,82 @@ def test_step_cap_guards_runaway_runs():
     world.broadcast(0, b"too many", 1)
     with pytest.raises(StepCapExceeded):
         world.run()
+
+
+def _tallied_world(faulty: bool, max_steps: int = 1_000_000):
+    world = build_world(ProtocolKind.EC_BRB_3F1, 7, 2, seed=11, record_trace=True,
+                        net=NetParams(base_delay=1.0, jitter=0.5), max_steps=max_steps)
+    if faulty:
+        world.attach_adversary(6, CorruptRelay(seed=11))
+    rng = random.Random(11)
+    for h in range(1, 5):
+        world.broadcast(h % 3, rng.randbytes(300), h, at=0.4 * h)
+    return world
+
+
+def _drain_in_slices(world, width: float = 0.7) -> None:
+    until = 0.0
+    while not world.quiescent():
+        until += width
+        world.run(until=until)
+
+
+def _trace_tallies(world, by: str):
+    """Per node, kind -> (rows, bytes) of the trace's recv rows, grouped by
+    the receiving node (``by="node"``) or the sender (``by="frm"``)."""
+    count = [Counter() for _ in range(world.n)]
+    size = [Counter() for _ in range(world.n)]
+    for row in world.trace:
+        if row.event == "recv":
+            node = getattr(row, by)
+            count[node][MsgKind[row.kind]] += 1
+            size[node][MsgKind[row.kind]] += row.size
+    return count, size
+
+
+@pytest.mark.parametrize("sliced", [False, True], ids=["straight", "sliced"])
+@pytest.mark.parametrize("faulty", [False, True], ids=["honest", "corrupt-relay"])
+def test_tallies_and_event_count_match_the_trace(faulty, sliced):
+    world = _tallied_world(faulty)
+    if sliced:
+        _drain_in_slices(world)
+    else:
+        world.run()
+    assert world.quiescent()
+    stats = world.stats
+    recv_count, recv_bytes = _trace_tallies(world, "node")
+    assert stats.recv_count == recv_count and stats.recv_bytes == recv_bytes
+    # Quiescent: every copy sent was received, so the senders' side matches too.
+    sent_count, sent_bytes = _trace_tallies(world, "frm")
+    assert stats.sent_count == sent_count and stats.sent_bytes == sent_bytes
+    assert sum(map(len, recv_count)) > 7  # several kinds at several nodes
+    # An event is a receive or a broadcast; each leaves one trace row.
+    assert stats.events_processed == sum(row.event in ("recv", "bcast")
+                                         for row in world.trace)
+    views = (stats.sent_count, stats.sent_bytes, stats.recv_count, stats.recv_bytes)
+    for view in views:
+        assert all(type(kind) is MsgKind and value > 0
+                   for counter in view for kind, value in counter.items())
+    for view in views:
+        view[0][MsgKind.MSG] += 100
+        view[1][MsgKind.HASH_RB] = 0
+    assert (stats.sent_count, stats.sent_bytes, stats.recv_count, stats.recv_bytes) \
+        == (sent_count, sent_bytes, recv_count, recv_bytes)
+
+
+@pytest.mark.parametrize("faulty", [False, True], ids=["honest", "corrupt-relay"])
+def test_a_tripped_step_cap_counts_the_events_processed(faulty):
+    world = _tallied_world(faulty, max_steps=60)
+    world.run(until=1.0)
+    before = world.stats.events_processed
+    assert 0 < before < 60
+    with pytest.raises(StepCapExceeded):
+        world.run()
+    # The cap holds per run call; the event that tripped it is not processed.
+    assert world.stats.events_processed == before + 60
+    assert sum(row.event in ("recv", "bcast") for row in world.trace) == before + 60
+    recv_count, _ = _trace_tallies(world, "node")
+    assert world.stats.recv_count == recv_count
 
 
 class _CollectionWatch:
