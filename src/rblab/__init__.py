@@ -20,7 +20,6 @@ from .adversary import (
     build_witness_world,
     build_world,
     corrupt_element,
-    naive_witness_step,
     phase_of,
     run_scenario,
     script_exec1,
@@ -88,7 +87,7 @@ __all__ = [
     "causal_depth", "check_acc_consistency", "check_broadcast_properties",
     "corrupt_element", "decode_correcting", "decode_envelope",
     "decode_erasure", "encode", "encode_envelope", "envelope_size", "expand",
-    "make_automaton", "naive_witness_step", "phase_of", "run",
+    "make_automaton", "phase_of", "run",
     "run_scenario", "script_exec1", "script_exec2", "script_helper4",
     "Silent", "__version__",
 ]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import hashing
 from .codec import CodedElement
@@ -187,58 +187,8 @@ class WitnessProtocolConfig:
                 f"deliver_threshold {self.deliver_threshold} outside [1, {self.n}]")
 
 
-@dataclass
-class WitnessState:
-    node: NodeId
-    supporters: dict = field(default_factory=dict)   # (s, h, m) -> set of senders
-    witnessed: dict = field(default_factory=dict)    # (s, h) -> set of m
-    delivered: set = field(default_factory=set)
-
-
-def _witness_wave(state: WitnessState, config: WitnessProtocolConfig,
-                  s: NodeId, h: SeqIndex, m: Payload) -> list[Action]:
-    done = state.witnessed.setdefault((s, h), set())
-    if config.allow_double_witness:
-        if m in done:
-            return []
-    elif done:
-        return []
-    done.add(m)
-    return [Multicast(WireMessage(MsgKind.ECHO, s, h, payload=m))]
-
-
-def naive_witness_step(state: WitnessState, event: Event,
-                       config: WitnessProtocolConfig) -> list[Action]:
-    """One step of the strawman witness protocol (see module docstring)."""
-    if isinstance(event, BroadcastRequest):
-        return [Multicast(WireMessage(MsgKind.MSG, state.node, event.h, payload=event.payload))]
-    if not isinstance(event, Receive):
-        raise TypeError(f"unknown event {event!r}")
-    msg = event.msg
-    if msg.payload is None:
-        return []
-    s, h, m = msg.source, msg.h, msg.payload
-    if msg.kind is MsgKind.MSG:
-        if event.frm != s:
-            return []
-        return _witness_wave(state, config, s, h, m)
-    if msg.kind is not MsgKind.ECHO:
-        return []
-    senders = state.supporters.setdefault((s, h, m), set())
-    if event.frm in senders:
-        return []
-    senders.add(event.frm)
-    actions: list[Action] = []
-    if len(senders) >= config.f + 1:
-        actions += _witness_wave(state, config, s, h, m)
-    if len(senders) >= config.deliver_threshold and (s, h) not in state.delivered:
-        state.delivered.add((s, h))
-        actions.append(Deliver(s, m, h))
-    return actions
-
-
 class WitnessAutomaton:
-    """Automaton wrapper so the strawman runs inside a SimWorld."""
+    """One node of the strawman witness protocol (see the module docstring)."""
 
     def __init__(self, config: WitnessProtocolConfig, node: NodeId):
         config.validate()
@@ -246,17 +196,51 @@ class WitnessAutomaton:
         self.n = config.n
         self.f = config.f
         self.me = node
-        self.state = WitnessState(node)
+        self.supporters: dict[tuple[NodeId, SeqIndex, Payload], set[NodeId]] = {}
+        self.witnessed: dict[tuple[NodeId, SeqIndex], set[Payload]] = {}
+        self.delivered: set[tuple[NodeId, SeqIndex]] = set()
 
     def step(self, event: Event) -> list[Action]:
-        return naive_witness_step(self.state, event, self.config)
+        if isinstance(event, BroadcastRequest):
+            return self.source_sends(event.payload, event.h)
+        if not isinstance(event, Receive):
+            raise TypeError(f"unknown event {event!r}")
+        msg = event.msg
+        if msg.payload is None:
+            return []
+        s, h, m = msg.source, msg.h, msg.payload
+        if msg.kind is MsgKind.MSG:
+            if event.frm != s:
+                return []
+            return self._witness(s, h, m)
+        if msg.kind is not MsgKind.ECHO:
+            return []
+        senders = self.supporters.setdefault((s, h, m), set())
+        if event.frm in senders:
+            return []
+        senders.add(event.frm)
+        actions: list[Action] = []
+        if len(senders) >= self.f + 1:
+            actions += self._witness(s, h, m)
+        if len(senders) >= self.config.deliver_threshold and (s, h) not in self.delivered:
+            self.delivered.add((s, h))
+            actions.append(Deliver(s, m, h))
+        return actions
+
+    def _witness(self, s: NodeId, h: SeqIndex, m: Payload) -> list[Action]:
+        # One value per broadcast, or each value once under double witnessing.
+        done = self.witnessed.setdefault((s, h), set())
+        if (m in done) if self.config.allow_double_witness else done:
+            return []
+        done.add(m)
+        return [Multicast(WireMessage(MsgKind.ECHO, s, h, payload=m))]
 
     def source_sends(self, payload: Payload, h: SeqIndex) -> list[Action]:
         return [Multicast(WireMessage(MsgKind.MSG, self.me, h, payload=payload))]
 
     def witness_counts(self, s: NodeId, h: SeqIndex) -> dict[Payload, int]:
         return {m: len(senders) for (ss, hh, m), senders
-                in self.state.supporters.items() if (ss, hh) == (s, h)}
+                in self.supporters.items() if (ss, hh) == (s, h)}
 
 
 def build_witness_world(f: int, deliver_threshold: int, *,

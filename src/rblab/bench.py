@@ -1,19 +1,15 @@
 """Benchmark harness: INI experiment configs, a CLI, and CSV reports.
 
 An experiment config is an INI file with up to five flat sections:
-
-    [protocol]   kind, n, f, k
-    [network]    topology, depth, fanout, base_delay, jitter,
-                 bandwidth_mbit, source_bandwidth_kbytes
-    [workload]   source, broadcasts, payload_size, gap, seed
-    [adversary]  strategy, nodes, count, crash_after
-    [output]     csv, trace
-
-Unknown sections or keys are rejected. ``load_config`` raises ParseError
-for malformed files and ValidationError (naming the violated bound) for
-semantically impossible ones. ``run_experiment`` executes one config and
-returns a flat report row; ``run_matrix`` runs many and sorts the rows.
-The ``rblab`` entry point exposes run / matrix / scenario / trace.
+[protocol], [network], [workload], [adversary] and [output]. ``_SCHEMA``
+declares each section's keys once, each with the ``ExperimentConfig`` field
+it sets and the parser of its value; a key left out takes the field's
+default (docs/configuration.md documents them). Unknown sections or keys
+are rejected. ``load_config`` raises ParseError for malformed files and
+ValidationError (naming the violated bound) for semantically impossible
+ones. ``run_experiment`` executes one config and returns a flat report row;
+``run_matrix`` runs many and sorts the rows. The ``rblab`` entry point
+exposes run / matrix / scenario / trace.
 """
 from __future__ import annotations
 
@@ -65,15 +61,6 @@ REPORT_COLUMNS = (
     "msgs_msg", "msgs_echo", "msgs_acc", "msgs_req", "msgs_fwd",
     "msgs_hash_rb", "depth", "error",
 )
-
-_SECTION_KEYS = {
-    "protocol": {"kind", "n", "f", "k"},
-    "network": {"topology", "depth", "fanout", "base_delay", "jitter",
-                "bandwidth_mbit", "source_bandwidth_kbytes"},
-    "workload": {"source", "broadcasts", "payload_size", "gap", "seed"},
-    "adversary": {"strategy", "nodes", "count", "crash_after"},
-    "output": {"csv", "trace"},
-}
 
 STRATEGIES = ("none", "silent", "crash", "equivocate", "corrupt-relay")
 
@@ -163,20 +150,40 @@ class ExperimentConfig:
         return picks
 
 
-def _typed(parser: configparser.ConfigParser, section: str, key: str, conv,
-           default):
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key)
-    try:
-        return conv(raw)
-    except ValueError:
-        raise ParseError(
-            f"[{section}] {key} = {raw!r} is not a valid {conv.__name__}") from None
-
-
 def _node_list(raw: str) -> tuple[int, ...]:
     return tuple(int(part) for part in raw.split(",") if part.strip())
+
+
+def _choice(enum, what: str):
+    """A parser of ``enum``'s values that names the choices when it fails."""
+    def parse(raw: str):
+        try:
+            return enum(raw)
+        except ValueError:
+            choices = ", ".join(member.value for member in enum)
+            raise ValidationError(
+                f"unknown {what} {raw!r}; choices: {choices}") from None
+    return parse
+
+
+# [section] -> key -> (ExperimentConfig field, parser of the raw value).
+# A key left out takes the field's default.
+_SCHEMA = {
+    "protocol": {"kind": ("kind", _choice(ProtocolKind, "protocol kind")),
+                 "n": ("n", int), "f": ("f", int), "k": ("k", int)},
+    "network": {"topology": ("topology", _choice(TopologyKind, "topology")),
+                "depth": ("depth", int), "fanout": ("fanout", int),
+                "base_delay": ("base_delay", float), "jitter": ("jitter", float),
+                "bandwidth_mbit": ("bandwidth_mbit", float),
+                "source_bandwidth_kbytes": ("source_bandwidth_kbytes", float)},
+    "workload": {"source": ("source", int), "broadcasts": ("broadcasts", int),
+                 "payload_size": ("payload_size", int), "gap": ("gap", float),
+                 "seed": ("seed", int)},
+    "adversary": {"strategy": ("strategy", str),
+                  "nodes": ("adversary_nodes", _node_list),
+                  "count": ("count", int), "crash_after": ("crash_after", int)},
+    "output": {"csv": ("csv_path", str), "trace": ("trace_path", str)},
+}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -189,53 +196,28 @@ def load_config(path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ParseError(str(exc)) from None
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        if section not in _SCHEMA:
             raise ParseError(f"unknown section [{section}]")
         for key in parser[section]:
-            if key not in _SECTION_KEYS[section]:
+            if key not in _SCHEMA[section]:
                 raise ParseError(f"unknown key {key!r} in [{section}]")
     for key in ("kind", "n", "f"):
         if not parser.has_option("protocol", key):
             raise ParseError(f"[protocol] is missing required key {key!r}")
-    kind_raw = parser.get("protocol", "kind")
-    try:
-        kind = ProtocolKind(kind_raw)
-    except ValueError:
-        choices = ", ".join(k.value for k in ProtocolKind)
-        raise ValidationError(
-            f"unknown protocol kind {kind_raw!r}; choices: {choices}") from None
-    topo_raw = parser.get("network", "topology", fallback="single-switch")
-    try:
-        topology = TopologyKind(topo_raw)
-    except ValueError:
-        choices = ", ".join(t.value for t in TopologyKind)
-        raise ValidationError(
-            f"unknown topology {topo_raw!r}; choices: {choices}") from None
-    config = ExperimentConfig(
-        kind=kind,
-        n=_typed(parser, "protocol", "n", int, None),
-        f=_typed(parser, "protocol", "f", int, None),
-        k=_typed(parser, "protocol", "k", int, None),
-        topology=topology,
-        depth=_typed(parser, "network", "depth", int, 3),
-        fanout=_typed(parser, "network", "fanout", int, 2),
-        base_delay=_typed(parser, "network", "base_delay", float, 0.1),
-        jitter=_typed(parser, "network", "jitter", float, 0.0),
-        bandwidth_mbit=_typed(parser, "network", "bandwidth_mbit", float, None),
-        source_bandwidth_kbytes=_typed(parser, "network",
-                                       "source_bandwidth_kbytes", float, None),
-        source=_typed(parser, "workload", "source", int, 0),
-        broadcasts=_typed(parser, "workload", "broadcasts", int, 1),
-        payload_size=_typed(parser, "workload", "payload_size", int, 1024),
-        gap=_typed(parser, "workload", "gap", float, 0.0),
-        seed=_typed(parser, "workload", "seed", int, 0),
-        strategy=parser.get("adversary", "strategy", fallback="none"),
-        adversary_nodes=_typed(parser, "adversary", "nodes", _node_list, None),
-        count=_typed(parser, "adversary", "count", int, 1),
-        crash_after=_typed(parser, "adversary", "crash_after", int, 0),
-        csv_path=parser.get("output", "csv", fallback=None),
-        trace_path=parser.get("output", "trace", fallback=None),
-    )
+    values = {}
+    for section, keys in _SCHEMA.items():
+        for key, (name, parse) in keys.items():
+            if not parser.has_option(section, key):
+                continue
+            raw = parser.get(section, key)
+            try:
+                values[name] = parse(raw)
+            except ValidationError:
+                raise
+            except ValueError:
+                raise ParseError(f"[{section}] {key} = {raw!r} is not a valid "
+                                 f"{parse.__name__}") from None
+    config = ExperimentConfig(**values)
     config.validate()
     return config
 

@@ -42,11 +42,6 @@ RESILIENCE: dict[ProtocolKind, int] = {
     ProtocolKind.EC_BRB_4F1: 4,
 }
 
-BYZANTINE_KINDS = frozenset({
-    ProtocolKind.BRACHA, ProtocolKind.H_BRB_3F1, ProtocolKind.H_BRB_5F1,
-    ProtocolKind.EC_BRB_3F1, ProtocolKind.EC_BRB_4F1,
-})
-
 CODED_KINDS = frozenset({
     ProtocolKind.EC_CRB, ProtocolKind.EC_BRB_3F1, ProtocolKind.EC_BRB_4F1,
 })

@@ -70,16 +70,6 @@ class Automaton:
         self.f_plus_1 = self.f + 1
         self.n_minus_f = self.n - self.f
 
-    def instance(self, s: NodeId, h: SeqIndex) -> Instance:
-        """The record of instance (s, h), created on first use, for callers
-        outside ``step``. ``step`` looks the record up once and hands it to
-        the handler, which creates one only where it got none; no handler
-        but ``on_req`` runs for a closed one."""
-        rec = self.instances.get((s, h))
-        if rec is None:
-            rec = self.instances[(s, h)] = Instance()
-        return rec
-
     def digest_of(self, payload: Payload) -> Digest:
         """The digest of ``payload``, uncached: handlers hash only payloads
         new to their instance. A method so that perfbench's

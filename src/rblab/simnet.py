@@ -28,12 +28,11 @@ counts its n copies, records an ACC's digest and builds the one ``Receive``
 event its copies share, then does only link work per copy, for recipients
 0..n-1 in order. A run of consecutive unicast ``Send``s of one message
 object takes the same loop with their recipients, and an injected message
-with one recipient. A message sent on as the very object a node just
-received (crb-flood's reflood) keeps the size its receive event carries. A
-queued copy is a ``(to, event, size, depth)`` tuple, and per-link state
-(``hops * base_delay``, when the link's transmitter frees up, and its
-latest scheduled arrival) lives in n x n lists built with the world. A
-faulty node's strategy sees its actions expanded to one Send per recipient.
+with one recipient. A queued copy is a ``(to, event, size, depth)`` tuple,
+and per-link state (``hops * base_delay``, when the link's transmitter
+frees up, and its latest scheduled arrival) lives in n x n lists built with
+the world. A faulty node's strategy sees its actions expanded to one Send
+per recipient.
 
 A finished world is freed by reference counting the moment it is dropped,
 so a process that runs world after world frees a few MiB at a time. glibc
@@ -115,7 +114,8 @@ _keep_freed_heap()
 
 
 class StepCapExceeded(RuntimeError):
-    """The event cap tripped; the run is likely not quiescing."""
+    """The event cap tripped; the run is likely not quiescing. The next
+    event stays queued, so a later ``run`` resumes the same world."""
 
 
 class FaultBudgetExceeded(ValueError):
@@ -419,10 +419,10 @@ class SimWorld:
         steps = 0
         try:
             while queue and (until is None or queue[0][0] <= until):
-                time, _, item = heappop(queue)
-                self.time = time
                 if steps == max_steps:
                     raise StepCapExceeded(f"exceeded {self.max_steps} events")
+                time, _, item = heappop(queue)
+                self.time = time
                 steps += 1
                 if type(item) is tuple:
                     to, event, size, depth = item
@@ -443,7 +443,7 @@ class SimWorld:
                         actions = strategies[to].transform(self, to, automaton,
                                                            expand(actions, self.n))
                     if actions:
-                        self._apply(to, actions, ctx, msg, size)
+                        self._apply(to, actions, ctx)
                 elif type(item) is _Bcast:
                     self._process_bcast(item)
                 else:
@@ -469,10 +469,8 @@ class SimWorld:
         self._trace("bcast", node, node, "-", node, h, 0, 0)
         self._apply(node, actions, ctx=0)
 
-    def _apply(self, node: NodeId, actions: list[Action], ctx: int,
-               received: WireMessage | None = None, received_size: int = 0) -> None:
-        """Carry out ``node``'s actions; ``received`` is the message it just
-        took, of envelope size ``received_size``."""
+    def _apply(self, node: NodeId, actions: list[Action], ctx: int) -> None:
+        """Carry out ``node``'s actions."""
         emit, depth = self._emit, ctx + 1
         # Consecutive Sends of one message object (a faulty node's expanded
         # multicast) are emitted together, so the message is sized once.
@@ -482,15 +480,15 @@ class SimWorld:
             if cls is Send:
                 if action.msg is not run_msg:
                     if run_to:
-                        emit(node, run_to, run_msg, depth, None, received, received_size)
+                        emit(node, run_to, run_msg, depth)
                     run_msg, run_to = action.msg, []
                 run_to.append(action.to)
                 continue
             if run_to:
-                emit(node, run_to, run_msg, depth, None, received, received_size)
+                emit(node, run_to, run_msg, depth)
                 run_msg, run_to = None, []
             if cls is Multicast:
-                emit(node, range(self.n), action.msg, depth, None, received, received_size)
+                emit(node, range(self.n), action.msg, depth)
             elif cls is Deliver:
                 key = (node, action.source, action.h)
                 if key in self.stats.delivers:
@@ -500,17 +498,15 @@ class SimWorld:
                 self._trace("deliver", node, node, "-", action.source, action.h,
                             len(action.payload), ctx)
         if run_to:
-            emit(node, run_to, run_msg, depth, None, received, received_size)
+            emit(node, run_to, run_msg, depth)
 
     def _emit(self, frm: NodeId, recipients, msg: WireMessage, depth: int,
-              forced_delay: float | None = None, sized: WireMessage | None = None,
-              size: int = 0) -> None:
+              forced_delay: float | None = None) -> None:
         """Send ``msg`` from ``frm`` to each of ``recipients`` in order:
         message bookkeeping once, link work and a queued copy per recipient.
-        ``size`` is the envelope size of ``sized``, so a message sent on as
-        the very object received (a crb-flood reflood) is not sized again."""
-        if msg is not sized:
-            size = envelope_size(msg)
+        The message is sized through this module's ``envelope_size``, which
+        perfbench patches by name."""
+        size = envelope_size(msg)
         kind = msg.kind
         stats = self.stats
         copies = len(recipients)

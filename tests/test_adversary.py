@@ -14,11 +14,9 @@ from rblab.adversary import (
     UnknownScenario,
     WitnessAutomaton,
     WitnessProtocolConfig,
-    WitnessState,
     build_witness_world,
     build_world,
     corrupt_element,
-    naive_witness_step,
     phase_of,
     run_scenario,
     script_exec1,
@@ -61,60 +59,60 @@ def test_witness_config_bounds():
 
 def test_witness_source_and_direct_witness():
     cfg = _wcfg(3)
-    state = WitnessState(node=0)
-    acts = naive_witness_step(state, BroadcastRequest(b"m", 1), cfg)
+    node = WitnessAutomaton(cfg, 0)
+    acts = node.step(BroadcastRequest(b"m", 1))
     assert [type(a) for a in acts] == [Multicast]  # one action per wave
     wave = expand(acts, cfg.n)
     assert [a.to for a in wave] == [0, 1, 2, 3, 4]
     assert all(a.msg.kind is MsgKind.MSG for a in wave)
     # Direct witness: MSG from its claimed source triggers a witness wave.
     msg = WireMessage(MsgKind.MSG, 2, 1, payload=b"v")
-    wave = expand(naive_witness_step(state, Receive(2, msg), cfg), cfg.n)
+    wave = expand(node.step(Receive(2, msg)), cfg.n)
     assert all(a.msg.kind is MsgKind.ECHO and a.msg.payload == b"v" for a in wave)
     assert len(wave) == 5
     # A relayed MSG (sender is not the source) is not trusted.
-    assert naive_witness_step(state, Receive(3, msg), cfg) == []
+    assert node.step(Receive(3, msg)) == []
     # Single-witness rule: a second value gets no wave.
     other = WireMessage(MsgKind.MSG, 2, 1, payload=b"w")
-    assert naive_witness_step(state, Receive(2, other), cfg) == []
+    assert node.step(Receive(2, other)) == []
 
 
 def test_witness_indirect_threshold_and_delivery():
     cfg = _wcfg(3)
-    state = WitnessState(node=0)
+    node = WitnessAutomaton(cfg, 0)
     wit = WireMessage(MsgKind.ECHO, 4, 1, payload=b"v")
-    assert naive_witness_step(state, Receive(1, wit), cfg) == []
-    assert naive_witness_step(state, Receive(1, wit), cfg) == []  # same sender
+    assert node.step(Receive(1, wit)) == []
+    assert node.step(Receive(1, wit)) == []  # same sender
     # f+1 distinct witnesses: witness indirectly.
-    acts = expand(naive_witness_step(state, Receive(2, wit), cfg), cfg.n)
+    acts = expand(node.step(Receive(2, wit)), cfg.n)
     assert len(acts) == 5 and all(isinstance(a, Send) for a in acts)
-    acts = naive_witness_step(state, Receive(3, wit), cfg)
+    acts = node.step(Receive(3, wit))
     assert acts == [Deliver(4, b"v", 1)]
     # (source, index) delivers only once, whatever arrives later.
-    assert naive_witness_step(state, Receive(0, wit), cfg) == []
+    assert node.step(Receive(0, wit)) == []
 
 
 def test_double_witness_toggle():
-    plain = WitnessState(node=0)
     cfg_off = _wcfg(5)
+    plain = WitnessAutomaton(cfg_off, 0)
     wit1 = WireMessage(MsgKind.ECHO, 4, 1, payload=b"v1")
     wit2 = WireMessage(MsgKind.ECHO, 4, 1, payload=b"v2")
     for frm in (1, 2):
-        naive_witness_step(plain, Receive(frm, wit1), cfg_off)
+        plain.step(Receive(frm, wit1))
     # Already witnessed v1: v2 support counts but triggers no second wave.
     for frm in (1, 2):
-        assert naive_witness_step(plain, Receive(frm, wit2), cfg_off) == []
+        assert plain.step(Receive(frm, wit2)) == []
 
     cfg_on = _wcfg(5, double=True)
-    eager = WitnessState(node=0)
+    eager = WitnessAutomaton(cfg_on, 0)
     for frm in (1, 2):
-        naive_witness_step(eager, Receive(frm, wit1), cfg_on)
-    acts = naive_witness_step(eager, Receive(1, wit2), cfg_on)
+        eager.step(Receive(frm, wit1))
+    acts = eager.step(Receive(1, wit2))
     assert acts == []
-    acts = expand(naive_witness_step(eager, Receive(2, wit2), cfg_on), cfg_on.n)
+    acts = expand(eager.step(Receive(2, wit2)), cfg_on.n)
     assert len(acts) == 5  # second witness wave, for the second value
     # But each value is witnessed at most once.
-    assert naive_witness_step(eager, Receive(3, wit2), cfg_on) == []
+    assert eager.step(Receive(3, wit2)) == []
 
 
 def test_witness_automaton_counts():

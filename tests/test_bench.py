@@ -1,10 +1,14 @@
 """Experiment configs, report rows, CSV output, and the CLI."""
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from rblab.adversary import ScenarioResult
 from rblab.bench import (
+    _SCHEMA,
     REPORT_COLUMNS,
     ExperimentConfig,
     ParseError,
@@ -85,6 +89,40 @@ def test_parse_errors(tmp_path, text, needle):
 def test_missing_file_is_a_parse_error(tmp_path):
     with pytest.raises(ParseError):
         load_config(tmp_path / "absent.ini")
+
+
+DOCS = Path(__file__).resolve().parent.parent / "docs" / "configuration.md"
+# Default-column words for a key whose field has no default or a None one.
+NO_VALUE = {"required", "protocol-specific", "unlimited", "none", "auto"}
+
+
+def _documented_keys() -> dict[str, dict[str, str]]:
+    """Section -> key -> default column, from the reference's key tables."""
+    tables: dict[str, dict[str, str]] = {}
+    for line in DOCS.read_text(encoding="utf-8").splitlines():
+        heading = re.match(r"## `\[(\w+)\]`", line)
+        if heading:
+            rows = tables[heading.group(1)] = {}
+        elif line.startswith("| `"):
+            key, _, default = (cell.strip() for cell in line.split("|")[1:4])
+            rows[key.strip("`")] = default
+    return tables
+
+
+def test_the_configuration_reference_matches_the_schema():
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    tables = _documented_keys()
+    assert list(tables) == list(_SCHEMA)
+    for section, rows in tables.items():
+        assert list(rows) == list(_SCHEMA[section]), section
+        for key, documented in rows.items():
+            value = defaults[_SCHEMA[section][key][0]]
+            if documented in NO_VALUE:
+                assert value is dataclasses.MISSING or value is None, key
+            elif documented.startswith("`"):
+                assert getattr(value, "value", value) == documented.strip("`"), key
+            else:
+                assert type(value) in (int, float) and value == type(value)(documented), key
 
 
 @pytest.mark.parametrize("text,needle", [

@@ -16,6 +16,7 @@ from rblab.core import (
     BodyVariant,
     BroadcastRequest,
     Deliver,
+    Instance,
     MsgKind,
     Multicast,
     Receive,
@@ -26,7 +27,6 @@ from rblab.core import (
     expand,
 )
 from rblab.protocols import (
-    BYZANTINE_KINDS,
     RESILIENCE,
     BadCodeParams,
     ProtocolConfig,
@@ -43,12 +43,21 @@ from rblab.protocols.hbrb import HBrb3f1, HBrb5f1
 from rblab.simnet import NetParams, check_broadcast_properties
 
 
+# The protocols that tolerate Byzantine nodes: n >= 3f+1 or more.
+BYZANTINE_KINDS = frozenset(kind for kind, c in RESILIENCE.items() if c >= 3)
+
+
 def _auto(kind, n, f, node=0, k=None):
     return make_automaton(ProtocolConfig(kind, n, f, node, k=k))
 
 
 def _recv(automaton, frm, msg):
     return automaton.step(Receive(frm, msg))
+
+
+def _record(automaton, s, h):
+    """The record of instance (s, h), opened if the node has none."""
+    return automaton.instances.setdefault((s, h), Instance())
 
 
 def _sends(automaton, actions):
@@ -344,7 +353,7 @@ def _late_msg_actions(kind, n, echoers):
     for j in echoers:
         _recv(node, j, echo)
     actions = _recv(node, s, WireMessage(MsgKind.MSG, s, h, payload=m))
-    rec = node.instance(s, h)
+    rec = _record(node, s, h)
     names = ["deliver" if isinstance(a, Deliver) else a.msg.kind.name for a in actions]
     return names, rec
 
@@ -392,7 +401,7 @@ def test_threshold_table_where_quorums_differ(kind):
 
     def held_node():
         node = _auto(kind, n, f, node=0)
-        node.instance(s, h).hold(d, m)
+        _record(node, s, h).hold(d, m)
         return node
 
     def vote(vote_kind, j):
@@ -475,7 +484,7 @@ def test_misindexed_coded_element_is_not_held(kind):
     digest = d if kind is ProtocolKind.EC_BRB_3F1 else None
     forged = CodedElement(3, bytes(len(elements[2].data)), len(m))
     assert _recv(node, 1, WireMessage(MsgKind.ECHO, s, h, digest=digest, element=forged)) == []
-    rec = node.instance(s, h)
+    rec = _record(node, s, h)
     assert rec.echo_voted == 0 and rec.elements is None and not rec.candidates
     # Likewise a MSG whose element is not at this node's position.
     assert _recv(node, s, WireMessage(MsgKind.MSG, s, h, digest=digest, element=elements[1])) == []
@@ -522,12 +531,12 @@ def test_rejected_tunneled_envelopes_stay_rejected_on_every_copy():
         for frm in (4, 4, 2, 4):
             assert _recv(node, frm, WireMessage(MsgKind.HASH_RB, 4, 1, payload=envelope)) == []
     assert node.inner.instances == {}
-    assert len(node.instance(4, 1).tunneled) == 3
+    assert len(_record(node, 4, 1).tunneled) == 3
     # Distinct envelopes past the cap are still rejected, but not held.
     for i in range(2 * ecbrb._TUNNEL_MEMO_CAP):
         garbage = WireMessage(MsgKind.HASH_RB, 4, 1, payload=b"garbage %d" % i)
         assert _recv(node, 4, garbage) == [] and _recv(node, 4, garbage) == []
-    assert len(node.instance(4, 1).tunneled) == ecbrb._TUNNEL_MEMO_CAP
+    assert len(_record(node, 4, 1).tunneled) == ecbrb._TUNNEL_MEMO_CAP
     good = _tunneled(WireMessage(MsgKind.MSG, 4, 1, payload=d, instance="hash-rb"))
     assert len(_sends(node, _recv(node, 4, good))) == 5
     assert _recv(node, 4, good) == []          # the nested MSG counts once
@@ -577,7 +586,7 @@ def test_quorum_of_accepts_triggers_fetch_then_delivery():
     m, h = b"fetched after accept quorum", 1
     d = hashing.digest(m)
     # The nested broadcast has endorsed the digest.
-    node.instance(4, h).endorsed = d
+    _record(node, 4, h).endorsed = d
     acc = WireMessage(MsgKind.ACC, 4, h, digest=d)
     _recv(node, 1, acc)
     _recv(node, 2, acc)

@@ -245,6 +245,31 @@ def test_a_tripped_step_cap_counts_the_events_processed(faulty):
     assert world.stats.recv_count == recv_count
 
 
+def test_a_capped_world_resumes_as_if_never_capped():
+    def world_and_run(max_steps):
+        world = build_world(ProtocolKind.BRACHA, 4, 1, seed=4, record_trace=True,
+                            net=NetParams(base_delay=1.0, jitter=0.5), max_steps=max_steps)
+        world.broadcast(0, b"capped", 1)
+        world.broadcast(2, b"resumed", 1, at=0.3)
+        trips = 0
+        while True:
+            try:
+                world.run()
+                return world, trips
+            except StepCapExceeded:
+                trips += 1
+
+    uncapped, _ = world_and_run(1_000_000)
+    capped, trips = world_and_run(5)
+    # Every run call stops before the event that would exceed the cap.
+    assert trips == (uncapped.stats.events_processed - 1) // 5
+    assert capped.stats.events_processed == uncapped.stats.events_processed == 74
+    assert [row.as_tuple() for row in capped.trace] \
+        == [row.as_tuple() for row in uncapped.trace]
+    assert capped.stats.delivers == uncapped.stats.delivers
+    assert check_broadcast_properties(capped) == []
+
+
 class _CollectionWatch:
     """Counts collections the cyclic collector starts, and makes each step
     of every automaton in ``world`` allocate cyclic garbage, so that an
@@ -410,17 +435,16 @@ def test_each_sent_message_is_sized_and_hashed_once(monkeypatch):
     assert stats.acc_digests == {(0, 1): {i: {_sha256(payload)} for i in range(n)}}
 
 
-def test_a_reflood_keeps_the_size_of_the_message_it_sends_on(monkeypatch):
-    # crb-flood re-multicasts the very MSG object it received, so only the
-    # source's multicast is sized: 200 calls, where sizing each of the
-    # n = 5 refloods again made 1,200.
+def test_a_reflood_is_sized_once_per_multicast(monkeypatch):
+    # crb-flood re-multicasts the very MSG object it received: each of the
+    # n refloods is one emit, sized once like any other.
     config = bench.load_config(CONFIGS / "crb-flood-fat-tree-42mbit.ini")
     config.broadcasts = 200
     book = _Bookkeeping(monkeypatch)
     row, world = bench.run_experiment(config)
     assert row["error"] == "" and check_broadcast_properties(world) == []
     assert len(book.emits) == 200 * (1 + config.n)
-    assert len(book.sizers) <= 400
+    assert len(book.sizers) == len(book.emits)
 
 
 def test_acc_digests_survive_distinct_equal_and_corrupted_payloads(monkeypatch):
