@@ -125,6 +125,9 @@ class ExperimentConfig:
             raise ValidationError(
                 f"unknown strategy {self.strategy!r}; choices: {', '.join(STRATEGIES)}")
         if self.adversary_nodes is not None:
+            if not self.adversary_nodes:
+                raise ValidationError(
+                    "[adversary] nodes is empty; name at least one node or leave the key out")
             bad = [i for i in self.adversary_nodes if not 0 <= i < self.n]
             if bad:
                 raise ValidationError(f"adversary nodes {bad} outside [0, {self.n})")
@@ -184,6 +187,8 @@ _SCHEMA = {
                   "count": ("count", int), "crash_after": ("crash_after", int)},
     "output": {"csv": ("csv_path", str), "trace": ("trace_path", str)},
 }
+# Parse errors name a value's type as docs/configuration.md does.
+_TYPE_NAMES = {_node_list: "int list"}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -195,6 +200,9 @@ def load_config(path) -> ExperimentConfig:
         raise ParseError(f"{path}: {exc}") from None
     except configparser.Error as exc:
         raise ParseError(str(exc)) from None
+    if parser.defaults():
+        raise ParseError(f"[{parser.default_section}] is not supported; "
+                         "give each key in its own section")
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ParseError(f"unknown section [{section}]")
@@ -216,7 +224,7 @@ def load_config(path) -> ExperimentConfig:
                 raise
             except ValueError:
                 raise ParseError(f"[{section}] {key} = {raw!r} is not a valid "
-                                 f"{parse.__name__}") from None
+                                 f"{_TYPE_NAMES.get(parse, parse.__name__)}") from None
     config = ExperimentConfig(**values)
     config.validate()
     return config

@@ -20,9 +20,11 @@ and an XOR; one transpose at the end puts the r output rows in order.
 Decoding is systematic: shards that sit at data positions are copied, and
 only the decode-matrix rows of the missing data shards are multiplied.
 Decode matrices are Lagrange rows in closed form, gathered from the log/exp
-tables. ``decode_correcting`` (ec-brb-4f1) and ``SubsetDecoder``
-(ec-brb-3f1) share one error locator, ``_nearest_codeword``, which runs
-Gao's decoder only on dirty input.
+tables and cached per set of held positions. ``decode_correcting``
+(ec-brb-4f1) and ``SubsetDecoder`` (ec-brb-3f1) share one error locator,
+``_nearest_codeword``, which runs Gao's decoder only on dirty input. A clean
+round costs one product: the rows that rebuild the missing data shards and
+those that predict the other held shards are multiplied together.
 """
 from __future__ import annotations
 
@@ -194,23 +196,26 @@ def _lagrange(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.where(held.any(axis=1, keepdims=True), held, coeffs)
 
 
-@lru_cache(maxsize=64)
 def _generator_matrix(n: int, k: int) -> np.ndarray:
     """Rows 1..n of the systematic generator: row j maps data shards to the
     shard at position j. Rows 1..k are unit vectors."""
-    return _lagrange(np.arange(1, k + 1), np.arange(1, n + 1))
+    return _decode_matrix(n, k, tuple(range(1, k + 1)))
 
 
 @lru_cache(maxsize=4096)
 def _decode_matrix(n: int, k: int, positions: tuple[int, ...]) -> np.ndarray:
-    """Inverse of the generator rows at ``positions``; maps those shards
-    back to the data shards.
+    """The (n, k) map from the k shards held at ``positions`` to the whole
+    codeword: row j gives the shard at position j, so rows 1..k invert the
+    generator rows at ``positions``.
 
-    The code evaluates at the points 1..n, so row d of the inverse is the
-    Lagrange row of data point d over the held positions."""
+    The code evaluates at the points 1..n, so row j is the Lagrange row of
+    point j over the held positions. One cached array serves every caller,
+    whichever rows it needs, so it is read-only."""
     if len(positions) != k or min(positions) < 1 or max(positions) > n:
         raise InvalidParams(f"positions need k={k} points in [1, {n}]")
-    return _lagrange(np.array(positions, dtype=np.intp), np.arange(1, k + 1))
+    rows = _lagrange(np.array(positions, dtype=np.intp), np.arange(1, n + 1))
+    rows.flags.writeable = False
+    return rows
 
 
 def _data_shards(payload: bytes, k: int) -> np.ndarray:
@@ -257,22 +262,26 @@ def _check_shapes(elements, params: CodeParams, payload_len: int) -> int:
     return width
 
 
-def _systematic_decode(n: int, k: int, positions: tuple[int, ...],
-                       values: np.ndarray) -> np.ndarray:
-    """Data shards from the k shards ``values`` held at ascending ``positions``.
+def _systematic_decode(n: int, k: int, positions: tuple[int, ...], values: np.ndarray,
+                       extra: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """Data shards from the k shards ``values`` held at ascending
+    ``positions``, and the codeword's shards at the positions ``extra``.
 
-    Shards at data positions are copied; only the decode-matrix rows of the
-    data shards that are missing get multiplied."""
-    missing = [d for d in range(1, k + 1) if d not in positions]
+    Shards at data positions are copied; the missing data shards and the
+    extra ones come from one product of their decode-matrix rows."""
+    missing = tuple(d for d in range(1, k + 1) if d not in positions)
+    if not missing and not extra:
+        return values, values[:0]
+    rows = _decode_matrix(n, k, positions)[np.array(missing + extra) - 1]
+    product = gf_matmul(rows, values)
     if not missing:
-        return values
+        return values, product
     data = np.empty_like(values)
     for i, p in enumerate(positions):
         if p <= k:
             data[p - 1] = values[i]
-    rows = np.array(missing) - 1
-    data[rows] = gf_matmul(_decode_matrix(n, k, positions)[rows], values)
-    return data
+    data[np.array(missing) - 1] = product[:len(missing)]
+    return data, product[len(missing):]
 
 
 def decode_erasure(elements, params: CodeParams, payload_len: int) -> bytes:
@@ -288,7 +297,7 @@ def decode_erasure(elements, params: CodeParams, payload_len: int) -> bytes:
     if not width:
         return b""
     values = np.stack([np.frombuffer(e.data, dtype=np.uint8) for e in chosen])
-    data = _systematic_decode(params.n, params.k, tuple(e.index for e in chosen), values)
+    data, _ = _systematic_decode(params.n, params.k, tuple(e.index for e in chosen), values)
     return data.reshape(-1)[:payload_len].tobytes()
 
 
@@ -374,25 +383,22 @@ def _nearest_codeword(n: int, k: int, shards: dict[int, bytes],
     disagree; None if there is none.
 
     The radius is capped at the unique-decoding radius (P-k)/2, so the
-    answer is unique. A clean input passes the first check: decode the
-    first k positions, re-encode the rest and compare it with the held rest
-    byte for byte. Otherwise Gao's decoder runs
-    on one column that fails the check; a corrupt shard sits at the same
-    position in every column, so the roots of its error locator become
+    answer is unique. A clean input passes the first check: one product
+    evaluates the polynomial through the first k positions at the missing
+    data positions and at the rest of the held ones, and the rest is
+    compared with the held shards byte for byte. Otherwise Gao's decoder
+    runs on one column that fails the check; a corrupt shard sits at the
+    same position in every column, so the roots of its error locator become
     erasures and every column is checked again on the other positions.
     Each round erases at least one position, so at most ``radius`` rounds
     run."""
     positions = sorted(shards)
     budget = min(radius, (len(positions) - k) // 2)
-    gen = _generator_matrix(n, k)
     joined = b"".join([shards[p] for p in positions])
     held, rows = positions, np.frombuffer(joined, dtype=np.uint8).reshape(len(positions), -1)
     while True:
         erased = len(positions) - len(held)
-        data = _systematic_decode(n, k, tuple(held[:k]), rows[:k])
-        if len(held) == k:
-            return data, erased
-        rest = gf_matmul(gen[np.array(held[k:]) - 1], data)
+        data, rest = _systematic_decode(n, k, tuple(held[:k]), rows[:k], tuple(held[k:]))
         # Two byte copies and one memcmp: np.array_equal timed slower here.
         if rest.tobytes() == rows[k:].tobytes():
             return data, erased

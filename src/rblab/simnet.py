@@ -26,12 +26,16 @@ its events once per drain, not once per event. ``_emit`` takes a
 ``Multicast`` whole: it sizes the message from the fields it has set,
 counts its n copies, records an ACC's digest and builds the one ``Receive``
 event its copies share, then does only link work per copy, for recipients
-0..n-1 in order. A run of consecutive unicast ``Send``s of one message
-object takes the same loop with their recipients, and an injected message
-with one recipient. A queued copy is a ``(to, event, size, depth)`` tuple,
-and per-link state (``hops * base_delay``, when the link's transmitter
-frees up, and its latest scheduled arrival) lives in n x n lists built with
-the world. A faulty node's strategy sees its actions expanded to one Send
+0..n-1 in order. An ACC that carries a payload is hashed only when its
+instance or its payload differs from the last one hashed, so an ACC wave
+of equal payloads costs one hash. A run of consecutive unicast ``Send``s of
+one message object takes the same loop with their recipients, and an
+injected message with one recipient. A queued copy is a
+``(to, event, size, depth)`` tuple. Per-link state lives in n x n tables:
+the hop counts and ``hops * base_delay`` are built once per (topology, n,
+base_delay) and shared read-only as tuples, while each world keeps its own
+lists of when each link's transmitter frees up and of its latest scheduled
+arrival. A faulty node's strategy sees its actions expanded to one Send
 per recipient.
 
 A finished world is freed by reference counting the moment it is dropped,
@@ -72,6 +76,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from . import hashing
 from .core import (
@@ -186,6 +191,16 @@ class Topology:
     def hop_matrix(self, n: int) -> list[list[int]]:
         self.validate(n)
         return [[self.hop(i, j) for j in range(n)] for i in range(n)]
+
+
+@lru_cache(maxsize=64)
+def _world_tables(topology: Topology, n: int, base_delay: float) -> tuple[tuple, tuple]:
+    """The hop counts and per-link ``hops * base_delay`` of an n-node world,
+    as tuples: built once per shape and shared read-only by its worlds. An
+    invalid topology raises and is not cached."""
+    hops = topology.hop_matrix(n)
+    return (tuple(map(tuple, hops)),
+            tuple(tuple(count * base_delay for count in row) for row in hops))
 
 
 @dataclass(frozen=True)
@@ -342,8 +357,8 @@ class SimWorld:
         self.automata = list(automata)
         self.n = len(self.automata)
         self.topology = topology
-        self.hops = topology.hop_matrix(self.n)
-        self._link_delay = [[hops * net.base_delay for hops in row] for row in self.hops]
+        hops, self._link_delay = _world_tables(topology, self.n, net.base_delay)
+        self.hops = [list(row) for row in hops]
         self.net = net
         self.rng = random.Random(seed)
         self.record_trace = record_trace
@@ -360,6 +375,7 @@ class SimWorld:
         self._last_arrival = [[0.0] * self.n for _ in range(self.n)]
         self._ctx: dict[tuple[NodeId, NodeId, SeqIndex], int] = {}
         self._source_nodes: set[NodeId] = set()
+        self._acc_memo: tuple = (None, None, None)  # last hashed ACC: (s, h), payload, digest
 
     # -- setup ---------------------------------------------------------------
     @property
@@ -513,8 +529,16 @@ class SimWorld:
         stats._sent_count[frm][kind] += copies
         stats._sent_bytes[frm][kind] += copies * size
         if kind is _ACC:
-            digest = msg.digest if msg.digest is not None \
-                else hashing.digest(msg.payload or b"")
+            digest = msg.digest
+            if digest is None:
+                # Hash the payload unless the last payload ACC hashed was of
+                # this instance and carried equal bytes (bytes compare by
+                # identity, then by memcmp).
+                key, payload = (msg.source, msg.h), msg.payload or b""
+                last_key, last_payload, digest = self._acc_memo
+                if key != last_key or payload != last_payload:
+                    digest = hashing.digest(payload)
+                    self._acc_memo = (key, payload, digest)
             stats.vouch(msg.source, msg.h, frm, digest)
         event = Receive(frm, msg)
         now, net, policy = self.time, self.net, self.delay_policy
@@ -605,11 +629,14 @@ def check_broadcast_properties(world: SimWorld) -> list[str]:
                     f"validity: node {i} delivered a different payload for ({s}, {h})")
     pairs = {(s, h) for (i, s, h) in stats.delivers if i in honest_set}
     for s, h in sorted(pairs):
-        payloads = {stats.delivers[(i, s, h)].payload
-                    for i in honest if (i, s, h) in stats.delivers}
-        if len(payloads) > 1:
+        payloads = [stats.delivers[(i, s, h)].payload
+                    for i in honest if (i, s, h) in stats.delivers]
+        # Equal bytes compare by memcmp (or identity); only a disagreement
+        # pays for hashing every payload, to count the distinct ones.
+        first = payloads[0]
+        if any(payload != first for payload in payloads):
             violations.append(
-                f"agreement: honest nodes delivered {len(payloads)} payloads for ({s}, {h})")
+                f"agreement: honest nodes delivered {len(set(payloads))} payloads for ({s}, {h})")
         missing = [i for i in honest if (i, s, h) not in stats.delivers]
         if missing:
             violations.append(

@@ -143,6 +143,30 @@ def test_validation_errors_name_the_bound(tmp_path, text, needle):
     assert needle in str(err.value)
 
 
+def test_an_empty_node_list_is_refused_not_run_without_faults(tmp_path):
+    # strategy = silent with an empty `nodes =` once ran with no faulty node.
+    text = "[protocol]\nkind = bracha\nn = 4\nf = 1\n\n[adversary]\nstrategy = silent\nnodes =\n"
+    with pytest.raises(ValidationError, match=r"\[adversary\] nodes is empty"):
+        load_config(_write(tmp_path, text))
+    with pytest.raises(ValidationError, match=r"\[adversary\] nodes is empty"):
+        ExperimentConfig(kind=ProtocolKind.BRACHA, n=4, f=1, strategy="silent",
+                         adversary_nodes=()).validate()
+    row, world = run_experiment(load_config(_write(tmp_path, text.replace("=\n", "= 2\n"))))
+    assert set(world.strategies) == {2} and row["error"] == ""
+
+
+def test_a_bad_node_list_names_its_documented_type(tmp_path):
+    with pytest.raises(ParseError) as err:
+        load_config(_write(tmp_path, GOOD + "nodes = 1,x\n"))
+    assert str(err.value) == "[adversary] nodes = '1,x' is not a valid int list"
+
+
+def test_a_default_section_is_rejected_by_its_own_name(tmp_path):
+    with pytest.raises(ParseError) as err:
+        load_config(_write(tmp_path, "[DEFAULT]\nseed = 3\n\n" + GOOD))
+    assert str(err.value).startswith("[DEFAULT] is not supported")
+
+
 def test_config_object_validation_bounds():
     base = dict(kind=ProtocolKind.BRACHA, n=4, f=1)
     with pytest.raises(ValidationError, match="broadcasts"):

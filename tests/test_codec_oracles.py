@@ -137,7 +137,10 @@ def test_decode_matrix_matches_gauss_jordan_on_every_small_subset():
             for positions in itertools.combinations(range(1, n + 1), k):
                 got = _decode_matrix(n, k, positions)
                 assert got.dtype == np.uint8
-                assert np.array_equal(got, decode_matrix_gauss_jordan(n, k, positions)), \
+                inverse = decode_matrix_gauss_jordan(n, k, positions)
+                assert np.array_equal(got[:k], inverse), (n, k, positions)
+                # Rows past k re-encode: the generator after the inverse.
+                assert np.array_equal(got, gf_matmul_tensor(generator_matrix(n, k), inverse)), \
                     (n, k, positions)
 
 
@@ -148,7 +151,7 @@ def test_decode_matrix_matches_gauss_jordan_on_random_subsets(n, k):
         positions = tuple(rng.sample(range(1, n + 1), k))
         if rng.random() < 0.5:
             positions = tuple(sorted(positions))
-        assert np.array_equal(_decode_matrix(n, k, positions),
+        assert np.array_equal(_decode_matrix(n, k, positions)[:k],
                               decode_matrix_gauss_jordan(n, k, positions)), positions
 
 
@@ -251,6 +254,40 @@ def test_decode_correcting_matches_sequential_oracle_on_random_pools():
     assert min(outcomes.values()) > 50, outcomes
     assert declared == 22
 
+
+@pytest.mark.parametrize("n, f", [(4, 1), (7, 2), (13, 3), (19, 4)])
+def test_correcting_decode_returns_the_oracle_payload(monkeypatch, n, f):
+    # k = n - 3f and every P in [n - f, n], with and without up to f
+    # corruptions; shard widths on the one-gather, column-loop and
+    # row-gather kernels. A clean pool costs exactly one product.
+    k = n - 3 * f
+    params = CodeParams(n, k)
+    rng = random.Random(n)
+    products = []
+    real_matmul = codec.gf_matmul
+
+    def matmul(a, b):
+        products.append(a.shape)
+        return real_matmul(a, b)
+
+    monkeypatch.setattr(codec, "gf_matmul", matmul)
+    for length in (1, 40 * k - 1, 150 * k, 200 * k - 3):
+        payload = rng.randbytes(length)
+        shards = oracle_rs.encode(payload, n, k)
+        clean = sorted(rng.sample(range(1, n + 1), k))
+        assert oracle_rs.decode([(x, shards[x - 1]) for x in clean], k, length) == payload
+        for size in range(n - f, n + 1):
+            for corrupt in range(f + 1):
+                positions = rng.sample(range(1, n + 1), size)
+                pool = [CodedElement(x, shards[x - 1], length) for x in positions]
+                for i in rng.sample(range(size), corrupt):
+                    pool[i] = _tamper(pool[i], rng) if rng.random() < 0.5 else \
+                        CodedElement(pool[i].index, rng.randbytes(len(pool[i].data)), length)
+                products.clear()
+                got = decode_correcting(pool, params, f, length)
+                assert got == payload, (length, size, corrupt)
+                if corrupt == 0:
+                    assert len(products) == 1, products
 
 def test_decode_correcting_matches_sequential_oracle_on_split_brain_pools():
     # The acceptance split-brain recipe: n=13, f=3, two codewords plus junk.

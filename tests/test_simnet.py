@@ -68,6 +68,28 @@ def test_fat_tree_hops():
         Topology(TopologyKind.FAT_TREE, fanout=0).validate(2)
 
 
+def test_worlds_of_one_shape_share_no_mutable_table():
+    topo = Topology(TopologyKind.TREE, depth=2, fanout=3)
+    a, b = (build_world(ProtocolKind.BRACHA, 7, 2, topology=topo,
+                        net=NetParams(base_delay=0.25)) for _ in range(2))
+    assert a.hops == b.hops == topo.hop_matrix(7)
+    assert a._link_delay == b._link_delay
+    assert [[d / 0.25 for d in row] for row in a._link_delay] == topo.hop_matrix(7)
+    for name, value in vars(a).items():
+        if isinstance(value, (list, dict, set)):
+            assert value is not vars(b)[name], name
+            for row in (value if isinstance(value, list) else ()):
+                assert not isinstance(row, (list, dict, set)) or \
+                    all(row is not other for other in vars(b)[name]), name
+    a.hops[0][1] = 99
+    assert b.hops[0][1] == topo.hop(0, 1) == 2
+    assert build_world(ProtocolKind.BRACHA, 7, 2, topology=topo).hops[0][1] == 2
+    # An invalid shape raises on every construction, not only the first.
+    for _ in range(2):
+        with pytest.raises(InvalidTopology):
+            build_world(ProtocolKind.BRACHA, 10, 3, topology=topo)
+
+
 # -- delay model ---------------------------------------------------------------
 
 def _recv_times(world, kind=None):
@@ -430,9 +452,33 @@ def test_each_sent_message_is_sized_and_hashed_once(monkeypatch):
     assert len(book.sizers) == len(book.emits)    # once per emitted message
     assert len(book.emits) == book.distinct_sent() == 1 + 2 * n  # one per multicast
     assert all(recipients == tuple(range(n)) for _, recipients, _ in book.emits)
-    assert book.sim_digests <= n                  # the ACC wave alone was n * n
+    assert book.sim_digests == 1                  # one ACC payload for the whole wave
     assert stats.acc_digests == book.acc_digests_by_rehashing()
     assert stats.acc_digests == {(0, 1): {i: {_sha256(payload)} for i in range(n)}}
+
+
+@pytest.mark.parametrize("kind", [ProtocolKind.BRACHA, ProtocolKind.EC_CRB])
+def test_each_instance_hashes_an_equal_acc_payload_once(monkeypatch, kind):
+    # bracha's ACCs share one payload object; each ec-crb decoder rebuilds
+    # its own, so there the equal payloads are distinct objects. The second
+    # instance repeats the first one's payload and is hashed anew.
+    n = 19
+    book = _Bookkeeping(monkeypatch)
+    world = build_world(kind, n, 6 if kind is ProtocolKind.BRACHA else 9,
+                        net=NetParams(base_delay=1.0, jitter=0.5), seed=19)
+    payload = random.Random(19).randbytes(64 * 1024)
+    world.broadcast(0, payload, 1)
+    world.broadcast(3, payload, 1, at=100.0)
+    stats = world.run()
+    assert check_broadcast_properties(world) == []
+    accs = [msg for _, msg in book.sent if msg.kind is MsgKind.ACC]
+    assert len(accs) == 2 * n * n and all(msg.payload == payload for msg in accs)
+    distinct = len({id(msg.payload) for msg in accs})
+    assert distinct == (1 if kind is ProtocolKind.BRACHA else 2 * n)
+    assert book.sim_digests == 2
+    assert stats.acc_digests == book.acc_digests_by_rehashing()
+    assert stats.acc_digests == {key: {i: {_sha256(payload)} for i in range(n)}
+                                 for key in [(0, 1), (3, 1)]}
 
 
 def test_a_reflood_is_sized_once_per_multicast(monkeypatch):
@@ -466,9 +512,42 @@ def test_acc_digests_survive_distinct_equal_and_corrupted_payloads(monkeypatch):
         "acc-consistency: nodes 0 and 1 vouched for different digests of (0, 1)",
         "acc-consistency: nodes 0 and 5 vouched for different digests of (0, 1)",
     ]
-    assert book.sim_digests == 7
+    # One hash per change of payload along the ACC wave: the two wrong
+    # payloads each interrupt a run of equal good ones.
+    assert book.sim_digests == 4
     assert set(book.sizers) == {"_emit"}
     assert len(book.sizers) == len(book.emits) <= book.distinct_sent() < len(book.sent)
+
+
+class _Unhashable(bytes):
+    __hash__ = None
+
+
+def test_agreement_check_hashes_payloads_only_to_count_a_disagreement():
+    # The corrupt-relay ec-crb world above: nodes 0 and 5 rebuild two
+    # different wrong payloads, and every honest delivery is its own object.
+    world = build_world(ProtocolKind.EC_CRB, 7, 2, seed=5,
+                        net=NetParams(base_delay=1.0, jitter=0.5))
+    world.attach_adversary(6, CorruptRelay(seed=5))
+    payload = random.Random(5).randbytes(700)
+    world.broadcast(0, payload, 1)
+    world.run()
+    delivers = world.stats.delivers
+    wrong = {i: delivers[(i, 0, 1)].payload for i in (0, 5)}
+    assert len({payload, *wrong.values()}) == 3
+    assert check_broadcast_properties(world) == [
+        "validity: node 0 delivered a different payload for (0, 1)",
+        "validity: node 5 delivered a different payload for (0, 1)",
+        "agreement: honest nodes delivered 3 payloads for (0, 1)",
+    ]
+    delivers[(5, 0, 1)].payload = bytes(bytearray(wrong[0]))
+    assert check_broadcast_properties(world)[-1] == \
+        "agreement: honest nodes delivered 2 payloads for (0, 1)"
+    # Equal payloads that are distinct objects, and that cannot be hashed.
+    for i in world.honest:
+        delivers[(i, 0, 1)].payload = _Unhashable(payload)
+    assert len({id(delivers[(i, 0, 1)].payload) for i in world.honest}) == 6
+    assert check_broadcast_properties(world) == []
 
 
 def test_nested_multicast_is_tunneled_once(monkeypatch):
