@@ -333,7 +333,6 @@ class Closed:
     A closed instance has delivered."""
 
     __slots__ = ("held", "req_taken")
-    delivered = True
 
     def __init__(self, held: tuple[bytes, ...] = (), req_taken: int = 0) -> None:
         self.held = held

@@ -28,9 +28,8 @@ counts its n copies, records an ACC's digest and builds the one ``Receive``
 event its copies share, then does only link work per copy, for recipients
 0..n-1 in order. An ACC that carries a payload is hashed only when its
 instance or its payload differs from the last one hashed, so an ACC wave
-of equal payloads costs one hash. A run of consecutive unicast ``Send``s of
-one message object takes the same loop with their recipients, and an
-injected message with one recipient. A queued copy is a
+of equal payloads costs one hash. A unicast ``Send`` and an injected
+message take the same loop with their one recipient. A queued copy is a
 ``(to, event, size, depth)`` tuple. Per-link state lives in n x n tables:
 the hop counts and ``hops * base_delay`` are built once per (topology, n,
 base_delay) and shared read-only as tuples, while each world keeps its own
@@ -56,7 +55,7 @@ rescans every one of them. Only a few stay alive per broadcast: each node
 closes an instance once it is done with it (see ``core``), so it keeps a
 few open records and one compact closed record per instance, and the
 world keeps its delivery records, each node's causal depth per instance,
-and one digest and voter mask per instance for the ACC bookkeeping. None
+and one voter mask per (instance, digest) for the ACC bookkeeping. None
 of that can be freed by the collector: the automata, the
 simulator's records and its events form no reference cycles, which
 ``tests/test_memory.py`` checks by running whole worlds with the collector
@@ -235,37 +234,25 @@ class RunStats:
         self._recv_bytes = [[0] * _CODES for _ in range(n)]
         self.delivers: dict[tuple[NodeId, NodeId, SeqIndex], DeliverRecord] = {}
         self.double_deliveries: list[tuple[NodeId, NodeId, SeqIndex]] = []
-        # (s, h) -> (digest, mask of the nodes that ACCed it) while every
-        # ACC of the instance names one digest; from the first other digest
-        # on, node -> the digests it ACCed, as ``acc_digests`` shows them.
-        self._accs: dict[tuple[NodeId, SeqIndex],
-                         tuple[bytes, int] | dict[NodeId, set[bytes]]] = {}
+        # (s, h, digest) -> mask of the nodes that sent an ACC for it.
+        self._accs: dict[tuple[NodeId, SeqIndex, bytes], int] = {}
         self.events_processed = 0
 
     def vouch(self, s: NodeId, h: SeqIndex, node: NodeId, digest: bytes) -> None:
         """Record that ``node`` sent an ACC for ``digest`` in instance (s, h)."""
-        key = (s, h)
-        entry = self._accs.get(key)
-        if entry is None:
-            self._accs[key] = (digest, 1 << node)
-        elif type(entry) is tuple and entry[0] == digest:
-            self._accs[key] = (entry[0], entry[1] | 1 << node)
-        else:
-            if type(entry) is tuple:
-                entry = self._accs[key] = self._per_node(entry)
-            entry.setdefault(node, set()).add(digest)
-
-    @staticmethod
-    def _per_node(entry: tuple[bytes, int]) -> dict[NodeId, set[bytes]]:
-        digest, mask = entry
-        return {node: {digest} for node in range(mask.bit_length()) if mask >> node & 1}
+        key = (s, h, digest)
+        self._accs[key] = self._accs.get(key, 0) | 1 << node
 
     @property
     def acc_digests(self) -> dict[tuple[NodeId, SeqIndex], dict[NodeId, set[bytes]]]:
         """(s, h) -> node -> the digests it vouched for in its ACCs."""
-        return {key: self._per_node(entry) if type(entry) is tuple
-                else {node: set(digests) for node, digests in entry.items()}
-                for key, entry in self._accs.items()}
+        view: dict[tuple[NodeId, SeqIndex], dict[NodeId, set[bytes]]] = {}
+        for (s, h, digest), mask in self._accs.items():
+            per_node = view.setdefault((s, h), {})
+            for node in range(mask.bit_length()):
+                if mask >> node & 1:
+                    per_node.setdefault(node, set()).add(digest)
+        return view
 
     @property
     def sent_count(self) -> list[Counter]:
@@ -486,25 +473,14 @@ class SimWorld:
         self._apply(node, actions, ctx=0)
 
     def _apply(self, node: NodeId, actions: list[Action], ctx: int) -> None:
-        """Carry out ``node``'s actions."""
+        """Carry out ``node``'s actions in order."""
         emit, depth = self._emit, ctx + 1
-        # Consecutive Sends of one message object (a faulty node's expanded
-        # multicast) are emitted together, so the message is sized once.
-        run_msg, run_to = None, []
         for action in actions:
             cls = type(action)
-            if cls is Send:
-                if action.msg is not run_msg:
-                    if run_to:
-                        emit(node, run_to, run_msg, depth)
-                    run_msg, run_to = action.msg, []
-                run_to.append(action.to)
-                continue
-            if run_to:
-                emit(node, run_to, run_msg, depth)
-                run_msg, run_to = None, []
             if cls is Multicast:
                 emit(node, range(self.n), action.msg, depth)
+            elif cls is Send:
+                emit(node, (action.to,), action.msg, depth)
             elif cls is Deliver:
                 key = (node, action.source, action.h)
                 if key in self.stats.delivers:
@@ -513,8 +489,6 @@ class SimWorld:
                 self.stats.delivers[key] = DeliverRecord(self.time, action.payload, ctx)
                 self._trace("deliver", node, node, "-", action.source, action.h,
                             len(action.payload), ctx)
-        if run_to:
-            emit(node, run_to, run_msg, depth)
 
     def _emit(self, frm: NodeId, recipients, msg: WireMessage, depth: int,
               forced_delay: float | None = None) -> None:

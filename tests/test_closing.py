@@ -84,7 +84,6 @@ def test_a_closed_instance_drops_late_messages_and_answers_each_req_once(kind):
     assert all(type(node.instances[(SOURCE, H)]) is Closed for node in nodes)
     node = nodes[0]
     record = node.instances[(SOURCE, H)]
-    assert record.delivered
     late = _late_messages(kind)
     assert {msg.kind for _, msg in late} == LATE_KINDS[kind]
     for frm, msg in late:
@@ -146,15 +145,16 @@ def test_instances_stay_open_until_their_last_vote():
     assert type(node.instances[(SOURCE, H)]) is Closed
 
 
-def test_acc_bookkeeping_is_one_digest_and_mask_until_two_digests_meet():
+def test_acc_bookkeeping_is_one_voter_mask_per_instance_and_digest():
     stats = RunStats(4)
     d1, d2 = hashing.digest(b"one"), hashing.digest(b"two")
     for node in (2, 0, 3):
         stats.vouch(0, 1, node, d1)
     stats.vouch(0, 2, 1, d2)
-    assert stats._accs == {(0, 1): (d1, 0b1101), (0, 2): (d2, 0b0010)}
+    assert stats._accs == {(0, 1, d1): 0b1101, (0, 2, d2): 0b0010}
     assert stats.acc_digests == {(0, 1): {0: {d1}, 2: {d1}, 3: {d1}}, (0, 2): {1: {d2}}}
     stats.vouch(0, 1, 3, d2)
     stats.vouch(0, 1, 1, d1)
+    assert stats._accs == {(0, 1, d1): 0b1111, (0, 2, d2): 0b0010, (0, 1, d2): 0b1000}
     assert stats.acc_digests == {(0, 1): {0: {d1}, 1: {d1}, 2: {d1}, 3: {d1, d2}},
                                  (0, 2): {1: {d2}}}
