@@ -11,6 +11,7 @@ from .adversary import (
     CorruptRelay,
     Crash,
     EquivocatingSource,
+    ScenarioOptionError,
     ScenarioResult,
     Silent,
     Strategy,
@@ -80,7 +81,7 @@ __all__ = [
     "EquivocatingSource", "FaultBudgetExceeded",
     "InvalidTopology", "MalformedEnvelope", "MsgKind", "Multicast", "NetParams",
     "NotDelivered", "ProtocolConfig", "ProtocolKind", "RESILIENCE",
-    "Receive", "ResilienceViolation", "ScenarioResult", "Send",
+    "Receive", "ResilienceViolation", "ScenarioOptionError", "ScenarioResult", "Send",
     "SimWorld", "StepCapExceeded", "Strategy", "SubsetDecoder", "Topology",
     "TopologyKind", "UnknownScenario", "WireMessage", "WitnessAutomaton",
     "WitnessProtocolConfig", "build_witness_world", "build_world",

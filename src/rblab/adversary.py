@@ -18,6 +18,7 @@ node of the real digest-voting protocol to phase r+5.
 """
 from __future__ import annotations
 
+import inspect
 import math
 import random
 from dataclasses import dataclass, replace
@@ -49,6 +50,10 @@ class ConfigMismatch(ValueError):
 
 class UnknownScenario(KeyError):
     """No scenario registered under that name."""
+
+
+class ScenarioOptionError(ValueError):
+    """An option the scenario does not take, or a value it cannot run."""
 
 
 def build_world(kind: ProtocolKind, n: int, f: int, *, k: int | None = None,
@@ -429,8 +434,7 @@ def _substitute_world(protocol: str, n: int, f: int, seed: int) -> SimWorld:
     return build_world(kind, n, f, seed=seed, strict_resilience=strict)
 
 
-def scenario_exec1(seed: int = 0, f: int = 1, protocol: str | None = None,
-                   **_: object) -> ScenarioResult:
+def scenario_exec1(seed: int = 0, f: int = 1, protocol: str | None = None) -> ScenarioResult:
     n = 5 * f
     messages = []
     if protocol is not None:
@@ -459,8 +463,7 @@ def scenario_exec1(seed: int = 0, f: int = 1, protocol: str | None = None,
                           messages)
 
 
-def scenario_exec2(seed: int = 0, f: int = 1, protocol: str | None = None,
-                   **_: object) -> ScenarioResult:
+def scenario_exec2(seed: int = 0, f: int = 1, protocol: str | None = None) -> ScenarioResult:
     n = 5 * f
     boundary = 3.0
     if protocol is not None:
@@ -494,7 +497,7 @@ def scenario_exec2(seed: int = 0, f: int = 1, protocol: str | None = None,
     return ScenarioResult("exec2", ok, {"f": f}, messages)
 
 
-def scenario_helper4(seed: int = 0, **_: object) -> ScenarioResult:
+def scenario_helper4(seed: int = 0) -> ScenarioResult:
     world = build_world(ProtocolKind.H_BRB_3F1, 6, 1, seed=seed)
     info = script_helper4(world)
     world.run()
@@ -518,8 +521,8 @@ def scenario_helper4(seed: int = 0, **_: object) -> ScenarioResult:
     return ScenarioResult("helper4", ok, {"n": 6, "f": 1}, messages)
 
 
-def scenario_equivocate_split(seed: int = 0, f: int = 2, payload_len: int = 4096,
-                              **_: object) -> ScenarioResult:
+def scenario_equivocate_split(seed: int = 0, f: int = 2,
+                              payload_len: int = 4096) -> ScenarioResult:
     from .core import HEADER_SIZE
     from .simnet import check_broadcast_properties
 
@@ -549,8 +552,7 @@ def scenario_equivocate_split(seed: int = 0, f: int = 2, payload_len: int = 4096
                           {"fwd_bound": bound, "fwd_worst": worst}, messages)
 
 
-def scenario_corrupt_relay(seed: int = 0, payload_len: int = 512,
-                           **_: object) -> ScenarioResult:
+def scenario_corrupt_relay(seed: int = 0, payload_len: int = 512) -> ScenarioResult:
     from .simnet import check_broadcast_properties
 
     n, f = 13, 3
@@ -572,7 +574,7 @@ def scenario_corrupt_relay(seed: int = 0, payload_len: int = 512,
                           {"honest_deliveries": delivered}, messages)
 
 
-def scenario_silent(seed: int = 0, **_: object) -> ScenarioResult:
+def scenario_silent(seed: int = 0) -> ScenarioResult:
     from .simnet import check_broadcast_properties
 
     world = build_world(ProtocolKind.H_BRB_3F1, 4, 1, seed=seed,
@@ -601,9 +603,21 @@ SCENARIOS = {
 
 
 def run_scenario(name: str, **params) -> ScenarioResult:
-    try:
-        fn = SCENARIOS[name]
-    except KeyError:
+    """Run a named scenario. An option it does not take, an unknown
+    protocol and f < 1 raise ScenarioOptionError."""
+    fn = SCENARIOS.get(name)
+    if fn is None:
         raise UnknownScenario(f"unknown scenario {name!r}; "
-                              f"choices: {', '.join(sorted(SCENARIOS))}") from None
+                              f"choices: {', '.join(sorted(SCENARIOS))}")
+    takes = inspect.signature(fn).parameters
+    for option in params:
+        if option not in takes:
+            raise ScenarioOptionError(f"scenario {name!r} takes no option {option!r}; "
+                                      f"it takes: {', '.join(takes)}")
+    protocols = [kind.value for kind in ProtocolKind]
+    if params.get("protocol", protocols[0]) not in protocols:
+        raise ScenarioOptionError(f"unknown protocol {params['protocol']!r}; "
+                                  f"choices: {', '.join(protocols)}")
+    if params.get("f", 1) < 1:
+        raise ScenarioOptionError(f"f must be at least 1, got {params['f']}")
     return fn(**params)

@@ -27,6 +27,7 @@ from .adversary import (
     Crash,
     CorruptRelay,
     EquivocatingSource,
+    ScenarioOptionError,
     Silent,
     UnknownScenario,
     build_world,
@@ -426,14 +427,11 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    params: dict = {"seed": args.seed}
-    if args.f is not None:
-        params["f"] = args.f
-    if args.protocol is not None:
-        params["protocol"] = args.protocol
+    params = {"seed": args.seed, "f": args.f, "protocol": args.protocol}
+    params = {key: value for key, value in params.items() if value is not None}
     try:
         result = run_scenario(args.name, **params)
-    except UnknownScenario as exc:
+    except (UnknownScenario, ScenarioOptionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"{'PASS' if result.passed else 'FAIL'} {result.name}")

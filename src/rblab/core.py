@@ -360,15 +360,13 @@ class Instance:
     first candidate it backs, so the per-kind masks of counted senders
     ignore the key. Its REQ and its FWD are likewise taken once per
     instance, whatever digest or payload they carry. The erasure-coded
-    fields stay None in automata that do not use them. ec-brb-4f1 also
-    keeps ``tunneled``, the parse of each distinct HASH_RB envelope of the
-    instance, until the instance closes.
+    fields stay None in automata that do not use them.
     """
 
     __slots__ = (
         "candidates", "echo_voted", "acc_voted", "req_taken", "fwd_taken",
         "msg_seen", "echo_sent", "acc_sent", "decoded", "delivered",
-        "elements", "decoded_lens", "endorsed", "tunneled",
+        "elements", "decoded_lens", "endorsed",
     )
 
     def __init__(self) -> None:
@@ -388,9 +386,6 @@ class Instance:
         # delivered
         self.decoded_lens: set[int] | None = None
         self.endorsed: Digest | None = None
-        # ec-brb-4f1: each distinct tunneled envelope -> the nested-broadcast
-        # message it holds, or None if it holds none for this instance
-        self.tunneled: dict[bytes, WireMessage | None] | None = None
 
     def closed(self) -> Closed:
         """This instance's closed record, for a protocol that answers REQs."""

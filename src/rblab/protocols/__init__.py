@@ -104,10 +104,9 @@ class ProtocolConfig:
 
 
 def make_automaton(config: ProtocolConfig):
-    """Validate the config and build the node's automaton."""
+    """Build the node's automaton; its constructor validates the config."""
     from . import bracha, crb, ecbrb, hbrb
 
-    config.validate()
     classes = {
         ProtocolKind.CRB_FLOOD: crb.CrbFlood,
         ProtocolKind.EC_CRB: crb.EcCrb,

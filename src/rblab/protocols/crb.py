@@ -46,10 +46,7 @@ class CrbFlood(Automaton):
 class EcCrb(Automaton):
     def __init__(self, config: ProtocolConfig):
         super().__init__(config)
-        k = config.resolved_k()
-        assert k is not None
-        self.k = k
-        self.params = CodeParams(self.n, k)
+        self.params = CodeParams(self.n, config.resolved_k())
 
     def source_sends(self, payload: Payload, h: SeqIndex) -> list[Action]:
         elements = encode(payload, self.params)
@@ -85,7 +82,7 @@ class EcCrb(Automaton):
             held = rec.elements = set()
         held.add(element)
         actions: list[Action] = []
-        if len(held) >= self.k and not rec.decoded:
+        if len(held) >= self.params.k and not rec.decoded:
             rec.decoded = True
             actions = self._decode(rec, s, h)
         if rec.acc_sent and rec.msg_seen:
@@ -97,7 +94,7 @@ class EcCrb(Automaton):
         elements = sorted(rec.elements, key=lambda e: (e.index, e.data))
         payload_len = elements[0].claimed_len
         try:
-            payload = decode_erasure(elements[: self.k], self.params, payload_len)
+            payload = decode_erasure(elements[: self.params.k], self.params, payload_len)
         except CodecError:
             return []
         actions: list[Action] = []

@@ -23,10 +23,10 @@ backers for it and takes the forwarded copy as the hash-based protocols do,
 with their REQ and FWD handlers. The envelope does not
 name its sender, so every honest node's ECHO of one digest is the same
 bytes, and an honest instance tunnels three distinct envelopes (the nested
-MSG, ECHO and ACC) in 1 + 2n multicasts. A node parses each distinct
-envelope once per instance and keeps the result, or None for an envelope
-it rejects, on the instance record; envelopes past a small cap are parsed
-copy by copy. A node closes the instance once it has delivered, taken the
+MSG, ECHO and ACC) in 1 + 2n multicasts. Each carries the 32-byte digest,
+so a HASH_RB of any other size is dropped unparsed. A node keeps its
+recent parses in one small cache, and opens no record for an envelope it
+rejects. A node closes the instance once it has delivered, taken the
 source's MSG and sent its ACC, and its nested instance has closed; the
 nested record retires with it.
 
@@ -37,8 +37,10 @@ it cannot void or take another node's position.
 """
 from __future__ import annotations
 
+import functools
 from collections import Counter
 
+from .. import hashing
 from ..codec import (
     CodedElement,
     CodeParams,
@@ -48,6 +50,7 @@ from ..codec import (
     encode_element,
 )
 from ..core import (
+    HEADER_SIZE,
     Action,
     Candidate,
     Closed,
@@ -75,6 +78,7 @@ from .hbrb import _HashBrb
 # member reads.
 _ECHO = MsgKind.ECHO
 _NESTED_KINDS = (MsgKind.MSG, MsgKind.ECHO, MsgKind.ACC)
+_NESTED_SIZE = HEADER_SIZE + hashing.DIGEST_SIZE  # a header and the digest
 
 
 class EcBrb3f1(_HashBrb):
@@ -127,14 +131,6 @@ class EcBrb3f1(_HashBrb):
             c.payload = payload
 
 
-# An honest instance tunnels three distinct envelopes: the nested MSG and
-# the ECHO and ACC of its digest. The cap leaves room for an equivocating
-# source and bounds what a faulty node's distinct envelopes can make a node
-# hold; envelopes past it are parsed per copy.
-_TUNNEL_MEMO_CAP = 8
-_UNPARSED = object()
-
-
 class EcBrb4f1(Automaton):
     # REQ and FWD exactly as the hash-based protocols take them, and a
     # closed instance keeps what REQs are answered from.
@@ -148,6 +144,9 @@ class EcBrb4f1(Automaton):
         self.inner = Bracha(ProtocolConfig(
             ProtocolKind.BRACHA, self.n, self.f, self.me,
             strict_resilience=False))
+        # This node's recent parses: an honest instance's 1 + 2n tunneled
+        # multicasts carry only three distinct envelopes.
+        self.untunnel = functools.lru_cache(maxsize=64)(EcBrb4f1._untunnel)
 
     def source_sends(self, payload: Payload, h: SeqIndex) -> list[Action]:
         digest = self.digest_of(payload)
@@ -178,21 +177,14 @@ class EcBrb4f1(Automaton):
 
     def on_hash_rb(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
         envelope = msg.payload
-        if envelope is None:
+        if envelope is None or len(envelope) != _NESTED_SIZE:
             return []
         s, h = msg.source, msg.h
-        if rec is None:
-            rec = self.instances[(s, h)] = Instance()
-        memo = rec.tunneled
-        if memo is None:
-            memo = rec.tunneled = {}
-        inner_msg = memo.get(envelope, _UNPARSED)
-        if inner_msg is _UNPARSED:
-            inner_msg = self._untunnel(envelope, s, h)
-            if len(memo) < _TUNNEL_MEMO_CAP:
-                memo[envelope] = inner_msg
+        inner_msg = self.untunnel(envelope, s, h)
         if inner_msg is None:
             return []
+        if rec is None:
+            rec = self.instances[(s, h)] = Instance()
         inner_actions = self.inner.step(Receive(frm, inner_msg))
         if not inner_actions:
             return []

@@ -632,10 +632,11 @@ def check_acc_consistency(world: SimWorld) -> list[str]:
             if len(digests) > 1:
                 violations.append(
                     f"acc-consistency: node {node} vouched for {len(digests)} digests of ({s}, {h})")
+            # Against earlier nodes only: a node's own two are reported above.
+            if seen and not digests <= seen.keys():
+                other = next(iter(seen.values()))
+                violations.append(
+                    f"acc-consistency: nodes {other} and {node} vouched for different digests of ({s}, {h})")
             for d in digests:
-                if d not in seen and seen:
-                    other = next(iter(seen.values()))
-                    violations.append(
-                        f"acc-consistency: nodes {other} and {node} vouched for different digests of ({s}, {h})")
                 seen.setdefault(d, node)
     return violations

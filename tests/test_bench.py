@@ -320,6 +320,21 @@ def test_cli_scenario_exit_codes(tmp_path, capsys, monkeypatch):
     assert "FAIL silent" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["helper4", "--protocol", "bracha", "--f", "3"], "scenario 'helper4' takes no option 'f'"),
+    (["exec1", "--protocol", "nope"], "unknown protocol 'nope'"),
+    (["exec1", "--f", "0"], "f must be at least 1, got 0"),
+    (["equivocate-split", "--f", "0"], "f must be at least 1, got 0"),
+])
+def test_cli_scenario_rejects_options_it_cannot_use(argv, reason, capsys):
+    # Exit 2 with a one-line error, as for a bad config; exit 1 means the
+    # scenario ran and failed.
+    assert main(["scenario", *argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: {reason}") and out.err.count("\n") == 1
+
+
 def test_cli_trace_subcommand(tmp_path):
     path = _write(tmp_path, GOOD)
     out = tmp_path / "events.tsv"

@@ -12,8 +12,9 @@ stays the same per broadcast as the stream grows, since each node closes
 an instance once it is done with it and keeps only a few open.
 
 A faulty node that repeats a message with fresh payloads must not grow what
-an honest node holds, nor make it hash each copy, and its requests for
-instances a node has no record of make none.
+an honest node holds, nor make it hash each copy. Its requests for
+instances a node has no record of make none, nor do tunneled envelopes
+that a node rejects.
 """
 import dataclasses
 import functools
@@ -256,6 +257,39 @@ def test_repeated_byzantine_messages_are_neither_held_nor_hashed(case, monkeypat
         assert len(hashed) <= 1, (count, len(hashed))
     # Ten times the messages hold no more: at most the first one's state.
     assert held[10_000] - held[1_000] < 1024 and held[1_000] < 4096, held
+
+
+# Tunneled envelopes that ec-brb-4f1 rejects, for fresh instance (3, h):
+# garbage, a nested envelope one byte too long, one without the nested
+# broadcast's tag, and one for another (s, h).
+BAD_TUNNELS = [
+    lambda rng, h: rng.randbytes(1024),
+    lambda rng, h: encode_envelope(WireMessage(MsgKind.MSG, 3, h, payload=rng.randbytes(33),
+                                               instance="hash-rb")),
+    lambda rng, h: encode_envelope(WireMessage(MsgKind.MSG, 3, h, payload=rng.randbytes(32))),
+    lambda rng, h: encode_envelope(WireMessage(MsgKind.ECHO, 2, h + 1, payload=rng.randbytes(32),
+                                               instance="hash-rb")),
+]
+
+
+def test_rejected_tunneled_envelopes_make_no_records():
+    held = {}
+    for count in (1_000, 10_000):
+        node = make_automaton(ProtocolConfig(ProtocolKind.EC_BRB_4F1, 9, 2, node=0))
+        rng = random.Random(count)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for h in range(1, count + 1):
+                envelope = BAD_TUNNELS[h % len(BAD_TUNNELS)](rng, h)
+                msg = WireMessage(MsgKind.HASH_RB, 3, h, payload=envelope)
+                assert node.step(Receive(6, msg)) == []
+            held[count] = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert node.instances == {} and node.inner.instances == {}
+    # Ten times the envelopes hold no more: at most a full parse cache.
+    assert held[10_000] - held[1_000] < 1024 and held[1_000] < 32 * 1024, held
 
 
 @pytest.mark.parametrize("kind", [ProtocolKind.H_BRB_3F1, ProtocolKind.EC_BRB_4F1],

@@ -521,26 +521,51 @@ def test_nested_envelope_guards():
     assert _recv(node, 4, _tunneled(req)) == []
 
 
-def test_rejected_tunneled_envelopes_stay_rejected_on_every_copy():
-    # Each envelope's parse is kept for the instance, so every later copy
-    # of a rejected one must be rejected again, and a good one accepted.
+def test_rejected_tunneled_envelopes_stay_rejected_on_every_copy(monkeypatch):
+    # A node keeps recent parses, so every later copy of a rejected
+    # envelope must be rejected again, also once its parse has left the
+    # cache, and a good one accepted. A rejected envelope opens no record.
+    parses = []
+    real_decode = ecbrb.decode_envelope
+
+    def decode(buf):
+        parses.append(buf)
+        return real_decode(buf)
+
+    monkeypatch.setattr(ecbrb, "decode_envelope", decode)
     node = _auto(ProtocolKind.EC_BRB_4F1, 5, 1, node=0)
     d = hashing.digest(b"m")
+
+    def carried(envelope):
+        return WireMessage(MsgKind.HASH_RB, 4, 1, payload=envelope)
+
+    too_long = encode_envelope(WireMessage(MsgKind.MSG, 4, 1, payload=d + b"!", instance="hash-rb"))
     other_source = encode_envelope(WireMessage(MsgKind.MSG, 3, 1, payload=d, instance="hash-rb"))
     other_h = encode_envelope(WireMessage(MsgKind.MSG, 4, 2, payload=d, instance="hash-rb"))
-    for envelope in (b"garbage", other_source, other_h):
+    untagged = encode_envelope(WireMessage(MsgKind.MSG, 4, 1, payload=d))
+    rejected = (other_source, other_h, untagged)
+    for envelope in (b"garbage", too_long) + rejected:
         for frm in (4, 4, 2, 4):
-            assert _recv(node, frm, WireMessage(MsgKind.HASH_RB, 4, 1, payload=envelope)) == []
-    assert node.inner.instances == {}
-    assert len(_record(node, 4, 1).tunneled) == 3
-    # Distinct envelopes past the cap are still rejected, but not held.
-    for i in range(2 * ecbrb._TUNNEL_MEMO_CAP):
-        garbage = WireMessage(MsgKind.HASH_RB, 4, 1, payload=b"garbage %d" % i)
-        assert _recv(node, 4, garbage) == [] and _recv(node, 4, garbage) == []
-    assert len(_record(node, 4, 1).tunneled) == ecbrb._TUNNEL_MEMO_CAP
+            assert _recv(node, frm, carried(envelope)) == []
+    # Only envelopes of a digest's size are parsed, each once.
+    assert parses == list(rejected)
+    assert node.instances == {} and node.inner.instances == {}
+    # Distinct envelopes push those parses out of the cache; their copies
+    # are parsed again and still rejected.
+    for h in range(2, 202):
+        forged = encode_envelope(WireMessage(MsgKind.MSG, 4, h, payload=d, instance="hash-rb"))
+        assert _recv(node, 4, carried(forged)) == []
+    parses.clear()
+    for envelope in rejected:
+        assert _recv(node, 2, carried(envelope)) == []
+    assert parses == list(rejected)
+    assert node.instances == {} and node.inner.instances == {}
+    parses.clear()
     good = _tunneled(WireMessage(MsgKind.MSG, 4, 1, payload=d, instance="hash-rb"))
     assert len(_sends(node, _recv(node, 4, good))) == 5
     assert _recv(node, 4, good) == []          # the nested MSG counts once
+    assert parses == [good.payload]
+    assert set(node.instances) == set(node.inner.instances) == {(4, 1)}
 
 
 def test_nested_digest_broadcast_echoes_through_tunnel():

@@ -520,6 +520,36 @@ def test_acc_digests_survive_distinct_equal_and_corrupted_payloads(monkeypatch):
     assert book.distinct_sent() < len(book.sent)
 
 
+def test_acc_consistency_reports_each_disagreement_once():
+    d1, d2 = _sha256(b"one"), _sha256(b"two")
+    # The first honest voter vouches for two digests: one report, not a
+    # second that pairs the node with itself.
+    world = build_world(ProtocolKind.BRACHA, 4, 1)
+    world.stats.vouch(0, 1, 0, d1)
+    world.stats.vouch(0, 1, 0, d2)
+    assert check_acc_consistency(world) == [
+        "acc-consistency: node 0 vouched for 2 digests of (0, 1)",
+    ]
+    # Two nodes, one digest each.
+    pair = build_world(ProtocolKind.BRACHA, 4, 1)
+    pair.stats.vouch(0, 1, 0, d1)
+    pair.stats.vouch(0, 1, 1, d2)
+    assert check_acc_consistency(pair) == [
+        "acc-consistency: nodes 0 and 1 vouched for different digests of (0, 1)",
+    ]
+    # A later voter that vouches for a digest no earlier voter did is
+    # reported once against an earlier one, whatever else it vouched for.
+    world.stats.vouch(0, 1, 1, d1)
+    world.stats.vouch(0, 1, 2, d2)
+    world.stats.vouch(0, 1, 3, _sha256(b"three"))
+    world.stats.vouch(0, 1, 3, _sha256(b"four"))
+    assert check_acc_consistency(world) == [
+        "acc-consistency: node 0 vouched for 2 digests of (0, 1)",
+        "acc-consistency: node 3 vouched for 2 digests of (0, 1)",
+        "acc-consistency: nodes 0 and 3 vouched for different digests of (0, 1)",
+    ]
+
+
 class _Unhashable(bytes):
     __hash__ = None
 
@@ -603,7 +633,7 @@ def test_each_distinct_tunneled_envelope_is_parsed_once_per_node(monkeypatch):
     assert check_broadcast_properties(world) == []
     assert world.stats.total_recv_count(MsgKind.HASH_RB) == n * (1 + 2 * n)
     assert max(parses) <= 3, parses
-    # Every node closed the instance, and its parses went with the open record.
+    # Every node closed the instance; no parse is kept on its record.
     assert all(type(a.instances[(0, 1)]) is Closed for a in world.automata)
 
 
