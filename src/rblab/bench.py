@@ -432,7 +432,7 @@ def _cmd_scenario(args) -> int:
     try:
         result = run_scenario(args.name, **params)
     except (UnknownScenario, ScenarioOptionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc.args[0]}", file=sys.stderr)  # a KeyError's str() quotes it
         return 2
     print(f"{'PASS' if result.passed else 'FAIL'} {result.name}")
     for message in result.messages:

@@ -310,7 +310,7 @@ def test_cli_scenario_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["scenario", "silent"]) == 0
     assert "PASS silent" in capsys.readouterr().out
     assert main(["scenario", "does-not-exist"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err.startswith("error: unknown scenario 'does-not-exist'; choices: ")
 
     def fake(name, **params):
         return ScenarioResult(name, False, {}, ["forced failure"])
