@@ -19,7 +19,9 @@ variants; anything else is malformed.
 
 An automaton answers ``BroadcastRequest`` and ``Receive`` events with
 ``Send``, ``Multicast`` (one message to every node) and ``Deliver``
-actions; ``expand`` lists a Multicast as its n Sends.
+actions; ``expand`` lists a Multicast as its n Sends. Messages, events and
+actions are plain slotted records that every recipient shares, so nothing
+may mutate them: a changed copy is a new object (``dataclasses.replace``).
 
 Protocol state: each automaton keeps one record per broadcast instance
 (source, h) and looks it up once per event. An instance is open, then
@@ -125,7 +127,7 @@ _INSTANCE_CODES = {None: 0, "hash-rb": 1}
 _INSTANCE_NAMES = {v: k for k, v in _INSTANCE_CODES.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WireMessage:
     """One protocol message. The populated optional fields determine the
     body variant: payload only, digest only, element only, or
@@ -239,7 +241,7 @@ def decode_envelope(buf: bytes) -> WireMessage:
                        instance=_INSTANCE_NAMES[instance_b])
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BroadcastRequest:
     """Ask the local node to broadcast ``payload`` under sequence ``h``."""
 
@@ -247,7 +249,7 @@ class BroadcastRequest:
     h: SeqIndex
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Receive:
     """A message arriving from transport-authenticated sender ``frm``
     (which may differ from msg.source)."""
@@ -259,7 +261,7 @@ class Receive:
 Event = BroadcastRequest | Receive
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Send:
     """One message to one node."""
 
@@ -267,14 +269,14 @@ class Send:
     msg: WireMessage
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Multicast:
     """One message to every node 0..n-1, the sender included, as one action."""
 
     msg: WireMessage
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Deliver:
     source: NodeId
     payload: Payload

@@ -78,7 +78,7 @@ class Automaton:
 
     # -- event entry point -------------------------------------------------
     def step(self, event: Event) -> list[Action]:
-        if isinstance(event, Receive):
+        if type(event) is Receive:
             msg = event.msg
             kind = msg.kind
             handler = self._handler_of.get(kind)

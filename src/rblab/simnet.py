@@ -29,13 +29,14 @@ event its copies share, then does only link work per copy, for recipients
 0..n-1 in order. An ACC that carries a payload is hashed only when its
 instance or its payload differs from the last one hashed, so an ACC wave
 of equal payloads costs one hash. A unicast ``Send`` and an injected
-message take the same loop with their one recipient. A queued copy is a
-``(to, event, size, depth)`` tuple. Per-link state lives in n x n tables:
-the hop counts and ``hops * base_delay`` are built once per (topology, n,
-base_delay) and shared read-only as tuples, while each world keeps its own
-lists of when each link's transmitter frees up and of its latest scheduled
-arrival. A faulty node's strategy sees its actions expanded to one Send
-per recipient.
+message take the same loop with their one recipient. A queued copy is one
+flat ``(time, seq, to, event, size, depth)`` entry; a broadcast or an
+injected message is one with ``to = None``. Per-link state lives in n x n
+tables: the hop counts and ``hops * base_delay`` are built once per
+(topology, n, base_delay) and shared read-only as tuples, while each world
+keeps its own lists of when each link's transmitter frees up and of its
+latest scheduled arrival. A faulty node's strategy sees its actions
+expanded to one Send per recipient.
 
 A finished world is freed by reference counting the moment it is dropped,
 so a process that runs world after world frees a few MiB at a time. glibc
@@ -215,7 +216,7 @@ class NetParams:
     source_bandwidth: float | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class DeliverRecord:
     time: float
     payload: Payload
@@ -298,14 +299,14 @@ def _total(tallies: list[list[int]], kind: MsgKind | None) -> int:
     return sum(row[kind] for row in tallies)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Bcast:
     node: NodeId
     payload: Payload
     h: SeqIndex
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Inject:
     frm: NodeId
     to: NodeId
@@ -314,7 +315,7 @@ class _Inject:
     depth: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceRow:
     index: int
     time: float
@@ -356,7 +357,7 @@ class SimWorld:
         self.delay_policy = None
         self.broadcasts: list[tuple[NodeId, Payload, SeqIndex]] = []
         self.trace: list[TraceRow] = []
-        self._queue: list[tuple[float, int, object]] = []
+        self._queue: list[tuple[float, int, NodeId | None, Receive | _Bcast | _Inject, int, int]] = []
         self._seq = itertools.count()
         self._busy_until = [[0.0] * self.n for _ in range(self.n)]
         self._last_arrival = [[0.0] * self.n for _ in range(self.n)]
@@ -384,8 +385,8 @@ class SimWorld:
         self.strategies[node] = strategy
 
     # -- scheduling ----------------------------------------------------------
-    def _push(self, time: float, item) -> None:
-        heapq.heappush(self._queue, (time, next(self._seq), item))
+    def _push(self, time: float, item: _Bcast | _Inject) -> None:
+        heapq.heappush(self._queue, (time, next(self._seq), None, item, 0, 0))
 
     def broadcast(self, node: NodeId, payload: Payload, h: SeqIndex,
                   at: float = 0.0) -> None:
@@ -424,11 +425,10 @@ class SimWorld:
             while queue and (until is None or queue[0][0] <= until):
                 if steps == max_steps:
                     raise StepCapExceeded(f"exceeded {self.max_steps} events")
-                time, _, item = heappop(queue)
+                time, _, to, event, size, depth = heappop(queue)
                 self.time = time
                 steps += 1
-                if type(item) is tuple:
-                    to, event, size, depth = item
+                if to is not None:
                     msg = event.msg
                     kind = msg.kind
                     recv_count[to][kind] += 1
@@ -447,11 +447,11 @@ class SimWorld:
                                                            expand(actions, self.n))
                     if actions:
                         self._apply(to, actions, ctx)
-                elif type(item) is _Bcast:
-                    self._process_bcast(item)
+                elif type(event) is _Bcast:
+                    self._process_bcast(event)
                 else:
-                    self._emit(item.frm, (item.to,), item.msg, item.depth,
-                               forced_delay=item.delay)
+                    self._emit(event.frm, (event.to,), event.msg, event.depth,
+                               forced_delay=event.delay)
         finally:
             stats.events_processed += steps
         if until is not None and until > self.time:
@@ -543,7 +543,7 @@ class SimWorld:
             if last_arrival[to] > arrival:
                 arrival = last_arrival[to]
             last_arrival[to] = arrival
-            push(queue, (arrival, next(seq), (to, event, size, depth)))
+            push(queue, (arrival, next(seq), to, event, size, depth))
 
     def _trace(self, event: str, node: int, frm: int, kind: str, source: int,
                h: int, size: int, depth: int) -> None:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import stretch_link
+import rblab.protocols
 from rblab import hashing
 from rblab.adversary import CorruptRelay, build_world
 from rblab.codec import CodedElement, CodeParams, encode
@@ -150,6 +151,17 @@ def test_make_automaton_maps_kinds():
         f = 1
         n = RESILIENCE[kind] * f + 1
         assert isinstance(_auto(kind, n, f), cls)
+
+
+def test_make_automaton_rejects_an_unknown_kind_with_a_key_error(monkeypatch):
+    # The kind -> class map is built on first use; the error is a plain
+    # lookup's, on that use and after it.
+    monkeypatch.setattr(rblab.protocols, "_CLASSES", {})
+    for _ in range(2):
+        with pytest.raises(KeyError) as info:
+            make_automaton(ProtocolConfig("nope", 4, 1, 0))
+        assert info.value.args == ("nope",)
+        assert isinstance(_auto(ProtocolKind.BRACHA, 4, 1), Bracha)
 
 
 # -- whole-world message counts ----------------------------------------------
