@@ -26,22 +26,28 @@ from dataclasses import dataclass, replace
 from . import hashing
 from .codec import CodedElement
 from .core import (
+    HEADER_SIZE,
     Action,
-    BroadcastRequest,
     Deliver,
-    Event,
     MsgKind,
     Multicast,
     NodeId,
     Payload,
-    Receive,
     Send,
     SeqIndex,
     WireMessage,
     expand,
 )
 from .protocols import RESILIENCE, ProtocolConfig, ProtocolKind, make_automaton
-from .simnet import NetParams, SimWorld, Topology
+from .protocols.base import Automaton
+from .protocols.bracha import Bracha
+from .simnet import (
+    DeliverRecord,
+    NetParams,
+    SimWorld,
+    Topology,
+    check_broadcast_properties,
+)
 
 
 class ConfigMismatch(ValueError):
@@ -192,8 +198,10 @@ class WitnessProtocolConfig:
                 f"deliver_threshold {self.deliver_threshold} outside [1, {self.n}]")
 
 
-class WitnessAutomaton:
-    """One node of the strawman witness protocol (see the module docstring)."""
+class WitnessAutomaton(Automaton):
+    """One node of the strawman witness protocol (see the module docstring).
+    ``Automaton.step`` dispatches its events and sends the source's MSG
+    wave; it handles MSG and ECHO only and ignores every other kind."""
 
     def __init__(self, config: WitnessProtocolConfig, node: NodeId):
         config.validate()
@@ -201,29 +209,24 @@ class WitnessAutomaton:
         self.n = config.n
         self.f = config.f
         self.me = node
+        self.instances = {}  # looked up by ``step``; the strawman opens none
         self.supporters: dict[tuple[NodeId, SeqIndex, Payload], set[NodeId]] = {}
         self.witnessed: dict[tuple[NodeId, SeqIndex], set[Payload]] = {}
         self.delivered: set[tuple[NodeId, SeqIndex]] = set()
 
-    def step(self, event: Event) -> list[Action]:
-        if isinstance(event, BroadcastRequest):
-            return self.source_sends(event.payload, event.h)
-        if not isinstance(event, Receive):
-            raise TypeError(f"unknown event {event!r}")
-        msg = event.msg
-        if msg.payload is None:
+    def on_msg(self, frm: NodeId, msg: WireMessage, rec: None) -> list[Action]:
+        if msg.payload is None or frm != msg.source:
             return []
+        return self._witness(msg.source, msg.h, msg.payload)
+
+    def on_echo(self, frm: NodeId, msg: WireMessage, rec: None) -> list[Action]:
         s, h, m = msg.source, msg.h, msg.payload
-        if msg.kind is MsgKind.MSG:
-            if event.frm != s:
-                return []
-            return self._witness(s, h, m)
-        if msg.kind is not MsgKind.ECHO:
+        if m is None:
             return []
         senders = self.supporters.setdefault((s, h, m), set())
-        if event.frm in senders:
+        if frm in senders:
             return []
-        senders.add(event.frm)
+        senders.add(frm)
         actions: list[Action] = []
         if len(senders) >= self.f + 1:
             actions += self._witness(s, h, m)
@@ -239,9 +242,6 @@ class WitnessAutomaton:
             return []
         done.add(m)
         return [Multicast(WireMessage(MsgKind.ECHO, s, h, payload=m))]
-
-    def source_sends(self, payload: Payload, h: SeqIndex) -> list[Action]:
-        return [Multicast(WireMessage(MsgKind.MSG, self.me, h, payload=payload))]
 
     def witness_counts(self, s: NodeId, h: SeqIndex) -> dict[Payload, int]:
         return {m: len(senders) for (ss, hh, m), senders
@@ -271,36 +271,34 @@ class ScriptInfo:
     phase: float
 
 
-def _groups(f: int) -> dict[str, list[NodeId]]:
-    return {
-        "S1": list(range(0, f)),
-        "S2": list(range(f, 2 * f)),
-        "S3": list(range(2 * f, 3 * f)),
-        "S4": list(range(3 * f, 4 * f)),
-        "B": list(range(4 * f, 5 * f)),
-    }
+# The two values the exec scripts' faulty source splits the nodes over.
+_M1, _M2 = b"value-one", b"value-two"
+
+
+def _five_groups(world: SimWorld, script: str) -> tuple[int, dict[str, list[NodeId]]]:
+    """Check that ``world`` has n = 5f, split its nodes into groups S1, S2,
+    S3, S4 and B of f nodes each, and silence B, whose traffic the script
+    injects. Returns f and the groups."""
+    f = world.automata[0].f
+    if world.n != 5 * f or f < 1:
+        raise ConfigMismatch(f"{script} needs n = 5f, got n={world.n} f={f}")
+    groups = {name: list(range(i * f, (i + 1) * f))
+              for i, name in enumerate(("S1", "S2", "S3", "S4", "B"))}
+    for node in groups["B"]:
+        world.attach_adversary(node, Silent())
+    return f, groups
 
 
 def _wit(world: SimWorld, s: NodeId, h: SeqIndex, m: Payload) -> WireMessage:
     """A witness message for whichever protocol family the world runs:
     payload-carrying protocols vouch with the value itself, digest-voting
     ones with its hash."""
-    from .protocols.bracha import Bracha
-
     if isinstance(world.automata[0], (WitnessAutomaton, Bracha)):
         return WireMessage(MsgKind.ECHO, s, h, payload=m)
     return WireMessage(MsgKind.ECHO, s, h, digest=hashing.digest(m))
 
 
-def _require_5f(world: SimWorld, script: str) -> int:
-    f = world.automata[0].f
-    if world.n != 5 * f or f < 1:
-        raise ConfigMismatch(f"{script} needs n = 5f, got n={world.n} f={f}")
-    return f
-
-
-def script_exec1(world: SimWorld, m1: Payload = b"value-one",
-                 m2: Payload = b"value-two") -> ScriptInfo:
+def script_exec1(world: SimWorld) -> ScriptInfo:
     """Split-brain timeline: the faulty source gives S1 and S4 different
     values and backs each side's value with its witness votes; the middle
     groups see value one first and vouch for it, then (when double
@@ -308,13 +306,10 @@ def script_exec1(world: SimWorld, m1: Payload = b"value-one",
     slow, so S4 completes a quorum on value two, fed by S1's own
     double-witness votes, before the value-one votes arrive. S1 and the
     middle deliver value one while S4 delivers value two."""
-    f = _require_5f(world, "exec1")
-    g = _groups(f)
+    f, g = _five_groups(world, "exec1")
     s1, s4, bz = set(g["S1"]), set(g["S4"]), set(g["B"])
     b = g["B"][0]
     h = 1
-    for node in g["B"]:
-        world.attach_adversary(node, Silent())
 
     def policy(frm: int, to: int, msg: WireMessage) -> float | None:
         if frm in bz:
@@ -327,53 +322,47 @@ def script_exec1(world: SimWorld, m1: Payload = b"value-one",
 
     world.delay_policy = policy
     for to in g["S1"]:
-        world.inject(0.0, b, to, WireMessage(MsgKind.MSG, b, h, payload=m1), delay=0.5)
+        world.inject(0.0, b, to, WireMessage(MsgKind.MSG, b, h, payload=_M1), delay=0.5)
     for to in g["S4"]:
-        world.inject(0.0, b, to, WireMessage(MsgKind.MSG, b, h, payload=m2), delay=0.5)
+        world.inject(0.0, b, to, WireMessage(MsgKind.MSG, b, h, payload=_M2), delay=0.5)
     for frm in g["B"]:
         for to in g["S1"]:
-            world.inject(1.0, frm, to, _wit(world, b, h, m1), delay=0.0005)
+            world.inject(1.0, frm, to, _wit(world, b, h, _M1), delay=0.0005)
         for to in g["S4"]:
-            world.inject(1.0, frm, to, _wit(world, b, h, m2), delay=0.0005)
+            world.inject(1.0, frm, to, _wit(world, b, h, _M2), delay=0.0005)
         for to in g["S2"] + g["S3"]:
-            world.inject(1.0, frm, to, _wit(world, b, h, m1), delay=0.001)
+            world.inject(1.0, frm, to, _wit(world, b, h, _M1), delay=0.001)
         for to in g["S2"] + g["S3"]:
-            world.inject(1.0, frm, to, _wit(world, b, h, m2), delay=0.002)
-    return ScriptInfo(b, h, m1, m2, g, phase=1.0)
+            world.inject(1.0, frm, to, _wit(world, b, h, _M2), delay=0.002)
+    return ScriptInfo(b, h, _M1, _M2, g, phase=1.0)
 
 
-def script_exec2(world: SimWorld, m1: Payload = b"value-one",
-                 m2: Payload = b"value-two") -> ScriptInfo:
+def script_exec2(world: SimWorld) -> ScriptInfo:
     """Two-phase starvation timeline: after two phases every S2 node holds
     exactly 3f witnesses for m1 and 2f for m2, both below the safe
     threshold, so no two-phase delivery rule can fire."""
-    f = _require_5f(world, "exec2")
-    g = _groups(f)
+    f, g = _five_groups(world, "exec2")
     bz = set(g["B"])
     b = g["B"][0]
     h = 1
-    for node in g["B"]:
-        world.attach_adversary(node, Silent())
 
     def policy(frm: int, to: int, msg: WireMessage) -> float | None:
         return None if frm in bz else 1.0
 
     world.delay_policy = policy
     for to in g["S1"]:
-        world.inject(0.0, b, to, WireMessage(MsgKind.MSG, b, h, payload=m1), delay=0.5)
+        world.inject(0.0, b, to, WireMessage(MsgKind.MSG, b, h, payload=_M1), delay=0.5)
     for to in g["S2"]:
-        world.inject(0.0, b, to, WireMessage(MsgKind.MSG, b, h, payload=m2), delay=0.5)
+        world.inject(0.0, b, to, WireMessage(MsgKind.MSG, b, h, payload=_M2), delay=0.5)
     for frm in g["B"]:
         for to in g["S1"] + g["S3"] + g["S4"]:
-            world.inject(1.0, frm, to, _wit(world, b, h, m1), delay=0.5)
+            world.inject(1.0, frm, to, _wit(world, b, h, _M1), delay=0.5)
         for to in g["S2"]:
-            world.inject(1.0, frm, to, _wit(world, b, h, m2), delay=0.5)
-    return ScriptInfo(b, h, m1, m2, g, phase=1.0)
+            world.inject(1.0, frm, to, _wit(world, b, h, _M2), delay=0.5)
+    return ScriptInfo(b, h, _M1, _M2, g, phase=1.0)
 
 
-def script_helper4(world: SimWorld, m: Payload = b"good-value",
-                   m_evil: Payload = b"evil-value", *,
-                   equivocate: bool = True) -> ScriptInfo:
+def script_helper4(world: SimWorld, *, equivocate: bool = True) -> ScriptInfo:
     """Six-node slow-node timeline for the digest-voting 3f+1 protocol: the
     faulty source shows node 0 a different value, and vote deliveries to
     node 0 are timed so its payload request can only start after the vote
@@ -381,6 +370,7 @@ def script_helper4(world: SimWorld, m: Payload = b"good-value",
     f = world.automata[0].f
     if world.n != 6 or f != 1:
         raise ConfigMismatch(f"helper4 needs n=6 f=1, got n={world.n} f={f}")
+    m, m_evil = b"good-value", b"evil-value"
     b, victim = 5, 0
     h = 1
     digest = hashing.digest(m)
@@ -422,10 +412,11 @@ class ScenarioResult:
     messages: list[str]
 
 
-def _honest_payloads(world: SimWorld, s: NodeId, h: SeqIndex) -> set[Payload]:
+def _honest_deliveries(world: SimWorld, s: NodeId, h: SeqIndex) -> list[DeliverRecord]:
+    """The delivery records of broadcast (s, h) at the honest nodes."""
     honest = world.honest
-    return {rec.payload for (i, ss, hh), rec in world.stats.delivers.items()
-            if i in honest and (ss, hh) == (s, h)}
+    return [rec for (i, ss, hh), rec in world.stats.delivers.items()
+            if i in honest and (ss, hh) == (s, h)]
 
 
 def _substitute_world(protocol: str, n: int, f: int, seed: int) -> SimWorld:
@@ -436,31 +427,27 @@ def _substitute_world(protocol: str, n: int, f: int, seed: int) -> SimWorld:
 
 def scenario_exec1(seed: int = 0, f: int = 1, protocol: str | None = None) -> ScenarioResult:
     n = 5 * f
-    messages = []
     if protocol is not None:
         world = _substitute_world(protocol, n, f, seed)
         info = script_exec1(world)
         world.run()
-        payloads = _honest_payloads(world, info.source, info.h)
-        passed = len(payloads) <= 1
-        messages.append(f"{protocol}: {len(payloads)} distinct honest payloads")
-        return ScenarioResult("exec1", passed,
-                              {"protocol": protocol, "payloads": len(payloads)}, messages)
+        payloads = len({rec.payload for rec in _honest_deliveries(world, info.source, info.h)})
+        return ScenarioResult("exec1", payloads <= 1, {"protocol": protocol, "payloads": payloads},
+                              [f"{protocol}: {payloads} distinct honest payloads"])
+    # The strawman splits at the unsafe threshold under double witnessing,
+    # and holds at the next threshold without it.
     unsafe = (n + f) // 2
-    world_a = build_witness_world(f, unsafe, allow_double_witness=True, seed=seed)
-    info = script_exec1(world_a)
-    world_a.run()
-    split = _honest_payloads(world_a, info.source, info.h)
-    violated = len(split) > 1
-    messages.append(f"threshold {unsafe}: {len(split)} distinct honest payloads")
-    world_b = build_witness_world(f, unsafe + 1, allow_double_witness=False, seed=seed)
-    info_b = script_exec1(world_b)
-    world_b.run()
-    safe = _honest_payloads(world_b, info_b.source, info_b.h)
-    messages.append(f"threshold {unsafe + 1}: {len(safe)} distinct honest payloads")
-    return ScenarioResult("exec1", violated and len(safe) <= 1,
-                          {"unsafe_payloads": len(split), "safe_payloads": len(safe)},
-                          messages)
+    counts, messages = [], []
+    for threshold in (unsafe, unsafe + 1):
+        world = build_witness_world(f, threshold, allow_double_witness=threshold == unsafe,
+                                    seed=seed)
+        info = script_exec1(world)
+        world.run()
+        counts.append(len({rec.payload for rec in _honest_deliveries(world, info.source, info.h)}))
+        messages.append(f"threshold {threshold}: {counts[-1]} distinct honest payloads")
+    split, safe = counts
+    return ScenarioResult("exec1", split > 1 and safe <= 1,
+                          {"unsafe_payloads": split, "safe_payloads": safe}, messages)
 
 
 def scenario_exec2(seed: int = 0, f: int = 1, protocol: str | None = None) -> ScenarioResult:
@@ -470,9 +457,7 @@ def scenario_exec2(seed: int = 0, f: int = 1, protocol: str | None = None) -> Sc
         world = _substitute_world(protocol, n, f, seed)
         info = script_exec2(world)
         world.run()
-        honest = world.honest
-        times = [rec.time for (i, s, h), rec in world.stats.delivers.items()
-                 if i in honest and (s, h) == (info.source, info.h)]
+        times = [rec.time for rec in _honest_deliveries(world, info.source, info.h)]
         passed = all(t >= boundary for t in times)
         return ScenarioResult(
             "exec2", passed, {"protocol": protocol, "deliveries": len(times)},
@@ -521,22 +506,28 @@ def scenario_helper4(seed: int = 0) -> ScenarioResult:
     return ScenarioResult("helper4", ok, {"n": 6, "f": 1}, messages)
 
 
-def scenario_equivocate_split(seed: int = 0, f: int = 2,
-                              payload_len: int = 4096) -> ScenarioResult:
-    from .core import HEADER_SIZE
-    from .simnet import check_broadcast_properties
+def _one_broadcast(kind: ProtocolKind, n: int, f: int, seed: int,
+                   faulty: dict[NodeId, Strategy],
+                   payload: Payload) -> tuple[SimWorld, list[str]]:
+    """Node 0 broadcasts ``payload`` once, as h = 1, over jittered links,
+    with each ``faulty`` node under its strategy. Returns the finished
+    world and its broadcast-property violations."""
+    world = build_world(kind, n, f, seed=seed, net=NetParams(base_delay=1.0, jitter=0.5))
+    for node, strategy in faulty.items():
+        world.attach_adversary(node, strategy)
+    world.broadcast(0, payload, h=1)
+    world.run()
+    return world, check_broadcast_properties(world)
 
-    n = 3 * f + 1
-    world = build_world(ProtocolKind.H_BRB_3F1, n, f, seed=seed,
-                        net=NetParams(base_delay=1.0, jitter=0.5))
+
+def scenario_equivocate_split(seed: int = 0, f: int = 2) -> ScenarioResult:
+    n, payload_len = 3 * f + 1, 4096
     rng = random.Random(seed)
     m1 = bytes(rng.randrange(256) for _ in range(payload_len))
     m2 = bytes(rng.randrange(256) for _ in range(payload_len))
     partition = {to: (m1 if to < n - f else m2) for to in range(n)}
-    world.attach_adversary(0, EquivocatingSource(partition))
-    world.broadcast(0, m1, h=1)
-    world.run()
-    violations = check_broadcast_properties(world)
+    world, violations = _one_broadcast(ProtocolKind.H_BRB_3F1, n, f, seed,
+                                       {0: EquivocatingSource(partition)}, m1)
     bound = (f + 1) * (payload_len + HEADER_SIZE)
     recv_bytes = world.stats.recv_bytes
     worst = max(recv_bytes[node][MsgKind.FWD] for node in world.honest)
@@ -546,43 +537,23 @@ def scenario_equivocate_split(seed: int = 0, f: int = 2,
                           {"fwd_bound": bound, "fwd_worst": worst}, messages)
 
 
-def scenario_corrupt_relay(seed: int = 0, payload_len: int = 512) -> ScenarioResult:
-    from .simnet import check_broadcast_properties
-
-    n, f = 13, 3
-    world = build_world(ProtocolKind.EC_BRB_4F1, n, f, seed=seed,
-                        net=NetParams(base_delay=1.0, jitter=0.5))
-    for node in (1, 2, 3):
-        world.attach_adversary(node, CorruptRelay(seed=seed + node))
+def scenario_corrupt_relay(seed: int = 0) -> ScenarioResult:
+    faulty = {node: CorruptRelay(seed=seed + node) for node in (1, 2, 3)}
     rng = random.Random(seed)
-    payload = bytes(rng.randrange(256) for _ in range(payload_len))
-    world.broadcast(0, payload, h=1)
-    world.run()
-    violations = check_broadcast_properties(world)
-    honest = world.honest
-    delivered = sum(1 for (i, s, h) in world.stats.delivers
-                    if i in honest and (s, h) == (0, 1))
-    messages = [f"{delivered}/{len(honest)} honest nodes delivered"]
-    messages += violations
-    return ScenarioResult("corrupt-relay", not violations,
-                          {"honest_deliveries": delivered}, messages)
+    payload = bytes(rng.randrange(256) for _ in range(512))
+    world, violations = _one_broadcast(ProtocolKind.EC_BRB_4F1, 13, 3, seed, faulty, payload)
+    delivered = len(_honest_deliveries(world, 0, 1))
+    return ScenarioResult("corrupt-relay", not violations, {"honest_deliveries": delivered},
+                          [f"{delivered}/{len(world.honest)} honest nodes delivered"]
+                          + violations)
 
 
 def scenario_silent(seed: int = 0) -> ScenarioResult:
-    from .simnet import check_broadcast_properties
-
-    world = build_world(ProtocolKind.H_BRB_3F1, 4, 1, seed=seed,
-                        net=NetParams(base_delay=1.0, jitter=0.5))
-    world.attach_adversary(3, Silent())
-    world.broadcast(0, b"quiet-test", h=1)
-    world.run()
-    violations = check_broadcast_properties(world)
-    honest = world.honest
-    delivered = sum(1 for (i, s, h) in world.stats.delivers
-                    if i in honest and (s, h) == (0, 1))
-    return ScenarioResult("silent", not violations,
-                          {"honest_deliveries": delivered},
-                          [f"{delivered}/{len(honest)} honest nodes delivered"]
+    world, violations = _one_broadcast(ProtocolKind.H_BRB_3F1, 4, 1, seed,
+                                       {3: Silent()}, b"quiet-test")
+    delivered = len(_honest_deliveries(world, 0, 1))
+    return ScenarioResult("silent", not violations, {"honest_deliveries": delivered},
+                          [f"{delivered}/{len(world.honest)} honest nodes delivered"]
                           + violations)
 
 

@@ -29,6 +29,7 @@ from .adversary import (
     EquivocatingSource,
     ScenarioOptionError,
     Silent,
+    Strategy,
     UnknownScenario,
     build_world,
     run_scenario,
@@ -63,7 +64,23 @@ REPORT_COLUMNS = (
     "msgs_hash_rb", "depth", "error",
 )
 
-STRATEGIES = ("none", "silent", "crash", "equivocate", "corrupt-relay")
+
+def _equivocator(config: ExperimentConfig, node: int) -> EquivocatingSource:
+    alt = random.Random(config.seed ^ 0xE0E0).randbytes(config.payload_size)
+    half = (config.n + 1) // 2
+    return EquivocatingSource({to: alt for to in range(half, config.n)})
+
+
+# [adversary] strategy -> the constructor of a faulty node's strategy, given
+# the config and the node.
+_STRATEGY_OF = {
+    "none": lambda config, node: Strategy(),
+    "silent": lambda config, node: Silent(),
+    "crash": lambda config, node: Crash(config.crash_after),
+    "equivocate": _equivocator,
+    "corrupt-relay": lambda config, node: CorruptRelay(seed=config.seed + node),
+}
+STRATEGIES = tuple(_STRATEGY_OF)
 
 
 @dataclass
@@ -134,8 +151,9 @@ class ExperimentConfig:
                 raise ValidationError(f"adversary nodes {bad} outside [0, {self.n})")
         if self.strategy == "crash" and self.crash_after < 0:
             raise ValidationError("crash_after must be >= 0")
-        if self.count < 0:
-            raise ValidationError("count must be >= 0")
+        if self.strategy != "none" and self.count < 1:
+            raise ValidationError(f"[adversary] count must be >= 1 with strategy "
+                                  f"{self.strategy!r}, got {self.count}")
 
     def faulty_nodes(self) -> list[int]:
         if self.strategy == "none":
@@ -144,14 +162,7 @@ class ExperimentConfig:
             return list(self.adversary_nodes)
         if self.strategy == "equivocate":
             return [self.source]
-        picks: list[int] = []
-        for node in range(self.n - 1, -1, -1):
-            if node == self.source:
-                continue
-            picks.append(node)
-            if len(picks) == self.count:
-                break
-        return picks
+        return [node for node in range(self.n - 1, -1, -1) if node != self.source][:self.count]
 
 
 def _node_list(raw: str) -> tuple[int, ...]:
@@ -237,20 +248,6 @@ def _workload(config: ExperimentConfig) -> list[tuple[float, int, bytes, int]]:
             for i in range(config.broadcasts)]
 
 
-def _make_strategy(config: ExperimentConfig, node: int):
-    if config.strategy == "silent":
-        return Silent()
-    if config.strategy == "crash":
-        return Crash(config.crash_after)
-    if config.strategy == "corrupt-relay":
-        return CorruptRelay(seed=config.seed + node)
-    if config.strategy == "equivocate":
-        alt = random.Random(config.seed ^ 0xE0E0).randbytes(config.payload_size)
-        half = (config.n + 1) // 2
-        return EquivocatingSource({to: alt for to in range(half, config.n)})
-    raise ValidationError(f"unknown strategy {config.strategy!r}")
-
-
 def build_experiment(config: ExperimentConfig, *, record_trace: bool = False,
                      allow_overfault: bool = False) -> SimWorld:
     world = build_world(config.kind, config.n, config.f, k=config.k,
@@ -258,7 +255,7 @@ def build_experiment(config: ExperimentConfig, *, record_trace: bool = False,
                         seed=config.seed, record_trace=record_trace)
     try:
         for node in config.faulty_nodes():
-            world.attach_adversary(node, _make_strategy(config, node),
+            world.attach_adversary(node, _STRATEGY_OF[config.strategy](config, node),
                                    allow_overfault=allow_overfault)
     except (FaultBudgetExceeded, ValueError) as exc:
         raise ValidationError(str(exc)) from None

@@ -10,6 +10,7 @@ from rblab.adversary import ScenarioResult
 from rblab.bench import (
     _SCHEMA,
     REPORT_COLUMNS,
+    STRATEGIES,
     ExperimentConfig,
     ParseError,
     ValidationError,
@@ -125,6 +126,13 @@ def test_the_configuration_reference_matches_the_schema():
                 assert type(value) in (int, float) and value == type(value)(documented), key
 
 
+def test_the_strategy_row_lists_every_strategy_in_order():
+    row = next(line for line in DOCS.read_text(encoding="utf-8").splitlines()
+               if line.startswith("| `strategy` |"))
+    meaning = row.split("|")[4]
+    assert re.findall(r"`([^`]+)`", meaning) == list(STRATEGIES)
+
+
 @pytest.mark.parametrize("text,needle", [
     ("[protocol]\nkind = h-brb-5f1\nn = 4\nf = 1\n", "needs n >= 5f+1 = 6"),
     ("[protocol]\nkind = ec-brb-4f1\nn = 13\nf = 3\nk = 5\n",
@@ -153,6 +161,20 @@ def test_an_empty_node_list_is_refused_not_run_without_faults(tmp_path):
                          adversary_nodes=()).validate()
     row, world = run_experiment(load_config(_write(tmp_path, text.replace("=\n", "= 2\n"))))
     assert set(world.strategies) == {2} and row["error"] == ""
+
+
+def test_a_zero_count_is_refused_not_run_with_every_other_node_faulty(tmp_path):
+    # strategy = silent with count = 0 once corrupted every non-source node.
+    text = "[protocol]\nkind = bracha\nn = 7\nf = 2\n\n[adversary]\nstrategy = silent\ncount = 0\n"
+    with pytest.raises(ValidationError) as err:
+        load_config(_write(tmp_path, text))
+    assert str(err.value) == "[adversary] count must be >= 1 with strategy 'silent', got 0"
+    for count in (0, -1):
+        with pytest.raises(ValidationError, match="count must be >= 1"):
+            ExperimentConfig(kind=ProtocolKind.BRACHA, n=7, f=2, strategy="crash",
+                             count=count).validate()
+    config = load_config(_write(tmp_path, text.replace("count = 0", "count = 2")))
+    assert config.faulty_nodes() == [6, 5]
 
 
 def test_a_bad_node_list_names_its_documented_type(tmp_path):

@@ -14,7 +14,7 @@ import pytest
 
 import test_acceptance
 from test_acceptance import FAULT_MATRIX, _fault_injected_violations
-from rblab.adversary import build_world
+from rblab.adversary import WitnessAutomaton, WitnessProtocolConfig, build_world
 from rblab.codec import CodedElement, CodeParams
 from rblab.core import (
     BroadcastRequest,
@@ -91,6 +91,22 @@ def test_step_rejects_an_event_that_is_not_one(kind):
         with pytest.raises(TypeError):
             automaton.step(event)
     assert automaton.instances == {}
+
+
+def test_the_witness_strawman_rejects_a_non_event_and_tallies_only_what_it_reads():
+    node = WitnessAutomaton(WitnessProtocolConfig(5, 1, deliver_threshold=1), node=0)
+    for event in (object(), Send(1, _msg()), Deliver(0, b"m", 1), _msg()):
+        with pytest.raises(TypeError):
+            node.step(event)
+    # Any one ECHO it tallied would deliver at this threshold, and a MSG
+    # from its source would make it witness.
+    ignored = [WireMessage(kind, 2, 1, payload=b"v") for kind in
+               (MsgKind.ACC, MsgKind.REQ, MsgKind.FWD, MsgKind.HASH_RB)]
+    ignored += [WireMessage(kind, 2, 1, digest=bytes(32)) for kind in (MsgKind.MSG, MsgKind.ECHO)]
+    for msg in ignored:
+        assert node.step(Receive(2, msg)) == []
+    assert node.supporters == {} and node.witnessed == {} and node.delivered == set()
+    assert node.instances == {}
 
 
 # -- no message changes after it is sent ---------------------------------------
