@@ -154,6 +154,16 @@ class ExperimentConfig:
         if self.strategy != "none" and self.count < 1:
             raise ValidationError(f"[adversary] count must be >= 1 with strategy "
                                   f"{self.strategy!r}, got {self.count}")
+        # An equivocation acts only through the source's first wave.
+        if self.strategy == "equivocate":
+            if self.adversary_nodes is not None and set(self.adversary_nodes) != {self.source}:
+                raise ValidationError(
+                    f"[adversary] strategy 'equivocate' corrupts only the source, so nodes "
+                    f"must name the source {self.source} alone, got {list(self.adversary_nodes)}")
+            if self.count != 1:
+                raise ValidationError(
+                    f"[adversary] strategy 'equivocate' corrupts only the source, so count "
+                    f"must be 1, got {self.count}")
 
     def faulty_nodes(self) -> list[int]:
         if self.strategy == "none":

@@ -362,7 +362,8 @@ class Instance:
     first candidate it backs, so the per-kind masks of counted senders
     ignore the key. Its REQ and its FWD are likewise taken once per
     instance, whatever digest or payload they carry. The erasure-coded
-    fields stay None in automata that do not use them.
+    fields stay None in automata that do not use them; ec-crb and ec-brb-4f1
+    hold each element through ``add_element``.
     """
 
     __slots__ = (
@@ -388,6 +389,14 @@ class Instance:
         # delivered
         self.decoded_lens: set[int] | None = None
         self.endorsed: Digest | None = None
+
+    def add_element(self, element: CodedElement) -> set[CodedElement]:
+        """Hold ``element`` (ec-crb, ec-brb-4f1); the set of those held."""
+        held = self.elements
+        if held is None:
+            held = self.elements = set()
+        held.add(element)
+        return held
 
     def closed(self) -> Closed:
         """This instance's closed record, for a protocol that answers REQs."""

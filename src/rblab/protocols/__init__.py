@@ -42,9 +42,14 @@ RESILIENCE: dict[ProtocolKind, int] = {
     ProtocolKind.EC_BRB_4F1: 4,
 }
 
-CODED_KINDS = frozenset({
-    ProtocolKind.EC_CRB, ProtocolKind.EC_BRB_3F1, ProtocolKind.EC_BRB_4F1,
-})
+# Coded protocol -> (its rule for the code dimension k, k as a function of
+# (n, f)). ec-crb takes any 1 <= k <= n-f and defaults to n-f; the others
+# require exactly their k.
+CODE_DIMENSION = {
+    ProtocolKind.EC_CRB: ("n-f", lambda n, f: n - f),
+    ProtocolKind.EC_BRB_3F1: ("f+1", lambda n, f: f + 1),
+    ProtocolKind.EC_BRB_4F1: ("n-3f", lambda n, f: n - 3 * f),
+}
 
 
 @dataclass
@@ -69,38 +74,28 @@ class ProtocolConfig:
         if self.strict_resilience and self.n < floor:
             raise ResilienceViolation(
                 f"{self.kind.value} needs n >= {RESILIENCE[self.kind]}f+1 = {floor}, got n={self.n}")
-        if self.kind in CODED_KINDS:
-            if self.n > 255:
-                raise BadCodeParams(f"coded protocols require n <= 255, got {self.n}")
-            required = self._required_k()
-            if self.k is not None and required is not None and self.k != required:
+        if self.kind not in CODE_DIMENSION:
+            if self.k is not None:
+                raise BadCodeParams(f"{self.kind.value} does not take a code dimension")
+            return
+        if self.n > 255:
+            raise BadCodeParams(f"coded protocols require n <= 255, got {self.n}")
+        rule, k_of = CODE_DIMENSION[self.kind]
+        required = k_of(self.n, self.f)
+        if self.kind is ProtocolKind.EC_CRB:
+            k = self.resolved_k()
+            if not 1 <= k <= required:
                 raise BadCodeParams(
-                    f"{self.kind.value} requires k = {self._k_rule()} = {required}, got k={self.k}")
-            if self.kind is ProtocolKind.EC_CRB:
-                k = self.k if self.k is not None else self.n - self.f
-                if not 1 <= k <= self.n - self.f:
-                    raise BadCodeParams(
-                        f"ec-crb requires 1 <= k <= n-f = {self.n - self.f}, got k={k}")
-        elif self.k is not None:
-            raise BadCodeParams(f"{self.kind.value} does not take a code dimension")
-
-    def _required_k(self) -> int | None:
-        if self.kind is ProtocolKind.EC_BRB_3F1:
-            return self.f + 1
-        if self.kind is ProtocolKind.EC_BRB_4F1:
-            return self.n - 3 * self.f
-        return None
-
-    def _k_rule(self) -> str:
-        return "f+1" if self.kind is ProtocolKind.EC_BRB_3F1 else "n-3f"
+                    f"{self.kind.value} requires 1 <= k <= {rule} = {required}, got k={k}")
+        elif self.k is not None and self.k != required:
+            raise BadCodeParams(
+                f"{self.kind.value} requires k = {rule} = {required}, got k={self.k}")
 
     def resolved_k(self) -> int | None:
         """The code dimension the protocol will actually use."""
-        if self.kind not in CODED_KINDS:
+        if self.kind not in CODE_DIMENSION:
             return None
-        if self.kind is ProtocolKind.EC_CRB:
-            return self.k if self.k is not None else self.n - self.f
-        return self._required_k()
+        return self.k if self.k is not None else CODE_DIMENSION[self.kind][1](self.n, self.f)
 
 
 _CLASSES: dict[ProtocolKind, type] = {}  # kind -> automaton class, filled on first use

@@ -26,12 +26,14 @@ protocol ``close``s the instance (see ``core``), and ``step`` passes it
 nothing but REQs from then on.
 
 ``DoubleEcho`` is the one quorum engine of bracha, h-brb-3f1, h-brb-5f1
-and ec-brb-3f1; they differ only in what a vote carries and in how a node
-gets a payload it lacks.
+and ec-brb-3f1, and its ``tally`` counts every vote of theirs; they differ
+only in what a vote carries, which ECHO counts, and how a node gets a
+payload it lacks. ec-brb-4f1 counts its ACCs with the same ``tally``.
 """
 from __future__ import annotations
 
 from .. import hashing
+from ..codec import CodedElement, CodeParams
 from ..core import (
     CLOSED,
     Action,
@@ -69,6 +71,9 @@ class Automaton:
         # Quorum sizes, read on every vote.
         self.f_plus_1 = self.f + 1
         self.n_minus_f = self.n - self.f
+        # The [n, k] code of a coded protocol; None in the others.
+        k = config.resolved_k()
+        self.params = None if k is None else CodeParams(self.n, k)
 
     def digest_of(self, payload: Payload) -> Digest:
         """The digest of ``payload``, uncached: handlers hash only payloads
@@ -146,6 +151,13 @@ class Automaton:
         """``msg`` to every node, as one action."""
         return [Multicast(msg)]
 
+    def send_elements(self, h: SeqIndex, elements: list[CodedElement],
+                      digest: Digest | None = None) -> list[Action]:
+        """The coded protocols' MSGs: node i gets ``elements[i]``, the
+        element at position i+1, with the ``digest`` if given."""
+        return [Send(i, WireMessage(MsgKind.MSG, self.me, h, digest=digest, element=element))
+                for i, element in enumerate(elements)]
+
     def request_payload(self, s: NodeId, h: SeqIndex, c: Candidate,
                         backers: list[NodeId]) -> list[Action]:
         """REQ the payload behind a digest from the nodes that vouched for it."""
@@ -174,13 +186,15 @@ class DoubleEcho(Automaton):
     its support instead of pooling it. A node closes the instance once it
     has delivered and sent its ECHO and, with an ACC wave, its ACC.
 
-    A subclass supplies its vote body (``vote``) and either its payload
-    resolver (``learn``, or votes that carry the payload) or its fetch
+    A subclass supplies its vote body (``vote``), the key an ECHO backs
+    (``echo_key``), and either its payload resolver (``learn``, run on the
+    MSG and on each vote whose ``tally`` is told to learn) or its fetch
     trigger (``fetch``). By default the MSG carries the payload and votes
     its digest.
     """
 
     ACC_WAVE = True
+    ECHO_LEARNS = False  # whether ``learn`` reads each counted ECHO
 
     def __init__(self, config: ProtocolConfig):
         super().__init__(config)
@@ -195,8 +209,12 @@ class DoubleEcho(Automaton):
         """The candidate key the source's MSG backs; None if it is malformed."""
         return None if msg.payload is None else self.digest_of(msg.payload)
 
+    def echo_key(self, frm: NodeId, msg: WireMessage) -> Digest | None:
+        """The candidate key ``frm``'s ECHO backs; None if it is malformed."""
+        return msg.digest
+
     def learn(self, c: Candidate, msg: WireMessage) -> None:
-        """Keep what the source's MSG carries for its digest."""
+        """Keep what the message carries for its candidate."""
         if c.payload is None:
             c.payload = msg.payload
 
@@ -233,16 +251,17 @@ class DoubleEcho(Automaton):
         return actions
 
     def on_echo(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
-        return self.tally(frm, msg, rec, msg.digest, Instance.count_echo)
+        return self.tally(frm, msg, rec, self.echo_key(frm, msg), Instance.count_echo,
+                          self.ECHO_LEARNS)
 
     def on_acc(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
         return self.tally(frm, msg, rec, msg.digest, Instance.count_acc)
 
     def tally(self, frm: NodeId, msg: WireMessage, rec: Instance | None,
-              key: Digest | None, count, payload: Payload | None = None) -> list[Action]:
+              key: Digest | None, count, learn: bool = False) -> list[Action]:
         """Count ``frm``'s vote for candidate ``key`` with ``count`` (ECHO or
-        ACC) in ``rec``, opened if None, hold the ``payload`` the vote
-        carries, if any, and run the check."""
+        ACC) in ``rec``, opened if None, ``learn`` from the vote if told to,
+        and run the check."""
         if key is None:
             return []
         s, h = msg.source, msg.h
@@ -251,8 +270,8 @@ class DoubleEcho(Automaton):
         c = count(rec, key, frm)
         if c is None:
             return []
-        if c.payload is None:
-            c.payload = payload
+        if learn:
+            self.learn(c, msg)
         return self.check(rec, s, h, c)
 
     def check(self, rec: Instance, s: NodeId, h: SeqIndex, c: Candidate) -> list[Action]:

@@ -27,10 +27,10 @@ class Bracha(DoubleEcho):
         return msg.payload
 
     def on_echo(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
-        return self.tally(frm, msg, rec, msg.payload, Instance.count_echo, msg.payload)
+        return self.tally(frm, msg, rec, msg.payload, Instance.count_echo, True)
 
     def on_acc(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
-        return self.tally(frm, msg, rec, msg.payload, Instance.count_acc, msg.payload)
+        return self.tally(frm, msg, rec, msg.payload, Instance.count_acc, True)
 
     def vote(self, kind: MsgKind, s: NodeId, h: SeqIndex, c: Candidate,
              element=None) -> WireMessage:

@@ -16,7 +16,7 @@ closing before would lose the ECHO of a late one.
 """
 from __future__ import annotations
 
-from ..codec import CodecError, CodedElement, CodeParams, decode_erasure, encode
+from ..codec import CodecError, CodedElement, decode_erasure, encode
 from ..core import (
     CLOSED,
     Action,
@@ -25,11 +25,9 @@ from ..core import (
     MsgKind,
     NodeId,
     Payload,
-    Send,
     SeqIndex,
     WireMessage,
 )
-from . import ProtocolConfig
 from .base import Automaton
 
 
@@ -44,16 +42,8 @@ class CrbFlood(Automaton):
 
 
 class EcCrb(Automaton):
-    def __init__(self, config: ProtocolConfig):
-        super().__init__(config)
-        self.params = CodeParams(self.n, config.resolved_k())
-
     def source_sends(self, payload: Payload, h: SeqIndex) -> list[Action]:
-        elements = encode(payload, self.params)
-        return [
-            Send(i, WireMessage(MsgKind.MSG, self.me, h, element=elements[i]))
-            for i in range(self.n)
-        ]
+        return self.send_elements(h, encode(payload, self.params))
 
     def on_msg(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
         if frm != msg.source or msg.element is None:
@@ -77,12 +67,8 @@ class EcCrb(Automaton):
 
     def _store(self, rec: Instance, s: NodeId, h: SeqIndex,
                element: CodedElement) -> list[Action]:
-        held = rec.elements
-        if held is None:
-            held = rec.elements = set()
-        held.add(element)
         actions: list[Action] = []
-        if len(held) >= self.params.k and not rec.decoded:
+        if len(rec.add_element(element)) >= self.params.k and not rec.decoded:
             rec.decoded = True
             actions = self._decode(rec, s, h)
         if rec.acc_sent and rec.msg_seen:

@@ -3,32 +3,36 @@
 EcBrb3f1 (n >= 3f+1) codes the payload at k = f+1 so any f+1 honest
 elements rebuild it. It runs on the ``DoubleEcho`` engine with the
 hash-based protocols' REQ/FWD fallback. Its MSG and ECHO votes travel as
-(digest, element) pairs, its ACCs as digests. Its resolver feeds every
-element voted for a digest to an online error-correcting decoder, which
-accepts only a reconstruction that hashes to that digest (up to f
-elements are adversarial garbage, and with c of them held the payload
-decodes from k + 2c elements). Its fetch trigger is h-brb-3f1's: it asks
-the ACC backers once, when exactly f+1 of them back a digest whose payload
-is missing. One of those f+1 is honest, and an honest node ACCs only a
-payload it holds, so it answers.
+(digest, element) pairs, its ACCs as digests; the engine's ``tally``
+counts an ECHO under the digest it carries only if its element sits at its
+sender's position. Its resolver feeds every element voted for a digest to
+an online error-correcting decoder, which accepts only a reconstruction
+that hashes to that digest (up to f elements are adversarial garbage, and
+with c of them held the payload decodes from k + 2c elements). Its fetch
+trigger is h-brb-3f1's: it asks the ACC backers once, when exactly f+1 of
+them back a digest whose payload is missing. One of those f+1 is honest,
+and an honest node ACCs only a payload it holds, so it answers.
 
 EcBrb4f1 (n >= 4f+1) codes at k = n-3f, which leaves enough distance to
-decode through f corruptions outright: once n-f elements arrive a node
-error-corrects without any digest hint. The digest still matters for
-agreement, so the source runs a nested full-payload broadcast of the
-32-byte digest, tunneled inside HASH_RB envelopes; a node only accepts a
-reconstruction endorsed by that nested broadcast. When n-f ACCs back the
+decode through f corruptions outright: once n-f elements are held
+(``Instance.add_element``), ``_attempt_decode`` error-corrects them
+without any digest hint. The digest still matters for agreement, so the
+source runs a nested full-payload broadcast of the 32-byte digest,
+tunneled inside HASH_RB envelopes; a node only accepts a reconstruction
+endorsed by that nested broadcast. ``check`` sends the node's one ACC: for
+a digest that exactly f+1 ACCs back (one of them is honest), or else for
+the endorsed digest once its payload is held. When n-f ACCs back the
 endorsed digest and its payload is still missing, a node asks those
-backers for it and takes the forwarded copy as the hash-based protocols do,
-with their REQ and FWD handlers. The envelope does not
-name its sender, so every honest node's ECHO of one digest is the same
-bytes, and an honest instance tunnels three distinct envelopes (the nested
-MSG, ECHO and ACC) in 1 + 2n multicasts. Each carries the 32-byte digest,
-so a HASH_RB of any other size is dropped unparsed. A node keeps its
-recent parses in one small cache, and opens no record for an envelope it
-rejects. A node closes the instance once it has delivered, taken the
-source's MSG and sent its ACC, and its nested instance has closed; the
-nested record retires with it.
+backers for it and takes the forwarded copy as the hash-based protocols
+do, with their REQ and FWD handlers. The envelope does not name its
+sender, so every honest node's ECHO of one digest is the same bytes, and
+an honest instance tunnels three distinct envelopes (the nested MSG, ECHO
+and ACC) in 1 + 2n multicasts. Each carries the 32-byte digest, so a
+HASH_RB of any other size is dropped unparsed. A node keeps its recent
+parses in one small cache, and opens no record for an envelope it rejects.
+A node closes the instance once it has delivered, taken the source's MSG
+and sent its ACC, and its nested instance has closed; the nested record
+retires with it.
 
 In both, node i only ever sends the element at position i+1 (the source
 sends it the same one), so an ECHO whose element index is not its
@@ -43,7 +47,6 @@ from collections import Counter
 from .. import hashing
 from ..codec import (
     CodedElement,
-    CodeParams,
     SubsetDecoder,
     decode_correcting,
     encode,
@@ -70,7 +73,7 @@ from ..core import (
     encode_envelope,
 )
 from . import ProtocolConfig, ProtocolKind
-from .base import Automaton
+from .base import Automaton, DoubleEcho
 from .bracha import Bracha
 from .hbrb import _HashBrb
 
@@ -84,23 +87,15 @@ _NESTED_SIZE = HEADER_SIZE + hashing.DIGEST_SIZE  # a header and the digest
 class EcBrb3f1(_HashBrb):
     """REQ / FWD as in the hash-based protocols; MSG and ECHO carry elements."""
 
-    def __init__(self, config: ProtocolConfig):
-        super().__init__(config)
-        self.params = CodeParams(self.n, config.resolved_k())
+    ECHO_LEARNS = True  # an ECHO carries its sender's element
 
     def source_sends(self, payload: Payload, h: SeqIndex) -> list[Action]:
-        digest = self.digest_of(payload)
-        elements = encode(payload, self.params)
-        return [
-            Send(i, WireMessage(MsgKind.MSG, self.me, h,
-             digest=digest, element=elements[i]))
-            for i in range(self.n)
-        ]
+        return self.send_elements(h, encode(payload, self.params), self.digest_of(payload))
 
     def msg_digest(self, msg: WireMessage) -> Digest | None:
-        # The source sends node i the element at position i+1.
-        element = msg.element
-        return None if element is None or element.index != self.me + 1 else msg.digest
+        # The MSG counts as this node's own ECHO: the source sends node i
+        # the element at position i+1.
+        return self.echo_key(self.me, msg)
 
     def vote(self, kind: MsgKind, s: NodeId, h: SeqIndex, c: Candidate,
              element: CodedElement | None = None) -> WireMessage:
@@ -108,18 +103,10 @@ class EcBrb3f1(_HashBrb):
             element = encode_element(c.payload, self.params, self.me + 1)
         return WireMessage(kind, s, h, digest=c.digest, element=element)
 
-    def on_echo(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
+    def echo_key(self, frm: NodeId, msg: WireMessage) -> Digest | None:
         # Node j only ever echoes the element at its own position j+1.
-        if msg.digest is None or msg.element is None or msg.element.index != frm + 1:
-            return []
-        s, h = msg.source, msg.h
-        if rec is None:
-            rec = self.instances[(s, h)] = Instance()
-        c = rec.count_echo(msg.digest, frm)
-        if c is None:
-            return []
-        self.learn(c, msg)
-        return self.check(rec, s, h, c)
+        element = msg.element
+        return None if element is None or element.index != frm + 1 else msg.digest
 
     def learn(self, c: Candidate, msg: WireMessage) -> None:
         """Feed the message's element to the online decoder of its digest,
@@ -137,10 +124,13 @@ class EcBrb4f1(Automaton):
     on_req = _HashBrb.on_req
     on_fwd = _HashBrb.on_fwd
     close = _HashBrb.close
+    # ACCs are counted as the double-echo engine counts them; ``check``
+    # applies this protocol's rules.
+    on_acc = DoubleEcho.on_acc
+    tally = DoubleEcho.tally
 
     def __init__(self, config: ProtocolConfig):
         super().__init__(config)
-        self.params = CodeParams(self.n, config.resolved_k())
         self.inner = Bracha(ProtocolConfig(
             ProtocolKind.BRACHA, self.n, self.f, self.me,
             strict_resilience=False))
@@ -149,14 +139,8 @@ class EcBrb4f1(Automaton):
         self.untunnel = functools.lru_cache(maxsize=64)(EcBrb4f1._untunnel)
 
     def source_sends(self, payload: Payload, h: SeqIndex) -> list[Action]:
-        digest = self.digest_of(payload)
-        sends = self._tunnel(self.inner.source_sends(digest, h))
-        elements = encode(payload, self.params)
-        sends += [
-            Send(i, WireMessage(MsgKind.MSG, self.me, h, element=elements[i]))
-            for i in range(self.n)
-        ]
-        return sends
+        sends = self._tunnel(self.inner.source_sends(self.digest_of(payload), h))
+        return sends + self.send_elements(h, encode(payload, self.params))
 
     @staticmethod
     def _tunnel(inner_actions: list[Action]) -> list[Action]:
@@ -228,7 +212,7 @@ class EcBrb4f1(Automaton):
         if rec.msg_seen:
             return []
         rec.msg_seen = True
-        self._add_element(rec, msg.element)
+        rec.add_element(msg.element)
         self._close_if_done(rec, s, h)
         return self.send_all(WireMessage(MsgKind.ECHO, s, h, element=msg.element))
 
@@ -244,79 +228,55 @@ class EcBrb4f1(Automaton):
         if rec.echo_voted & bit:
             return []
         rec.echo_voted |= bit
-        self._add_element(rec, msg.element)
-        if len(rec.elements) < self.n_minus_f or not self._untried_length(rec) \
-                or not self._attempt_decode(rec):
-            return []
-        return self.check(rec, s, h)
-
-    @staticmethod
-    def _add_element(rec: Instance, element: CodedElement) -> None:
-        if rec.elements is None:
-            rec.elements = set()
-        rec.elements.add(element)
-
-    @staticmethod
-    def _untried_length(rec: Instance) -> bool:
-        """Whether some length claimed in the element set has not decoded yet."""
-        done = rec.decoded_lens
-        return done is None or any(e.claimed_len not in done for e in rec.elements)
+        rec.add_element(msg.element)
+        return self.check(rec, s, h) if self._attempt_decode(rec) else []
 
     def _attempt_decode(self, rec: Instance) -> bool:
-        """Error-correct the element set under each plausible payload length.
+        """Error-correct the element set, once it holds n-f elements, under
+        each plausible payload length; whether a new payload is held.
 
         Honest elements agree on the true length, so lengths are tried by
         how many elements claim them; a successful reconstruction is only
         acted on once the nested broadcast endorses its digest. A length
         that decoded once is not tried again."""
-        if rec.decoded_lens is None:
-            rec.decoded_lens = set()
+        elements = rec.elements
+        if len(elements) < self.n_minus_f:
+            return False
         done = rec.decoded_lens
-        claims = Counter(e.claimed_len for e in rec.elements)
+        if done is None:
+            done = rec.decoded_lens = set()
+        elif all(e.claimed_len in done for e in elements):
+            return False
+        claims = Counter(e.claimed_len for e in elements)
         progressed = False
         for length, _ in sorted(claims.items(), key=lambda kv: (-kv[1], kv[0])):
             if length in done:
                 continue
-            payload = decode_correcting(rec.elements, self.params, self.f, length)
+            payload = decode_correcting(elements, self.params, self.f, length)
             if payload is not None:
                 done.add(length)
                 rec.hold(self.digest_of(payload), payload)
                 progressed = True
         return progressed
 
-    def on_acc(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
-        if msg.digest is None:
-            return []
-        s, h = msg.source, msg.h
-        if rec is None:
-            rec = self.instances[(s, h)] = Instance()
-        c = rec.count_acc(msg.digest, frm)
-        if c is None:
-            return []
-        actions: list[Action] = []
-        if len(c.accs) == self.f_plus_1 and not rec.acc_sent:
-            rec.acc_sent = True
-            actions += self.send_all(WireMessage(MsgKind.ACC, s, h, digest=c.digest))
-        actions += self.check(rec, s, h)
-        return actions
-
     def check(self, rec: Instance, s: NodeId, h: SeqIndex,
               c: Candidate | None = None) -> list[Action]:
-        """Run after the node learns a digest, a payload or an ACC for
-        (s, h): ACC the endorsed digest once its payload is held, and at
-        n-f ACCs for it deliver, or fetch the payload from those backers.
-        Only the endorsed candidate counts, whichever ``c`` changed."""
-        c = None if rec.endorsed is None else rec.candidates.get(rec.endorsed)
-        if c is None:
-            return []
+        """Run after the node learns a digest, a payload or an ACC (for
+        ``c``) of (s, h). ACC ``c`` at exactly f+1 ACCs for it, or else the
+        endorsed digest once its payload is held. At n-f ACCs for the
+        endorsed digest deliver, or fetch the payload from those backers."""
+        endorsed = rec.candidates.get(rec.endorsed)
         actions: list[Action] = []
-        if c.payload is not None and not rec.acc_sent:
-            rec.acc_sent = True
-            actions += self.send_all(WireMessage(MsgKind.ACC, s, h, digest=c.digest))
-        if len(c.accs) < self.n_minus_f:
+        if not rec.acc_sent:
+            if c is None or len(c.accs) != self.f_plus_1:
+                c = endorsed if endorsed is not None and endorsed.payload is not None else None
+            if c is not None:
+                rec.acc_sent = True
+                actions += self.send_all(WireMessage(MsgKind.ACC, s, h, digest=c.digest))
+        if endorsed is None or len(endorsed.accs) < self.n_minus_f:
             return actions
-        if c.payload is None:
-            return self.request_payload(s, h, c, c.accs)
-        self.deliver_once(rec, s, c.payload, h, actions)
+        if endorsed.payload is None:
+            return actions + self.request_payload(s, h, endorsed, endorsed.accs)
+        self.deliver_once(rec, s, endorsed.payload, h, actions)
         self._close_if_done(rec, s, h)
         return actions

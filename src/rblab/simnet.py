@@ -345,8 +345,7 @@ class SimWorld:
         self.automata = list(automata)
         self.n = len(self.automata)
         self.topology = topology
-        hops, self._link_delay = _world_tables(topology, self.n, net.base_delay)
-        self.hops = [list(row) for row in hops]
+        self.hops, self._link_delay = _world_tables(topology, self.n, net.base_delay)
         self.net = net
         self.rng = random.Random(seed)
         self.record_trace = record_trace

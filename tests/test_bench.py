@@ -204,6 +204,29 @@ def test_config_object_validation_bounds():
                          adversary_nodes=(7,)).validate()
 
 
+def test_equivocate_refuses_nodes_it_would_run_honestly(tmp_path):
+    # An equivocation acts only through the source's first wave: a node
+    # list naming another node once ran an honest experiment that reported
+    # that node as faulty, and a count above 1 was ignored.
+    text = ("[protocol]\nkind = bracha\nn = 7\nf = 2\n\n"
+            "[adversary]\nstrategy = equivocate\n")
+    for extra in ("nodes = 2\n", "nodes = 0, 2\n"):
+        with pytest.raises(ValidationError) as err:
+            load_config(_write(tmp_path, text + extra))
+        assert str(err.value).startswith(
+            "[adversary] strategy 'equivocate' corrupts only the source, so nodes "
+            "must name the source 0 alone, got [")
+    with pytest.raises(ValidationError) as err:
+        load_config(_write(tmp_path, text + "count = 2\n"))
+    assert str(err.value) == ("[adversary] strategy 'equivocate' corrupts only the source, "
+                              "so count must be 1, got 2")
+    for extra in ("", "nodes = 0\n", "count = 1\n"):
+        assert load_config(_write(tmp_path, text + extra)).faulty_nodes() == [0]
+    moved = load_config(_write(tmp_path, text.replace("[adversary]", "[workload]\nsource = 3\n\n"
+                                                     "[adversary]") + "nodes = 3\n"))
+    assert moved.faulty_nodes() == [3]
+
+
 def test_faulty_node_selection():
     config = ExperimentConfig(kind=ProtocolKind.BRACHA, n=5, f=1,
                               strategy="silent", count=2)

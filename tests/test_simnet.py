@@ -72,7 +72,8 @@ def test_worlds_of_one_shape_share_no_mutable_table():
     topo = Topology(TopologyKind.TREE, depth=2, fanout=3)
     a, b = (build_world(ProtocolKind.BRACHA, 7, 2, topology=topo,
                         net=NetParams(base_delay=0.25)) for _ in range(2))
-    assert a.hops == b.hops == topo.hop_matrix(7)
+    assert [list(row) for row in a.hops] == topo.hop_matrix(7)
+    assert a.hops is b.hops
     assert a._link_delay == b._link_delay
     assert [[d / 0.25 for d in row] for row in a._link_delay] == topo.hop_matrix(7)
     for name, value in vars(a).items():
@@ -81,9 +82,13 @@ def test_worlds_of_one_shape_share_no_mutable_table():
             for row in (value if isinstance(value, list) else ()):
                 assert not isinstance(row, (list, dict, set)) or \
                     all(row is not other for other in vars(b)[name]), name
-    a.hops[0][1] = 99
+    # The hop table is shared read-only: an edit fails instead of silently
+    # doing nothing to the link model.
+    with pytest.raises(TypeError):
+        a.hops[0][1] = 99
+    with pytest.raises(TypeError):
+        a.hops[0] = (0,) * 7
     assert b.hops[0][1] == topo.hop(0, 1) == 2
-    assert build_world(ProtocolKind.BRACHA, 7, 2, topology=topo).hops[0][1] == 2
     # An invalid shape raises on every construction, not only the first.
     for _ in range(2):
         with pytest.raises(InvalidTopology):
