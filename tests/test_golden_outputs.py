@@ -4,8 +4,9 @@ Each shipped example config is run through the CLI twice, once for its
 ``--csv`` report and once for its event trace; every registered scenario
 is run through ``rblab scenario`` with its worlds traced; every
 ``configs/tables`` config, cut to 20 broadcasts, pins its protocol on its
-link model; two inline configs pin ec-crb and h-brb-5f1, which no shipped
-config runs; and one hash covers a drawn sweep of small adversarial worlds
+link model; inline configs pin ec-crb and h-brb-5f1, which no shipped
+config runs, and the `equivocate` and `crash` strategies as a config sets
+them up; and one hash covers a drawn sweep of small adversarial worlds
 (every protocol, f in {1, 2}, four strategies, injected messages). The
 hashes cover every simulated byte count, ordering, time and recorded ACC
 digest, so a change that is meant to be output-neutral (a speed-up, a
@@ -220,6 +221,14 @@ INLINE_CONFIGS = {
     "h-brb-5f1-fat-tree-jitter": dict(
         kind=ProtocolKind.H_BRB_5F1, n=6, f=1, topology=TopologyKind.FAT_TREE,
         fanout=2, base_delay=0.0005, jitter=0.0004, gap=0.001, seed=7),
+    "bracha-linear-equivocate": dict(
+        kind=ProtocolKind.BRACHA, n=4, f=1, topology=TopologyKind.LINEAR,
+        base_delay=0.0005, jitter=0.0004, bandwidth_mbit=42.0, gap=0.001, seed=7,
+        strategy="equivocate"),
+    "h-brb-3f1-fat-tree-crash": dict(
+        kind=ProtocolKind.H_BRB_3F1, n=4, f=1, topology=TopologyKind.FAT_TREE,
+        fanout=2, base_delay=0.0005, jitter=0.0004, gap=0.001, seed=7,
+        strategy="crash", crash_after=5),
 }
 
 INLINE_HASHES = {
@@ -227,6 +236,10 @@ INLINE_HASHES = {
         "c3888b423985d18a92b88e1ca1abc1c6e93c01d5a4295bb4de62557d20b3f4b2",
     "h-brb-5f1-fat-tree-jitter":
         "aed9e3e394a62ed73471bb7b82edae228d95a9e6b01089c309289b6e006335d3",
+    "bracha-linear-equivocate":
+        "2111bbb40984af16c8257f09381a042c30d45de0af52c167d6bfb38ceacb7073",
+    "h-brb-3f1-fat-tree-crash":
+        "b2459c2b968ebd76a9acd3411771df86136496fad2e13b7cf54f2b963a81a62a",
 }
 
 
