@@ -307,13 +307,11 @@ def script_exec1(world: SimWorld) -> ScriptInfo:
     double-witness votes, before the value-one votes arrive. S1 and the
     middle deliver value one while S4 delivers value two."""
     f, g = _five_groups(world, "exec1")
-    s1, s4, bz = set(g["S1"]), set(g["S4"]), set(g["B"])
+    s1, s4 = set(g["S1"]), set(g["S4"])
     b = g["B"][0]
     h = 1
 
-    def policy(frm: int, to: int, msg: WireMessage) -> float | None:
-        if frm in bz:
-            return None
+    def policy(frm: int, to: int, msg: WireMessage) -> float:
         if frm in s1:
             return 0.4 if to in s4 else 0.0015
         if frm in s4:
@@ -342,14 +340,9 @@ def script_exec2(world: SimWorld) -> ScriptInfo:
     exactly 3f witnesses for m1 and 2f for m2, both below the safe
     threshold, so no two-phase delivery rule can fire."""
     f, g = _five_groups(world, "exec2")
-    bz = set(g["B"])
     b = g["B"][0]
     h = 1
-
-    def policy(frm: int, to: int, msg: WireMessage) -> float | None:
-        return None if frm in bz else 1.0
-
-    world.delay_policy = policy
+    world.delay_policy = lambda frm, to, msg: 1.0
     for to in g["S1"]:
         world.inject(0.0, b, to, WireMessage(MsgKind.MSG, b, h, payload=_M1), delay=0.5)
     for to in g["S2"]:
@@ -376,9 +369,7 @@ def script_helper4(world: SimWorld, *, equivocate: bool = True) -> ScriptInfo:
     digest = hashing.digest(m)
     world.attach_adversary(b, Silent())
 
-    def policy(frm: int, to: int, msg: WireMessage) -> float | None:
-        if frm == b:
-            return None
+    def policy(frm: int, to: int, msg: WireMessage) -> float:
         if msg.kind is MsgKind.ACC and to == victim:
             return 1.4
         return 0.9

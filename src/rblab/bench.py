@@ -1,7 +1,7 @@
 """Benchmark harness: INI experiment configs, a CLI, and CSV reports.
 
-An experiment config is an INI file with up to five flat sections:
-[protocol], [network], [workload], [adversary] and [output]. ``_SCHEMA``
+An experiment config is an INI file with up to four flat sections:
+[protocol], [network], [workload] and [adversary]. ``_SCHEMA``
 declares each section's keys once, each with the ``ExperimentConfig`` field
 it sets and the parser of its value; a key left out takes the field's
 default (docs/configuration.md documents them). Unknown sections or keys
@@ -92,7 +92,6 @@ class ExperimentConfig:
     f: int
     k: int | None = None
     topology: TopologyKind = TopologyKind.SINGLE_SWITCH
-    depth: int = 3
     fanout: int = 2
     base_delay: float = 0.1
     jitter: float = 0.0
@@ -107,8 +106,6 @@ class ExperimentConfig:
     adversary_nodes: tuple[int, ...] | None = None
     count: int = 1
     crash_after: int = 0
-    csv_path: str | None = None
-    trace_path: str | None = None
 
     def net_params(self) -> NetParams:
         bandwidth = None if self.bandwidth_mbit is None \
@@ -119,7 +116,7 @@ class ExperimentConfig:
                          bandwidth=bandwidth, source_bandwidth=source_bw)
 
     def topology_obj(self) -> Topology:
-        return Topology(self.topology, depth=self.depth, fanout=self.fanout)
+        return Topology(self.topology, fanout=self.fanout)
 
     def validate(self) -> None:
         try:
@@ -197,7 +194,7 @@ _SCHEMA = {
     "protocol": {"kind": ("kind", _choice(ProtocolKind, "protocol kind")),
                  "n": ("n", int), "f": ("f", int), "k": ("k", int)},
     "network": {"topology": ("topology", _choice(TopologyKind, "topology")),
-                "depth": ("depth", int), "fanout": ("fanout", int),
+                "fanout": ("fanout", int),
                 "base_delay": ("base_delay", float), "jitter": ("jitter", float),
                 "bandwidth_mbit": ("bandwidth_mbit", float),
                 "source_bandwidth_kbytes": ("source_bandwidth_kbytes", float)},
@@ -207,7 +204,6 @@ _SCHEMA = {
     "adversary": {"strategy": ("strategy", str),
                   "nodes": ("adversary_nodes", _node_list),
                   "count": ("count", int), "crash_after": ("crash_after", int)},
-    "output": {"csv": ("csv_path", str), "trace": ("trace_path", str)},
 }
 # Parse errors name a value's type as docs/configuration.md does.
 _TYPE_NAMES = {_node_list: "int list"}
@@ -386,32 +382,25 @@ def _row_text(row: dict, args) -> str:
 
 
 def _run_config(args, record_trace: bool = False):
-    """Load ``args.config``, apply ``--seed`` and run it; returns (config,
-    row, world), or None after reporting a bad config. The run records its
-    trace if asked to or if the config names a trace file."""
+    """Load ``args.config``, apply ``--seed`` and run it; returns (row,
+    world), or None after reporting a bad config."""
     try:
         config = load_config(args.config)
         if args.seed is not None:
             config.seed = args.seed
-        row, world = run_experiment(config,
-                                    record_trace=record_trace or bool(config.trace_path),
-                                    allow_overfault=args.allow_overfault)
+        return run_experiment(config, record_trace=record_trace,
+                              allow_overfault=args.allow_overfault)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
-    return config, row, world
 
 
 def _cmd_run(args) -> int:
     ran = _run_config(args)
     if ran is None:
         return 2
-    config, row, world = ran
+    row, _ = ran
     _emit(_row_text(row, args), args.out)
-    if config.csv_path:
-        Path(config.csv_path).write_text(rows_to_csv([row]), encoding="utf-8")
-    if config.trace_path:
-        Path(config.trace_path).write_text(trace_to_text(world), encoding="utf-8")
     return 1 if row["error"] else 0
 
 
@@ -451,7 +440,7 @@ def _cmd_trace(args) -> int:
     ran = _run_config(args, record_trace=True)
     if ran is None:
         return 2
-    _, row, world = ran
+    row, world = ran
     _emit(trace_to_text(world), args.out)
     return 1 if row["error"] else 0
 

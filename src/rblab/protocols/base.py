@@ -109,29 +109,11 @@ class Automaton:
         """
         return self.send_all(WireMessage(MsgKind.MSG, self.me, h, payload=payload))
 
-    # -- handlers (override per protocol) ----------------------------------
+    # -- handlers (defined per protocol) -----------------------------------
     # Each takes the sender, the message and the instance's record as
     # ``step`` found it: the open Instance, a Closed one (``on_req`` only),
-    # or None.
-    def on_msg(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
-        return []
-
-    def on_echo(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
-        return []
-
-    def on_acc(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
-        return []
-
-    def on_req(self, frm: NodeId, msg: WireMessage,
-               rec: Instance | Closed | None) -> list[Action]:
-        return []
-
-    def on_fwd(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
-        return []
-
-    def on_hash_rb(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
-        return []
-
+    # or None. A kind whose handler a class leaves undefined (or None) is
+    # ignored.
     _HANDLERS = {
         MsgKind.MSG: "on_msg",
         MsgKind.ECHO: "on_echo",
@@ -144,7 +126,8 @@ class Automaton:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         # Kind -> handler function, resolved once per class for ``step``.
-        cls._handler_of = {kind: getattr(cls, name) for kind, name in cls._HANDLERS.items()}
+        cls._handler_of = {kind: handler for kind, name in cls._HANDLERS.items()
+                           if (handler := getattr(cls, name, None)) is not None}
 
     # -- action helpers -----------------------------------------------------
     def send_all(self, msg: WireMessage) -> list[Action]:

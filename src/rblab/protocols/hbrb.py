@@ -27,7 +27,7 @@ from ..core import (
     SeqIndex,
     WireMessage,
 )
-from .base import Automaton, DoubleEcho
+from .base import DoubleEcho
 
 
 class _HashBrb(DoubleEcho):
@@ -83,4 +83,4 @@ class HBrb5f1(_HashBrb):
     """One ECHO wave, n >= 5f+1."""
 
     ACC_WAVE = False
-    on_acc = Automaton.on_acc  # no ACC wave: an ACC is not a vote here
+    on_acc = None  # no ACC wave: an ACC is not a vote here

@@ -148,24 +148,20 @@ class Topology:
 
     SINGLE_SWITCH: every host on one switch, all pairs 2 hops. LINEAR: a
     chain of n switches with one host each, hop = |i-j| + 2. TREE: a
-    complete switch tree of the given depth and fanout with ``fanout``
-    hosts per leaf switch, hop = 2 + 2 * (levels to the common ancestor).
-    FAT_TREE: two tiers, ``fanout`` hosts per edge switch, 2 hops under
-    one edge switch and 4 across the spine.
+    complete switch tree of the given fanout, as deep as n needs, with
+    ``fanout`` hosts per leaf switch, hop = 2 + 2 * (levels to the common
+    ancestor). FAT_TREE: two tiers, ``fanout`` hosts per edge switch, 2
+    hops under one edge switch and 4 across the spine.
     """
 
     kind: TopologyKind = TopologyKind.SINGLE_SWITCH
-    depth: int = 3
     fanout: int = 2
 
     def validate(self, n: int) -> None:
-        if self.kind is TopologyKind.TREE:
-            if self.depth < 1 or self.fanout < 1:
-                raise InvalidTopology("tree needs depth >= 1 and fanout >= 1")
-            capacity = self.fanout ** self.depth
-            if n > capacity:
-                raise InvalidTopology(
-                    f"tree depth={self.depth} fanout={self.fanout} hosts {capacity} < n={n}")
+        # With fanout 1, ``hop``'s climb from two hosts never meets.
+        if self.kind is TopologyKind.TREE and self.fanout < min(n, 2):
+            raise InvalidTopology(
+                f"tree of n={n} hosts needs fanout >= {min(n, 2)}, got {self.fanout}")
         if self.kind is TopologyKind.FAT_TREE and self.fanout < 1:
             raise InvalidTopology("fat tree needs fanout >= 1")
 
@@ -344,7 +340,6 @@ class SimWorld:
                  record_trace: bool = False, max_steps: int = 1_000_000):
         self.automata = list(automata)
         self.n = len(self.automata)
-        self.topology = topology
         self.hops, self._link_delay = _world_tables(topology, self.n, net.base_delay)
         self.net = net
         self.rng = random.Random(seed)
@@ -395,7 +390,9 @@ class SimWorld:
 
     def inject(self, at: float, frm: NodeId, to: NodeId, msg: WireMessage,
                delay: float | None = None, depth: int = 1) -> None:
-        """Schedule a hand-crafted send at an absolute time (adversary use)."""
+        """Schedule a hand-crafted send at an absolute time (adversary use).
+        A copy injected with a ``delay`` of its own takes that delay and is
+        never shown to ``delay_policy``."""
         self._push(at, _Inject(frm, to, msg, delay, depth))
 
     def quiescent(self) -> bool:

@@ -141,7 +141,7 @@ def test_the_strategy_row_lists_every_strategy_in_order():
     (GOOD.replace("single-switch", "mesh"), "unknown topology"),
     (GOOD.replace("strategy = silent", "strategy = evil"), "unknown strategy"),
     (GOOD.replace("topology = single-switch",
-                  "topology = tree\ndepth = 1\nfanout = 2"), "hosts 2 < n=4"),
+                  "topology = tree\nfanout = 1"), "tree of n=4 hosts needs fanout >= 2, got 1"),
     (GOOD.replace("[workload]", "[workload]\nsource = 9"),
      "source 9 outside"),
 ])
@@ -330,15 +330,16 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_run_writes_declared_outputs(tmp_path):
+def test_cli_run_refuses_an_output_section_and_a_tree_depth(tmp_path, capsys):
+    # `rblab run --out` and `rblab trace --out` write the report and the trace.
     csv_file = tmp_path / "row.csv"
-    trace_file = tmp_path / "run.trace"
-    text = GOOD + f"\n[output]\ncsv = {csv_file}\ntrace = {trace_file}\n"
-    assert main(["run", str(_write(tmp_path, text)), "--out",
-                 str(tmp_path / "report.txt")]) == 0
-    assert csv_file.read_text().startswith("protocol,")
-    first_line = trace_file.read_text().splitlines()[0]
-    assert first_line == "index\ttime\tevent\tnode\tfrm\tkind\tsource\th\tsize\tdepth"
+    text = GOOD + f"\n[output]\ncsv = {csv_file}\n"
+    assert main(["run", str(_write(tmp_path, text))]) == 2
+    assert capsys.readouterr().err == "error: unknown section [output]\n"
+    assert not csv_file.exists()
+    text = GOOD.replace("topology = single-switch", "topology = tree\ndepth = 3")
+    with pytest.raises(ParseError, match=r"^unknown key 'depth' in \[network\]$"):
+        load_config(_write(tmp_path, text))
 
 
 def test_cli_matrix_is_exit_zero_even_with_broken_configs(tmp_path, capsys):

@@ -216,8 +216,8 @@ def test_table_config_outputs_match_golden(name):
 
 INLINE_CONFIGS = {
     "ec-crb-tree-42mbit": dict(
-        kind=ProtocolKind.EC_CRB, n=5, f=1, topology=TopologyKind.TREE, depth=3,
-        fanout=2, base_delay=0.0005, bandwidth_mbit=42.0, gap=0.001, seed=7),
+        kind=ProtocolKind.EC_CRB, n=5, f=1, topology=TopologyKind.TREE, fanout=2,
+        base_delay=0.0005, bandwidth_mbit=42.0, gap=0.001, seed=7),
     "h-brb-5f1-fat-tree-jitter": dict(
         kind=ProtocolKind.H_BRB_5F1, n=6, f=1, topology=TopologyKind.FAT_TREE,
         fanout=2, base_delay=0.0005, jitter=0.0004, gap=0.001, seed=7),

@@ -1,9 +1,13 @@
-"""No module under src/ imports a name at module level that it never uses.
+"""No module under src/ imports a name at module level that it never uses,
+or defines a private module-level name that no module under src/ reads.
 
 With no linter in the toolchain, this parses each module with ``ast``: a
 name bound by a top-level ``import`` or ``from ... import`` must be read
 somewhere in the module, or be listed in its ``__all__`` (a re-export).
 ``from __future__`` imports are directives, not names, and are skipped.
+A top-level function, class or constant whose name starts with one
+underscore must be read somewhere under src/: by name, as an attribute,
+or by a ``from ... import``.
 """
 import ast
 from pathlib import Path
@@ -47,3 +51,56 @@ def test_the_scan_sees_an_unused_import(tmp_path):
     module.write_text("import os\nimport sys as system\nfrom json import dumps, loads\n"
                       "__all__ = ['loads']\nprint(system.argv)\n", encoding="utf-8")
     assert _unused_imports(module) == ["line 1: os", "line 3: dumps"]
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Top-level private functions, classes and constants: name -> line."""
+    defined: dict[str, int] = {}
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [node.id for target in targets for node in ast.walk(target)
+                     if isinstance(node, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = stmt.lineno
+    return defined
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """Every name the module reads: bare, as an attribute, or by import."""
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {alias.name for alias in node.names}
+    return read
+
+
+def _unread_private_names(paths: list[Path], root: Path) -> list[str]:
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in paths}
+    read = set().union(*map(_reads, trees.values()))
+    return [f"{path.relative_to(root)} line {line}: {name}"
+            for path, tree in trees.items()
+            for name, line in _private_definitions(tree).items() if name not in read]
+
+
+def test_no_unread_private_module_level_name():
+    assert _unread_private_names(MODULES, SRC) == []
+
+
+def test_the_scan_sees_an_unread_private_name(tmp_path):
+    a, b = tmp_path / "a.py", tmp_path / "b.py"
+    a.write_text("_LIMIT = 3\n_A, _B = 1, 2\n_C: int = 4\n\ndef _used():\n    return _A\n\n"
+                 "class _Gone:\n    pass\n\ndef _spare():\n    _C = 5\n", encoding="utf-8")
+    b.write_text("import a\nfrom a import _used\nprint(_used(), a._LIMIT)\n", encoding="utf-8")
+    assert _unread_private_names([a, b], tmp_path) == [
+        "a.py line 2: _B", "a.py line 3: _C", "a.py line 8: _Gone", "a.py line 11: _spare"]

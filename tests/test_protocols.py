@@ -555,7 +555,9 @@ def test_rejected_tunneled_envelopes_stay_rejected_on_every_copy(monkeypatch):
     other_source = encode_envelope(WireMessage(MsgKind.MSG, 3, 1, payload=d, instance="hash-rb"))
     other_h = encode_envelope(WireMessage(MsgKind.MSG, 4, 2, payload=d, instance="hash-rb"))
     untagged = encode_envelope(WireMessage(MsgKind.MSG, 4, 1, payload=d))
-    rejected = (other_source, other_h, untagged)
+    tagged = encode_envelope(WireMessage(MsgKind.MSG, 4, 1, payload=d, instance="hash-rb"))
+    bad_kind = b"\xff" + tagged[1:]  # of a digest's size, but no envelope
+    rejected = (other_source, other_h, untagged, bad_kind)
     for envelope in (b"garbage", too_long) + rejected:
         for frm in (4, 4, 2, 4):
             assert _recv(node, frm, carried(envelope)) == []

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+import oracle_simnet
 from conftest import stretch_link
 from rblab import bench, hashing, simnet
-from rblab.adversary import CorruptRelay, build_world
+from rblab.adversary import CorruptRelay, Silent, build_world
 from rblab.core import Closed, MsgKind, Receive, WireMessage
 from rblab.protocols import ProtocolKind, ecbrb
 from rblab.simnet import (
@@ -47,14 +48,18 @@ def test_linear_hops_grow_with_distance():
 
 
 def test_tree_hops_follow_common_ancestor():
-    topo = Topology(TopologyKind.TREE, depth=3, fanout=2)
+    topo = Topology(TopologyKind.TREE, fanout=2)
     assert topo.hop(0, 1) == 2   # same leaf switch
     assert topo.hop(0, 2) == 4   # one level up
     assert topo.hop(0, 7) == 6   # through the root
-    with pytest.raises(InvalidTopology):
-        topo.validate(9)            # 2^3 hosts max
-    with pytest.raises(InvalidTopology):
-        Topology(TopologyKind.TREE, depth=0, fanout=2).validate(1)
+    # The tree is as deep as n needs.
+    topo.validate(10)
+    assert topo.hop_matrix(10) == [[oracle_simnet.hop(topo, i, j) for j in range(10)]
+                                   for i in range(10)]
+    assert topo.hop(0, 9) == 8
+    # With fanout 1 two hosts never share a switch; refused, never climbed.
+    with pytest.raises(InvalidTopology, match="needs fanout >= 2"):
+        Topology(TopologyKind.TREE, fanout=1).validate(2)
 
 
 def test_fat_tree_hops():
@@ -69,7 +74,7 @@ def test_fat_tree_hops():
 
 
 def test_worlds_of_one_shape_share_no_mutable_table():
-    topo = Topology(TopologyKind.TREE, depth=2, fanout=3)
+    topo = Topology(TopologyKind.TREE, fanout=3)
     a, b = (build_world(ProtocolKind.BRACHA, 7, 2, topology=topo,
                         net=NetParams(base_delay=0.25)) for _ in range(2))
     assert [list(row) for row in a.hops] == topo.hop_matrix(7)
@@ -92,7 +97,8 @@ def test_worlds_of_one_shape_share_no_mutable_table():
     # An invalid shape raises on every construction, not only the first.
     for _ in range(2):
         with pytest.raises(InvalidTopology):
-            build_world(ProtocolKind.BRACHA, 10, 3, topology=topo)
+            build_world(ProtocolKind.BRACHA, 10, 3,
+                        topology=Topology(TopologyKind.TREE, fanout=1))
 
 
 # -- delay model ---------------------------------------------------------------
@@ -389,6 +395,43 @@ def test_truncated_run_reports_termination_violations():
     world.run(until=0.05)
     violations = check_broadcast_properties(world)
     assert any(v.startswith("termination") for v in violations)
+
+
+def _honest_bracha_world():
+    world = build_world(ProtocolKind.BRACHA, 4, 1)
+    world.broadcast(0, b"all good", 1)
+    world.run()
+    assert len(world.stats.delivers) == 4 and check_broadcast_properties(world) == []
+    return world
+
+
+def test_each_broadcast_property_violation_is_reported_word_for_word():
+    # Each edit of a finished honest world's records breaks the properties
+    # a lost, changed, repeated or one-sided delivery breaks.
+    world = _honest_bracha_world()
+    del world.stats.delivers[(2, 0, 1)]
+    assert check_broadcast_properties(world) == [
+        "termination: node 2 never delivered (0, 1)",
+        "totality: nodes [2] missed (0, 1) delivered elsewhere",
+    ]
+    world = _honest_bracha_world()
+    world.stats.delivers[(3, 0, 1)].payload = b"all bad!"
+    assert check_broadcast_properties(world) == [
+        "validity: node 3 delivered a different payload for (0, 1)",
+        "agreement: honest nodes delivered 2 payloads for (0, 1)",
+    ]
+    world = _honest_bracha_world()
+    world.stats.double_deliveries.append((1, 0, 1))
+    assert check_broadcast_properties(world) == [
+        "integrity: node 1 delivered (0, 1) twice",
+    ]
+    # A faulty source owes no termination, but a delivery still owes totality.
+    world = _honest_bracha_world()
+    world.strategies[0] = Silent()
+    del world.stats.delivers[(1, 0, 1)]
+    assert check_broadcast_properties(world) == [
+        "totality: nodes [1] missed (0, 1) delivered elsewhere",
+    ]
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs" / "tables"
 

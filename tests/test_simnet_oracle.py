@@ -87,10 +87,8 @@ def _worlds(draw, kind):
     topology = rnd.choice(list(TopologyKind))
     if topology is TopologyKind.TREE:
         fanout = rnd.randint(2, 3)
-        depth = 1
-        while fanout ** depth < n:
-            depth += 1
-        topology = Topology(topology, depth=depth + rnd.randint(0, 1), fanout=fanout)
+        rnd.randint(0, 1)  # unused, but drawn so that each seed draws the same world
+        topology = Topology(topology, fanout=fanout)
     else:
         topology = Topology(topology, fanout=rnd.randint(1, 3))
     strategies = []
