@@ -25,11 +25,21 @@ tables and cached per set of held positions. ``decode_correcting``
 ``_nearest_codeword``, which runs Gao's decoder only on dirty input. A clean
 round costs one product: the rows that rebuild the missing data shards and
 those that predict the other held shards are multiplied together.
+
+An element ``encode`` built carries its whole codeword: (n, k, the payload,
+the shard at each position), shared by all n elements. It is never on the
+wire, and takes no part in ``==``, ``hash`` or ``repr``; a parsed or hand-built
+element has none. When every shard a decoder would use equals the
+codeword's shard at its position, byte for byte, under the same (n, k) and
+payload length, the decoder returns the codeword's payload without a
+product. That is exact: k such shards pin the codeword (any k rebuild it),
+and P >= k of them are a distance-0 decode, which ``decode_correcting``
+and ``SubsetDecoder`` always accept. Any other input takes the full path.
 """
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -151,6 +161,8 @@ class CodedElement:
     index: int
     data: bytes
     claimed_len: int
+    # (n, k, payload, shard bytes per position) when ``encode`` built it.
+    codeword: tuple | None = field(default=None, compare=False, repr=False)
 
 
 _ELEMENT_HEADER = struct.Struct(">BI")
@@ -233,9 +245,9 @@ def encode(payload: bytes, params: CodeParams) -> list[CodedElement]:
         parity = gf_matmul(_generator_matrix(n, k)[k:], shards)
     else:
         parity = np.zeros((n - k, width), dtype=np.uint8)
-    out = [CodedElement(i + 1, shards[i].tobytes(), len(payload)) for i in range(k)]
-    out += [CodedElement(k + 1 + j, parity[j].tobytes(), len(payload)) for j in range(n - k)]
-    return out
+    data = tuple([row.tobytes() for row in shards] + [row.tobytes() for row in parity])
+    codeword = (n, k, bytes(payload), data)
+    return [CodedElement(i + 1, shard, len(payload), codeword) for i, shard in enumerate(data)]
 
 
 def encode_element(payload: bytes, params: CodeParams, index: int) -> CodedElement:
@@ -284,6 +296,26 @@ def _systematic_decode(n: int, k: int, positions: tuple[int, ...], values: np.nd
     return data, product[len(missing):]
 
 
+def _matching_payload(codeword: tuple | None, params: CodeParams, payload_len: int,
+                      shards) -> bytes | None:
+    """The payload of ``codeword`` if it is an (n, k) codeword of a
+    ``payload_len``-byte payload and each (position, shard) pair in
+    ``shards`` holds the codeword's shard at that position; else None."""
+    if codeword is None:
+        return None
+    n, k, payload, data = codeword
+    if n != params.n or k != params.k or len(payload) != payload_len:
+        return None
+    for p, shard in shards:
+        if shard != data[p - 1]:  # identity, then memcmp
+            return None
+    return payload
+
+
+def _codeword_of(elements) -> tuple | None:
+    return next((e.codeword for e in elements if e.codeword is not None), None)
+
+
 def decode_erasure(elements, params: CodeParams, payload_len: int) -> bytes:
     """Rebuild the payload from any k distinct, uncorrupted elements."""
     elements = sorted(elements, key=lambda e: e.index)
@@ -296,6 +328,10 @@ def decode_erasure(elements, params: CodeParams, payload_len: int) -> bytes:
     chosen = elements[: params.k]
     if not width:
         return b""
+    payload = _matching_payload(_codeword_of(chosen), params, payload_len,
+                                [(e.index, e.data) for e in chosen])
+    if payload is not None:
+        return payload
     values = np.stack([np.frombuffer(e.data, dtype=np.uint8) for e in chosen])
     data, _ = _systematic_decode(params.n, params.k, tuple(e.index for e in chosen), values)
     return data.reshape(-1)[:payload_len].tobytes()
@@ -446,6 +482,9 @@ def decode_correcting(elements, params: CodeParams, f: int, payload_len: int) ->
             voided.add(e.index)
     if len(by_pos) < k:
         return None
+    payload = _matching_payload(_codeword_of(elements), params, payload_len, by_pos.items())
+    if payload is not None:
+        return payload
     radius = max(0, min(f, len(by_pos) - k - f))
     found = _nearest_codeword(n, k, by_pos, radius)
     return None if found is None else found[0].reshape(-1)[:payload_len].tobytes()
@@ -469,6 +508,7 @@ class SubsetDecoder:
         self.params = params
         self.target = target
         self.groups: dict[int, dict[int, bytes]] = {}  # claimed length -> position -> shard
+        self.codeword: tuple | None = None  # the last one an element carried
         self.found: bytes | None = None
 
     def add(self, element: CodedElement) -> bytes | None:
@@ -483,15 +523,19 @@ class SubsetDecoder:
         if element.index in group:
             return None
         group[element.index] = element.data
+        if element.codeword is not None:
+            self.codeword = element.codeword
         # An arrival that leaves (m-k)/2 where it was cannot change the
         # answer: a codeword within that radius of the group was also
         # within it before this element came, and was decoded then.
         if len(group) < k or (len(group) - k) % 2:
             return None
-        found = _nearest_codeword(n, k, group, len(group))
-        if found is None:
-            return None
-        payload = found[0].reshape(-1)[:length].tobytes()
+        payload = _matching_payload(self.codeword, self.params, length, group.items())
+        if payload is None:
+            found = _nearest_codeword(n, k, group, len(group))
+            if found is None:
+                return None
+            payload = found[0].reshape(-1)[:length].tobytes()
         if hashing.digest(payload) != self.target:
             return None
         self.found = payload

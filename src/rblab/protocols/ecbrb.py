@@ -136,7 +136,7 @@ class EcBrb4f1(Automaton):
             strict_resilience=False))
         # This node's recent parses: an honest instance's 1 + 2n tunneled
         # multicasts carry only three distinct envelopes.
-        self.untunnel = functools.lru_cache(maxsize=64)(EcBrb4f1._untunnel)
+        self.untunnel = functools.lru_cache(maxsize=32)(EcBrb4f1._untunnel)
 
     def source_sends(self, payload: Payload, h: SeqIndex) -> list[Action]:
         sends = self._tunnel(self.inner.source_sends(self.digest_of(payload), h))

@@ -26,12 +26,13 @@ its events once per drain, not once per event. ``_emit`` takes a
 ``Multicast`` whole: it sizes the message from the fields it has set,
 counts its n copies, records an ACC's digest and builds the one ``Receive``
 event its copies share, then does only link work per copy, for recipients
-0..n-1 in order. An ACC that carries a payload is hashed only when its
-instance or its payload differs from the last one hashed, so an ACC wave
-of equal payloads costs one hash. A unicast ``Send`` and an injected
-message take the same loop with their one recipient. A queued copy is one
-flat ``(time, seq, to, event, size, depth)`` entry; a broadcast or an
-injected message is one with ``to = None``. Per-link state lives in n x n
+0..n-1 in order. An ACC that carries a payload is hashed through
+``hashing.digest``, which runs SHA-256 only when the payload differs from
+the last input hashed, so an ACC wave of equal payloads costs one run. A
+unicast ``Send`` and an injected message take the same loop with their one
+recipient. A queued copy is one flat ``(time, seq, to, event, size,
+depth)`` entry; a broadcast or an injected message is one with
+``to = None``. Per-link state lives in n x n
 tables: the hop counts and ``hops * base_delay`` are built once per
 (topology, n, base_delay) and shared read-only as tuples, while each world
 keeps its own lists of when each link's transmitter frees up and of its
@@ -357,7 +358,6 @@ class SimWorld:
         self._last_arrival = [[0.0] * self.n for _ in range(self.n)]
         self._ctx: dict[tuple[NodeId, NodeId, SeqIndex], int] = {}
         self._source_nodes: set[NodeId] = set()
-        self._acc_memo: tuple = (None, None, None)  # last hashed ACC: (s, h), payload, digest
 
     # -- setup ---------------------------------------------------------------
     @property
@@ -501,14 +501,7 @@ class SimWorld:
         if kind is _ACC:
             digest = msg.digest
             if digest is None:
-                # Hash the payload unless the last payload ACC hashed was of
-                # this instance and carried equal bytes (bytes compare by
-                # identity, then by memcmp).
-                key, payload = (msg.source, msg.h), msg.payload or b""
-                last_key, last_payload, digest = self._acc_memo
-                if key != last_key or payload != last_payload:
-                    digest = hashing.digest(payload)
-                    self._acc_memo = (key, payload, digest)
+                digest = hashing.digest(msg.payload or b"")
             stats.vouch(msg.source, msg.h, frm, digest)
         event = Receive(frm, msg)
         now, net, policy = self.time, self.net, self.delay_policy

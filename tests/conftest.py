@@ -4,7 +4,34 @@ Acceptance tests report one PASS/FAIL line each through record_criterion();
 the collected lines are printed in a dedicated terminal section at the end
 of the run so the verdict on every headline property is visible at a glance.
 """
+import hashlib
+
+from rblab import hashing
+
 _criterion_lines: list[str] = []
+
+
+class Sha256Runs:
+    """Stands in for ``hashlib`` in ``rblab.hashing`` and counts the SHA-256
+    runs for which ``counts()`` is true."""
+
+    def __init__(self, counts=lambda: True):
+        self.runs = 0
+        self.counts = counts
+
+    def sha256(self, data=b""):
+        if self.counts():
+            self.runs += 1
+        return hashlib.sha256(data)
+
+
+def count_sha256_runs(monkeypatch, counts=lambda: True) -> Sha256Runs:
+    """Count SHA-256 runs from here on. An unrelated input is hashed first,
+    so ``hashing.digest`` remembers nothing a test's inputs could match."""
+    hashing.digest(b"unrelated")
+    runs = Sha256Runs(counts)
+    monkeypatch.setattr(hashing, "hashlib", runs)
+    return runs
 
 
 def stretch_link(world, frm: int, to: int) -> None:

@@ -1,5 +1,6 @@
 """Erasure codec, checked against an independently written reference
 implementation (tests/oracle_rs.py) and frozen vectors derived from it."""
+import dataclasses
 import itertools
 import random
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from rblab import codec, hashing
+from rblab.adversary import corrupt_element
 from rblab.codec import (
     ELEMENT_OVERHEAD,
     CodedElement,
@@ -349,3 +351,115 @@ def test_subset_decoder_within_unique_radius_matches_the_subset_oracle():
         stray = SubsetDecoder(params, hashing.digest(b"not " + payload))
         assert all(stray.add(e) is None for e in arrivals)
     assert corrected > 50, corrected
+
+
+# The codeword an element from ``encode`` carries only lets a decoder skip
+# work: with it kept or stripped, every decoder returns the same result.
+CODEWORD_MODES = ["subset", "corrupt", "claimed-length", "foreign"]
+
+
+def _codeword_case(mode: str, seed: int):
+    """(params, f, decoded, elements, payload_len) for one drawn input,
+    where ``decoded`` is what a clean decode at ``payload_len`` returns: a
+    random subset of one encode's elements in random order, then per
+    ``mode`` up to f shards corrupted with their codeword kept, a claimed
+    length of the same width as the payload's, or some elements carrying
+    a foreign codeword (another payload's element, or their own shard
+    under another payload's or another (n, k)'s codeword)."""
+    rnd = random.Random(f"{mode}:{seed}")
+    f = rnd.randint(1, 3)
+    params = CodeParams(3 * f + 2 + rnd.randint(0, 3), 2 + rnd.randint(0, 3))
+    params = CodeParams(params.k + 3 * f, params.k)  # k = n - 3f
+    n, k = params.n, params.k
+    length = rnd.choice([1, rnd.randint(2, 64), rnd.randint(97, 600)])
+    payload = rnd.randbytes(length)
+    elements = encode(payload, params)
+    rnd.shuffle(elements)
+    elements = elements[:rnd.randint(k - 1, n)]
+    payload_len, decoded = length, payload
+    if mode == "corrupt" and elements:
+        for i in rnd.sample(range(len(elements)), rnd.randint(1, min(f, len(elements)))):
+            data = bytearray(elements[i].data)
+            data[rnd.randrange(len(data))] ^= rnd.randint(1, 255)
+            elements[i] = dataclasses.replace(elements[i], data=bytes(data))
+    elif mode == "claimed-length":
+        width = shard_width(length, k)
+        payload_len = rnd.choice([L for L in range(k * (width - 1) + 1, k * width + 1)
+                                  if L != length])
+        elements = [dataclasses.replace(e, claimed_len=payload_len) for e in elements]
+        decoded = payload.ljust(k * width, b"\0")[:payload_len]
+    elif mode == "foreign":
+        other = encode(rnd.randbytes(length), params)
+        # The same payload under other codes: (n +- 1, k) agree with its
+        # shards at every position both have.
+        codes = [other] + [encode(payload, CodeParams(*nk))
+                           for nk in [(n + 1, k), (n - 1, k), (n, k - 1)]]
+        for i in rnd.sample(range(len(elements)), rnd.randint(1, max(1, len(elements)))):
+            e = elements[i]
+            choice = rnd.randrange(len(codes) + 1)
+            if choice == len(codes):
+                elements[i] = other[e.index - 1]
+            else:
+                elements[i] = dataclasses.replace(e, codeword=codes[choice][0].codeword)
+    return params, f, decoded, elements, payload_len
+
+
+def _stripped(elements):
+    return [dataclasses.replace(e, codeword=None) for e in elements]
+
+
+def _outcome(decode, *args):
+    try:
+        return decode(*args)
+    except codec.CodecError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("mode", CODEWORD_MODES)
+def test_decode_erasure_is_the_same_with_the_codeword_stripped(mode):
+    for seed in range(150):
+        params, _, _, elements, payload_len = _codeword_case(mode, seed)
+        assert _outcome(decode_erasure, elements, params, payload_len) \
+            == _outcome(decode_erasure, _stripped(elements), params, payload_len), seed
+
+
+@pytest.mark.parametrize("mode", CODEWORD_MODES)
+def test_decode_correcting_is_the_same_with_the_codeword_stripped(mode):
+    # Wrong-width filler keeps n - f elements while fewer positions count,
+    # so the radius min(f, P - k - f) runs from 0 to f.
+    decoded = 0
+    for seed in range(150):
+        params, f, payload, elements, payload_len = _codeword_case(mode, seed)
+        filler = CodedElement(1, bytes(shard_width(payload_len, params.k) + 1), payload_len)
+        elements += [filler] * (params.n - f - len(elements))
+        kept = _outcome(decode_correcting, elements, params, f, payload_len)
+        assert kept == _outcome(decode_correcting, _stripped(elements), params, f,
+                                payload_len), seed
+        decoded += kept == payload
+    assert decoded > 20, decoded
+
+
+@pytest.mark.parametrize("mode", CODEWORD_MODES)
+def test_subset_decoder_is_the_same_with_the_codeword_stripped(mode):
+    found = 0
+    for seed in range(150):
+        params, _, payload, elements, _ = _codeword_case(mode, seed)
+        kept = SubsetDecoder(params, hashing.digest(payload))
+        bare = SubsetDecoder(params, hashing.digest(payload))
+        results = [kept.add(e) for e in elements]
+        assert results == [bare.add(e) for e in _stripped(elements)], seed
+        found += kept.found is not None
+    assert found > 20, found
+
+
+def test_the_codeword_is_not_part_of_an_elements_value():
+    params = CodeParams(5, 2)
+    element = encode(b"codeword payload", params)[3]
+    bare = dataclasses.replace(element, codeword=None)
+    assert element.codeword is not None
+    assert element == bare and hash(element) == hash(bare)
+    assert repr(element) == repr(bare) and "codeword" not in repr(element)
+    assert serialize_element(element) == serialize_element(bare)
+    assert parse_element(serialize_element(element)).codeword is None
+    assert codec.encode_element(b"codeword payload", params, 4).codeword is None
+    assert corrupt_element(element, 0).codeword is None

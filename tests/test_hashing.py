@@ -1,6 +1,7 @@
-"""Digest helper: fixed vectors and determinism."""
+"""Digest helper: fixed vectors, determinism and the last-input memo."""
 import hashlib
 
+from conftest import count_sha256_runs
 from rblab import hashing
 
 # Well-known SHA-256 test vector for the empty string.
@@ -27,3 +28,42 @@ def test_digest_is_deterministic_and_collision_free_on_distinct_inputs():
         assert hashing.digest(payload) == d
         assert d not in seen
         seen[d] = payload
+
+
+def test_equal_bytes_in_another_object_reuse_the_last_digest(monkeypatch):
+    counter = count_sha256_runs(monkeypatch)
+    payload = bytes(range(256)) * 4
+    copy = bytes(bytearray(payload))
+    assert copy is not payload
+    assert hashing.digest(payload) == hashing.digest(copy) == hashlib.sha256(payload).digest()
+    assert counter.runs == 1
+
+
+def test_different_bytes_of_equal_length_are_hashed_anew(monkeypatch):
+    counter = count_sha256_runs(monkeypatch)
+    a, b = b"\x00" * 1000, b"\x00" * 999 + b"\x01"
+    assert hashing.digest(a) == hashlib.sha256(a).digest()
+    assert hashing.digest(b) == hashlib.sha256(b).digest()
+    assert counter.runs == 2
+
+
+def test_alternating_inputs_are_each_hashed_every_time(monkeypatch):
+    counter = count_sha256_runs(monkeypatch)
+    a, b = b"first input", b"other input"
+    for i in range(6):
+        data = (a, b)[i % 2]
+        assert hashing.digest(data) == hashlib.sha256(data).digest()
+    assert counter.runs == 6
+    assert hashing.digest(b) == hashlib.sha256(b).digest()
+    assert counter.runs == 6
+
+
+def test_a_mutated_buffer_never_gets_a_stale_digest(monkeypatch):
+    counter = count_sha256_runs(monkeypatch)
+    buf = bytearray(b"mutable payload")
+    first = hashing.digest(buf)
+    buf[0] ^= 0xFF
+    assert hashing.digest(buf) == hashlib.sha256(bytes(buf)).digest() != first
+    # Equal bytes hashed after a buffer are hashed too: no buffer is kept.
+    assert hashing.digest(bytes(buf)) == hashlib.sha256(bytes(buf)).digest()
+    assert counter.runs == 3

@@ -9,11 +9,11 @@ from pathlib import Path
 import pytest
 
 import oracle_simnet
-from conftest import stretch_link
-from rblab import bench, hashing, simnet
+from conftest import count_sha256_runs, stretch_link
+from rblab import bench, codec, hashing, simnet
 from rblab.adversary import CorruptRelay, Silent, build_world
 from rblab.core import Closed, MsgKind, Receive, WireMessage
-from rblab.protocols import ProtocolKind, ecbrb
+from rblab.protocols import RESILIENCE, ProtocolKind, ecbrb
 from rblab.simnet import (
     InvalidTopology,
     NetParams,
@@ -441,32 +441,40 @@ def _sha256(data: bytes) -> bytes:
 
 
 class _Bookkeeping:
-    """Counts the simulator's own sizing and hashing during a run, and
-    records every emitted message with its recipients to recompute the ACC
-    digests from scratch."""
+    """Counts the simulator's own sizing and the SHA-256 runs its calls to
+    ``hashing.digest`` cause during a run, and records every emitted
+    message with its recipients to recompute the ACC digests from scratch."""
 
     def __init__(self, monkeypatch):
         self.sizers: list[str] = []
-        self.sim_digests = 0
         self.emits: list[tuple[int, tuple[int, ...], WireMessage]] = []
         real_size, real_digest, real_emit = simnet.envelope_size, hashing.digest, SimWorld._emit
+        in_simulator = False
 
         def size(msg):
             self.sizers.append(sys._getframe(1).f_code.co_name)
             return real_size(msg)
 
         def digest(data):
-            if sys._getframe(1).f_code.co_filename == simnet.__file__:
-                self.sim_digests += 1
-            return real_digest(data)
+            nonlocal in_simulator
+            in_simulator = sys._getframe(1).f_code.co_filename == simnet.__file__
+            try:
+                return real_digest(data)
+            finally:
+                in_simulator = False
 
         def emit(world, frm, recipients, msg, *args, **kwargs):
             self.emits.append((frm, tuple(recipients), msg))
             return real_emit(world, frm, recipients, msg, *args, **kwargs)
 
+        self._sha256 = count_sha256_runs(monkeypatch, lambda: in_simulator)
         monkeypatch.setattr(simnet, "envelope_size", size)
         monkeypatch.setattr(hashing, "digest", digest)
         monkeypatch.setattr(SimWorld, "_emit", emit)
+
+    @property
+    def sim_digests(self) -> int:
+        return self._sha256.runs
 
     @property
     def sent(self) -> list[tuple[int, WireMessage]]:
@@ -507,9 +515,10 @@ def test_each_sent_message_is_sized_and_hashed_once(monkeypatch):
 
 @pytest.mark.parametrize("kind", [ProtocolKind.BRACHA, ProtocolKind.EC_CRB])
 def test_each_instance_hashes_an_equal_acc_payload_once(monkeypatch, kind):
-    # bracha's ACCs share one payload object; each ec-crb decoder rebuilds
-    # its own, so there the equal payloads are distinct objects. The second
-    # instance repeats the first one's payload and is hashed anew.
+    # bracha's ACCs share one payload object, and so do ec-crb's: each
+    # decoder returns the payload of the codeword its elements carry. The
+    # second instance repeats the first one's payload, equal bytes that the
+    # hashing memo still holds, so it costs no second run.
     n = 19
     book = _Bookkeeping(monkeypatch)
     world = build_world(kind, n, 6 if kind is ProtocolKind.BRACHA else 9,
@@ -521,12 +530,39 @@ def test_each_instance_hashes_an_equal_acc_payload_once(monkeypatch, kind):
     assert check_broadcast_properties(world) == []
     accs = [msg for _, msg in book.sent if msg.kind is MsgKind.ACC]
     assert len(accs) == 2 * n * n and all(msg.payload == payload for msg in accs)
-    distinct = len({id(msg.payload) for msg in accs})
-    assert distinct == (1 if kind is ProtocolKind.BRACHA else 2 * n)
-    assert book.sim_digests == 2
+    assert len({id(msg.payload) for msg in accs}) == 1
+    assert book.sim_digests == 1
     assert stats.acc_digests == book.acc_digests_by_rehashing()
     assert stats.acc_digests == {key: {i: {_sha256(payload)} for i in range(n)}
                                  for key in [(0, 1), (3, 1)]}
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind), ids=lambda kind: kind.value)
+def test_an_honest_bulk_world_codes_and_hashes_its_payload_once(monkeypatch, kind):
+    # The source's encode is the one GF product: every decoder holds shards
+    # of the codeword they carry, and every node that hashes the payload
+    # hashes equal bytes, so all nodes deliver the source's payload object.
+    n = 19
+    f = min(6, (n - 1) // RESILIENCE[kind])
+    world = build_world(kind, n, f, net=NetParams(base_delay=1.0, jitter=0.5), seed=19)
+    products = 0
+    real_matmul = codec.gf_matmul
+
+    def matmul(a, b):
+        nonlocal products
+        products += 1
+        return real_matmul(a, b)
+
+    monkeypatch.setattr(codec, "gf_matmul", matmul)
+    sha256 = count_sha256_runs(monkeypatch)
+    payload = random.Random(19).randbytes(64 * 1024)
+    world.broadcast(3, payload, 1)
+    world.run()
+    assert check_broadcast_properties(world) == []
+    assert products == (0 if world.automata[0].params is None else 1)
+    assert sha256.runs <= 1
+    delivered = [rec.payload for rec in world.stats.delivers.values()]
+    assert len(delivered) == n and all(m is payload for m in delivered)
 
 
 def test_a_reflood_is_sized_once_per_multicast(monkeypatch):
@@ -542,9 +578,9 @@ def test_a_reflood_is_sized_once_per_multicast(monkeypatch):
 
 
 def test_acc_digests_survive_distinct_equal_and_corrupted_payloads(monkeypatch):
-    # Every ec-crb decoder multicasts its own ACC object, so equal payloads
-    # arrive as distinct objects; a corrupt relay makes two decoders rebuild
-    # wrong payloads.
+    # Every ec-crb decoder multicasts its own ACC object. Those that used
+    # only the source's shards share its payload object; a corrupt relay
+    # makes two decoders rebuild wrong payloads.
     book = _Bookkeeping(monkeypatch)
     world = build_world(ProtocolKind.EC_CRB, 7, 2, seed=5,
                         net=NetParams(base_delay=1.0, jitter=0.5))
@@ -604,7 +640,8 @@ class _Unhashable(bytes):
 
 def test_agreement_check_hashes_payloads_only_to_count_a_disagreement():
     # The corrupt-relay ec-crb world above: nodes 0 and 5 rebuild two
-    # different wrong payloads, and every honest delivery is its own object.
+    # different wrong payloads, and the other honest nodes deliver the
+    # source's payload object.
     world = build_world(ProtocolKind.EC_CRB, 7, 2, seed=5,
                         net=NetParams(base_delay=1.0, jitter=0.5))
     world.attach_adversary(6, CorruptRelay(seed=5))
