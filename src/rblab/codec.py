@@ -20,11 +20,14 @@ and an XOR; one transpose at the end puts the r output rows in order.
 Decoding is systematic: shards that sit at data positions are copied, and
 only the decode-matrix rows of the missing data shards are multiplied.
 Decode matrices are Lagrange rows in closed form, gathered from the log/exp
-tables and cached per set of held positions. ``decode_correcting``
-(ec-brb-4f1) and ``SubsetDecoder`` (ec-brb-3f1) share one error locator,
-``_nearest_codeword``, which runs Gao's decoder only on dirty input. A clean
-round costs one product: the rows that rebuild the missing data shards and
-those that predict the other held shards are multiplied together.
+tables and cached per set of held positions. The three decoders,
+``decode_erasure`` (ec-crb), ``decode_correcting`` (ec-brb-4f1) and
+``SubsetDecoder`` (ec-brb-3f1), differ only in how they filter their input
+and in the radius they decode within: 0, min(f, P-k-f) and the whole
+unique-decoding radius. One decode serves them all. A clean round costs one
+product: the rows that rebuild the missing data shards and those that
+predict the other held shards are multiplied together. Only dirty input
+runs Gao's error locator.
 
 An element ``encode`` built carries its whole codeword: (n, k, the payload,
 the shard at each position), shared by all n elements. It is never on the
@@ -33,8 +36,8 @@ element has none. When every shard a decoder would use equals the
 codeword's shard at its position, byte for byte, under the same (n, k) and
 payload length, the decoder returns the codeword's payload without a
 product. That is exact: k such shards pin the codeword (any k rebuild it),
-and P >= k of them are a distance-0 decode, which ``decode_correcting``
-and ``SubsetDecoder`` always accept. Any other input takes the full path.
+and P >= k of them are a distance-0 decode, which every radius accepts.
+Any other input takes the full path.
 """
 from __future__ import annotations
 
@@ -121,9 +124,9 @@ def gf_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             out ^= _MUL[a[:, j]].take(b[j], axis=1)
         return out
     # table[j, x, i] = a[i, j] * x. numpy's take copies a row of 2-32 bytes
-    # as one fixed-size chunk (wider rows, r > 32, go through memmove). Under the default mode="raise" it would
-    # buffer ``out``; b's uint8 entries always index one of the 256 rows, so
-    # "clip" changes no result.
+    # as one fixed-size chunk (wider rows, r > 32, go through memmove).
+    # Under the default mode="raise" it would buffer ``out``; b's uint8
+    # entries always index one of the 256 rows, so "clip" changes no result.
     p = 1 << (r - 1).bit_length()
     table = np.zeros((k, 256, p), dtype=np.uint8)
     table[:, :, :r] = _MUL[a.T].transpose(0, 2, 1)
@@ -250,32 +253,8 @@ def encode(payload: bytes, params: CodeParams) -> list[CodedElement]:
     return [CodedElement(i + 1, shard, len(payload), codeword) for i, shard in enumerate(data)]
 
 
-def encode_element(payload: bytes, params: CodeParams, index: int) -> CodedElement:
-    """The element at position ``index`` alone; equals ``encode(...)[index - 1]``."""
-    if not 1 <= index <= params.n:
-        raise InvalidParams(f"element index {index} outside [1, {params.n}]")
-    k = params.k
-    shards = _data_shards(payload, k)
-    if index <= k:
-        row = shards[index - 1]
-    else:
-        row = gf_matmul(_generator_matrix(params.n, k)[index - 1:index], shards)[0]
-    return CodedElement(index, row.tobytes(), len(payload))
-
-
-def _check_shapes(elements, params: CodeParams, payload_len: int) -> int:
-    width = shard_width(payload_len, params.k)
-    for e in elements:
-        if not 1 <= e.index <= params.n:
-            raise InconsistentIndices(f"element index {e.index} outside [1, {params.n}]")
-        if len(e.data) != width:
-            raise InconsistentIndices(
-                f"element {e.index} has {len(e.data)} bytes, want {width}")
-    return width
-
-
 def _systematic_decode(n: int, k: int, positions: tuple[int, ...], values: np.ndarray,
-                       extra: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
+                       extra: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Data shards from the k shards ``values`` held at ascending
     ``positions``, and the codeword's shards at the positions ``extra``.
 
@@ -296,22 +275,6 @@ def _systematic_decode(n: int, k: int, positions: tuple[int, ...], values: np.nd
     return data, product[len(missing):]
 
 
-def _matching_payload(codeword: tuple | None, params: CodeParams, payload_len: int,
-                      shards) -> bytes | None:
-    """The payload of ``codeword`` if it is an (n, k) codeword of a
-    ``payload_len``-byte payload and each (position, shard) pair in
-    ``shards`` holds the codeword's shard at that position; else None."""
-    if codeword is None:
-        return None
-    n, k, payload, data = codeword
-    if n != params.n or k != params.k or len(payload) != payload_len:
-        return None
-    for p, shard in shards:
-        if shard != data[p - 1]:  # identity, then memcmp
-            return None
-    return payload
-
-
 def _codeword_of(elements) -> tuple | None:
     return next((e.codeword for e in elements if e.codeword is not None), None)
 
@@ -324,17 +287,15 @@ def decode_erasure(elements, params: CodeParams, payload_len: int) -> bytes:
     indices = [e.index for e in elements]
     if len(set(indices)) != len(indices):
         raise InconsistentIndices(f"duplicate indices in {indices}")
-    width = _check_shapes(elements, params, payload_len)
+    width = shard_width(payload_len, params.k)
+    for e in elements:
+        if not 1 <= e.index <= params.n:
+            raise InconsistentIndices(f"element index {e.index} outside [1, {params.n}]")
+        if len(e.data) != width:
+            raise InconsistentIndices(f"element {e.index} has {len(e.data)} bytes, want {width}")
     chosen = elements[: params.k]
-    if not width:
-        return b""
-    payload = _matching_payload(_codeword_of(chosen), params, payload_len,
-                                [(e.index, e.data) for e in chosen])
-    if payload is not None:
-        return payload
-    values = np.stack([np.frombuffer(e.data, dtype=np.uint8) for e in chosen])
-    data, _ = _systematic_decode(params.n, params.k, tuple(e.index for e in chosen), values)
-    return data.reshape(-1)[:payload_len].tobytes()
+    return _decode(params, {e.index: e.data for e in chosen}, payload_len, 0,
+                   _codeword_of(chosen))
 
 
 # Scalar polynomial arithmetic for the error locator. Polynomials are lists
@@ -412,14 +373,16 @@ def _error_locator(points: tuple[int, ...], values: np.ndarray, k: int) -> list[
     return v1
 
 
-def _nearest_codeword(n: int, k: int, shards: dict[int, bytes],
-                      radius: int) -> tuple[np.ndarray, int] | None:
-    """Data shards of the codeword within ``radius`` of the P >= k shards
-    held at their positions, and the number d of positions where they
-    disagree; None if there is none.
+def _decode(params: CodeParams, shards: dict[int, bytes], payload_len: int, radius: int,
+            codeword: tuple | None) -> bytes | None:
+    """The first ``payload_len`` bytes of the data of the codeword within
+    ``radius`` of the P >= k shards held at their positions; None if there
+    is none.
 
-    The radius is capped at the unique-decoding radius (P-k)/2, so the
-    answer is unique. A clean input passes the first check: one product
+    If ``codeword`` is an (n, k) codeword of a ``payload_len``-byte payload
+    and holds every shard at its position, its payload is the answer.
+    Otherwise the radius is capped at the unique-decoding radius (P-k)/2, so
+    the answer is unique. A clean input passes the first check: one product
     evaluates the polynomial through the first k positions at the missing
     data positions and at the rest of the held ones, and the rest is
     compared with the held shards byte for byte. Otherwise Gao's decoder
@@ -428,6 +391,13 @@ def _nearest_codeword(n: int, k: int, shards: dict[int, bytes],
     erasures and every column is checked again on the other positions.
     Each round erases at least one position, so at most ``radius`` rounds
     run."""
+    n, k = params.n, params.k
+    if codeword is not None:
+        code_n, code_k, payload, data = codeword
+        # Each shard compare is identity, then memcmp.
+        if (code_n, code_k, len(payload)) == (n, k, payload_len) and all(
+                shard == data[p - 1] for p, shard in shards.items()):
+            return payload
     positions = sorted(shards)
     budget = min(radius, (len(positions) - k) // 2)
     joined = b"".join([shards[p] for p in positions])
@@ -437,7 +407,7 @@ def _nearest_codeword(n: int, k: int, shards: dict[int, bytes],
         data, rest = _systematic_decode(n, k, tuple(held[:k]), rows[:k], tuple(held[k:]))
         # Two byte copies and one memcmp: np.array_equal timed slower here.
         if rest.tobytes() == rows[k:].tobytes():
-            return data, erased
+            return data.reshape(-1)[:payload_len].tobytes()
         if erased == budget:
             return None
         failing = np.flatnonzero((rest != rows[k:]).any(axis=0))
@@ -482,12 +452,8 @@ def decode_correcting(elements, params: CodeParams, f: int, payload_len: int) ->
             voided.add(e.index)
     if len(by_pos) < k:
         return None
-    payload = _matching_payload(_codeword_of(elements), params, payload_len, by_pos.items())
-    if payload is not None:
-        return payload
     radius = max(0, min(f, len(by_pos) - k - f))
-    found = _nearest_codeword(n, k, by_pos, radius)
-    return None if found is None else found[0].reshape(-1)[:payload_len].tobytes()
+    return _decode(params, by_pos, payload_len, radius, _codeword_of(elements))
 
 
 class SubsetDecoder:
@@ -530,13 +496,8 @@ class SubsetDecoder:
         # within it before this element came, and was decoded then.
         if len(group) < k or (len(group) - k) % 2:
             return None
-        payload = _matching_payload(self.codeword, self.params, length, group.items())
-        if payload is None:
-            found = _nearest_codeword(n, k, group, len(group))
-            if found is None:
-                return None
-            payload = found[0].reshape(-1)[:length].tobytes()
-        if hashing.digest(payload) != self.target:
+        payload = _decode(self.params, group, length, len(group), self.codeword)
+        if payload is None or hashing.digest(payload) != self.target:
             return None
         self.found = payload
         return payload

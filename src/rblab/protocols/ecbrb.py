@@ -50,7 +50,6 @@ from ..codec import (
     SubsetDecoder,
     decode_correcting,
     encode,
-    encode_element,
 )
 from ..core import (
     HEADER_SIZE,
@@ -100,7 +99,7 @@ class EcBrb3f1(_HashBrb):
     def vote(self, kind: MsgKind, s: NodeId, h: SeqIndex, c: Candidate,
              element: CodedElement | None = None) -> WireMessage:
         if kind is _ECHO and element is None:
-            element = encode_element(c.payload, self.params, self.me + 1)
+            element = encode(c.payload, self.params)[self.me]
         return WireMessage(kind, s, h, digest=c.digest, element=element)
 
     def echo_key(self, frm: NodeId, msg: WireMessage) -> Digest | None:

@@ -415,16 +415,49 @@ def _outcome(decode, *args):
         return type(exc)
 
 
+@pytest.fixture
+def products(monkeypatch):
+    """The number of gf_matmul calls made so far, in a one-item list."""
+    count = [0]
+    matmul = codec.gf_matmul
+
+    def counted(a, b):
+        count[0] += 1
+        return matmul(a, b)
+
+    monkeypatch.setattr(codec, "gf_matmul", counted)
+    return count
+
+
+def _counted(products, decode, *args):
+    """The outcome of ``decode(*args)`` and the products it made."""
+    before = products[0]
+    return _outcome(decode, *args), products[0] - before
+
+
+# With the codeword kept, a clean subset decodes without a product; with it
+# stripped, a clean input costs at most the one product of the first check.
+CLEAN_MODES = ["subset", "claimed-length"]
+
+
 @pytest.mark.parametrize("mode", CODEWORD_MODES)
-def test_decode_erasure_is_the_same_with_the_codeword_stripped(mode):
+def test_decode_erasure_is_the_same_with_the_codeword_stripped(mode, products):
     for seed in range(150):
         params, _, _, elements, payload_len = _codeword_case(mode, seed)
-        assert _outcome(decode_erasure, elements, params, payload_len) \
-            == _outcome(decode_erasure, _stripped(elements), params, payload_len), seed
+        kept, kept_products = _counted(products, decode_erasure, elements, params, payload_len)
+        bare, bare_products = _counted(products, decode_erasure, _stripped(elements), params,
+                                       payload_len)
+        assert kept == bare, seed
+        if mode == "subset":
+            assert kept_products == 0, seed
+        if mode in CLEAN_MODES and len(elements) >= params.k:
+            # Shards at data positions are copied; only missing ones cost.
+            chosen = sorted(e.index for e in elements)[:params.k]
+            assert bare_products == (chosen != list(range(1, params.k + 1))), seed
 
 
 @pytest.mark.parametrize("mode", CODEWORD_MODES)
-def test_decode_correcting_is_the_same_with_the_codeword_stripped(mode):
+def test_decode_correcting_is_the_same_with_the_codeword_stripped(mode, products):
     # Wrong-width filler keeps n - f elements while fewer positions count,
     # so the radius min(f, P - k - f) runs from 0 to f.
     decoded = 0
@@ -432,22 +465,34 @@ def test_decode_correcting_is_the_same_with_the_codeword_stripped(mode):
         params, f, payload, elements, payload_len = _codeword_case(mode, seed)
         filler = CodedElement(1, bytes(shard_width(payload_len, params.k) + 1), payload_len)
         elements += [filler] * (params.n - f - len(elements))
-        kept = _outcome(decode_correcting, elements, params, f, payload_len)
-        assert kept == _outcome(decode_correcting, _stripped(elements), params, f,
-                                payload_len), seed
+        kept, kept_products = _counted(products, decode_correcting, elements, params, f,
+                                       payload_len)
+        bare, bare_products = _counted(products, decode_correcting, _stripped(elements), params,
+                                       f, payload_len)
+        assert kept == bare, seed
+        if mode == "subset":
+            assert kept_products == 0, seed
+        if mode in CLEAN_MODES:
+            assert bare_products <= 1, seed
         decoded += kept == payload
     assert decoded > 20, decoded
 
 
 @pytest.mark.parametrize("mode", CODEWORD_MODES)
-def test_subset_decoder_is_the_same_with_the_codeword_stripped(mode):
+def test_subset_decoder_is_the_same_with_the_codeword_stripped(mode, products):
     found = 0
     for seed in range(150):
         params, _, payload, elements, _ = _codeword_case(mode, seed)
         kept = SubsetDecoder(params, hashing.digest(payload))
         bare = SubsetDecoder(params, hashing.digest(payload))
-        results = [kept.add(e) for e in elements]
-        assert results == [bare.add(e) for e in _stripped(elements)], seed
+        for e, stripped in zip(elements, _stripped(elements)):
+            result, kept_products = _counted(products, kept.add, e)
+            bare_result, bare_products = _counted(products, bare.add, stripped)
+            assert result == bare_result, seed
+            if mode == "subset":
+                assert kept_products == 0, seed
+            if mode in CLEAN_MODES:
+                assert bare_products <= 1, seed
         found += kept.found is not None
     assert found > 20, found
 
@@ -461,5 +506,4 @@ def test_the_codeword_is_not_part_of_an_elements_value():
     assert repr(element) == repr(bare) and "codeword" not in repr(element)
     assert serialize_element(element) == serialize_element(bare)
     assert parse_element(serialize_element(element)).codeword is None
-    assert codec.encode_element(b"codeword payload", params, 4).codeword is None
     assert corrupt_element(element, 0).codeword is None

@@ -18,7 +18,6 @@ from rblab.codec import (
     _generator_matrix,
     decode_correcting,
     encode,
-    encode_element,
     gf_matmul,
     shard_width,
 )
@@ -107,17 +106,6 @@ def test_gf_matmul_leaves_inputs_and_tables_unchanged(r, k, width):
         assert not np.shares_memory(got, x)
     got ^= 0xFF
     assert np.array_equal(gf_matmul(a, b) ^ 0xFF, got)
-
-
-def test_encode_element_is_one_row_of_encode():
-    rng = random.Random(11)
-    for _ in range(40):
-        n = rng.randrange(1, 20)
-        k = rng.randrange(1, n + 1)
-        payload = rng.randbytes(rng.choice([0, 1, rng.randrange(2, 600)]))
-        params = CodeParams(n, k)
-        full = encode(payload, params)
-        assert [encode_element(payload, params, i) for i in range(1, n + 1)] == full
 
 
 def test_generator_matrix_matches_scalar_oracle():
