@@ -32,12 +32,14 @@ runs Gao's error locator.
 An element ``encode`` built carries its whole codeword: (n, k, the payload,
 the shard at each position), shared by all n elements. It is never on the
 wire, and takes no part in ``==``, ``hash`` or ``repr``; a parsed or hand-built
-element has none. When every shard a decoder would use equals the
-codeword's shard at its position, byte for byte, under the same (n, k) and
-payload length, the decoder returns the codeword's payload without a
-product. That is exact: k such shards pin the codeword (any k rebuild it),
-and P >= k of them are a distance-0 decode, which every radius accepts.
-Any other input takes the full path.
+element has none. A decoder tries every distinct codeword its elements
+carry. If one has the same (n, k) and payload length, and its shards differ
+from the held ones at no more than the decode's budget of positions, the
+decoder returns its payload without a product. The budget is the radius
+capped at the unique-decoding radius (P-k)/2. That is exact: two codewords
+agree at fewer than k positions, so they differ at P-k+1 or more of any P,
+and a codeword within (P-k)/2 of the held shards is the only one there. It
+is the one the full path would find. Any other input takes the full path.
 """
 from __future__ import annotations
 
@@ -275,8 +277,9 @@ def _systematic_decode(n: int, k: int, positions: tuple[int, ...], values: np.nd
     return data, product[len(missing):]
 
 
-def _codeword_of(elements) -> tuple | None:
-    return next((e.codeword for e in elements if e.codeword is not None), None)
+def _codewords(elements):
+    """The distinct codewords ``elements`` carry, by identity."""
+    return {id(e.codeword): e.codeword for e in elements if e.codeword is not None}.values()
 
 
 def decode_erasure(elements, params: CodeParams, payload_len: int) -> bytes:
@@ -295,7 +298,7 @@ def decode_erasure(elements, params: CodeParams, payload_len: int) -> bytes:
             raise InconsistentIndices(f"element {e.index} has {len(e.data)} bytes, want {width}")
     chosen = elements[: params.k]
     return _decode(params, {e.index: e.data for e in chosen}, payload_len, 0,
-                   _codeword_of(chosen))
+                   _codewords(elements))
 
 
 # Scalar polynomial arithmetic for the error locator. Polynomials are lists
@@ -374,15 +377,16 @@ def _error_locator(points: tuple[int, ...], values: np.ndarray, k: int) -> list[
 
 
 def _decode(params: CodeParams, shards: dict[int, bytes], payload_len: int, radius: int,
-            codeword: tuple | None) -> bytes | None:
+            codewords) -> bytes | None:
     """The first ``payload_len`` bytes of the data of the codeword within
     ``radius`` of the P >= k shards held at their positions; None if there
     is none.
 
-    If ``codeword`` is an (n, k) codeword of a ``payload_len``-byte payload
-    and holds every shard at its position, its payload is the answer.
-    Otherwise the radius is capped at the unique-decoding radius (P-k)/2, so
-    the answer is unique. A clean input passes the first check: one product
+    The radius is capped at the unique-decoding radius (P-k)/2, so the
+    answer is unique. If one of ``codewords`` is an (n, k) codeword of a
+    ``payload_len``-byte payload whose shards differ from the held ones at
+    no more positions than that, its payload is the answer, without a
+    product. Otherwise a clean input passes the first check: one product
     evaluates the polynomial through the first k positions at the missing
     data positions and at the rest of the held ones, and the rest is
     compared with the held shards byte for byte. Otherwise Gao's decoder
@@ -392,14 +396,13 @@ def _decode(params: CodeParams, shards: dict[int, bytes], payload_len: int, radi
     Each round erases at least one position, so at most ``radius`` rounds
     run."""
     n, k = params.n, params.k
-    if codeword is not None:
-        code_n, code_k, payload, data = codeword
+    budget = min(radius, (len(shards) - k) // 2)
+    for code_n, code_k, payload, data in codewords:
         # Each shard compare is identity, then memcmp.
-        if (code_n, code_k, len(payload)) == (n, k, payload_len) and all(
-                shard == data[p - 1] for p, shard in shards.items()):
+        if (code_n, code_k, len(payload)) == (n, k, payload_len) and sum(
+                shard != data[p - 1] for p, shard in shards.items()) <= budget:
             return payload
     positions = sorted(shards)
-    budget = min(radius, (len(positions) - k) // 2)
     joined = b"".join([shards[p] for p in positions])
     held, rows = positions, np.frombuffer(joined, dtype=np.uint8).reshape(len(positions), -1)
     while True:
@@ -453,7 +456,7 @@ def decode_correcting(elements, params: CodeParams, f: int, payload_len: int) ->
     if len(by_pos) < k:
         return None
     radius = max(0, min(f, len(by_pos) - k - f))
-    return _decode(params, by_pos, payload_len, radius, _codeword_of(elements))
+    return _decode(params, by_pos, payload_len, radius, _codewords(elements))
 
 
 class SubsetDecoder:
@@ -474,7 +477,7 @@ class SubsetDecoder:
         self.params = params
         self.target = target
         self.groups: dict[int, dict[int, bytes]] = {}  # claimed length -> position -> shard
-        self.codeword: tuple | None = None  # the last one an element carried
+        self.codewords: dict[int, tuple] = {}  # id -> each one an accepted element carried
         self.found: bytes | None = None
 
     def add(self, element: CodedElement) -> bytes | None:
@@ -490,13 +493,13 @@ class SubsetDecoder:
             return None
         group[element.index] = element.data
         if element.codeword is not None:
-            self.codeword = element.codeword
+            self.codewords[id(element.codeword)] = element.codeword
         # An arrival that leaves (m-k)/2 where it was cannot change the
         # answer: a codeword within that radius of the group was also
         # within it before this element came, and was decoded then.
         if len(group) < k or (len(group) - k) % 2:
             return None
-        payload = _decode(self.params, group, length, len(group), self.codeword)
+        payload = _decode(self.params, group, length, len(group), self.codewords.values())
         if payload is None or hashing.digest(payload) != self.target:
             return None
         self.found = payload

@@ -6,7 +6,10 @@ of the run so the verdict on every headline property is visible at a glance.
 """
 import hashlib
 
-from rblab import hashing
+import pytest
+
+from rblab import hashing, simnet
+from rblab.core import Receive, decode_envelope, encode_envelope
 
 _criterion_lines: list[str] = []
 
@@ -32,6 +35,18 @@ def count_sha256_runs(monkeypatch, counts=lambda: True) -> Sha256Runs:
     runs = Sha256Runs(counts)
     monkeypatch.setattr(hashing, "hashlib", runs)
     return runs
+
+
+@pytest.fixture
+def wire_round_trip(monkeypatch):
+    """A switch: once called, the simulator builds each ``Receive`` around
+    ``decode_envelope(encode_envelope(msg))``, so a node gets only what the
+    wire carries (no element carries its codeword) for the rest of the test."""
+
+    def receive(frm, msg):
+        return Receive(frm, decode_envelope(encode_envelope(msg)))
+
+    return lambda: monkeypatch.setattr(simnet, "Receive", receive)
 
 
 def stretch_link(world, frm: int, to: int) -> None:

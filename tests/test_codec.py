@@ -408,6 +408,17 @@ def _stripped(elements):
     return [dataclasses.replace(e, codeword=None) for e in elements]
 
 
+def _distance(carriers, used, params, payload_len) -> int:
+    """The fewest of the ``used`` elements' positions at which a codeword one
+    of ``carriers`` carries differs from them, over the (n, k) codewords of
+    ``payload_len``-byte payloads; more than len(used) if there is none."""
+    distances = [sum(e.data != data[e.index - 1] for e in used)
+                 for n, k, payload, data in {id(e.codeword): e.codeword for e in carriers
+                                             if e.codeword is not None}.values()
+                 if (n, k, len(payload)) == (params.n, params.k, payload_len)]
+    return min(distances, default=len(used) + 1)
+
+
 def _outcome(decode, *args):
     try:
         return decode(*args)
@@ -437,6 +448,9 @@ def _counted(products, decode, *args):
 
 # With the codeword kept, a clean subset decodes without a product; with it
 # stripped, a clean input costs at most the one product of the first check.
+# With it kept, any input a carried codeword lies within the decoder's
+# budget of costs no product either, and the order of the input does not
+# change what the decode costs.
 CLEAN_MODES = ["subset", "claimed-length"]
 
 
@@ -454,6 +468,11 @@ def test_decode_erasure_is_the_same_with_the_codeword_stripped(mode, products):
             # Shards at data positions are copied; only missing ones cost.
             chosen = sorted(e.index for e in elements)[:params.k]
             assert bare_products == (chosen != list(range(1, params.k + 1))), seed
+        used = sorted(elements, key=lambda e: e.index)[:params.k]
+        if len(used) == params.k and _distance(elements, used, params, payload_len) == 0:
+            assert kept_products == 0, seed
+        assert _counted(products, decode_erasure, elements[::-1], params, payload_len) == (
+            kept, kept_products), seed
 
 
 @pytest.mark.parametrize("mode", CODEWORD_MODES)
@@ -463,6 +482,7 @@ def test_decode_correcting_is_the_same_with_the_codeword_stripped(mode, products
     decoded = 0
     for seed in range(150):
         params, f, payload, elements, payload_len = _codeword_case(mode, seed)
+        used = list(elements)
         filler = CodedElement(1, bytes(shard_width(payload_len, params.k) + 1), payload_len)
         elements += [filler] * (params.n - f - len(elements))
         kept, kept_products = _counted(products, decode_correcting, elements, params, f,
@@ -474,6 +494,12 @@ def test_decode_correcting_is_the_same_with_the_codeword_stripped(mode, products
             assert kept_products == 0, seed
         if mode in CLEAN_MODES:
             assert bare_products <= 1, seed
+        spare = len(used) - params.k
+        if spare >= 0 and _distance(elements, used, params, payload_len) <= max(
+                0, min(f, spare - f, spare // 2)):
+            assert kept_products == 0, seed
+        assert _counted(products, decode_correcting, elements[::-1], params, f,
+                        payload_len) == (kept, kept_products), seed
         decoded += kept == payload
     assert decoded > 20, decoded
 
@@ -485,7 +511,7 @@ def test_subset_decoder_is_the_same_with_the_codeword_stripped(mode, products):
         params, _, payload, elements, _ = _codeword_case(mode, seed)
         kept = SubsetDecoder(params, hashing.digest(payload))
         bare = SubsetDecoder(params, hashing.digest(payload))
-        for e, stripped in zip(elements, _stripped(elements)):
+        for i, (e, stripped) in enumerate(zip(elements, _stripped(elements))):
             result, kept_products = _counted(products, kept.add, e)
             bare_result, bare_products = _counted(products, bare.add, stripped)
             assert result == bare_result, seed
@@ -493,6 +519,11 @@ def test_subset_decoder_is_the_same_with_the_codeword_stripped(mode, products):
                 assert kept_products == 0, seed
             if mode in CLEAN_MODES:
                 assert bare_products <= 1, seed
+            # The elements sit at distinct positions under one claimed length.
+            group = elements[:i + 1]
+            budget = (len(group) - params.k) // 2
+            if budget >= 0 and _distance(group, group, params, e.claimed_len) <= budget:
+                assert kept_products == 0, seed
         found += kept.found is not None
     assert found > 20, found
 

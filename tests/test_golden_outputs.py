@@ -327,3 +327,10 @@ def sweep_output() -> str:
 
 def test_adversarial_sweep_matches_golden():
     assert sweep_output() == SWEEP_HASH
+
+
+def test_adversarial_sweep_is_the_same_through_the_wire(wire_round_trip):
+    # The simulator's shortcuts lean on object state the wire does not
+    # carry; delivering every message as its wire bytes parse moves no output.
+    wire_round_trip()
+    assert sweep_output() == SWEEP_HASH
