@@ -58,9 +58,13 @@ the n-f ECHOs a node delivered on leave at most f senders for any other
 digest. So no digest but the delivered one gathers the f+1 backers that
 start a fetch, no FWD is awaited at close, and a closed node is asked only
 for payloads it held at close: its record answers those REQs as the open
-one would. bracha and the crash-tolerant protocols fetch nothing, and
-ec-crb, which echoes every MSG from the source, closes only after echoing
-one; a crash-faulty source sends each node one.
+one would. bracha and crb-flood fetch nothing. ec-crb REQs a digest only
+from its ACC senders, each once as its ACC arrives and only until it
+delivers, and a node ACCs only the digest of a payload it holds. Under
+crash faults every ACC names the one digest a node delivers, so ec-crb too
+awaits no FWD at close, and its closed record answers REQs for the payload
+it delivered. ec-crb, which echoes every MSG from the source, closes only
+after echoing one; a crash-faulty source sends each node one.
 """
 from __future__ import annotations
 

@@ -7,12 +7,18 @@ MSG.
 
 EcCrb splits the payload into n coded elements of which any k reconstruct
 it. The source sends one element per node, nodes echo their element to
-everyone, and whoever collects k elements decodes, delivers, and hands the
-reassembled payload to any node that decoded nothing (e.g. because the
-crashed source never reached it) via an ACC carrying the full payload. A
-node closes the instance once it has decoded, delivered and sent its ACC,
-and has echoed the source's MSG: it echoes every MSG from the source, so
-closing before would lose the ECHO of a late one.
+everyone, and whoever collects k elements decodes, once, keeps the payload
+under its digest, delivers, and multicasts an ACC carrying the digest. A
+node that has not delivered asks each ACC sender once for the payload
+(REQ) and takes the forwarded copy (FWD) as the hash-based protocols do,
+with their handlers: only from a node it asked, and only if the copy hashes
+to the digest. It then delivers and sends its own ACC. Every correct node
+that delivers has sent its ACC to all and holds the payload to answer
+with, so a node that the crashed source never reached still delivers. A
+node closes the instance once it has delivered and sent its ACC, and has
+echoed the source's MSG: it echoes every MSG from the source, so closing
+before would lose the ECHO of a late one. Its closed record keeps the
+payload and answers REQs.
 """
 from __future__ import annotations
 
@@ -20,6 +26,7 @@ from ..codec import CodecError, CodedElement, decode_erasure, encode
 from ..core import (
     CLOSED,
     Action,
+    Candidate,
     Deliver,
     Instance,
     MsgKind,
@@ -29,6 +36,7 @@ from ..core import (
     WireMessage,
 )
 from .base import Automaton
+from .hbrb import _HashBrb
 
 
 class CrbFlood(Automaton):
@@ -42,6 +50,12 @@ class CrbFlood(Automaton):
 
 
 class EcCrb(Automaton):
+    # REQ and FWD exactly as the hash-based protocols take them, and a
+    # closed instance keeps the payload REQs are answered from.
+    on_req = _HashBrb.on_req
+    on_fwd = _HashBrb.on_fwd
+    close = _HashBrb.close
+
     def source_sends(self, payload: Payload, h: SeqIndex) -> list[Action]:
         return self.send_elements(h, encode(payload, self.params))
 
@@ -67,34 +81,41 @@ class EcCrb(Automaton):
 
     def _store(self, rec: Instance, s: NodeId, h: SeqIndex,
                element: CodedElement) -> list[Action]:
+        """Hold ``element`` and decode, once, when k are held, unless the
+        payload was delivered first."""
+        if rec.acc_sent or rec.decoded or len(rec.add_element(element)) < self.params.k:
+            return self.check(rec, s, h)
+        rec.decoded = True
+        elements = sorted(rec.elements, key=lambda e: (e.index, e.data))
+        try:
+            payload = decode_erasure(elements[: self.params.k], self.params,
+                                     elements[0].claimed_len)
+        except CodecError:
+            return []
+        return self.check(rec, s, h, rec.hold(self.digest_of(payload), payload))
+
+    def check(self, rec: Instance, s: NodeId, h: SeqIndex,
+              c: Candidate | None = None) -> list[Action]:
+        """Deliver ``c``'s payload and ACC its digest unless already done;
+        close once that is done and the MSG is echoed. ``c`` is given on a
+        decode and on a FWD that hashed to a requested digest."""
         actions: list[Action] = []
-        if len(rec.add_element(element)) >= self.params.k and not rec.decoded:
-            rec.decoded = True
-            actions = self._decode(rec, s, h)
+        if c is not None and not rec.acc_sent:
+            rec.acc_sent = True
+            self.deliver_once(rec, s, c.payload, h, actions)
+            actions += self.send_all(WireMessage(MsgKind.ACC, s, h, digest=c.digest))
         if rec.acc_sent and rec.msg_seen:
             self.close(s, h, rec)
         return actions
 
-    def _decode(self, rec: Instance, s: NodeId, h: SeqIndex) -> list[Action]:
-        """Decode the held elements once; deliver and ACC the payload."""
-        elements = sorted(rec.elements, key=lambda e: (e.index, e.data))
-        payload_len = elements[0].claimed_len
-        try:
-            payload = decode_erasure(elements[: self.params.k], self.params, payload_len)
-        except CodecError:
-            return []
-        actions: list[Action] = []
-        self.deliver_once(rec, s, payload, h, actions)
-        rec.acc_sent = True
-        actions += self.send_all(WireMessage(MsgKind.ACC, s, h, payload=payload))
-        return actions
-
     def on_acc(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
-        if msg.payload is None:
+        # The sender holds the payload behind the digest: ask it, once.
+        if msg.digest is None:
             return []
         s, h = msg.source, msg.h
         if rec is None:
             rec = self.instances[(s, h)] = Instance()
-        actions: list[Action] = []
-        self.deliver_once(rec, s, msg.payload, h, actions)
-        return actions
+        if rec.delivered:
+            return []
+        c = rec.count_acc(msg.digest, frm)
+        return [] if c is None else self.request_payload(s, h, c, [frm])

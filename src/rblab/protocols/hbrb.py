@@ -6,8 +6,8 @@ digest it cannot resolve asks the quorum members for the payload (REQ) and
 accepts a forwarded copy (FWD) only from nodes it asked, only if the copy
 hashes to the requested digest. A node takes one REQ and hashes one FWD per
 sender and instance. The ``DoubleEcho`` engine tallies the digest votes;
-each protocol here supplies only its fetch trigger. ec-brb-4f1 answers REQs
-and takes FWDs with the same two handlers. A closed instance keeps the
+each protocol here supplies only its fetch trigger. ec-brb-4f1 and ec-crb
+answer REQs and take FWDs with the same two handlers. A closed instance keeps the
 payloads it held and answers REQs from them as before.
 
 HBrb3f1 runs the double-echo pattern (ECHO then ACC) and needs n >= 3f+1.

@@ -55,10 +55,14 @@ SEEDS_PER_CELL = 500
 
 
 def _fault_injected_violations(kind: ProtocolKind, f: int, strategy: str,
-                               seed: int) -> list[str]:
-    """One randomized schedule: build, sabotage, run, check all properties."""
-    rng = random.Random(f"{kind.value}:{f}:{strategy}:{seed}")
-    n = RESILIENCE[kind] * f + 1
+                               seed: int, n: int | None = None) -> list[str]:
+    """One randomized schedule: build, sabotage, run, check all properties.
+    ``n`` defaults to the protocol's minimum for ``f``."""
+    if n is None:
+        rng = random.Random(f"{kind.value}:{f}:{strategy}:{seed}")
+        n = RESILIENCE[kind] * f + 1
+    else:
+        rng = random.Random(f"{kind.value}:{n}:{f}:{strategy}:{seed}")
     slow = None
     if rng.random() < 0.5:
         a = rng.randrange(n)
@@ -117,6 +121,24 @@ def test_criterion_01_fault_matrix():
         detail += " | " + " ; ".join(failures[:3])
     record_criterion(name, passed, detail)
     assert passed, detail
+
+
+def test_crash_tolerant_protocols_hold_under_crash_faults():
+    # The crash-tolerant protocols at n = f+1 (ec-crb codes at k = 1) and at
+    # n = 3f+1 (k = 2f+1, so a node decodes only from 2f+1 elements and a
+    # node short of them must be rescued): 12 cells per protocol.
+    failures: list[str] = []
+    for kind in (ProtocolKind.CRB_FLOOD, ProtocolKind.EC_CRB):
+        for f in (1, 2, 3):
+            for n in (f + 1, 3 * f + 1):
+                for strategy in ("silent", "crash"):
+                    for seed in range(SEEDS_PER_CELL):
+                        violations = _fault_injected_violations(kind, f, strategy, seed, n)
+                        if violations:
+                            failures.append(f"{kind.value} n={n} f={f} {strategy} "
+                                            f"seed={seed}: {violations[0]}")
+                            break
+    assert not failures, " ; ".join(failures[:3])
 
 
 # -- 2. fast-path causal depth ---------------------------------------------------

@@ -30,7 +30,7 @@ from rblab.simnet import RunStats
 
 SOURCE, H = 1, 1
 PAYLOAD, OTHER = b"the broadcast payload", b"another payload, same instance"
-ANSWERS_REQS = {ProtocolKind.H_BRB_3F1, ProtocolKind.H_BRB_5F1,
+ANSWERS_REQS = {ProtocolKind.EC_CRB, ProtocolKind.H_BRB_3F1, ProtocolKind.H_BRB_5F1,
                 ProtocolKind.EC_BRB_3F1, ProtocolKind.EC_BRB_4F1}
 
 VOTES = {MsgKind.MSG, MsgKind.ECHO, MsgKind.ACC, MsgKind.FWD}

@@ -6,10 +6,11 @@ is run through ``rblab scenario`` with its worlds traced; every
 ``configs/tables`` config, cut to 20 broadcasts, pins its protocol on its
 link model; inline configs pin ec-crb and h-brb-5f1, which no shipped
 config runs, and the `equivocate` and `crash` strategies as a config sets
-them up; and one hash covers a drawn sweep of small adversarial worlds
-(every protocol, f in {1, 2}, four strategies, injected messages). The
-hashes cover every simulated byte count, ordering, time and recorded ACC
-digest, so a change that is meant to be output-neutral (a speed-up, a
+them up; and one hash per protocol covers a drawn sweep of its small
+adversarial worlds (f in {1, 2}, four strategies, injected messages), so
+a change to one protocol moves only its own sweep hash. The hashes cover
+every simulated byte count, ordering, time and recorded ACC digest, so a
+change that is meant to be output-neutral (a speed-up, a
 refactor) must leave all of them unchanged. A change that alters simulated
 results on purpose re-records them and says why.
 """
@@ -233,7 +234,7 @@ INLINE_CONFIGS = {
 
 INLINE_HASHES = {
     "ec-crb-tree-42mbit":
-        "c3888b423985d18a92b88e1ca1abc1c6e93c01d5a4295bb4de62557d20b3f4b2",
+        "5b3af6fed3c96d9d7e844bc1ce771b1da54fd447edbafb5b0b6d1c17618ec22c",
     "h-brb-5f1-fat-tree-jitter":
         "aed9e3e394a62ed73471bb7b82edae228d95a9e6b01089c309289b6e006335d3",
     "bracha-linear-equivocate":
@@ -259,7 +260,22 @@ def test_inline_config_outputs_match_golden(name):
 
 SWEEP_STRATEGIES = ("silent", "crash", "equivocate", "corrupt-relay")
 SWEEP_SEEDS = 10
-SWEEP_HASH = "41987ad4a66138a3f03055d9c3723bdb0483387b8fe3a485325bd1a8c65721e5"
+SWEEP_HASHES = {
+    ProtocolKind.CRB_FLOOD:
+        "4a23cacefeda90c15627cde51d9177de67cd2bbafcfe71728740c9f7d3a38934",
+    ProtocolKind.EC_CRB:
+        "23def0b1261ab3509bace32fb9218c069685f5c171d77cead90cd2d5fdcce335",
+    ProtocolKind.BRACHA:
+        "0b5de7c3e7bc2988d00d4b3ae5aaf39aef8c319e61cedbe14f37c10d1d65cbec",
+    ProtocolKind.H_BRB_3F1:
+        "4b9e9ae2e92011e41cbfb291740df8e1644a0ec6113270ee3150730370d25993",
+    ProtocolKind.H_BRB_5F1:
+        "0d01be05a316d251f2ab3dbe204afbe63a31675b6211b3b111b22cd0367bea88",
+    ProtocolKind.EC_BRB_3F1:
+        "06d82432f1897bb4e7489f74218db56c8a52a2d173875af3a85bd35ff61db602",
+    ProtocolKind.EC_BRB_4F1:
+        "db6039b961ce5457cb886a89a44643cb63ee3d50776fdbaacbb9a89675fc0f5f",
+}
 _VARIANTS = [(kind, variant) for kind, variants in KIND_VARIANTS.items()
              for variant in sorted(variants)]
 
@@ -315,22 +331,25 @@ def _sweep_world(kind: ProtocolKind, f: int, strategy: str, seed: int):
     return world
 
 
-def sweep_output() -> str:
+def sweep_output(kind: ProtocolKind) -> str:
     digest = hashlib.sha256()
-    for kind in ProtocolKind:
-        for f in (1, 2):
-            for strategy in SWEEP_STRATEGIES:
-                for seed in range(SWEEP_SEEDS):
-                    digest.update(_world_record(_sweep_world(kind, f, strategy, seed)))
+    for f in (1, 2):
+        for strategy in SWEEP_STRATEGIES:
+            for seed in range(SWEEP_SEEDS):
+                digest.update(_world_record(_sweep_world(kind, f, strategy, seed)))
     return digest.hexdigest()
 
 
+def sweep_outputs() -> dict[ProtocolKind, str]:
+    return {kind: sweep_output(kind) for kind in ProtocolKind}
+
+
 def test_adversarial_sweep_matches_golden():
-    assert sweep_output() == SWEEP_HASH
+    assert sweep_outputs() == SWEEP_HASHES
 
 
 def test_adversarial_sweep_is_the_same_through_the_wire(wire_round_trip):
     # The simulator's shortcuts lean on object state the wire does not
     # carry; delivering every message as its wire bytes parse moves no output.
     wire_round_trip()
-    assert sweep_output() == SWEEP_HASH
+    assert sweep_outputs() == SWEEP_HASHES

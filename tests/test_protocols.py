@@ -684,18 +684,42 @@ def test_flood_refloods_once_and_delivers():
 def test_coded_crash_decode_and_rescue():
     m, h = b"rescue payload", 1
     elements = encode(m, CodeParams(4, 3))
+    acc = WireMessage(MsgKind.ACC, 3, h, digest=hashing.digest(m))
+    req = WireMessage(MsgKind.REQ, 3, h, digest=hashing.digest(m))
+    fwd = WireMessage(MsgKind.FWD, 3, h, payload=m)
+    # A node that decodes from k = 3 elements delivers and ACCs the digest.
     node = _auto(ProtocolKind.EC_CRB, 4, 1, node=0)
     acts = _recv(node, 3, WireMessage(MsgKind.MSG, 3, h, element=elements[0]))
     assert all(a.msg.kind is MsgKind.ECHO for a in _sends(node, acts))
     assert _recv(node, 1, WireMessage(MsgKind.ECHO, 3, h, element=elements[1])) == []
     acts = _recv(node, 2, WireMessage(MsgKind.ECHO, 3, h, element=elements[2]))
     assert _delivers(acts) == [Deliver(3, m, h)]
-    accs = [a for a in _sends(node, acts) if a.msg.kind is MsgKind.ACC]
-    assert len(accs) == 4 and all(a.msg.payload == m for a in accs)
-    # A node with no elements at all is rescued by the full-payload accept.
-    empty = _auto(ProtocolKind.EC_CRB, 4, 1, node=2)
-    acts = _recv(empty, 0, WireMessage(MsgKind.ACC, 3, h, payload=m))
+    assert [a.msg for a in _sends(node, acts)] == [acc] * 4
+    # A node short of k elements asks each ACC sender once, takes the FWD
+    # only from a node it asked, delivers, and ACCs the digest itself.
+    short = _auto(ProtocolKind.EC_CRB, 4, 1, node=2)
+    _recv(short, 3, WireMessage(MsgKind.MSG, 3, h, element=elements[2]))
+    assert _recv(short, 0, acc) == [Send(0, req)]
+    assert _recv(short, 0, acc) == []
+    assert _recv(short, 1, fwd) == []
+    acts = _recv(short, 0, fwd)
     assert _delivers(acts) == [Deliver(3, m, h)]
+    assert [a.msg for a in _sends(short, acts)] == [acc] * 4
+    # It has echoed the source's MSG, so it closes; the closed record
+    # answers a late REQ once per sender.
+    assert type(short.instances[(3, h)]) is Closed
+    assert _recv(short, 1, req) == [Send(1, fwd)]
+    assert _recv(short, 1, req) == []
+    assert _recv(short, 3, req) == [Send(3, fwd)]
+    # A FWD whose payload has the wrong hash is dropped; the node asks the
+    # next ACC sender, and once it has delivered, asks no one.
+    empty = _auto(ProtocolKind.EC_CRB, 4, 1, node=1)
+    assert _recv(empty, 0, acc) == [Send(0, req)]
+    assert _recv(empty, 0, WireMessage(MsgKind.FWD, 3, h, payload=b"forged payload")) == []
+    assert not _record(empty, 3, h).delivered
+    assert _recv(empty, 2, acc) == [Send(2, req)]
+    assert _delivers(_recv(empty, 2, fwd)) == [Deliver(3, m, h)]
+    assert _recv(empty, 3, acc) == []
 
 
 # -- source wave shapes -----------------------------------------------------------

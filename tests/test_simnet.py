@@ -515,10 +515,10 @@ def test_each_sent_message_is_sized_and_hashed_once(monkeypatch):
 
 @pytest.mark.parametrize("kind", [ProtocolKind.BRACHA, ProtocolKind.EC_CRB])
 def test_each_instance_hashes_an_equal_acc_payload_once(monkeypatch, kind):
-    # bracha's ACCs share one payload object, and so do ec-crb's: each
-    # decoder returns the payload of the codeword its elements carry. The
-    # second instance repeats the first one's payload, equal bytes that the
-    # hashing memo still holds, so it costs no second run.
+    # bracha's ACCs share one payload object. The second instance repeats
+    # the first one's payload, equal bytes that the hashing memo still
+    # holds, so it costs no second run. ec-crb's ACCs carry the digest its
+    # decoders computed: the simulator records each as it is and hashes none.
     n = 19
     book = _Bookkeeping(monkeypatch)
     world = build_world(kind, n, 6 if kind is ProtocolKind.BRACHA else 9,
@@ -529,9 +529,14 @@ def test_each_instance_hashes_an_equal_acc_payload_once(monkeypatch, kind):
     stats = world.run()
     assert check_broadcast_properties(world) == []
     accs = [msg for _, msg in book.sent if msg.kind is MsgKind.ACC]
-    assert len(accs) == 2 * n * n and all(msg.payload == payload for msg in accs)
-    assert len({id(msg.payload) for msg in accs}) == 1
-    assert book.sim_digests == 1
+    assert len(accs) == 2 * n * n
+    if kind is ProtocolKind.BRACHA:
+        assert all(msg.payload == payload for msg in accs)
+        assert len({id(msg.payload) for msg in accs}) == 1
+        assert book.sim_digests == 1
+    else:
+        assert all(msg.payload is None and msg.digest == _sha256(payload) for msg in accs)
+        assert book.sim_digests == 0
     assert stats.acc_digests == book.acc_digests_by_rehashing()
     assert stats.acc_digests == {key: {i: {_sha256(payload)} for i in range(n)}
                                  for key in [(0, 1), (3, 1)]}
@@ -578,9 +583,9 @@ def test_a_reflood_is_sized_once_per_multicast(monkeypatch):
 
 
 def test_acc_digests_survive_distinct_equal_and_corrupted_payloads(monkeypatch):
-    # Every ec-crb decoder multicasts its own ACC object. Those that used
-    # only the source's shards share its payload object; a corrupt relay
-    # makes two decoders rebuild wrong payloads.
+    # Every ec-crb decoder multicasts its own ACC object, with the digest of
+    # what it rebuilt; a corrupt relay makes two decoders rebuild wrong
+    # payloads.
     book = _Bookkeeping(monkeypatch)
     world = build_world(ProtocolKind.EC_CRB, 7, 2, seed=5,
                         net=NetParams(base_delay=1.0, jitter=0.5))
@@ -596,9 +601,8 @@ def test_acc_digests_survive_distinct_equal_and_corrupted_payloads(monkeypatch):
         "acc-consistency: nodes 0 and 1 vouched for different digests of (0, 1)",
         "acc-consistency: nodes 0 and 5 vouched for different digests of (0, 1)",
     ]
-    # One hash per change of payload along the ACC wave: the two wrong
-    # payloads each interrupt a run of equal good ones.
-    assert book.sim_digests == 4
+    # The ACCs carry digests, so the simulator hashes none of them.
+    assert book.sim_digests == 0
     assert set(book.sizers) == {"_emit"}
     assert len(book.sizers) == len(book.emits)    # once per emitted message
     assert book.distinct_sent() < len(book.sent)
