@@ -19,8 +19,8 @@ zero-padded to a power of two p, so each data byte costs one p-byte copy
 and an XOR; one transpose at the end puts the r output rows in order.
 Decoding is systematic: shards that sit at data positions are copied, and
 only the decode-matrix rows of the missing data shards are multiplied.
-Decode matrices are Lagrange rows in closed form, gathered from the log/exp
-tables and cached per set of held positions. The three decoders,
+Decode matrices evaluate the Lagrange basis of Gao's error locator at the
+points 1..n, cached per set of held positions. The three decoders,
 ``decode_erasure`` (ec-crb), ``decode_correcting`` (ec-brb-4f1) and
 ``SubsetDecoder`` (ec-brb-3f1), differ only in how they filter their input
 and in the radius they decode within: 0, min(f, P-k-f) and the whole
@@ -193,26 +193,6 @@ def shard_width(payload_len: int, k: int) -> int:
     return (payload_len + k - 1) // k if payload_len else 0
 
 
-def _lagrange(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Lagrange coefficients over k distinct field points.
-
-    Entry [t, i] is L_i(targets[t]), so the degree-<k polynomial P through
-    the points has P(x_t) = xor_i L_i(x_t) P(x_i). A target that is itself
-    one of the points gets a unit row."""
-    pairs = points[:, None] ^ points[None, :]
-    if np.count_nonzero(pairs) != pairs.size - points.size:
-        raise InvalidParams("interpolation points must be distinct")
-    # Logs of prod_{j != i} (x_i ^ x_j) and prod_{j != i} (x_t ^ x_j); the
-    # log(0) = 0 terms drop out on the diagonal and are masked for held targets.
-    den = _LOG[pairs].sum(axis=1)
-    gaps = points[None, :] ^ targets[:, None]
-    logs = _LOG[gaps]
-    num = logs.sum(axis=1, keepdims=True) - logs
-    held = gaps == 0
-    coeffs = _EXP[(num - den[None, :]) % 255]
-    return np.where(held.any(axis=1, keepdims=True), held, coeffs)
-
-
 def _generator_matrix(n: int, k: int) -> np.ndarray:
     """Rows 1..n of the systematic generator: row j maps data shards to the
     shard at position j. Rows 1..k are unit vectors."""
@@ -225,12 +205,17 @@ def _decode_matrix(n: int, k: int, positions: tuple[int, ...]) -> np.ndarray:
     codeword: row j gives the shard at position j, so rows 1..k invert the
     generator rows at ``positions``.
 
-    The code evaluates at the points 1..n, so row j is the Lagrange row of
-    point j over the held positions. One cached array serves every caller,
-    whichever rows it needs, so it is read-only."""
-    if len(positions) != k or min(positions) < 1 or max(positions) > n:
-        raise InvalidParams(f"positions need k={k} points in [1, {n}]")
-    rows = _lagrange(np.array(positions, dtype=np.intp), np.arange(1, n + 1))
+    The code evaluates at the points 1..n, so entry [j, i] is the Lagrange
+    basis polynomial of the i-th held position (``_interpolator``) at point
+    j. One cached array serves every caller, whichever rows it needs, so it
+    is read-only."""
+    if len(set(positions)) != k or min(positions) < 1 or max(positions) > n:
+        raise InvalidParams(f"positions need k={k} distinct points in [1, {n}]")
+    basis = _interpolator(positions)[1]
+    xs = np.arange(1, n + 1)[:, None]
+    rows = np.zeros((n, k), dtype=np.uint8)
+    for coeffs in basis.T[::-1]:
+        rows = _MUL[rows, xs] ^ coeffs
     rows.flags.writeable = False
     return rows
 
@@ -337,8 +322,8 @@ def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
 @lru_cache(maxsize=256)
 def _interpolator(points: tuple[int, ...]) -> tuple[list[int], np.ndarray]:
     """g0 = prod (x - a) over the P points, and the (P, P) matrix whose row
-    i holds the coefficients of the Lagrange basis polynomial of points[i],
-    (g0 / (x - a_i)) / prod_{j != i} (a_i - a_j)."""
+    i holds the coefficients, lowest degree first, of the Lagrange basis
+    polynomial of points[i], (g0 / (x - a_i)) / prod_{j != i} (a_i - a_j)."""
     xs = np.array(points, dtype=np.intp)
     size = len(points)
     g0 = np.zeros(size + 1, dtype=np.uint8)
@@ -354,7 +339,7 @@ def _interpolator(points: tuple[int, ...]) -> tuple[list[int], np.ndarray]:
     for m in range(size - 1, 0, -1):
         q = g0[m] ^ _MUL[xs, q]
         quotients[:, m - 1] = q
-    # As in _lagrange, log(0) = 0 drops the diagonal out of the product.
+    # log(0) = 0 drops the diagonal out of the product.
     inverse = _EXP[-_LOG[xs[:, None] ^ xs[None, :]].sum(axis=1) % 255]
     return g0.tolist(), _MUL[inverse[:, None], quotients]
 

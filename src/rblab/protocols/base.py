@@ -27,8 +27,8 @@ nothing but REQs from then on.
 
 ``DoubleEcho`` is the one quorum engine of bracha, h-brb-3f1, h-brb-5f1
 and ec-brb-3f1, and its ``tally`` counts every vote of theirs; they differ
-only in what a vote carries, which ECHO counts, and how a node gets a
-payload it lacks. ec-brb-4f1 counts its ACCs with the same ``tally``.
+only in what a vote carries and what it counts for, and fetch a missing
+payload by one rule. ec-brb-4f1 counts its ACCs with the same ``tally``.
 """
 from __future__ import annotations
 
@@ -169,15 +169,14 @@ class DoubleEcho(Automaton):
     its support instead of pooling it. A node closes the instance once it
     has delivered and sent its ECHO and, with an ACC wave, its ACC.
 
-    A subclass supplies its vote body (``vote``), the key an ECHO backs
-    (``echo_key``), and either its payload resolver (``learn``, run on the
-    MSG and on each vote whose ``tally`` is told to learn) or its fetch
-    trigger (``fetch``). By default the MSG carries the payload and votes
-    its digest.
+    A subclass supplies the key its MSG backs (``msg_digest``), its vote
+    body (``vote``) and its payload resolver (``learn``, run on the MSG and
+    on each vote whose ``tally`` is told to learn); one whose votes count
+    under another key, or carry what to learn, overrides their handlers.
+    By default the MSG carries the payload and votes its digest.
     """
 
     ACC_WAVE = True
-    ECHO_LEARNS = False  # whether ``learn`` reads each counted ECHO
 
     def __init__(self, config: ProtocolConfig):
         super().__init__(config)
@@ -192,10 +191,6 @@ class DoubleEcho(Automaton):
         """The candidate key the source's MSG backs; None if it is malformed."""
         return None if msg.payload is None else self.digest_of(msg.payload)
 
-    def echo_key(self, frm: NodeId, msg: WireMessage) -> Digest | None:
-        """The candidate key ``frm``'s ECHO backs; None if it is malformed."""
-        return msg.digest
-
     def learn(self, c: Candidate, msg: WireMessage) -> None:
         """Keep what the message carries for its candidate."""
         if c.payload is None:
@@ -207,8 +202,12 @@ class DoubleEcho(Automaton):
         return WireMessage(kind, s, h, digest=c.digest)
 
     def fetch(self, s: NodeId, h: SeqIndex, c: Candidate) -> list[Action]:
-        """Ask for ``c``'s missing payload; run by every check without it."""
-        return []
+        """Ask for ``c``'s missing payload; run by every check without it.
+        The last wave's backers are asked once, when exactly f+1 back it."""
+        backers = c.accs if self.ACC_WAVE else c.echoes
+        if len(backers) != self.f_plus_1:
+            return []
+        return self.request_payload(s, h, c, backers)
 
     def on_msg(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
         if frm != msg.source:
@@ -234,8 +233,7 @@ class DoubleEcho(Automaton):
         return actions
 
     def on_echo(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
-        return self.tally(frm, msg, rec, self.echo_key(frm, msg), Instance.count_echo,
-                          self.ECHO_LEARNS)
+        return self.tally(frm, msg, rec, msg.digest, Instance.count_echo)
 
     def on_acc(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
         return self.tally(frm, msg, rec, msg.digest, Instance.count_acc)

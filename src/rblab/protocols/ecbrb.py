@@ -3,15 +3,16 @@
 EcBrb3f1 (n >= 3f+1) codes the payload at k = f+1 so any f+1 honest
 elements rebuild it. It runs on the ``DoubleEcho`` engine with the
 hash-based protocols' REQ/FWD fallback. Its MSG and ECHO votes travel as
-(digest, element) pairs, its ACCs as digests; the engine's ``tally``
-counts an ECHO under the digest it carries only if its element sits at its
-sender's position. Its resolver feeds every element voted for a digest to
-an online error-correcting decoder, which accepts only a reconstruction
-that hashes to that digest (up to f elements are adversarial garbage, and
-with c of them held the payload decodes from k + 2c elements). Its fetch
-trigger is h-brb-3f1's: it asks the ACC backers once, when exactly f+1 of
-them back a digest whose payload is missing. One of those f+1 is honest,
-and an honest node ACCs only a payload it holds, so it answers.
+(digest, element) pairs, its ACCs as digests; its ``on_echo`` counts an
+ECHO under the digest it carries only if its element sits at its sender's
+position, and learns from the element. Its resolver feeds every element
+voted for a digest to an online error-correcting decoder, which accepts
+only a reconstruction that hashes to that digest (up to f elements are
+adversarial garbage, and with c of them held the payload decodes from
+k + 2c elements). It fetches by the engine's rule: it asks the ACC backers
+once, when exactly f+1 of them back a digest whose payload is missing. One
+of those f+1 is honest, and an honest node ACCs only a payload it holds,
+so it answers.
 
 EcBrb4f1 (n >= 4f+1) codes at k = n-3f, which leaves enough distance to
 decode through f corruptions outright: once n-f elements are held
@@ -42,7 +43,6 @@ it cannot void or take another node's position.
 from __future__ import annotations
 
 import functools
-from collections import Counter
 
 from .. import hashing
 from ..codec import (
@@ -86,8 +86,6 @@ _NESTED_SIZE = HEADER_SIZE + hashing.DIGEST_SIZE  # a header and the digest
 class EcBrb3f1(_HashBrb):
     """REQ / FWD as in the hash-based protocols; MSG and ECHO carry elements."""
 
-    ECHO_LEARNS = True  # an ECHO carries its sender's element
-
     def source_sends(self, payload: Payload, h: SeqIndex) -> list[Action]:
         return self.send_elements(h, encode(payload, self.params), self.digest_of(payload))
 
@@ -106,6 +104,10 @@ class EcBrb3f1(_HashBrb):
         # Node j only ever echoes the element at its own position j+1.
         element = msg.element
         return None if element is None or element.index != frm + 1 else msg.digest
+
+    def on_echo(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
+        # An ECHO carries its sender's element.
+        return self.tally(frm, msg, rec, self.echo_key(frm, msg), Instance.count_echo, True)
 
     def learn(self, c: Candidate, msg: WireMessage) -> None:
         """Feed the message's element to the online decoder of its digest,
@@ -234,23 +236,16 @@ class EcBrb4f1(Automaton):
         """Error-correct the element set, once it holds n-f elements, under
         each plausible payload length; whether a new payload is held.
 
-        Honest elements agree on the true length, so lengths are tried by
-        how many elements claim them; a successful reconstruction is only
-        acted on once the nested broadcast endorses its digest. A length
-        that decoded once is not tried again."""
+        Every claimed length not yet decoded is tried; a reconstruction is
+        only acted on once the nested broadcast endorses its digest."""
         elements = rec.elements
         if len(elements) < self.n_minus_f:
             return False
         done = rec.decoded_lens
         if done is None:
             done = rec.decoded_lens = set()
-        elif all(e.claimed_len in done for e in elements):
-            return False
-        claims = Counter(e.claimed_len for e in elements)
         progressed = False
-        for length, _ in sorted(claims.items(), key=lambda kv: (-kv[1], kv[0])):
-            if length in done:
-                continue
+        for length in {e.claimed_len for e in elements} - done:
             payload = decode_correcting(elements, self.params, self.f, length)
             if payload is not None:
                 done.add(length)

@@ -5,10 +5,10 @@ and REQ carry a 32-byte digest. A node that sees a quorum form around a
 digest it cannot resolve asks the quorum members for the payload (REQ) and
 accepts a forwarded copy (FWD) only from nodes it asked, only if the copy
 hashes to the requested digest. A node takes one REQ and hashes one FWD per
-sender and instance. The ``DoubleEcho`` engine tallies the digest votes;
-each protocol here supplies only its fetch trigger. ec-brb-4f1 and ec-crb
-answer REQs and take FWDs with the same two handlers. A closed instance keeps the
-payloads it held and answers REQs from them as before.
+sender and instance. The ``DoubleEcho`` engine tallies the digest votes
+and decides when to REQ; the protocols here add only the REQ and FWD
+handlers, which ec-brb-3f1, ec-brb-4f1 and ec-crb share. A closed instance
+keeps the payloads it held and answers REQs from them as before.
 
 HBrb3f1 runs the double-echo pattern (ECHO then ACC) and needs n >= 3f+1.
 HBrb5f1 drops the ACC wave entirely: with n >= 5f+1 a single ECHO wave
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from ..core import (
     Action,
-    Candidate,
     Closed,
     Instance,
     MsgKind,
@@ -65,14 +64,6 @@ class _HashBrb(DoubleEcho):
             return []
         c.payload = m
         return self.check(rec, msg.source, msg.h, c)
-
-    def fetch(self, s: NodeId, h: SeqIndex, c: Candidate) -> list[Action]:
-        # Ask the backers of the last wave once, when exactly f+1 of them
-        # back the digest.
-        backers = c.accs if self.ACC_WAVE else c.echoes
-        if len(backers) != self.f_plus_1:
-            return []
-        return self.request_payload(s, h, c, backers)
 
 
 class HBrb3f1(_HashBrb):

@@ -44,7 +44,7 @@ FROZEN_N7_K3_POS4_PREFIX = "91a274568a15ed9a"
 
 
 def _gf_div(a, b):
-    """Division the way the Lagrange rows do it: exp of a log difference."""
+    """Division the way the Lagrange basis does it: exp of a log difference."""
     return codec._EXP[(codec._LOG[a] - codec._LOG[b]) % 255]
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from rblab.adversary import build_world
 from rblab.core import HEADER_SIZE, MsgKind
-from rblab.protocols import ProtocolConfig, ProtocolKind
+from rblab.protocols import RESILIENCE, ProtocolConfig, ProtocolKind
 from rblab.simnet import check_broadcast_properties
 
 DOC = Path(__file__).resolve().parent.parent / "docs" / "complexity.md"
@@ -47,15 +47,16 @@ def _cost(formula: str, n: int, f: int, k: int, L: int) -> int:
 def test_the_formulas_parse():
     assert _python("(n + n²)(18 + ⌈L/k⌉) + 45n²") == \
         "(n+n**2)*(18+(-(-(L)//(k))))+45*n**2"
-    assert sorted(ROWS) == ["crb-flood", "ec-crb"]
+    assert sorted(ROWS) == sorted(kind.value for kind in ProtocolKind)
 
 
 @pytest.mark.parametrize("protocol", sorted(ROWS))
 def test_each_row_matches_an_honest_world(protocol):
     kind = ProtocolKind(protocol)
     rows = ROWS[protocol]
-    for n in range(2, 41):
-        for f in sorted({1, (n - 1) // 2, n - 1}):
+    r = RESILIENCE[kind]
+    for n in range(r + 1, 41):
+        for f in sorted(f for f in {1, (n - 1) // 2, (n - 1) // r} if r * f < n):
             k = ProtocolConfig(kind, n, f, 0).resolved_k()
             for L in LENGTHS:
                 world = build_world(kind, n, f, seed=n)
@@ -85,3 +86,13 @@ def test_the_stated_comparisons_hold():
     cheaper = [L for L in range(1, 1000)
                if total("ec-crb", 19, 6, L) < total("crb-flood", 19, 6, L)]
     assert cheaper == list(range(52, 1000))
+    # The Byzantine protocols at n = 19, 64 KiB, each at its largest f.
+    assert [_cost(ROWS[protocol]["all"][1], 19, f, 7, 65536) for protocol, f in (
+        ("bracha", 6), ("h-brb-3f1", 6), ("h-brb-5f1", 3), ("ec-brb-3f1", 6), ("ec-brb-4f1", 4))] \
+        == [48_571_809, 1_277_921, 1_261_676, 3_593_185, 3_624_003]
+    # Coding cuts the source's wave, not the total: the MSG rows at f = 6, k = 7.
+    assert [_cost(ROWS[protocol]["MSG"][1], 19, 6, 7, 65536)
+            for protocol in ("h-brb-3f1", "ec-brb-3f1")] == [1_245_431, 178_847]
+    coded, hashed = ROWS["ec-brb-3f1"]["all"][1], ROWS["h-brb-3f1"]["all"][1]
+    assert all(_cost(coded, n, 1, k, L) > _cost(hashed, n, 1, k, L)
+               for n in range(4, 41) for k in range(1, n + 1) for L in LENGTHS)

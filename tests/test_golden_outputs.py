@@ -8,7 +8,9 @@ link model; inline configs pin ec-crb and h-brb-5f1, which no shipped
 config runs, and the `equivocate` and `crash` strategies as a config sets
 them up; and one hash per protocol covers a drawn sweep of its small
 adversarial worlds (f in {1, 2}, four strategies, injected messages), so
-a change to one protocol moves only its own sweep hash. The hashes cover
+a change to one protocol moves only its own sweep hash. The table
+configs, the inline configs and the sweep must also give the same hashes
+with every message delivered as its wire bytes parse. The hashes cover
 every simulated byte count, ordering, time and recorded ACC digest, so a
 change that is meant to be output-neutral (a speed-up, a
 refactor) must leave all of them unchanged. A change that alters simulated
@@ -28,6 +30,7 @@ from rblab.adversary import CorruptRelay, Crash, EquivocatingSource, Silent, bui
 from rblab.codec import CodedElement
 from rblab.core import KIND_VARIANTS, BodyVariant, WireMessage
 from rblab.protocols import RESILIENCE, ProtocolKind
+from rblab.protocols.base import DoubleEcho
 from rblab.simnet import NetParams, TopologyKind
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -213,6 +216,12 @@ def test_table_config_outputs_match_golden(name):
     assert table_output(name) == TABLE_HASHES[name]
 
 
+@pytest.mark.parametrize("name", sorted(TABLE_HASHES))
+def test_table_config_outputs_are_the_same_through_the_wire(name, wire_round_trip):
+    wire_round_trip()
+    assert table_output(name) == TABLE_HASHES[name]
+
+
 # -- protocols no shipped config runs -------------------------------------------
 
 INLINE_CONFIGS = {
@@ -253,6 +262,12 @@ def inline_output(name: str) -> str:
 
 @pytest.mark.parametrize("name", sorted(INLINE_HASHES))
 def test_inline_config_outputs_match_golden(name):
+    assert inline_output(name) == INLINE_HASHES[name]
+
+
+@pytest.mark.parametrize("name", sorted(INLINE_HASHES))
+def test_inline_config_outputs_are_the_same_through_the_wire(name, wire_round_trip):
+    wire_round_trip()
     assert inline_output(name) == INLINE_HASHES[name]
 
 
@@ -353,3 +368,17 @@ def test_adversarial_sweep_is_the_same_through_the_wire(wire_round_trip):
     # carry; delivering every message as its wire bytes parse moves no output.
     wire_round_trip()
     assert sweep_outputs() == SWEEP_HASHES
+
+
+def test_bracha_never_fetches(monkeypatch):
+    # Every bracha vote carries its payload and is learned from, so the
+    # engine's fetch rule never runs for bracha, honest or under attack.
+    def fetch(self, s, h, c):
+        raise AssertionError(f"node {self.me} fetched ({s}, {h})")
+
+    monkeypatch.setattr(DoubleEcho, "fetch", fetch)
+    for name in sorted(TABLE_HASHES):
+        if name.startswith("bracha-"):
+            assert table_output(name) == TABLE_HASHES[name], name
+    assert inline_output("bracha-linear-equivocate") == INLINE_HASHES["bracha-linear-equivocate"]
+    assert sweep_output(ProtocolKind.BRACHA) == SWEEP_HASHES[ProtocolKind.BRACHA]
