@@ -6,7 +6,8 @@ EquivocatingSource hands different payloads to different recipients,
 and CorruptRelay flips bytes inside the coded elements it relays. A
 scenario that injects a node's traffic itself attaches Silent to it. The
 simulator expands a faulty node's multicasts (``core.expand``), so
-``transform`` sees one Send per recipient.
+``transform`` sees one Send per recipient; it is not called for a step
+that returned no actions.
 
 The witness protocol here is deliberately naive: a node announces
 ("witnesses") a value when it hears it from the source or from f+1 other
@@ -89,7 +90,9 @@ class Strategy:
 
     def transform(self, world: SimWorld, node: NodeId, automaton,
                   actions: list[Action]) -> list[Action]:
-        """Rewrite the node's outgoing actions, given one Send per recipient."""
+        """Rewrite the node's outgoing actions, given one Send per recipient.
+        It must map [] to []: the simulator skips the call when the node's
+        step returned no actions."""
         return actions
 
 

@@ -33,13 +33,17 @@ An element ``encode`` built carries its whole codeword: (n, k, the payload,
 the shard at each position), shared by all n elements. It is never on the
 wire, and takes no part in ``==``, ``hash`` or ``repr``; a parsed or hand-built
 element has none. A decoder tries every distinct codeword its elements
-carry. If one has the same (n, k) and payload length, and its shards differ
-from the held ones at no more than the decode's budget of positions, the
-decoder returns its payload without a product. The budget is the radius
-capped at the unique-decoding radius (P-k)/2. That is exact: two codewords
-agree at fewer than k positions, so they differ at P-k+1 or more of any P,
-and a codeword within (P-k)/2 of the held shards is the only one there. It
-is the one the full path would find. Any other input takes the full path.
+carry. One with the same (n, k) and shard width whose shards differ from
+the held ones at d positions settles the decode without a product. The
+budget is the radius capped at the unique-decoding radius (P-k)/2. If d is
+within the budget, the decoder returns the first ``payload_len`` bytes of
+the codeword's data shards: its payload when the claimed length is its
+own. If budget < d <= P-k-budget, it returns None. Both are exact: two
+codewords agree at fewer than k positions, so they differ at P-k+1 or more
+of any P. A codeword within (P-k)/2 of the held shards is then the only
+one there, and the one the full path would find; and any codeword other
+than one at distance d lies at P-k+1-d or more, past the budget. Any other
+input takes the full path.
 """
 from __future__ import annotations
 
@@ -368,25 +372,33 @@ def _decode(params: CodeParams, shards: dict[int, bytes], payload_len: int, radi
     is none.
 
     The radius is capped at the unique-decoding radius (P-k)/2, so the
-    answer is unique. If one of ``codewords`` is an (n, k) codeword of a
-    ``payload_len``-byte payload whose shards differ from the held ones at
-    no more positions than that, its payload is the answer, without a
-    product. Otherwise a clean input passes the first check: one product
-    evaluates the polynomial through the first k positions at the missing
-    data positions and at the rest of the held ones, and the rest is
-    compared with the held shards byte for byte. Otherwise Gao's decoder
-    runs on one column that fails the check; a corrupt shard sits at the
-    same position in every column, so the roots of its error locator become
-    erasures and every column is checked again on the other positions.
-    Each round erases at least one position, so at most ``radius`` rounds
-    run."""
+    answer is unique. One of ``codewords`` with the held shards' (n, k) and
+    width that lies at a distance d from them settles the decode without a
+    product: its data is the answer if d is within the capped radius r, and
+    there is none if r < d <= P-k-r. Otherwise a clean input passes the
+    first check: one product evaluates the polynomial through the first k
+    positions at the missing data positions and at the rest of the held
+    ones, and the rest is compared with the held shards byte for byte.
+    Otherwise Gao's decoder runs on one column that fails the check; a
+    corrupt shard sits at the same position in every column, so the roots
+    of its error locator become erasures and every column is checked again
+    on the other positions. Each round erases at least one position, so at
+    most ``radius`` rounds run."""
     n, k = params.n, params.k
-    budget = min(radius, (len(shards) - k) // 2)
+    spare = len(shards) - k
+    budget = min(radius, spare // 2)
+    width = len(next(iter(shards.values())))
     for code_n, code_k, payload, data in codewords:
+        if (code_n, code_k, len(data[0])) != (n, k, width):
+            continue
         # Each shard compare is identity, then memcmp.
-        if (code_n, code_k, len(payload)) == (n, k, payload_len) and sum(
-                shard != data[p - 1] for p, shard in shards.items()) <= budget:
-            return payload
+        distance = sum(shard != data[p - 1] for p, shard in shards.items())
+        if distance <= budget:
+            if len(payload) == payload_len:
+                return payload
+            return b"".join(data[:k])[:payload_len]
+        if distance <= spare - budget:
+            return None
     positions = sorted(shards)
     joined = b"".join([shards[p] for p in positions])
     held, rows = positions, np.frombuffer(joined, dtype=np.uint8).reshape(len(positions), -1)

@@ -24,20 +24,28 @@ receive or a send updates in place. ``RunStats`` shows them through
 read-only views that build a fresh ``Counter`` per node. The loop counts
 its events once per drain, not once per event. ``_emit`` takes a
 ``Multicast`` whole: it sizes the message from the fields it has set,
-counts its n copies, records an ACC's digest and builds the one ``Receive``
-event its copies share, then does only link work per copy, for recipients
-0..n-1 in order. An ACC that carries a payload is hashed through
-``hashing.digest``, which runs SHA-256 only when the payload differs from
-the last input hashed, so an ACC wave of equal payloads costs one run. A
-unicast ``Send`` and an injected message take the same loop with their one
-recipient. A queued copy is one flat ``(time, seq, to, event, size,
-depth)`` entry; a broadcast or an injected message is one with
-``to = None``. Per-link state lives in n x n
+counts its n copies, records an ACC's digest and builds the one
+``Receive`` event its copies share, then does only link work per copy, for
+recipients 0..n-1 in order. An ACC that carries a payload is hashed
+through ``hashing.digest``, which runs SHA-256 only when the payload
+differs from the last input hashed, so an ACC wave of equal payloads costs
+one run. Consecutive Sends of one message object, such as a faulty node's
+expanded multicast or an honest node's REQs to the backers of a digest,
+take the same path with their recipients in order, so the RNG draws and
+queue sequence numbers are those a Send at a time would make; a lone Send
+and an injected message take it with their one recipient. A queued copy is
+one flat ``(time, seq, to, event, size, depth)`` entry; a broadcast or an
+injected message is one with ``to = None``. Per-link state lives in n x n
 tables: the hop counts and ``hops * base_delay`` are built once per
 (topology, n, base_delay) and shared read-only as tuples, while each world
 keeps its own lists of when each link's transmitter frees up and of its
 latest scheduled arrival. A faulty node's strategy sees its actions
-expanded to one Send per recipient.
+expanded to one Send per recipient, and only when its step returned some.
+
+Causal depth is kept once per instance: one row of n depths per (source,
+h), made the first time any node hears of the instance, where a receive
+reads and raises its recipient's entry. A row costs 8n bytes and a list
+header whether one node or all n touch the instance.
 
 A finished world is freed by reference counting the moment it is dropped,
 so a process that runs world after world frees a few MiB at a time. glibc
@@ -56,8 +64,8 @@ those that stay alive on to the older generations until a full collection
 rescans every one of them. Only a few stay alive per broadcast: each node
 closes an instance once it is done with it (see ``core``), so it keeps a
 few open records and one compact closed record per instance, and the
-world keeps its delivery records, each node's causal depth per instance,
-and one voter mask per (instance, digest) for the ACC bookkeeping. None
+world keeps its delivery records, the depth row per instance, and one
+voter mask per (instance, digest) for the ACC bookkeeping. None
 of that can be freed by the collector: the automata, the
 simulator's records and its events form no reference cycles, which
 ``tests/test_memory.py`` checks by running whole worlds with the collector
@@ -356,7 +364,8 @@ class SimWorld:
         self._seq = itertools.count()
         self._busy_until = [[0.0] * self.n for _ in range(self.n)]
         self._last_arrival = [[0.0] * self.n for _ in range(self.n)]
-        self._ctx: dict[tuple[NodeId, NodeId, SeqIndex], int] = {}
+        # (s, h) -> each node's causal depth in that instance, one row of n.
+        self._ctx: dict[tuple[NodeId, SeqIndex], list[int]] = {}
         self._source_nodes: set[NodeId] = set()
 
     # -- setup ---------------------------------------------------------------
@@ -415,7 +424,7 @@ class SimWorld:
         queue, heappop, max_steps = self._queue, heapq.heappop, self.max_steps
         stats, automata, strategies = self.stats, self.automata, self.strategies
         recv_count, recv_bytes, ctx_of = stats._recv_count, stats._recv_bytes, self._ctx
-        trace = self.record_trace
+        trace, n = self.record_trace, self.n
         steps = 0
         try:
             while queue and (until is None or queue[0][0] <= until):
@@ -429,18 +438,20 @@ class SimWorld:
                     kind = msg.kind
                     recv_count[to][kind] += 1
                     recv_bytes[to][kind] += size
-                    key = (to, msg.source, msg.h)
-                    ctx = ctx_of.get(key, 0)
+                    row = ctx_of.get((msg.source, msg.h))
+                    if row is None:
+                        row = ctx_of[(msg.source, msg.h)] = [0] * n
+                    ctx = row[to]
                     if depth > ctx:
-                        ctx = ctx_of[key] = depth
+                        ctx = row[to] = depth
                     if trace:
                         self._trace("recv", to, event.frm, kind.name, msg.source, msg.h,
                                     size, depth)
                     automaton = automata[to]
                     actions = automaton.step(event)
-                    if strategies and to in strategies:
+                    if actions and strategies and to in strategies:
                         actions = strategies[to].transform(self, to, automaton,
-                                                           expand(actions, self.n))
+                                                           expand(actions, n))
                     if actions:
                         self._apply(to, actions, ctx)
                 elif type(event) is _Bcast:
@@ -469,14 +480,22 @@ class SimWorld:
         self._apply(node, actions, ctx=0)
 
     def _apply(self, node: NodeId, actions: list[Action], ctx: int) -> None:
-        """Carry out ``node``'s actions in order."""
+        """Carry out ``node``'s actions in order. Consecutive Sends of one
+        message object go out as one emit, as a Multicast does."""
         emit, depth = self._emit, ctx + 1
-        for action in actions:
+        i, count = 0, len(actions)
+        while i < count:
+            action = actions[i]
+            i += 1
             cls = type(action)
             if cls is Multicast:
                 emit(node, range(self.n), action.msg, depth)
             elif cls is Send:
-                emit(node, (action.to,), action.msg, depth)
+                msg, recipients = action.msg, [action.to]
+                while i < count and type(actions[i]) is Send and actions[i].msg is msg:
+                    recipients.append(actions[i].to)
+                    i += 1
+                emit(node, recipients, msg, depth)
             elif cls is Deliver:
                 key = (node, action.source, action.h)
                 if key in self.stats.delivers:

@@ -11,6 +11,7 @@ from rblab.adversary import (
     CorruptRelay,
     EquivocatingSource,
     Silent,
+    Strategy,
     UnknownScenario,
     WitnessAutomaton,
     WitnessProtocolConfig,
@@ -194,6 +195,33 @@ def test_corrupt_relay_in_a_world_sees_one_send_per_recipient():
     assert [a.msg.element == e.msg.element for a, e in zip(echo_out, echo_in)] \
         == [False, False, True, False]
     assert world.stats.sent_count[2][MsgKind.ECHO] == 4
+
+
+@pytest.mark.parametrize("kind", [ProtocolKind.BRACHA, ProtocolKind.EC_BRB_3F1])
+def test_transform_never_sees_an_empty_list(kind):
+    # A step that returns no actions is not expanded or shown to the
+    # strategy: every strategy maps [] to [].
+    given, empty_steps = [], [0]
+
+    class Recording(Strategy):
+        def transform(self, world, node, automaton, actions):
+            given.append(len(actions))
+            return actions
+
+    world = build_world(kind, 4, 1, net=NetParams(base_delay=1.0, jitter=0.5))
+    world.attach_adversary(2, Recording())
+    automaton = world.automata[2]
+
+    def step(event, real=automaton.step):
+        actions = real(event)
+        empty_steps[0] += not actions
+        return actions
+
+    automaton.step = step
+    world.broadcast(0, b"some steps say nothing", 1)
+    world.run()
+    assert check_broadcast_properties(world) == []
+    assert empty_steps[0] > 0 and given and min(given) > 0, (empty_steps, given)
 
 
 def test_crashed_source_leaves_no_violations():

@@ -355,7 +355,7 @@ def test_subset_decoder_within_unique_radius_matches_the_subset_oracle():
 
 # The codeword an element from ``encode`` carries only lets a decoder skip
 # work: with it kept or stripped, every decoder returns the same result.
-CODEWORD_MODES = ["subset", "corrupt", "claimed-length", "foreign"]
+CODEWORD_MODES = ["subset", "corrupt", "claimed-length", "foreign", "band"]
 
 
 def _codeword_case(mode: str, seed: int):
@@ -365,7 +365,10 @@ def _codeword_case(mode: str, seed: int):
     ``mode`` up to f shards corrupted with their codeword kept, a claimed
     length of the same width as the payload's, or some elements carrying
     a foreign codeword (another payload's element, or their own shard
-    under another payload's or another (n, k)'s codeword)."""
+    under another payload's or another (n, k)'s codeword). In ``band`` all
+    n elements are kept and f+1 to 2f of them corrupted: past a correcting
+    decode's budget of f, and within P-k-f = 2f, so no codeword is within
+    the budget."""
     rnd = random.Random(f"{mode}:{seed}")
     f = rnd.randint(1, 3)
     params = CodeParams(3 * f + 2 + rnd.randint(0, 3), 2 + rnd.randint(0, 3))
@@ -375,10 +378,12 @@ def _codeword_case(mode: str, seed: int):
     payload = rnd.randbytes(length)
     elements = encode(payload, params)
     rnd.shuffle(elements)
-    elements = elements[:rnd.randint(k - 1, n)]
+    if mode != "band":
+        elements = elements[:rnd.randint(k - 1, n)]
     payload_len, decoded = length, payload
-    if mode == "corrupt" and elements:
-        for i in rnd.sample(range(len(elements)), rnd.randint(1, min(f, len(elements)))):
+    if mode in ("corrupt", "band") and elements:
+        low, high = (1, min(f, len(elements))) if mode == "corrupt" else (f + 1, 2 * f)
+        for i in rnd.sample(range(len(elements)), rnd.randint(low, high)):
             data = bytearray(elements[i].data)
             data[rnd.randrange(len(data))] ^= rnd.randint(1, 255)
             elements[i] = dataclasses.replace(elements[i], data=bytes(data))
@@ -411,11 +416,13 @@ def _stripped(elements):
 def _distance(carriers, used, params, payload_len) -> int:
     """The fewest of the ``used`` elements' positions at which a codeword one
     of ``carriers`` carries differs from them, over the (n, k) codewords of
-    ``payload_len``-byte payloads; more than len(used) if there is none."""
+    ``payload_len``-byte payloads' shard width; more than len(used) if there
+    is none."""
+    width = shard_width(payload_len, params.k)
     distances = [sum(e.data != data[e.index - 1] for e in used)
                  for n, k, payload, data in {id(e.codeword): e.codeword for e in carriers
                                              if e.codeword is not None}.values()
-                 if (n, k, len(payload)) == (params.n, params.k, payload_len)]
+                 if (n, k, len(data[0])) == (params.n, params.k, width)]
     return min(distances, default=len(used) + 1)
 
 
@@ -449,8 +456,9 @@ def _counted(products, decode, *args):
 # With the codeword kept, a clean subset decodes without a product; with it
 # stripped, a clean input costs at most the one product of the first check.
 # With it kept, any input a carried codeword lies within the decoder's
-# budget of costs no product either, and the order of the input does not
-# change what the decode costs.
+# budget of costs no product either, whatever length it claims, nor does one
+# that a carried codeword lies past the budget of by P-k-budget or less; and
+# the order of the input does not change what the decode costs.
 CLEAN_MODES = ["subset", "claimed-length"]
 
 
@@ -495,13 +503,15 @@ def test_decode_correcting_is_the_same_with_the_codeword_stripped(mode, products
         if mode in CLEAN_MODES:
             assert bare_products <= 1, seed
         spare = len(used) - params.k
-        if spare >= 0 and _distance(elements, used, params, payload_len) <= max(
-                0, min(f, spare - f, spare // 2)):
+        budget = max(0, min(f, spare - f, spare // 2))
+        if spare >= 0 and _distance(elements, used, params, payload_len) <= spare - budget:
             assert kept_products == 0, seed
+        if mode == "band":
+            assert (kept, kept_products) == (None, 0), seed
         assert _counted(products, decode_correcting, elements[::-1], params, f,
                         payload_len) == (kept, kept_products), seed
         decoded += kept == payload
-    assert decoded > 20, decoded
+    assert decoded == 0 if mode == "band" else decoded > 20, decoded
 
 
 @pytest.mark.parametrize("mode", CODEWORD_MODES)

@@ -11,7 +11,7 @@ import pytest
 import oracle_simnet
 from conftest import count_sha256_runs, stretch_link
 from rblab import bench, codec, hashing, simnet
-from rblab.adversary import CorruptRelay, Silent, build_world
+from rblab.adversary import CorruptRelay, Silent, Strategy, build_world
 from rblab.core import Closed, MsgKind, Receive, WireMessage
 from rblab.protocols import RESILIENCE, ProtocolKind, ecbrb
 from rblab.simnet import (
@@ -726,9 +726,14 @@ def test_each_distinct_tunneled_envelope_is_parsed_once_per_node(monkeypatch):
     assert all(type(a.instances[(0, 1)]) is Closed for a in world.automata)
 
 
-def test_copies_of_a_multicast_share_one_receive_event():
+@pytest.mark.parametrize("faulty", [(), (0, 3, 5)])
+def test_copies_of_a_multicast_share_one_receive_event(faulty):
+    # A faulty node's strategy sees its multicasts expanded to one Send per
+    # recipient; a pass-through strategy's Sends still go out as one message.
     n = 7
     world = build_world(ProtocolKind.BRACHA, n, 2, net=NetParams(base_delay=1.0, jitter=0.5))
+    for node in faulty:
+        world.attach_adversary(node, Strategy(), allow_overfault=True)
     received = []  # (recipient, event) for every step the simulator runs
     for node, automaton in enumerate(world.automata):
         def step(event, node=node, real=automaton.step):
@@ -746,3 +751,27 @@ def test_copies_of_a_multicast_share_one_receive_event():
     for copies in by_msg.values():
         assert sorted(node for node, _ in copies) == list(range(n))
         assert len({id(event) for _, event in copies}) == 1
+
+
+@pytest.mark.parametrize("kind, n", [(ProtocolKind.H_BRB_3F1, 4), (ProtocolKind.EC_BRB_4F1, 5)])
+def test_a_req_fan_out_is_one_emit(kind, n):
+    # The source's link to node 1 is slow, so node 1 learns the digest from
+    # votes first and asks their senders for the payload: one REQ message,
+    # emitted once to all of them.
+    world = build_world(kind, n, 1, net=NetParams(base_delay=1.0))
+    stretch_link(world, 0, 1)
+    emits = []  # (sender, recipients, message) per emit
+    real_emit = world._emit
+
+    def emit(frm, recipients, msg, depth, forced_delay=None):
+        emits.append((frm, list(recipients), msg))
+        real_emit(frm, recipients, msg, depth, forced_delay)
+
+    world._emit = emit
+    world.broadcast(0, bytes(range(100)), 1)
+    stats = world.run()
+    assert check_broadcast_properties(world) == []
+    backers = 2 if kind is ProtocolKind.H_BRB_3F1 else n - 1   # f+1, or the n-f ACCs
+    assert [(frm, len(recipients)) for frm, recipients, msg in emits
+            if msg.kind is MsgKind.REQ] == [(1, backers)]
+    assert stats.total_sent_count(MsgKind.REQ) == backers
