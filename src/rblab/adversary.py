@@ -252,9 +252,8 @@ class WitnessAutomaton(Automaton):
 
 
 def build_witness_world(f: int, deliver_threshold: int, *,
-                        allow_double_witness: bool = False, n: int | None = None,
-                        seed: int = 0) -> SimWorld:
-    n = 5 * f if n is None else n
+                        allow_double_witness: bool = False, seed: int = 0) -> SimWorld:
+    n = 5 * f
     config = WitnessProtocolConfig(n, f, deliver_threshold, allow_double_witness)
     return SimWorld([WitnessAutomaton(config, i) for i in range(n)], seed=seed)
 

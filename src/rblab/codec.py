@@ -9,14 +9,13 @@ locator finds in polynomial time.
 
 Shard arithmetic runs on numpy uint8 arrays over the field generated by
 x^8 + x^4 + x^3 + x^2 + 1, through a 256 x 256 product table (64 KiB, built
-once from exp/log tables). ``gf_matmul`` has three table-gather kernels,
-chosen by shape. Narrow shards take one gather that forms every product at
-once and XOR-reduces it. Wide shards with one output row, or with few
-products in all, loop over the k columns and gather one byte per output
-byte. Other wide shards gather whole product rows: a (k, 256, p) table
-holds, for each column and data byte, the products with all r coefficients,
-zero-padded to a power of two p, so each data byte costs one p-byte copy
-and an XOR; one transpose at the end puts the r output rows in order.
+once from exp/log tables). ``gf_matmul`` has two table-gather kernels,
+chosen by shard width. Narrow shards take one gather that forms every
+product at once and XOR-reduces it. Wide shards gather whole product rows:
+a (k, 256, p) table holds, for each column and data byte, the products with
+all r coefficients, zero-padded to a power of two p, so each data byte
+costs one p-byte copy and an XOR; one transpose at the end puts the r
+output rows in order.
 Decoding is systematic: shards that sit at data positions are copied, and
 only the decode-matrix rows of the missing data shards are multiplied.
 Decode matrices evaluate the Lagrange basis of Gao's error locator at the
@@ -106,16 +105,10 @@ def _build_product_table() -> np.ndarray:
 _MUL = _build_product_table()
 _MUL_FLAT = _MUL.reshape(-1)
 
-# Shards up to this width take one (r, k, w) gather. Timed against both
-# wide kernels at r = 2..26, k = 2..14 on a 2-core x86-64 host, it is the
-# fastest up to 96 bytes.
+# Shards up to this width take one (r, k, w) gather; wider ones gather
+# product rows. Timed against the row gather at r = 2..26, k = 2..14 on a
+# 2-core x86-64 host, the one gather is the faster up to 96 bytes.
 _GATHER_MAX_WIDTH = 96
-# Wider shards gather product rows when r >= 2 and r * k * w reaches this.
-# Below it the column loop wins on its lower fixed cost: the two break even
-# at 6-8K products for r = 2..12, k = 2..13 on the same host, and the rows
-# are 1.05-1.3x faster at 12K and about 3x at (8, 7, 9363). With r = 1 the
-# loop gathers no more bytes than the rows do, and is the faster of the two.
-_ROW_GATHER_MIN_PRODUCTS = 8192
 
 
 def gf_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -124,11 +117,6 @@ def gf_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if w <= _GATHER_MAX_WIDTH:
         rows = a.astype(np.intp) << 8
         return np.bitwise_xor.reduce(_MUL_FLAT[rows[:, :, None] + b[None, :, :]], axis=1)
-    if r < 2 or r * k * w < _ROW_GATHER_MIN_PRODUCTS:
-        out = np.zeros((r, w), dtype=np.uint8)
-        for j in range(k):
-            out ^= _MUL[a[:, j]].take(b[j], axis=1)
-        return out
     # table[j, x, i] = a[i, j] * x. numpy's take copies a row of 2-32 bytes
     # as one fixed-size chunk (wider rows, r > 32, go through memmove).
     # Under the default mode="raise" it would buffer ``out``; b's uint8
@@ -156,10 +144,6 @@ class CodeParams:
             raise InvalidParams(f"need 1 <= k <= n, got k={self.k} n={self.n}")
         if self.n > GF_ORDER - 1:
             raise InvalidParams(f"n={self.n} exceeds the field bound {GF_ORDER - 1}")
-
-    @property
-    def distance(self) -> int:
-        return self.n - self.k + 1
 
 
 @dataclass(frozen=True)

@@ -315,28 +315,31 @@ class Candidate:
         self.payload: Payload | None = None
         self.echoes: list[NodeId] = []
         self.accs: list[NodeId] = []
-        self.asked: set[NodeId] | None = None  # nodes sent a REQ for the payload
+        self.asked = 0  # bit i set once node i was sent a REQ for the payload
         # ec-brb-3f1: the online decoder of the elements voted with this digest
         self.decoder: SubsetDecoder | None = None
 
     def ask(self, backers: list[NodeId]) -> list[NodeId]:
         """The backers not asked yet, in order; marks them asked."""
-        if self.asked is None:
-            self.asked = set()
-        targets = [j for j in backers if j not in self.asked]
-        self.asked.update(targets)
+        asked = self.asked
+        targets = [j for j in backers if not asked >> j & 1]
+        for j in targets:
+            asked |= 1 << j
+        self.asked = asked
         return targets
 
     def awaits(self, node: NodeId) -> bool:
         """Whether ``node`` was asked for this payload and it is still missing."""
-        return self.payload is None and self.asked is not None and node in self.asked
+        return self.payload is None and self.asked >> node & 1 == 1
 
 
 class Closed:
     """What a node keeps of an instance it has closed: every digest and
     payload it held at close, flat in ``held`` (digest, payload, digest,
     ...), to answer REQs from, and the mask of senders whose REQ was taken.
-    A closed instance has delivered."""
+    A ``Fetching`` protocol builds one per instance (``Instance.closed``);
+    the others share the empty ``CLOSED``. A closed instance has
+    delivered."""
 
     __slots__ = ("held", "req_taken")
 

@@ -29,6 +29,12 @@ nothing but REQs from then on.
 and ec-brb-3f1, and its ``tally`` counts every vote of theirs; they differ
 only in what a vote carries and what it counts for, and fetch a missing
 payload by one rule. ec-brb-4f1 counts its ACCs with the same ``tally``.
+
+``Fetching`` is the one fetch layer: the REQ and FWD handlers, and a
+``close`` that keeps the payloads held, inherited by every protocol that
+votes on digests (ec-crb, h-brb-3f1, h-brb-5f1, ec-brb-3f1, ec-brb-4f1).
+The others, crb-flood and bracha, never fetch, and close to the shared
+``CLOSED``.
 """
 from __future__ import annotations
 
@@ -148,7 +154,7 @@ class Automaton:
         return [Send(j, req) for j in c.ask(backers)]
 
     def close(self, s: NodeId, h: SeqIndex, rec: Instance) -> None:
-        """Swap open instance (s, h)'s record for its closed one."""
+        """Swap open instance (s, h)'s record for the shared ``CLOSED``."""
         self.instances[(s, h)] = CLOSED
 
     def deliver_once(self, rec: Instance, source: NodeId, payload: Payload, h: SeqIndex,
@@ -158,6 +164,49 @@ class Automaton:
             return
         rec.delivered = True
         out.append(Deliver(source, payload, h))
+
+
+class Fetching(Automaton):
+    """The fetch layer of the protocols that vote on digests: a node that
+    holds the payload behind a REQ's digest answers the sender's first REQ
+    of the instance with a FWD, and takes a FWD only from a node it asked
+    for a payload still missing, only if the copy hashes to a digest it
+    asked for. A closed instance keeps every payload it held and answers
+    REQs from them as before. A subclass supplies ``check``, run on the
+    candidate a FWD resolves."""
+
+    def on_req(self, frm: NodeId, msg: WireMessage,
+               rec: Instance | Closed | None) -> list[Action]:
+        # A node without a record of the instance holds no payload for it,
+        # and a REQ makes no record. An open and a closed record answer
+        # alike.
+        bit = 1 << frm
+        if rec is None or msg.digest is None or rec.req_taken & bit:
+            return []
+        rec.req_taken |= bit
+        m = rec.payload(msg.digest)
+        if m is None:
+            return []
+        return [Send(frm, WireMessage(MsgKind.FWD, msg.source, msg.h, payload=m))]
+
+    def on_fwd(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
+        # Hash only the first FWD from a node asked for a payload still
+        # missing: an honest node answers a requester once per instance, and
+        # once the payload is held ``check`` has already run with it.
+        m = msg.payload
+        bit = 1 << frm
+        if rec is None or m is None or rec.fwd_taken & bit \
+                or not any(c.awaits(frm) for c in rec.candidates.values()):
+            return []
+        rec.fwd_taken |= bit
+        c = rec.candidates.get(self.digest_of(m))
+        if c is None or not c.awaits(frm):
+            return []
+        c.payload = m
+        return self.check(rec, msg.source, msg.h, c)
+
+    def close(self, s: NodeId, h: SeqIndex, rec: Instance) -> None:
+        self.instances[(s, h)] = rec.closed()
 
 
 class DoubleEcho(Automaton):

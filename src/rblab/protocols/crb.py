@@ -10,15 +10,15 @@ it. The source sends one element per node, nodes echo their element to
 everyone, and whoever collects k elements decodes, once, keeps the payload
 under its digest, delivers, and multicasts an ACC carrying the digest. A
 node that has not delivered asks each ACC sender once for the payload
-(REQ) and takes the forwarded copy (FWD) as the hash-based protocols do,
-with their handlers: only from a node it asked, and only if the copy hashes
-to the digest. It then delivers and sends its own ACC. Every correct node
-that delivers has sent its ACC to all and holds the payload to answer
-with, so a node that the crashed source never reached still delivers. A
-node closes the instance once it has delivered and sent its ACC, and has
-echoed the source's MSG: it echoes every MSG from the source, so closing
-before would lose the ECHO of a late one. Its closed record keeps the
-payload and answers REQs.
+(REQ) and takes the forwarded copy (FWD) through the ``Fetching`` layer:
+only from a node it asked, and only if the copy hashes to the digest. It
+then delivers and sends its own ACC. Every correct node that delivers has
+sent its ACC to all and holds the payload to answer with, so a node that
+the crashed source never reached still delivers. A node closes the
+instance once it has delivered and sent its ACC, and has echoed the
+source's MSG: it echoes every MSG from the source, so closing before would
+lose the ECHO of a late one. Its closed record keeps the payload and
+answers REQs.
 """
 from __future__ import annotations
 
@@ -35,8 +35,7 @@ from ..core import (
     SeqIndex,
     WireMessage,
 )
-from .base import Automaton
-from .hbrb import _HashBrb
+from .base import Automaton, Fetching
 
 
 class CrbFlood(Automaton):
@@ -49,13 +48,7 @@ class CrbFlood(Automaton):
         return self.send_all(msg) + [Deliver(msg.source, msg.payload, msg.h)]
 
 
-class EcCrb(Automaton):
-    # REQ and FWD exactly as the hash-based protocols take them, and a
-    # closed instance keeps the payload REQs are answered from.
-    on_req = _HashBrb.on_req
-    on_fwd = _HashBrb.on_fwd
-    close = _HashBrb.close
-
+class EcCrb(Fetching):
     def source_sends(self, payload: Payload, h: SeqIndex) -> list[Action]:
         return self.send_elements(h, encode(payload, self.params))
 

@@ -2,7 +2,7 @@
 
 EcBrb3f1 (n >= 3f+1) codes the payload at k = f+1 so any f+1 honest
 elements rebuild it. It runs on the ``DoubleEcho`` engine with the
-hash-based protocols' REQ/FWD fallback. Its MSG and ECHO votes travel as
+``Fetching`` layer's REQ/FWD fallback. Its MSG and ECHO votes travel as
 (digest, element) pairs, its ACCs as digests; its ``on_echo`` counts an
 ECHO under the digest it carries only if its element sits at its sender's
 position, and learns from the element. Its resolver feeds every element
@@ -24,16 +24,15 @@ endorsed by that nested broadcast. ``check`` sends the node's one ACC: for
 a digest that exactly f+1 ACCs back (one of them is honest), or else for
 the endorsed digest once its payload is held. When n-f ACCs back the
 endorsed digest and its payload is still missing, a node asks those
-backers for it and takes the forwarded copy as the hash-based protocols
-do, with their REQ and FWD handlers. The envelope does not name its
-sender, so every honest node's ECHO of one digest is the same bytes, and
-an honest instance tunnels three distinct envelopes (the nested MSG, ECHO
-and ACC) in 1 + 2n multicasts. Each carries the 32-byte digest, so a
-HASH_RB of any other size is dropped unparsed. A node keeps its recent
-parses in one small cache, and opens no record for an envelope it rejects.
-A node closes the instance once it has delivered, taken the source's MSG
-and sent its ACC, and its nested instance has closed; the nested record
-retires with it.
+backers for it and takes the forwarded copy through the ``Fetching``
+layer. The envelope does not name its sender, so every honest node's ECHO
+of one digest is the same bytes, and an honest instance tunnels three
+distinct envelopes (the nested MSG, ECHO and ACC) in 1 + 2n multicasts.
+Each carries the 32-byte digest, so a HASH_RB of any other size is dropped
+unparsed. A node keeps its recent parses in one small cache, and opens no
+record for an envelope it rejects. A node closes the instance once it has
+delivered, taken the source's MSG and sent its ACC, and its nested
+instance has closed; the nested record retires with it.
 
 In both, node i only ever sends the element at position i+1 (the source
 sends it the same one), so an ECHO whose element index is not its
@@ -72,9 +71,8 @@ from ..core import (
     encode_envelope,
 )
 from . import ProtocolConfig, ProtocolKind
-from .base import Automaton, DoubleEcho
+from .base import DoubleEcho, Fetching
 from .bracha import Bracha
-from .hbrb import _HashBrb
 
 # Read per message or per parse: module constants cost less than enum
 # member reads.
@@ -83,8 +81,9 @@ _NESTED_KINDS = (MsgKind.MSG, MsgKind.ECHO, MsgKind.ACC)
 _NESTED_SIZE = HEADER_SIZE + hashing.DIGEST_SIZE  # a header and the digest
 
 
-class EcBrb3f1(_HashBrb):
-    """REQ / FWD as in the hash-based protocols; MSG and ECHO carry elements."""
+class EcBrb3f1(Fetching, DoubleEcho):
+    """The hash-based protocols' engine and fetch layer; MSG and ECHO carry
+    elements."""
 
     def source_sends(self, payload: Payload, h: SeqIndex) -> list[Action]:
         return self.send_elements(h, encode(payload, self.params), self.digest_of(payload))
@@ -119,12 +118,7 @@ class EcBrb3f1(_HashBrb):
             c.payload = payload
 
 
-class EcBrb4f1(Automaton):
-    # REQ and FWD exactly as the hash-based protocols take them, and a
-    # closed instance keeps what REQs are answered from.
-    on_req = _HashBrb.on_req
-    on_fwd = _HashBrb.on_fwd
-    close = _HashBrb.close
+class EcBrb4f1(Fetching):
     # ACCs are counted as the double-echo engine counts them; ``check``
     # applies this protocol's rules.
     on_acc = DoubleEcho.on_acc

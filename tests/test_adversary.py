@@ -397,7 +397,7 @@ def test_decode_work_is_linear_in_f_under_corrupt_relays(kind, monkeypatch, wire
 
 def test_scripts_validate_world_shape():
     with pytest.raises(ConfigMismatch):
-        script_exec1(build_witness_world(1, 2, n=6))
+        script_exec1(build_world(ProtocolKind.BRACHA, 6, 1))
     with pytest.raises(ConfigMismatch):
         script_helper4(build_world(ProtocolKind.H_BRB_3F1, 5, 1))
 

@@ -16,6 +16,7 @@ import pytest
 from rblab import hashing
 from rblab.codec import CodeParams, encode
 from rblab.core import (
+    CLOSED,
     BroadcastRequest,
     Closed,
     Instance,
@@ -26,6 +27,7 @@ from rblab.core import (
     expand,
 )
 from rblab.protocols import RESILIENCE, ProtocolConfig, ProtocolKind, make_automaton
+from rblab.protocols.base import Fetching
 from rblab.simnet import RunStats
 
 SOURCE, H = 1, 1
@@ -82,6 +84,11 @@ def _late_messages(kind):
 def test_a_closed_instance_drops_late_messages_and_answers_each_req_once(kind):
     nodes, _ = _honest_run(kind, PAYLOAD)
     assert all(type(node.instances[(SOURCE, H)]) is Closed for node in nodes)
+    # Exactly the protocols on the fetch layer answer REQs; the others
+    # close to the shared empty record.
+    assert all(isinstance(node, Fetching) == (kind in ANSWERS_REQS) for node in nodes)
+    assert all((node.instances[(SOURCE, H)] is CLOSED) == (kind not in ANSWERS_REQS)
+               for node in nodes)
     node = nodes[0]
     record = node.instances[(SOURCE, H)]
     late = _late_messages(kind)

@@ -151,7 +151,6 @@ def test_code_params_validation():
         CodeParams(3, 0)
     with pytest.raises(InvalidParams):
         CodeParams(256, 2)
-    assert CodeParams(7, 3).distance == 5
 
 
 def test_element_serialization_round_trip():

@@ -1,5 +1,6 @@
 """No module under src/ imports a name at module level that it never uses,
-or defines a private module-level name that no module under src/ reads.
+defines a private module-level name that no module under src/ reads, or
+imports a private name from another module.
 
 With no linter in the toolchain, this parses each module with ``ast``: a
 name bound by a top-level ``import`` or ``from ... import`` must be read
@@ -7,7 +8,8 @@ somewhere in the module, or be listed in its ``__all__`` (a re-export).
 ``from __future__`` imports are directives, not names, and are skipped.
 A top-level function, class or constant whose name starts with one
 underscore must be read somewhere under src/: by name, as an attribute,
-or by a ``from ... import``.
+or by a ``from ... import``. No ``from ... import``, at any depth, may
+name a single-underscore name: a private name stays with its module.
 """
 import ast
 from pathlib import Path
@@ -104,3 +106,25 @@ def test_the_scan_sees_an_unread_private_name(tmp_path):
     b.write_text("import a\nfrom a import _used\nprint(_used(), a._LIMIT)\n", encoding="utf-8")
     assert _unread_private_names([a, b], tmp_path) == [
         "a.py line 2: _B", "a.py line 3: _C", "a.py line 8: _Gone", "a.py line 11: _spare"]
+
+
+def _private_imports(path: Path) -> list[str]:
+    """Every ``from ... import`` of a single-underscore name in the module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [f"line {node.lineno}: {'.' * node.level}{node.module or ''} {alias.name}"
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.startswith("__")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_private_name_imported_from_another_module(path):
+    assert _private_imports(path) == []
+
+
+def test_the_scan_sees_a_private_import(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from a import _hidden, shown\nfrom a import __version__\n\n"
+                      "def late():\n    from .b import _spare as spare\n    return spare\n",
+                      encoding="utf-8")
+    assert _private_imports(module) == ["line 1: a _hidden", "line 5: .b _spare"]
