@@ -22,7 +22,7 @@ from __future__ import annotations
 import inspect
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import hashing
 from .codec import CodedElement
@@ -175,8 +175,9 @@ class CorruptRelay(Strategy):
                 msg = action.msg
                 key = (f"{self.seed}:{node}:{action.to}:{int(msg.kind)}:"
                        f"{msg.source}:{msg.h}:{msg.element.index}")
-                out.append(Send(action.to,
-                                replace(msg, element=corrupt_element(msg.element, key))))
+                corrupted = WireMessage(msg.kind, msg.source, msg.h, msg.payload, msg.digest,
+                                        corrupt_element(msg.element, key), msg.instance)
+                out.append(Send(action.to, corrupted))
             else:
                 out.append(action)
         return out

@@ -24,28 +24,31 @@ receive or a send updates in place. ``RunStats`` shows them through
 read-only views that build a fresh ``Counter`` per node. The loop counts
 its events once per drain, not once per event. ``_emit`` takes a
 ``Multicast`` whole: it sizes the message from the fields it has set,
-counts its n copies, records an ACC's digest and builds the one
-``Receive`` event its copies share, then does only link work per copy, for
-recipients 0..n-1 in order. An ACC that carries a payload is hashed
-through ``hashing.digest``, which runs SHA-256 only when the payload
-differs from the last input hashed, so an ACC wave of equal payloads costs
-one run. Consecutive Sends of one message object, such as a faulty node's
-expanded multicast or an honest node's REQs to the backers of a digest,
-take the same path with their recipients in order, so the RNG draws and
-queue sequence numbers are those a Send at a time would make; a lone Send
-and an injected message take it with their one recipient. A queued copy is
-one flat ``(time, seq, to, event, size, depth)`` entry; a broadcast or an
-injected message is one with ``to = None``. Per-link state lives in n x n
-tables: the hop counts and ``hops * base_delay`` are built once per
+counts its n copies, records an ACC's digest and builds the one packet its
+copies share, then does only link work per copy, for recipients 0..n-1 in
+order. An ACC that carries a payload is hashed through ``hashing.digest``,
+which runs SHA-256 only when the payload differs from the last input
+hashed, so an ACC wave of equal payloads costs one run. Consecutive Sends
+of one message object, such as a faulty node's expanded multicast or an
+honest node's REQs to the backers of a digest, take the same path with
+their recipients in order, so the RNG draws and queue sequence numbers are
+those a Send at a time would make; a lone Send and an injected message
+take it with their one recipient. A queued copy is one
+``(time, seq, to, packet)`` entry, where the packet holds what every
+copy of the emit shares: the ``Receive`` event, the envelope size, the
+depth, the instance's depth row and the kind's wire code as an int, so a
+receive neither builds a key nor looks the row up. A broadcast or an
+injected message is an entry with ``to = None``. Per-link state lives in
+n x n tables: the hop counts and ``hops * base_delay`` are built once per
 (topology, n, base_delay) and shared read-only as tuples, while each world
 keeps its own lists of when each link's transmitter frees up and of its
 latest scheduled arrival. A faulty node's strategy sees its actions
 expanded to one Send per recipient, and only when its step returned some.
 
 Causal depth is kept once per instance: one row of n depths per (source,
-h), made the first time any node hears of the instance, where a receive
-reads and raises its recipient's entry. A row costs 8n bytes and a list
-header whether one node or all n touch the instance.
+h), found or made once per emit (so at the instance's first send), where
+a receive reads and raises its recipient's entry. A row costs 8n bytes and
+a list header whether one node or all n touch the instance.
 
 A finished world is freed by reference counting the moment it is dropped,
 so a process that runs world after world frees a few MiB at a time. glibc
@@ -360,7 +363,8 @@ class SimWorld:
         self.delay_policy = None
         self.broadcasts: list[tuple[NodeId, Payload, SeqIndex]] = []
         self.trace: list[TraceRow] = []
-        self._queue: list[tuple[float, int, NodeId | None, Receive | _Bcast | _Inject, int, int]] = []
+        # (time, seq, to, packet), or (time, seq, None, _Bcast | _Inject).
+        self._queue: list[tuple[float, int, NodeId | None, tuple | _Bcast | _Inject]] = []
         self._seq = itertools.count()
         self._busy_until = [[0.0] * self.n for _ in range(self.n)]
         self._last_arrival = [[0.0] * self.n for _ in range(self.n)]
@@ -389,7 +393,7 @@ class SimWorld:
 
     # -- scheduling ----------------------------------------------------------
     def _push(self, time: float, item: _Bcast | _Inject) -> None:
-        heapq.heappush(self._queue, (time, next(self._seq), None, item, 0, 0))
+        heapq.heappush(self._queue, (time, next(self._seq), None, item))
 
     def broadcast(self, node: NodeId, payload: Payload, h: SeqIndex,
                   at: float = 0.0) -> None:
@@ -423,29 +427,26 @@ class SimWorld:
     def _drain(self, until: float | None) -> RunStats:
         queue, heappop, max_steps = self._queue, heapq.heappop, self.max_steps
         stats, automata, strategies = self.stats, self.automata, self.strategies
-        recv_count, recv_bytes, ctx_of = stats._recv_count, stats._recv_bytes, self._ctx
+        recv_count, recv_bytes = stats._recv_count, stats._recv_bytes
         trace, n = self.record_trace, self.n
         steps = 0
         try:
             while queue and (until is None or queue[0][0] <= until):
                 if steps == max_steps:
                     raise StepCapExceeded(f"exceeded {self.max_steps} events")
-                time, _, to, event, size, depth = heappop(queue)
+                time, _, to, packet = heappop(queue)
                 self.time = time
                 steps += 1
                 if to is not None:
-                    msg = event.msg
-                    kind = msg.kind
-                    recv_count[to][kind] += 1
-                    recv_bytes[to][kind] += size
-                    row = ctx_of.get((msg.source, msg.h))
-                    if row is None:
-                        row = ctx_of[(msg.source, msg.h)] = [0] * n
+                    event, size, depth, row, code = packet
+                    recv_count[to][code] += 1
+                    recv_bytes[to][code] += size
                     ctx = row[to]
                     if depth > ctx:
                         ctx = row[to] = depth
                     if trace:
-                        self._trace("recv", to, event.frm, kind.name, msg.source, msg.h,
+                        msg = event.msg
+                        self._trace("recv", to, event.frm, msg.kind.name, msg.source, msg.h,
                                     size, depth)
                     automaton = automata[to]
                     actions = automaton.step(event)
@@ -454,11 +455,11 @@ class SimWorld:
                                                            expand(actions, n))
                     if actions:
                         self._apply(to, actions, ctx)
-                elif type(event) is _Bcast:
-                    self._process_bcast(event)
+                elif type(packet) is _Bcast:
+                    self._process_bcast(packet)
                 else:
-                    self._emit(event.frm, (event.to,), event.msg, event.depth,
-                               forced_delay=event.delay)
+                    self._emit(packet.frm, (packet.to,), packet.msg, packet.depth,
+                               forced_delay=packet.delay)
         finally:
             stats.events_processed += steps
         if until is not None and until > self.time:
@@ -508,21 +509,27 @@ class SimWorld:
     def _emit(self, frm: NodeId, recipients, msg: WireMessage, depth: int,
               forced_delay: float | None = None) -> None:
         """Send ``msg`` from ``frm`` to each of ``recipients`` in order:
-        message bookkeeping once, link work and a queued copy per recipient.
-        The message is sized through this module's ``envelope_size``, which
-        perfbench patches by name."""
+        message bookkeeping and the packet ``(event, size, depth, row,
+        code)`` once, link work and a queued ``(arrival, seq, to, packet)``
+        entry per recipient. The message is sized through this module's
+        ``envelope_size``, which perfbench patches by name."""
         size = envelope_size(msg)
         kind = msg.kind
+        code = int(kind)  # an exact int indexes the tallies faster than an IntEnum
         stats = self.stats
         copies = len(recipients)
-        stats._sent_count[frm][kind] += copies
-        stats._sent_bytes[frm][kind] += copies * size
+        stats._sent_count[frm][code] += copies
+        stats._sent_bytes[frm][code] += copies * size
         if kind is _ACC:
             digest = msg.digest
             if digest is None:
                 digest = hashing.digest(msg.payload or b"")
             stats.vouch(msg.source, msg.h, frm, digest)
-        event = Receive(frm, msg)
+        key = (msg.source, msg.h)
+        row = self._ctx.get(key)
+        if row is None:
+            row = self._ctx[key] = [0] * self.n
+        packet = (Receive(frm, msg), size, depth, row, code)
         now, net, policy = self.time, self.net, self.delay_policy
         link_delay, jitter, draw = self._link_delay[frm], net.jitter, self.rng.random
         bandwidth = net.bandwidth
@@ -551,7 +558,7 @@ class SimWorld:
             if last_arrival[to] > arrival:
                 arrival = last_arrival[to]
             last_arrival[to] = arrival
-            push(queue, (arrival, next(seq), to, event, size, depth))
+            push(queue, (arrival, next(seq), to, packet))
 
     def _trace(self, event: str, node: int, frm: int, kind: str, source: int,
                h: int, size: int, depth: int) -> None:

@@ -513,6 +513,49 @@ def test_each_sent_message_is_sized_and_hashed_once(monkeypatch):
     assert stats.acc_digests == {(0, 1): {i: {_sha256(payload)} for i in range(n)}}
 
 
+class _CountingDict(dict):
+    """A dict that counts the lookups made through ``get`` and indexing."""
+
+    def __init__(self):
+        super().__init__()
+        self.lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def test_each_emit_looks_its_depth_row_up_once_and_queues_one_packet(monkeypatch):
+    # The world of the sizing test above. A receive reads its recipient's
+    # depth from the packet its copy shares with the rest of the emit, so
+    # the depth rows are looked up once per emit, not once per copy.
+    n = 19
+    book = _Bookkeeping(monkeypatch)
+    world = build_world(ProtocolKind.BRACHA, n, 6)
+    world._ctx = rows = _CountingDict()
+    queued = []  # per emit, the packets of the copies it queued
+    real_emit = world._emit
+
+    def emit(frm, recipients, msg, depth, forced_delay=None):
+        before = set(map(id, world._queue))
+        real_emit(frm, recipients, msg, depth, forced_delay)
+        queued.append([entry[3] for entry in world._queue if id(entry) not in before])
+
+    world._emit = emit
+    world.broadcast(0, random.Random(19).randbytes(64 * 1024), 1)
+    world.run()
+    assert check_broadcast_properties(world) == []
+    assert len(book.emits) == len(queued) == 1 + 2 * n
+    assert rows.lookups == len(book.emits)
+    assert list(rows) == [(0, 1)]
+    assert all(len(packets) == n and all(p is packets[0] for p in packets)
+               for packets in queued)
+
+
 @pytest.mark.parametrize("kind", [ProtocolKind.BRACHA, ProtocolKind.EC_CRB])
 def test_each_instance_hashes_an_equal_acc_payload_once(monkeypatch, kind):
     # bracha's ACCs share one payload object. The second instance repeats
