@@ -1,13 +1,13 @@
 """Byzantine strategies, scripted bad executions, and a breakable strawman.
 
-Strategies bind to one node and shape only that node's output: Silent
-swallows everything, Crash stops mid-multicast after a send budget,
+A strategy is a faulty node's automaton: it wraps the honest automaton
+it replaces and gets every event the node gets. Silent never acts,
 EquivocatingSource hands different payloads to different recipients,
-and CorruptRelay flips bytes inside the coded elements it relays. A
-scenario that injects a node's traffic itself attaches Silent to it. The
-simulator expands a faulty node's multicasts (``core.expand``), so
-``transform`` sees one Send per recipient; it is not called for a step
-that returned no actions.
+Crash stops mid-multicast after a send budget, and CorruptRelay flips
+bytes inside the coded elements it relays; these two rewrite the honest
+actions with each Multicast expanded to one Send per recipient
+(``core.expand``). A scenario that injects a node's traffic itself
+attaches Silent to it.
 
 The witness protocol here is deliberately naive: a node announces
 ("witnesses") a value when it hears it from the source or from f+1 other
@@ -29,7 +29,9 @@ from .codec import CodedElement
 from .core import (
     HEADER_SIZE,
     Action,
+    BroadcastRequest,
     Deliver,
+    Event,
     MsgKind,
     Multicast,
     NodeId,
@@ -81,28 +83,24 @@ def build_world(kind: ProtocolKind, n: int, f: int, *, k: int | None = None,
 # -- strategies ---------------------------------------------------------------
 
 class Strategy:
-    """Hooks the simulator calls for a faulty node. Default: behave honestly."""
+    """A faulty node's automaton. ``SimWorld.attach_adversary`` puts
+    ``wrap(honest automaton)`` in the node's place and steps it as any node.
+    This base class passes the honest actions through: the node counts as
+    faulty and acts honestly."""
 
-    def source_actions(self, world: SimWorld, node: NodeId, automaton,
-                       payload: Payload, h: SeqIndex) -> list[Action] | None:
-        """Replace the node's initial broadcast wave; None keeps the default."""
-        return None
+    def wrap(self, automaton: Automaton) -> Strategy:
+        """Bind to ``automaton``, the honest one this node ran; returns self."""
+        self.automaton = automaton
+        return self
 
-    def transform(self, world: SimWorld, node: NodeId, automaton,
-                  actions: list[Action]) -> list[Action]:
-        """Rewrite the node's outgoing actions, given one Send per recipient.
-        It must map [] to []: the simulator skips the call when the node's
-        step returned no actions."""
-        return actions
+    def step(self, event: Event) -> list[Action]:
+        return self.automaton.step(event)
 
 
 class Silent(Strategy):
-    """Receives everything, emits nothing."""
+    """Never acts: its honest automaton is never stepped."""
 
-    def source_actions(self, world, node, automaton, payload, h):
-        return []
-
-    def transform(self, world, node, automaton, actions):
+    def step(self, event):
         return []
 
 
@@ -113,7 +111,10 @@ class Crash(Strategy):
     def __init__(self, after_sends: int):
         self.remaining = after_sends
 
-    def transform(self, world, node, automaton, actions):
+    def step(self, event):
+        return self.transform(expand(self.automaton.step(event), self.automaton.n))
+
+    def transform(self, actions: list[Action]) -> list[Action]:
         if self.remaining <= 0:
             return []
         out: list[Action] = []
@@ -127,23 +128,26 @@ class Crash(Strategy):
 
 
 class EquivocatingSource(Strategy):
-    """Sends recipient-dependent payloads in its broadcast wave, then runs
-    the protocol honestly. The per-recipient waves come from the automaton's
-    own pure send builder, so coded elements, digests, and any nested
-    broadcast stay internally consistent per recipient. Each distinct
+    """Answers a broadcast request with recipient-dependent payloads, then
+    runs the protocol honestly. The per-recipient waves come from the
+    automaton's own pure send builder, so coded elements, digests, and any
+    nested broadcast stay internally consistent per recipient. Each distinct
     variant's wave is built once and shared by the recipients it goes to."""
 
     def __init__(self, partition: dict[NodeId, Payload]):
         self.partition = dict(partition)
 
-    def source_actions(self, world, node, automaton, payload, h):
+    def step(self, event):
+        if type(event) is not BroadcastRequest:
+            return self.automaton.step(event)
+        n, build = self.automaton.n, self.automaton.source_sends
         waves: dict[Payload, list[Action]] = {}
         sends: list[Action] = []
-        for to in range(world.n):
-            variant = self.partition.get(to, payload)
+        for to in range(n):
+            variant = self.partition.get(to, event.payload)
             wave = waves.get(variant)
             if wave is None:
-                wave = waves[variant] = expand(automaton.source_sends(variant, h), world.n)
+                wave = waves[variant] = expand(build(variant, event.h), n)
             sends += [s for s in wave if s.to == to]
         return sends
 
@@ -167,7 +171,11 @@ class CorruptRelay(Strategy):
     def __init__(self, seed: int = 0):
         self.seed = seed
 
-    def transform(self, world, node, automaton, actions):
+    def step(self, event):
+        return self.transform(expand(self.automaton.step(event), self.automaton.n))
+
+    def transform(self, actions: list[Action]) -> list[Action]:
+        node = self.automaton.me
         out: list[Action] = []
         for action in actions:
             if isinstance(action, Send) and action.to != node \

@@ -146,6 +146,9 @@ class ExperimentConfig:
             bad = [i for i in self.adversary_nodes if not 0 <= i < self.n]
             if bad:
                 raise ValidationError(f"adversary nodes {bad} outside [0, {self.n})")
+            twice = sorted({i for i in self.adversary_nodes if self.adversary_nodes.count(i) > 1})
+            if twice:
+                raise ValidationError(f"[adversary] nodes names {twice} more than once")
         if self.strategy == "crash" and self.crash_after < 0:
             raise ValidationError("crash_after must be >= 0")
         if self.strategy != "none" and self.count < 1:

@@ -30,11 +30,11 @@ and ec-brb-3f1, and its ``tally`` counts every vote of theirs; they differ
 only in what a vote carries and what it counts for, and fetch a missing
 payload by one rule. ec-brb-4f1 counts its ACCs with the same ``tally``.
 
-``Fetching`` is the one fetch layer: the REQ and FWD handlers, and a
-``close`` that keeps the payloads held, inherited by every protocol that
-votes on digests (ec-crb, h-brb-3f1, h-brb-5f1, ec-brb-3f1, ec-brb-4f1).
-The others, crb-flood and bracha, never fetch, and close to the shared
-``CLOSED``.
+``Fetching`` is the one fetch layer: the engine's fetch rule, the REQ and
+FWD handlers, and a ``close`` that keeps the payloads held, inherited by
+every protocol that votes on digests (ec-crb, h-brb-3f1, h-brb-5f1,
+ec-brb-3f1, ec-brb-4f1). The others, crb-flood and bracha, never fetch,
+and close to the shared ``CLOSED``.
 """
 from __future__ import annotations
 
@@ -110,8 +110,8 @@ class Automaton:
         default one MSG with the whole payload, multicast to every node.
 
         Pure by design: the source's own state updates happen when its
-        loopback copies arrive, and adversary strategies expand this
-        builder's output to craft per-recipient splits of the initial wave.
+        loopback copies arrive, and ``adversary.EquivocatingSource`` builds
+        a wave per payload with it to split the first wave by recipient.
         """
         return self.send_all(WireMessage(MsgKind.MSG, self.me, h, payload=payload))
 
@@ -147,12 +147,6 @@ class Automaton:
         return [Send(i, WireMessage(MsgKind.MSG, self.me, h, digest=digest, element=element))
                 for i, element in enumerate(elements)]
 
-    def request_payload(self, s: NodeId, h: SeqIndex, c: Candidate,
-                        backers: list[NodeId]) -> list[Action]:
-        """REQ the payload behind a digest from the nodes that vouched for it."""
-        req = WireMessage(MsgKind.REQ, s, h, digest=c.digest)
-        return [Send(j, req) for j in c.ask(backers)]
-
     def close(self, s: NodeId, h: SeqIndex, rec: Instance) -> None:
         """Swap open instance (s, h)'s record for the shared ``CLOSED``."""
         self.instances[(s, h)] = CLOSED
@@ -174,6 +168,20 @@ class Fetching(Automaton):
     asked for. A closed instance keeps every payload it held and answers
     REQs from them as before. A subclass supplies ``check``, run on the
     candidate a FWD resolves."""
+
+    def request_payload(self, s: NodeId, h: SeqIndex, c: Candidate,
+                        backers: list[NodeId]) -> list[Action]:
+        """REQ the payload behind a digest from the nodes that vouched for it."""
+        req = WireMessage(MsgKind.REQ, s, h, digest=c.digest)
+        return [Send(j, req) for j in c.ask(backers)]
+
+    def fetch(self, s: NodeId, h: SeqIndex, c: Candidate) -> list[Action]:
+        """Ask for ``c``'s missing payload; run by ``DoubleEcho.check`` without
+        it. The last wave's backers are asked once, when exactly f+1 back it."""
+        backers = c.accs if self.ACC_WAVE else c.echoes
+        if len(backers) != self.f_plus_1:
+            return []
+        return self.request_payload(s, h, c, backers)
 
     def on_req(self, frm: NodeId, msg: WireMessage,
                rec: Instance | Closed | None) -> list[Action]:
@@ -249,14 +257,6 @@ class DoubleEcho(Automaton):
              element=None) -> WireMessage:
         """This node's ECHO or ACC for ``c`` (``element``: the MSG's, if echoed)."""
         return WireMessage(kind, s, h, digest=c.digest)
-
-    def fetch(self, s: NodeId, h: SeqIndex, c: Candidate) -> list[Action]:
-        """Ask for ``c``'s missing payload; run by every check without it.
-        The last wave's backers are asked once, when exactly f+1 back it."""
-        backers = c.accs if self.ACC_WAVE else c.echoes
-        if len(backers) != self.f_plus_1:
-            return []
-        return self.request_payload(s, h, c, backers)
 
     def on_msg(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
         if frm != msg.source:

@@ -42,8 +42,8 @@ injected message is an entry with ``to = None``. Per-link state lives in
 n x n tables: the hop counts and ``hops * base_delay`` are built once per
 (topology, n, base_delay) and shared read-only as tuples, while each world
 keeps its own lists of when each link's transmitter frees up and of its
-latest scheduled arrival. A faulty node's strategy sees its actions
-expanded to one Send per recipient, and only when its step returned some.
+latest scheduled arrival. A faulty node is stepped as any node, through
+the wrapper that ``attach_adversary`` put in its place.
 
 Causal depth is kept once per instance: one row of n depths per (source,
 h), found or made once per emit (so at the instance's first send), where
@@ -104,7 +104,6 @@ from .core import (
     SeqIndex,
     WireMessage,
     envelope_size,
-    expand,
 )
 
 
@@ -359,7 +358,7 @@ class SimWorld:
         self.max_steps = max_steps
         self.time = 0.0
         self.stats = RunStats(self.n)
-        self.strategies: dict[NodeId, object] = {}
+        self.byzantine: set[NodeId] = set()  # the faulty node ids
         self.delay_policy = None
         self.broadcasts: list[tuple[NodeId, Payload, SeqIndex]] = []
         self.trace: list[TraceRow] = []
@@ -374,22 +373,22 @@ class SimWorld:
 
     # -- setup ---------------------------------------------------------------
     @property
-    def byzantine(self) -> set[NodeId]:
-        return set(self.strategies)
-
-    @property
     def honest(self) -> set[NodeId]:
         return set(range(self.n)) - self.byzantine
 
     def attach_adversary(self, node: NodeId, strategy, *,
                          allow_overfault: bool = False) -> None:
+        """Make ``node`` faulty: step ``strategy.wrap(its automaton)`` instead."""
         if not 0 <= node < self.n:
             raise ValueError(f"node {node} outside [0, {self.n})")
+        if node in self.byzantine:
+            raise ValueError(f"node {node} is already faulty")
         f = self.automata[node].f
-        count = len(self.strategies) + (0 if node in self.strategies else 1)
+        count = len(self.byzantine) + 1
         if not allow_overfault and count > f:
             raise FaultBudgetExceeded(f"attaching faulty node #{count} exceeds f={f}")
-        self.strategies[node] = strategy
+        self.byzantine.add(node)
+        self.automata[node] = strategy.wrap(self.automata[node])
 
     # -- scheduling ----------------------------------------------------------
     def _push(self, time: float, item: _Bcast | _Inject) -> None:
@@ -426,9 +425,9 @@ class SimWorld:
 
     def _drain(self, until: float | None) -> RunStats:
         queue, heappop, max_steps = self._queue, heapq.heappop, self.max_steps
-        stats, automata, strategies = self.stats, self.automata, self.strategies
+        stats, automata = self.stats, self.automata
         recv_count, recv_bytes = stats._recv_count, stats._recv_bytes
-        trace, n = self.record_trace, self.n
+        trace = self.record_trace
         steps = 0
         try:
             while queue and (until is None or queue[0][0] <= until):
@@ -448,11 +447,7 @@ class SimWorld:
                         msg = event.msg
                         self._trace("recv", to, event.frm, msg.kind.name, msg.source, msg.h,
                                     size, depth)
-                    automaton = automata[to]
-                    actions = automaton.step(event)
-                    if actions and strategies and to in strategies:
-                        actions = strategies[to].transform(self, to, automaton,
-                                                           expand(actions, n))
+                    actions = automata[to].step(event)
                     if actions:
                         self._apply(to, actions, ctx)
                 elif type(packet) is _Bcast:
@@ -467,16 +462,8 @@ class SimWorld:
         return stats
 
     def _process_bcast(self, item: _Bcast) -> None:
-        node, payload, h = item.node, item.payload, item.h
-        automaton = self.automata[node]
-        strategy = self.strategies.get(node)
-        actions = None
-        if strategy is not None:
-            actions = strategy.source_actions(self, node, automaton, payload, h)
-        if actions is None:
-            actions = automaton.step(BroadcastRequest(payload, h))
-        if strategy is not None:
-            actions = strategy.transform(self, node, automaton, expand(actions, self.n))
+        node, h = item.node, item.h
+        actions = self.automata[node].step(BroadcastRequest(item.payload, h))
         self._trace("bcast", node, node, "-", node, h, 0, 0)
         self._apply(node, actions, ctx=0)
 

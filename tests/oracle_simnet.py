@@ -1,9 +1,10 @@
 """The simulator as a plain loop, kept as an oracle for ``rblab.simnet``.
 
-``OracleWorld`` runs the same automata and adversary strategies as
-``SimWorld``, one copy of one message at a time. It keeps one heap of
-``(time, seq, item)``, where an item is a broadcast, an injected send or one
-queued copy, and one counter numbers every push in order. A copy's delay is
+``OracleWorld`` runs the same automata as ``SimWorld``, a faulty node's
+strategy wrapped around its honest one, one copy of one message at a
+time. It keeps one heap of ``(time, seq, item)``, where an item is a
+broadcast, an injected send or one queued copy, and one counter numbers
+every push in order. A copy's delay is
 
     hops * base_delay + uniform[0, jitter) + bits / bandwidth
 
@@ -69,7 +70,6 @@ class OracleWorld:
         self.rng = random.Random(seed)
         self.max_steps = max_steps
         self.time = 0.0
-        self.strategies: dict = {}
         self.delay_policy = None
         self.heap: list = []
         self.seq = itertools.count()
@@ -88,7 +88,7 @@ class OracleWorld:
         self.events_processed = 0
 
     def attach_adversary(self, node: int, strategy) -> None:
-        self.strategies[node] = strategy
+        self.automata[node] = strategy.wrap(self.automata[node])
 
     def broadcast(self, node, payload, h, at: float = 0.0) -> None:
         self.sources.add(node)
@@ -119,14 +119,7 @@ class OracleWorld:
         self.trace.append((len(self.trace), repr(self.time)) + row)
 
     def _broadcast(self, node, payload, h) -> None:
-        automaton, strategy = self.automata[node], self.strategies.get(node)
-        actions = None
-        if strategy is not None:
-            actions = strategy.source_actions(self, node, automaton, payload, h)
-        if actions is None:
-            actions = automaton.step(BroadcastRequest(payload, h))
-        if strategy is not None:
-            actions = strategy.transform(self, node, automaton, expand(actions, self.n))
+        actions = self.automata[node].step(BroadcastRequest(payload, h))
         self._record("bcast", node, node, "-", node, h, 0, 0)
         self._act(node, actions, 0)
 
@@ -136,11 +129,7 @@ class OracleWorld:
         key = (to, msg.source, msg.h)
         self.depth[key] = max(self.depth.get(key, 0), depth)
         self._record("recv", to, frm, msg.kind.name, msg.source, msg.h, size, depth)
-        automaton = self.automata[to]
-        actions = automaton.step(Receive(frm, msg))
-        if to in self.strategies:
-            actions = self.strategies[to].transform(self, to, automaton,
-                                                    expand(actions, self.n))
+        actions = self.automata[to].step(Receive(frm, msg))
         self._act(to, actions, self.depth[key])
 
     def _act(self, node, actions, ctx) -> None:

@@ -1,4 +1,5 @@
 """Fault strategies, the naive witness strawman, and scripted timelines."""
+import random
 import time
 
 import pytest
@@ -34,7 +35,7 @@ from rblab.core import (
     WireMessage,
     expand,
 )
-from rblab.protocols import RESILIENCE, ProtocolKind, ecbrb
+from rblab.protocols import RESILIENCE, ProtocolKind, ecbrb, make_automaton
 from rblab.simnet import (
     FaultBudgetExceeded,
     NetParams,
@@ -130,30 +131,45 @@ def test_witness_automaton_counts():
 
 # -- fault strategies --------------------------------------------------------------
 
+class _Scripted:
+    """An automaton stub for node ``me`` of ``n`` that answers each step
+    with the next of ``steps``."""
+
+    def __init__(self, *steps, n=4, me=0):
+        self.n, self.me = n, me
+        self.steps = list(steps)
+
+    def step(self, event):
+        return self.steps.pop(0)
+
+
+_REQUEST = BroadcastRequest(b"x", 1)
+
+
 def test_silent_strategy_suppresses_everything():
-    s = Silent()
-    sends = [Send(1, WireMessage(MsgKind.MSG, 0, 1, payload=b"x"))]
-    assert s.transform(None, 0, None, sends) == []
-    assert s.source_actions(None, 0, None, b"x", 1) == []
+    node = WitnessAutomaton(_wcfg(3), 0)
+    silent = Silent().wrap(node)
+    assert silent.step(_REQUEST) == []
+    assert silent.step(Receive(2, WireMessage(MsgKind.MSG, 2, 1, payload=b"v"))) == []
+    assert node.witnessed == {}  # the honest automaton is never stepped
 
 
 def test_crash_truncates_mid_multicast():
-    crash = Crash(after_sends=2)
-    wave = [Send(i, WireMessage(MsgKind.MSG, 0, 1, payload=b"x")) for i in range(4)]
-    first = crash.transform(None, 0, None, wave)
-    assert first == wave[:2]
+    msg = WireMessage(MsgKind.MSG, 0, 1, payload=b"x")
+    wave = [Send(i, msg) for i in range(4)]
+    crash = Crash(after_sends=2).wrap(
+        _Scripted([Multicast(msg)], [Multicast(msg)], [Deliver(0, b"x", 1)]))
+    assert crash.step(_REQUEST) == wave[:2]
     # Dead afterwards, deliveries included.
-    assert crash.transform(None, 0, None, wave) == []
-    assert crash.transform(None, 0, None, [Deliver(0, b"x", 1)]) == []
+    assert crash.step(_REQUEST) == []
+    assert crash.step(_REQUEST) == []
 
 
 def test_crash_budget_spares_non_send_actions_before_cutoff():
-    crash = Crash(after_sends=1)
+    msg = WireMessage(MsgKind.MSG, 0, 1, payload=b"x")
     deliver = Deliver(0, b"x", 1)
-    wave = [deliver] + [Send(i, WireMessage(MsgKind.MSG, 0, 1, payload=b"x"))
-                        for i in range(3)]
-    out = crash.transform(None, 0, None, wave)
-    assert out == [deliver, wave[1]]
+    crash = Crash(after_sends=1).wrap(_Scripted([deliver, Multicast(msg)], n=3))
+    assert crash.step(_REQUEST) == [deliver, Send(0, msg)]
 
 
 def test_crash_budget_cuts_a_world_fan_out_partway():
@@ -174,8 +190,8 @@ def test_corrupt_relay_in_a_world_sees_one_send_per_recipient():
     seen = []  # (actions given, actions returned) per transform call
 
     class Recording(CorruptRelay):
-        def transform(self, world, node, automaton, actions):
-            out = super().transform(world, node, automaton, actions)
+        def transform(self, actions):
+            out = super().transform(actions)
             seen.append((list(actions), out))
             return out
 
@@ -198,30 +214,33 @@ def test_corrupt_relay_in_a_world_sees_one_send_per_recipient():
 
 
 @pytest.mark.parametrize("kind", [ProtocolKind.BRACHA, ProtocolKind.EC_BRB_3F1])
-def test_transform_never_sees_an_empty_list(kind):
-    # A step that returns no actions is not expanded or shown to the
-    # strategy: every strategy maps [] to [].
-    given, empty_steps = [], [0]
+def test_a_wrapper_sees_every_event_of_its_node(kind):
+    # Node 2 broadcasts once and relays node 0's broadcast. Its wrapper gets
+    # each event in the order the trace shows it, the ones its automaton
+    # answers with nothing included.
+    events, answers = [], []
 
     class Recording(Strategy):
-        def transform(self, world, node, automaton, actions):
-            given.append(len(actions))
-            return actions
+        def step(self, event):
+            events.append(event)
+            answers.append(super().step(event))
+            return answers[-1]
 
-    world = build_world(kind, 4, 1, net=NetParams(base_delay=1.0, jitter=0.5))
+    world = build_world(kind, 4, 1, net=NetParams(base_delay=1.0, jitter=0.5),
+                        record_trace=True)
     world.attach_adversary(2, Recording())
-    automaton = world.automata[2]
-
-    def step(event, real=automaton.step):
-        actions = real(event)
-        empty_steps[0] += not actions
-        return actions
-
-    automaton.step = step
-    world.broadcast(0, b"some steps say nothing", 1)
+    world.broadcast(2, b"the faulty node's own", 1)
+    world.broadcast(0, b"some steps say nothing", 1, at=0.3)
     world.run()
     assert check_broadcast_properties(world) == []
-    assert empty_steps[0] > 0 and given and min(given) > 0, (empty_steps, given)
+    assert events[0] == BroadcastRequest(b"the faulty node's own", 1)
+    seen = [("bcast", 2, "-", 2) if type(e) is BroadcastRequest
+            else ("recv", e.frm, e.msg.kind.name, e.msg.source) for e in events]
+    assert seen == [(row.event, row.frm, row.kind, row.source) for row in world.trace
+                    if row.node == 2 and row.event != "deliver"]
+    receives = sum(type(e) is Receive for e in events)
+    assert receives == sum(world.stats.recv_count[2].values())
+    assert [] in answers
 
 
 def test_crashed_source_leaves_no_violations():
@@ -254,23 +273,22 @@ def test_corrupt_relay_touches_only_foreign_element_sends():
     digest_only = Send(2, WireMessage(MsgKind.ACC, 0, 1,
                                       digest=hashing.digest(b"d")))
     deliver = Deliver(0, b"p", 1)
-    out = relay.transform(None, 1, None, [own, loop, digest_only, deliver])
+    out = relay.wrap(_Scripted([own, loop, digest_only, deliver], me=1)).step(_REQUEST)
     assert out[0].msg.element == element          # loopback intact
     assert out[2] == digest_only and out[3] == deliver
-    out = relay.transform(None, 0, None, [Send(3, own.msg)])
+    out = relay.wrap(_Scripted([Send(3, own.msg)], me=0)).step(_REQUEST)
     assert out[0].msg.element != element
     assert out[0].msg.element.index == element.index
     # Same seed, same node, same link: same corruption.
-    again = CorruptRelay(seed=3).transform(None, 0, None, [Send(3, own.msg)])
+    again = CorruptRelay(seed=3).wrap(_Scripted([Send(3, own.msg)], me=0)).step(_REQUEST)
     assert again[0].msg.element == out[0].msg.element
 
 
 def test_equivocating_source_builds_consistent_per_recipient_waves():
     world = build_world(ProtocolKind.EC_BRB_3F1, 4, 1)
     m1, m2 = b"left story", b"right story"
-    strategy = EquivocatingSource({3: m2})
-    world.attach_adversary(0, strategy)
-    sends = strategy.source_actions(world, 0, world.automata[0], m1, 1)
+    world.attach_adversary(0, EquivocatingSource({3: m2}))
+    sends = world.automata[0].step(BroadcastRequest(m1, 1))
     assert [s.to for s in sends] == [0, 1, 2, 3]
     params = CodeParams(4, 2)
     for to in range(3):
@@ -292,7 +310,8 @@ def test_equivocating_source_builds_each_variant_once():
         return build(payload, h)
 
     automaton.source_sends = counted
-    sends = EquivocatingSource(partition).source_actions(world, 0, automaton, m1, 1)
+    world.attach_adversary(0, EquivocatingSource(partition))
+    sends = world.automata[0].step(BroadcastRequest(m1, 1))
     assert sorted(built) == sorted([m1, m2])
     # Each recipient gets what a wave built for it alone would send it.
     expected = []
@@ -309,6 +328,56 @@ def test_fault_budget_is_enforced():
         world.attach_adversary(1, Silent())
     world.attach_adversary(1, Silent(), allow_overfault=True)
     assert world.byzantine == {0, 1}
+
+
+def test_a_node_is_made_faulty_once():
+    # A second wrapper would stack on the first: a corrupt relay would
+    # corrupt twice.
+    world = build_world(ProtocolKind.EC_BRB_3F1, 7, 2)
+    relay = CorruptRelay()
+    world.attach_adversary(2, relay)
+    with pytest.raises(ValueError, match="node 2 is already faulty"):
+        world.attach_adversary(2, CorruptRelay())
+    assert world.byzantine == {2} and world.automata[2] is relay
+    assert type(relay.automaton) is type(world.automata[0])
+
+
+class _Twins(Strategy):
+    """Two honest automata under one id, as Twins (Bano et al., "Twins: BFT
+    Systems Made Robust", OPODIS 2021) runs a faulty node. Twin 0 hears and
+    speaks to the nodes in ``side``, twin 1 to the others, the node itself
+    included: a receive goes to the twin of its sender's side, and each
+    twin's sends are filtered to its side. A twin's deliveries are dropped."""
+
+    def __init__(self, side):
+        self.side = frozenset(side)
+
+    def wrap(self, automaton):
+        self.twins = (automaton, make_automaton(automaton.config))
+        return super().wrap(automaton)
+
+    def step(self, event):
+        twin = 0 if type(event) is Receive and event.frm in self.side else 1
+        return [action for action in expand(self.twins[twin].step(event), self.automaton.n)
+                if type(action) is Send and (action.to in self.side) == (twin == 0)]
+
+
+def test_a_twins_wrapper_runs_on_attach_adversary_alone():
+    # bracha at n=4, f=1: node 3 runs as two honest twins, each talking to
+    # one side of the honest nodes, and the properties hold.
+    for seed in range(6):
+        side = random.Random(seed).sample(range(3), 1 + seed % 2)
+        world = build_world(ProtocolKind.BRACHA, 4, 1, seed=seed,
+                            net=NetParams(base_delay=1.0, jitter=0.5))
+        twins = _Twins(side)
+        world.attach_adversary(3, twins)
+        for h in (1, 2):
+            world.broadcast(h - 1, bytes([seed, h]) * 8, h, at=0.4 * h)
+        world.run()
+        assert world.byzantine == {3}
+        assert check_broadcast_properties(world) + check_acc_consistency(world) == []
+        assert all(twin.instances for twin in twins.twins), seed
+        assert world.stats.sent_count[3][MsgKind.ECHO] > 0
 
 
 # -- decode cost under corrupt relays ----------------------------------------------
@@ -464,7 +533,7 @@ def test_unknown_scenario_lists_choices():
 def test_scripted_strategy_is_mute():
     world = build_witness_world(1, 2)
     info = script_exec1(world)
-    assert set(world.strategies) == set(info.groups["B"])
-    for s in world.strategies.values():
-        assert s.source_actions(None, 0, None, b"x", 1) == []
-        assert s.transform(None, 0, None, [Deliver(0, b"x", 1)]) == []
+    assert world.byzantine == set(info.groups["B"])
+    for node in info.groups["B"]:
+        assert type(world.automata[node]) is Silent
+        assert world.automata[node].step(_REQUEST) == []

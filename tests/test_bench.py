@@ -160,7 +160,21 @@ def test_an_empty_node_list_is_refused_not_run_without_faults(tmp_path):
         ExperimentConfig(kind=ProtocolKind.BRACHA, n=4, f=1, strategy="silent",
                          adversary_nodes=()).validate()
     row, world = run_experiment(load_config(_write(tmp_path, text.replace("=\n", "= 2\n"))))
-    assert set(world.strategies) == {2} and row["error"] == ""
+    assert world.byzantine == {2} and row["error"] == ""
+
+
+def test_a_repeated_node_is_refused_not_run_as_one_faulty_node(tmp_path, capsys):
+    # nodes = 2,2 once ran with one faulty node, the second attach
+    # replacing the first.
+    text = "[protocol]\nkind = bracha\nn = 7\nf = 2\n\n[adversary]\nstrategy = silent\n"
+    path = _write(tmp_path, text + "nodes = 2,5,2\n")
+    with pytest.raises(ValidationError) as err:
+        load_config(path)
+    assert str(err.value) == "[adversary] nodes names [2] more than once"
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+    config = load_config(_write(tmp_path, text + "nodes = 2,5\n"))
+    assert config.faulty_nodes() == [2, 5]
 
 
 def test_a_zero_count_is_refused_not_run_with_every_other_node_faulty(tmp_path):

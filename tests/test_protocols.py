@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import stretch_link
 import rblab.protocols
 from rblab import hashing
-from rblab.adversary import CorruptRelay, build_world
+from rblab.adversary import CorruptRelay, Strategy, build_world
 from rblab.codec import CodedElement, CodeParams, encode
 from rblab.core import (
     HEADER_SIZE,
@@ -894,6 +894,8 @@ def test_a_receive_looks_its_record_up_once(kind, monkeypatch):
         _handlers_reached_only_through_step(monkeypatch, cls, called)
     receives = []
     for node in world.automata:
+        if isinstance(node, Strategy):
+            node = node.automaton  # the relay's honest automaton, stepped for each event
         node.instances = table = _CountingGets(node.instances)
 
         def step(event, real=node.step, table=table):

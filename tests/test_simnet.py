@@ -11,7 +11,7 @@ import pytest
 import oracle_simnet
 from conftest import count_sha256_runs, stretch_link
 from rblab import bench, codec, hashing, simnet
-from rblab.adversary import CorruptRelay, Silent, Strategy, build_world
+from rblab.adversary import CorruptRelay, Silent, build_world
 from rblab.core import Closed, MsgKind, Receive, WireMessage
 from rblab.protocols import RESILIENCE, ProtocolKind, ecbrb
 from rblab.simnet import (
@@ -427,7 +427,7 @@ def test_each_broadcast_property_violation_is_reported_word_for_word():
     ]
     # A faulty source owes no termination, but a delivery still owes totality.
     world = _honest_bracha_world()
-    world.strategies[0] = Silent()
+    world.attach_adversary(0, Silent())
     del world.stats.delivers[(1, 0, 1)]
     assert check_broadcast_properties(world) == [
         "totality: nodes [1] missed (0, 1) delivered elsewhere",
@@ -771,12 +771,13 @@ def test_each_distinct_tunneled_envelope_is_parsed_once_per_node(monkeypatch):
 
 @pytest.mark.parametrize("faulty", [(), (0, 3, 5)])
 def test_copies_of_a_multicast_share_one_receive_event(faulty):
-    # A faulty node's strategy sees its multicasts expanded to one Send per
-    # recipient; a pass-through strategy's Sends still go out as one message.
+    # A corrupt relay expands its node's multicasts to one Send per
+    # recipient; in bracha it finds no element to corrupt, so its Sends
+    # still go out as one message.
     n = 7
     world = build_world(ProtocolKind.BRACHA, n, 2, net=NetParams(base_delay=1.0, jitter=0.5))
     for node in faulty:
-        world.attach_adversary(node, Strategy(), allow_overfault=True)
+        world.attach_adversary(node, CorruptRelay(), allow_overfault=True)
     received = []  # (recipient, event) for every step the simulator runs
     for node, automaton in enumerate(world.automata):
         def step(event, node=node, real=automaton.step):

@@ -2,10 +2,10 @@
 
 The drawn worlds vary the protocol, n, f, k and topology; jitter and
 bandwidth caps; broadcasts at colliding times; faulty nodes under every
-strategy; a delay policy; injected messages; ``run(until=...)`` slices; and
-a step cap. Both simulators run each world from fresh automata and must
-agree on every trace row, delivery record, tally, ACC digest and event
-count after each slice.
+strategy, the pass-through one included; a delay policy; injected
+messages; ``run(until=...)`` slices; and a step cap. Both simulators
+run each world from fresh automata and must agree on every trace row,
+delivery record, tally, ACC digest and event count after each slice.
 """
 import hashlib
 import random
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import stretch_link
 from oracle_simnet import CapReached, OracleWorld
-from rblab.adversary import CorruptRelay, Crash, EquivocatingSource, Silent
+from rblab.adversary import CorruptRelay, Crash, EquivocatingSource, Silent, Strategy
 from rblab.codec import CodedElement
 from rblab.core import KIND_VARIANTS, BodyVariant, MsgKind, WireMessage
 from rblab.protocols import RESILIENCE, ProtocolConfig, ProtocolKind, make_automaton
@@ -24,8 +24,8 @@ from rblab.simnet import NetParams, SimWorld, StepCapExceeded, Topology, Topolog
 
 MAX_N = 8
 _TIMES = (0.0, 0.0, 0.05, 0.3, 1.0)
-_STRATEGIES = {"silent": Silent, "crash": Crash, "equivocate": EquivocatingSource,
-               "corrupt": CorruptRelay}
+_STRATEGIES = {"none": Strategy, "silent": Silent, "crash": Crash,
+               "equivocate": EquivocatingSource, "corrupt": CorruptRelay}
 _POLICIES = (None, "stretch", "table")
 _KIND_VARIANTS = [(kind, variant) for kind, variants in KIND_VARIANTS.items()
                   for variant in sorted(variants)]
