@@ -70,7 +70,6 @@ from .simnet import (
     causal_depth,
     check_acc_consistency,
     check_broadcast_properties,
-    run,
 )
 
 __version__ = "0.1.0"
@@ -88,7 +87,7 @@ __all__ = [
     "causal_depth", "check_acc_consistency", "check_broadcast_properties",
     "corrupt_element", "decode_correcting", "decode_envelope",
     "decode_erasure", "encode", "encode_envelope", "envelope_size", "expand",
-    "make_automaton", "phase_of", "run",
+    "make_automaton", "phase_of",
     "run_scenario", "script_exec1", "script_exec2", "script_helper4",
     "Silent", "__version__",
 ]

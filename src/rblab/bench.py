@@ -29,7 +29,6 @@ from .adversary import (
     EquivocatingSource,
     ScenarioOptionError,
     Silent,
-    Strategy,
     UnknownScenario,
     build_world,
     run_scenario,
@@ -45,7 +44,6 @@ from .simnet import (
     TopologyKind,
     TraceRow,
 )
-from .simnet import run as simulate
 
 
 class ParseError(ValueError):
@@ -74,13 +72,12 @@ def _equivocator(config: ExperimentConfig, node: int) -> EquivocatingSource:
 # [adversary] strategy -> the constructor of a faulty node's strategy, given
 # the config and the node.
 _STRATEGY_OF = {
-    "none": lambda config, node: Strategy(),
     "silent": lambda config, node: Silent(),
     "crash": lambda config, node: Crash(config.crash_after),
     "equivocate": _equivocator,
     "corrupt-relay": lambda config, node: CorruptRelay(seed=config.seed + node),
 }
-STRATEGIES = tuple(_STRATEGY_OF)
+STRATEGIES = ("none", *_STRATEGY_OF)
 
 
 @dataclass
@@ -104,7 +101,6 @@ class ExperimentConfig:
     seed: int = 0
     strategy: str = "none"
     adversary_nodes: tuple[int, ...] | None = None
-    count: int = 1
     crash_after: int = 0
 
     def net_params(self) -> NetParams:
@@ -140,6 +136,9 @@ class ExperimentConfig:
             raise ValidationError(
                 f"unknown strategy {self.strategy!r}; choices: {', '.join(STRATEGIES)}")
         if self.adversary_nodes is not None:
+            if self.strategy == "none":
+                raise ValidationError(
+                    "[adversary] nodes needs a strategy; set one or leave the key out")
             if not self.adversary_nodes:
                 raise ValidationError(
                     "[adversary] nodes is empty; name at least one node or leave the key out")
@@ -151,28 +150,23 @@ class ExperimentConfig:
                 raise ValidationError(f"[adversary] nodes names {twice} more than once")
         if self.strategy == "crash" and self.crash_after < 0:
             raise ValidationError("crash_after must be >= 0")
-        if self.strategy != "none" and self.count < 1:
-            raise ValidationError(f"[adversary] count must be >= 1 with strategy "
-                                  f"{self.strategy!r}, got {self.count}")
         # An equivocation acts only through the source's first wave.
-        if self.strategy == "equivocate":
-            if self.adversary_nodes is not None and set(self.adversary_nodes) != {self.source}:
-                raise ValidationError(
-                    f"[adversary] strategy 'equivocate' corrupts only the source, so nodes "
-                    f"must name the source {self.source} alone, got {list(self.adversary_nodes)}")
-            if self.count != 1:
-                raise ValidationError(
-                    f"[adversary] strategy 'equivocate' corrupts only the source, so count "
-                    f"must be 1, got {self.count}")
+        if self.strategy == "equivocate" and self.adversary_nodes is not None \
+                and set(self.adversary_nodes) != {self.source}:
+            raise ValidationError(
+                f"[adversary] strategy 'equivocate' corrupts only the source, so nodes "
+                f"must name the source {self.source} alone, got {list(self.adversary_nodes)}")
 
     def faulty_nodes(self) -> list[int]:
+        """``nodes`` in the order given; left out, one node: the source for
+        ``equivocate``, else the highest-numbered node that is not the source."""
         if self.strategy == "none":
             return []
         if self.adversary_nodes is not None:
             return list(self.adversary_nodes)
         if self.strategy == "equivocate":
             return [self.source]
-        return [node for node in range(self.n - 1, -1, -1) if node != self.source][:self.count]
+        return [node for node in range(self.n - 1, -1, -1) if node != self.source][:1]
 
 
 def _node_list(raw: str) -> tuple[int, ...]:
@@ -206,7 +200,7 @@ _SCHEMA = {
                  "seed": ("seed", int)},
     "adversary": {"strategy": ("strategy", str),
                   "nodes": ("adversary_nodes", _node_list),
-                  "count": ("count", int), "crash_after": ("crash_after", int)},
+                  "crash_after": ("crash_after", int)},
 }
 # Parse errors name a value's type as docs/configuration.md does.
 _TYPE_NAMES = {_node_list: "int list"}
@@ -277,9 +271,11 @@ def run_experiment(config: ExperimentConfig, *, record_trace: bool = False,
     world = build_experiment(config, record_trace=record_trace,
                              allow_overfault=allow_overfault)
     workload = _workload(config)
+    for at, source, payload, h in workload:
+        world.broadcast(source, payload, h, at=at)
     error = ""
     try:
-        simulate(world, workload)
+        world.run()
     except StepCapExceeded as exc:
         error = str(exc)
     stats = world.stats

@@ -319,7 +319,6 @@ class _Inject:
     to: NodeId
     msg: WireMessage
     delay: float | None
-    depth: int
 
 
 @dataclass(slots=True)
@@ -401,11 +400,11 @@ class SimWorld:
         self._push(at, _Bcast(node, payload, h))
 
     def inject(self, at: float, frm: NodeId, to: NodeId, msg: WireMessage,
-               delay: float | None = None, depth: int = 1) -> None:
-        """Schedule a hand-crafted send at an absolute time (adversary use).
-        A copy injected with a ``delay`` of its own takes that delay and is
-        never shown to ``delay_policy``."""
-        self._push(at, _Inject(frm, to, msg, delay, depth))
+               delay: float | None = None) -> None:
+        """Schedule a hand-crafted send at an absolute time (adversary use),
+        at causal depth 1. A copy injected with a ``delay`` of its own takes
+        that delay and is never shown to ``delay_policy``."""
+        self._push(at, _Inject(frm, to, msg, delay))
 
     def quiescent(self) -> bool:
         return not self._queue
@@ -453,7 +452,7 @@ class SimWorld:
                 elif type(packet) is _Bcast:
                     self._process_bcast(packet)
                 else:
-                    self._emit(packet.frm, (packet.to,), packet.msg, packet.depth,
+                    self._emit(packet.frm, (packet.to,), packet.msg, 1,
                                forced_delay=packet.delay)
         finally:
             stats.events_processed += steps
@@ -555,13 +554,6 @@ class SimWorld:
                                    frm, kind, source, h, size, depth))
 
 
-def run(world: SimWorld, workload, until: float | None = None) -> RunStats:
-    """Issue a workload of (at, source, payload, h) broadcasts and drain."""
-    for at, source, payload, h in workload:
-        world.broadcast(source, payload, h, at=at)
-    return world.run(until=until)
-
-
 def causal_depth(stats: RunStats, s: NodeId, h: SeqIndex, node: NodeId) -> int:
     """Depth of the information chain behind ``node``'s delivery of (s, h)."""
     rec = stats.delivers.get((node, s, h))
@@ -581,7 +573,7 @@ def check_broadcast_properties(world: SimWorld) -> list[str]:
        what that source broadcast.
     3. No two non-faulty nodes deliver different payloads for the same
        (source, index).
-    4. No node delivers the same (source, index) twice.
+    4. No non-faulty node delivers the same (source, index) twice.
     5. If any non-faulty node delivers (source, index), every non-faulty
        node does.
     Returns human-readable violation descriptions (empty = clean).
@@ -591,7 +583,8 @@ def check_broadcast_properties(world: SimWorld) -> list[str]:
     honest = sorted(honest_set)
     stats = world.stats
     for key in stats.double_deliveries:
-        violations.append(f"integrity: node {key[0]} delivered {key[1:]} twice")
+        if key[0] in honest_set:
+            violations.append(f"integrity: node {key[0]} delivered {key[1:]} twice")
     honest_broadcasts = [(s, payload, h) for s, payload, h in world.broadcasts
                          if s in honest_set]
     for s, payload, h in honest_broadcasts:

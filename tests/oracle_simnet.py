@@ -94,8 +94,8 @@ class OracleWorld:
         self.sources.add(node)
         heapq.heappush(self.heap, (at, next(self.seq), ("bcast", node, payload, h)))
 
-    def inject(self, at, frm, to, msg, delay=None, depth: int = 1) -> None:
-        heapq.heappush(self.heap, (at, next(self.seq), ("inject", frm, to, msg, delay, depth)))
+    def inject(self, at, frm, to, msg, delay=None) -> None:
+        heapq.heappush(self.heap, (at, next(self.seq), ("inject", frm, to, msg, delay)))
 
     def run(self, until: float | None = None) -> None:
         steps = 0
@@ -110,8 +110,8 @@ class OracleWorld:
             elif item[0] == "bcast":
                 self._broadcast(*item[1:])
             else:
-                _, frm, to, msg, delay, depth = item
-                self._send(frm, to, msg, depth, delay)
+                _, frm, to, msg, delay = item
+                self._send(frm, to, msg, 1, delay)
         if until is not None and until > self.time:
             self.time = until
 

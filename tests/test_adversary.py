@@ -338,6 +338,9 @@ def test_a_node_is_made_faulty_once():
     world.attach_adversary(2, relay)
     with pytest.raises(ValueError, match="node 2 is already faulty"):
         world.attach_adversary(2, CorruptRelay())
+    for node in (-1, 7):
+        with pytest.raises(ValueError, match=rf"node {node} outside \[0, 7\)"):
+            world.attach_adversary(node, Silent())
     assert world.byzantine == {2} and world.automata[2] is relay
     assert type(relay.automaton) is type(world.automata[0])
 
@@ -347,7 +350,7 @@ class _Twins(Strategy):
     Systems Made Robust", OPODIS 2021) runs a faulty node. Twin 0 hears and
     speaks to the nodes in ``side``, twin 1 to the others, the node itself
     included: a receive goes to the twin of its sender's side, and each
-    twin's sends are filtered to its side. A twin's deliveries are dropped."""
+    twin's sends are filtered to its side. Both twins' deliveries are kept."""
 
     def __init__(self, side):
         self.side = frozenset(side)
@@ -359,7 +362,7 @@ class _Twins(Strategy):
     def step(self, event):
         twin = 0 if type(event) is Receive and event.frm in self.side else 1
         return [action for action in expand(self.twins[twin].step(event), self.automaton.n)
-                if type(action) is Send and (action.to in self.side) == (twin == 0)]
+                if type(action) is not Send or (action.to in self.side) == (twin == 0)]
 
 
 def test_a_twins_wrapper_runs_on_attach_adversary_alone():

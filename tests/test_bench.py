@@ -41,7 +41,6 @@ seed = 5
 
 [adversary]
 strategy = silent
-count = 1
 """
 
 
@@ -144,6 +143,8 @@ def test_the_strategy_row_lists_every_strategy_in_order():
                   "topology = tree\nfanout = 1"), "tree of n=4 hosts needs fanout >= 2, got 1"),
     (GOOD.replace("[workload]", "[workload]\nsource = 9"),
      "source 9 outside"),
+    (GOOD.replace("strategy = silent", "strategy = crash\ncrash_after = -1"),
+     "crash_after must be >= 0"),
 ])
 def test_validation_errors_name_the_bound(tmp_path, text, needle):
     with pytest.raises(ValidationError) as err:
@@ -177,18 +178,17 @@ def test_a_repeated_node_is_refused_not_run_as_one_faulty_node(tmp_path, capsys)
     assert config.faulty_nodes() == [2, 5]
 
 
-def test_a_zero_count_is_refused_not_run_with_every_other_node_faulty(tmp_path):
-    # strategy = silent with count = 0 once corrupted every non-source node.
-    text = "[protocol]\nkind = bracha\nn = 7\nf = 2\n\n[adversary]\nstrategy = silent\ncount = 0\n"
+def test_nodes_without_a_strategy_are_refused_not_run_honestly(tmp_path, capsys):
+    # nodes = 3 with no strategy once ran with no faulty node.
+    text = "[protocol]\nkind = bracha\nn = 4\nf = 1\n\n[adversary]\nnodes = 3\n"
+    path = _write(tmp_path, text)
     with pytest.raises(ValidationError) as err:
-        load_config(_write(tmp_path, text))
-    assert str(err.value) == "[adversary] count must be >= 1 with strategy 'silent', got 0"
-    for count in (0, -1):
-        with pytest.raises(ValidationError, match="count must be >= 1"):
-            ExperimentConfig(kind=ProtocolKind.BRACHA, n=7, f=2, strategy="crash",
-                             count=count).validate()
-    config = load_config(_write(tmp_path, text.replace("count = 0", "count = 2")))
-    assert config.faulty_nodes() == [6, 5]
+        load_config(path)
+    assert str(err.value) == "[adversary] nodes needs a strategy; set one or leave the key out"
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+    row, world = run_experiment(load_config(_write(tmp_path, text + "strategy = silent\n")))
+    assert world.byzantine == {3} and row["error"] == ""
 
 
 def test_a_bad_node_list_names_its_documented_type(tmp_path):
@@ -221,7 +221,7 @@ def test_config_object_validation_bounds():
 def test_equivocate_refuses_nodes_it_would_run_honestly(tmp_path):
     # An equivocation acts only through the source's first wave: a node
     # list naming another node once ran an honest experiment that reported
-    # that node as faulty, and a count above 1 was ignored.
+    # that node as faulty.
     text = ("[protocol]\nkind = bracha\nn = 7\nf = 2\n\n"
             "[adversary]\nstrategy = equivocate\n")
     for extra in ("nodes = 2\n", "nodes = 0, 2\n"):
@@ -230,11 +230,7 @@ def test_equivocate_refuses_nodes_it_would_run_honestly(tmp_path):
         assert str(err.value).startswith(
             "[adversary] strategy 'equivocate' corrupts only the source, so nodes "
             "must name the source 0 alone, got [")
-    with pytest.raises(ValidationError) as err:
-        load_config(_write(tmp_path, text + "count = 2\n"))
-    assert str(err.value) == ("[adversary] strategy 'equivocate' corrupts only the source, "
-                              "so count must be 1, got 2")
-    for extra in ("", "nodes = 0\n", "count = 1\n"):
+    for extra in ("", "nodes = 0\n"):
         assert load_config(_write(tmp_path, text + extra)).faulty_nodes() == [0]
     moved = load_config(_write(tmp_path, text.replace("[adversary]", "[workload]\nsource = 3\n\n"
                                                      "[adversary]") + "nodes = 3\n"))
@@ -242,16 +238,17 @@ def test_equivocate_refuses_nodes_it_would_run_honestly(tmp_path):
 
 
 def test_faulty_node_selection():
-    config = ExperimentConfig(kind=ProtocolKind.BRACHA, n=5, f=1,
-                              strategy="silent", count=2)
-    assert config.faulty_nodes() == [4, 3]
+    # Without `nodes`, one node is faulty: the highest-numbered node that
+    # is not the source, or the source for equivocate.
+    config = ExperimentConfig(kind=ProtocolKind.BRACHA, n=5, f=1, strategy="silent")
+    assert config.faulty_nodes() == [4]
     config.source = 4
-    assert config.faulty_nodes() == [3, 2]
+    assert config.faulty_nodes() == [3]
     config.strategy = "equivocate"
     assert config.faulty_nodes() == [4]
     config.strategy = "silent"
-    config.adversary_nodes = (1,)
-    assert config.faulty_nodes() == [1]
+    config.adversary_nodes = (1, 4, 0)
+    assert config.faulty_nodes() == [1, 4, 0]
 
 
 def test_net_params_unit_conversions():
@@ -326,6 +323,11 @@ def test_matrix_collects_and_sorts_rows(tmp_path):
     assert "5f+1" in broken["error"]
     assert all(broken[c] == "" for c in REPORT_COLUMNS
                if c not in ("protocol", "error"))
+    reseeded = run_matrix(sorted(tmp_path.glob("*.ini")), seed=11)
+    config = load_config(tmp_path / "b_double_echo.ini")
+    config.seed = 11
+    assert reseeded[0] == run_experiment(config)[0] != rows[0]
+    assert [row["seed"] for row in reseeded] == [11, 11, ""]
 
 
 def test_cli_run_and_exit_codes(tmp_path, capsys):
@@ -342,6 +344,21 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
                  name="bad.ini")
     assert main(["run", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+    assert main(["run", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    width = max(map(len, REPORT_COLUMNS))
+    assert [line[:width].rstrip() for line in lines] == list(REPORT_COLUMNS)
+    assert lines[REPORT_COLUMNS.index("seed")] == "seed".ljust(width) + "  5"
+
+
+def test_an_over_f_config_runs_only_with_allow_overfault(tmp_path, capsys):
+    path = _write(tmp_path, GOOD + "nodes = 2,3\n")
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == "error: attaching faulty node #2 exceeds f=1\n"
+    out = tmp_path / "row.json"
+    assert main(["run", str(path), "--allow-overfault", "--json", "--out", str(out)]) == 0
+    row = json.loads(out.read_text())
+    assert row["error"] == "" and row["deliveries"] == 0
 
 
 def test_cli_run_refuses_an_output_section_and_a_tree_depth(tmp_path, capsys):

@@ -117,6 +117,16 @@ def test_field_range_limits():
                                     digest=b"\0" * 31, element=None))
 
 
+def test_a_digest_is_exactly_32_bytes_on_the_wire():
+    with pytest.raises(MalformedEnvelope, match="digest must be 32 bytes"):
+        encode_envelope(WireMessage(MsgKind.REQ, 1, 1, digest=DIGEST[:31]))
+    header = encode_envelope(WireMessage(MsgKind.REQ, 1, 1, digest=DIGEST))[:HEADER_SIZE - 4]
+    for body, reason in ((DIGEST[:31], "body shorter than a digest"),
+                         (DIGEST + b"\0", "digest body has trailing bytes")):
+        with pytest.raises(MalformedEnvelope, match=reason):
+            decode_envelope(header + len(body).to_bytes(4, "big") + body)
+
+
 def test_truncations_never_parse():
     buf = encode_envelope(WireMessage(MsgKind.ECHO, 5, 9, digest=DIGEST,
                                       element=ELEMENT))

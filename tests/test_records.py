@@ -54,7 +54,7 @@ SLOTTED = {
     Deliver: lambda: Deliver(1, b"payload", 3),
     DeliverRecord: lambda: DeliverRecord(0.5, b"payload", 2),
     _Bcast: lambda: _Bcast(1, b"payload", 3),
-    _Inject: lambda: _Inject(0, 1, _msg(), None, 1),
+    _Inject: lambda: _Inject(0, 1, _msg(), None),
     TraceRow: lambda: TraceRow(0, 0.5, "recv", 1, 0, "ECHO", 1, 7, 45, 2),
 }
 

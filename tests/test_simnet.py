@@ -11,8 +11,8 @@ import pytest
 import oracle_simnet
 from conftest import count_sha256_runs, stretch_link
 from rblab import bench, codec, hashing, simnet
-from rblab.adversary import CorruptRelay, Silent, build_world
-from rblab.core import Closed, MsgKind, Receive, WireMessage
+from rblab.adversary import CorruptRelay, Silent, Strategy, build_world
+from rblab.core import BroadcastRequest, Closed, Deliver, MsgKind, Multicast, Receive, WireMessage
 from rblab.protocols import RESILIENCE, ProtocolKind, ecbrb
 from rblab.simnet import (
     InvalidTopology,
@@ -26,7 +26,6 @@ from rblab.simnet import (
     causal_depth,
     check_acc_consistency,
     check_broadcast_properties,
-    run,
 )
 
 
@@ -362,7 +361,8 @@ def test_step_cap_restores_the_collector():
 
 def test_causal_depth_and_deliveries():
     world = build_world(ProtocolKind.CRB_FLOOD, 3, 0)
-    stats = run(world, [(0.0, 0, b"one hop", 1)])
+    world.broadcast(0, b"one hop", 1)
+    stats = world.run()
     for node in range(3):
         assert causal_depth(stats, 0, 1, node) == 1
     assert {(s, h) for (i, s, h) in stats.delivers if i == 2} == {(0, 1)}
@@ -370,12 +370,27 @@ def test_causal_depth_and_deliveries():
         causal_depth(stats, 0, 99, 0)
 
 
-def test_module_level_run_issues_workload():
-    world = build_world(ProtocolKind.BRACHA, 4, 1)
-    stats = run(world, [(0.0, 0, b"a", 1), (0.5, 1, b"b", 1)])
-    assert len(stats.delivers) == 8
-    assert check_broadcast_properties(world) == []
-    assert world.quiescent()
+class _DeliversTwice:
+    """A stub node: multicasts a broadcast request's payload, and answers
+    each receive by delivering it twice."""
+
+    f = 1
+
+    def step(self, event):
+        if type(event) is BroadcastRequest:
+            return [Multicast(WireMessage(MsgKind.MSG, 0, event.h, payload=event.payload))]
+        msg = event.msg
+        return [Deliver(msg.source, msg.payload, msg.h)] * 2
+
+
+def test_only_an_honest_node_delivering_twice_breaks_integrity():
+    world = SimWorld([_DeliversTwice(), _DeliversTwice()])
+    world.attach_adversary(1, Strategy())
+    world.broadcast(0, b"twice", 1)
+    world.run()
+    assert sorted(world.stats.double_deliveries) == [(0, 0, 1), (1, 0, 1)]
+    assert world.stats.delivers[(0, 0, 1)].payload == b"twice"
+    assert check_broadcast_properties(world) == ["integrity: node 0 delivered (0, 1) twice"]
 
 
 def test_trace_field_order_is_stable():

@@ -76,8 +76,7 @@ def _worlds(draw, kind):
     payloads = [payload for payload, _ in broadcasts.values()]
     faulty = rnd.sample(range(n), draw(st.integers(0, f)))
     injects = [(rnd.choice(_TIMES), rnd.randrange(n), rnd.randrange(n),
-                _message(n, payloads, rnd), rnd.choice((None, None, 0.0, 0.2)),
-                rnd.randint(1, 3))
+                _message(n, payloads, rnd), rnd.choice((None, None, 0.0, 0.2)))
                for _ in range(draw(st.integers(0, 3)))]
     untils = sorted(rnd.choice((0.0, 0.1, 0.5, 1.0, 2.5))
                     for _ in range(draw(st.integers(0, 3))))
@@ -133,8 +132,8 @@ def _build(spec, world_class, **kwargs):
             lambda frm, to, msg: table.get((frm, to)) if msg.kind in kinds else None
     for source, h, payload, at in spec["broadcasts"]:
         world.broadcast(source, payload, h, at=at)
-    for at, frm, to, msg, delay, depth in spec["injects"]:
-        world.inject(at, frm, to, msg, delay=delay, depth=depth)
+    for at, frm, to, msg, delay in spec["injects"]:
+        world.inject(at, frm, to, msg, delay=delay)
     return world
 
 
