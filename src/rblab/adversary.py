@@ -421,14 +421,10 @@ def _honest_deliveries(world: SimWorld, s: NodeId, h: SeqIndex) -> list[DeliverR
             if i in honest and (ss, hh) == (s, h)]
 
 
-def _substitute_world(protocol: str, n: int, f: int, seed: int) -> SimWorld:
-    return build_world(ProtocolKind(protocol), n, f, seed=seed, strict_resilience=False)
-
-
 def scenario_exec1(seed: int = 0, f: int = 1, protocol: str | None = None) -> ScenarioResult:
     n = 5 * f
     if protocol is not None:
-        world = _substitute_world(protocol, n, f, seed)
+        world = build_world(ProtocolKind(protocol), n, f, seed=seed, strict_resilience=False)
         info = script_exec1(world)
         world.run()
         payloads = len({rec.payload for rec in _honest_deliveries(world, info.source, info.h)})
@@ -454,7 +450,7 @@ def scenario_exec2(seed: int = 0, f: int = 1, protocol: str | None = None) -> Sc
     n = 5 * f
     boundary = 3.0
     if protocol is not None:
-        world = _substitute_world(protocol, n, f, seed)
+        world = build_world(ProtocolKind(protocol), n, f, seed=seed, strict_resilience=False)
         info = script_exec2(world)
         world.run()
         times = [rec.time for rec in _honest_deliveries(world, info.source, info.h)]

@@ -148,6 +148,10 @@ class ExperimentConfig:
             twice = sorted({i for i in self.adversary_nodes if self.adversary_nodes.count(i) > 1})
             if twice:
                 raise ValidationError(f"[adversary] nodes names {twice} more than once")
+        if self.strategy != "none" and not self.faulty_nodes():
+            raise ValidationError(
+                f"[adversary] strategy {self.strategy!r} has no node to corrupt: with nodes "
+                f"left out it picks one other than the source, and n={self.n} has none")
         if self.strategy == "crash" and self.crash_after < 0:
             raise ValidationError("crash_after must be >= 0")
         # An equivocation acts only through the source's first wave.
@@ -359,8 +363,8 @@ def rows_to_csv(rows) -> str:
 
 
 def trace_to_text(world: SimWorld) -> str:
-    lines = ["\t".join(TraceRow.FIELDS)]
-    lines += ["\t".join(str(v) for v in row.as_tuple()) for row in world.trace]
+    lines = ["\t".join(TraceRow._fields)]
+    lines += ["\t".join(map(str, row)) for row in world.trace]
     return "\n".join(lines) + "\n"
 
 

@@ -98,21 +98,20 @@ class ProtocolConfig:
         return self.k if self.k is not None else CODE_DIMENSION[self.kind][1](self.n, self.f)
 
 
-_CLASSES: dict[ProtocolKind, type] = {}  # kind -> automaton class, filled on first use
-
-
 def make_automaton(config: ProtocolConfig):
     """Build the node's automaton; its constructor validates the config."""
-    if not _CLASSES:
-        # Not at the top: the protocol modules import this package.
-        from . import bracha, crb, ecbrb, hbrb
-        _CLASSES.update({
-            ProtocolKind.CRB_FLOOD: crb.CrbFlood,
-            ProtocolKind.EC_CRB: crb.EcCrb,
-            ProtocolKind.BRACHA: bracha.Bracha,
-            ProtocolKind.H_BRB_3F1: hbrb.HBrb3f1,
-            ProtocolKind.H_BRB_5F1: hbrb.HBrb5f1,
-            ProtocolKind.EC_BRB_3F1: ecbrb.EcBrb3f1,
-            ProtocolKind.EC_BRB_4F1: ecbrb.EcBrb4f1,
-        })
     return _CLASSES[config.kind](config)
+
+
+# At the end: the protocol modules import this package's names above.
+from . import bracha, crb, ecbrb, hbrb
+
+_CLASSES: dict[ProtocolKind, type] = {  # kind -> automaton class
+    ProtocolKind.CRB_FLOOD: crb.CrbFlood,
+    ProtocolKind.EC_CRB: crb.EcCrb,
+    ProtocolKind.BRACHA: bracha.Bracha,
+    ProtocolKind.H_BRB_3F1: hbrb.HBrb3f1,
+    ProtocolKind.H_BRB_5F1: hbrb.HBrb5f1,
+    ProtocolKind.EC_BRB_3F1: ecbrb.EcBrb3f1,
+    ProtocolKind.EC_BRB_4F1: ecbrb.EcBrb4f1,
+}

@@ -25,10 +25,11 @@ held. Once a node's only work left for an instance is answering REQs, its
 protocol ``close``s the instance (see ``core``), and ``step`` passes it
 nothing but REQs from then on.
 
-``DoubleEcho`` is the one quorum engine of bracha, h-brb-3f1, h-brb-5f1
-and ec-brb-3f1, and its ``tally`` counts every vote of theirs; they differ
-only in what a vote carries and what it counts for, and fetch a missing
-payload by one rule. ec-brb-4f1 counts its ACCs with the same ``tally``.
+``Automaton.tally`` counts a vote (an ECHO or an ACC) for a candidate and
+runs the protocol's ``check``. ``DoubleEcho`` is the one quorum engine of
+bracha, h-brb-3f1, h-brb-5f1 and ec-brb-3f1, and tallies every vote of
+theirs; they differ only in what a vote carries and what it counts for,
+and fetch a missing payload by one rule. ec-brb-4f1 tallies its ACCs.
 
 ``Fetching`` is the one fetch layer: the engine's fetch rule, the REQ and
 FWD handlers, and a ``close`` that keeps the payloads held, inherited by
@@ -134,6 +135,23 @@ class Automaton:
         # Kind -> handler function, resolved once per class for ``step``.
         cls._handler_of = {kind: handler for kind, name in cls._HANDLERS.items()
                            if (handler := getattr(cls, name, None)) is not None}
+
+    def tally(self, frm: NodeId, msg: WireMessage, rec: Instance | None,
+              key: Digest | None, count, learn: bool = False) -> list[Action]:
+        """Count ``frm``'s vote for candidate ``key`` with ``count`` (ECHO or
+        ACC) in ``rec``, opened if None; pass the vote to the ``learn`` hook
+        if told to, and run the ``check`` hook on the candidate."""
+        if key is None:
+            return []
+        s, h = msg.source, msg.h
+        if rec is None:
+            rec = self.instances[(s, h)] = Instance()
+        c = count(rec, key, frm)
+        if c is None:
+            return []
+        if learn:
+            self.learn(c, msg)
+        return self.check(rec, s, h, c)
 
     # -- action helpers -----------------------------------------------------
     def send_all(self, msg: WireMessage) -> list[Action]:
@@ -286,23 +304,6 @@ class DoubleEcho(Automaton):
 
     def on_acc(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
         return self.tally(frm, msg, rec, msg.digest, Instance.count_acc)
-
-    def tally(self, frm: NodeId, msg: WireMessage, rec: Instance | None,
-              key: Digest | None, count, learn: bool = False) -> list[Action]:
-        """Count ``frm``'s vote for candidate ``key`` with ``count`` (ECHO or
-        ACC) in ``rec``, opened if None, ``learn`` from the vote if told to,
-        and run the check."""
-        if key is None:
-            return []
-        s, h = msg.source, msg.h
-        if rec is None:
-            rec = self.instances[(s, h)] = Instance()
-        c = count(rec, key, frm)
-        if c is None:
-            return []
-        if learn:
-            self.learn(c, msg)
-        return self.check(rec, s, h, c)
 
     def check(self, rec: Instance, s: NodeId, h: SeqIndex, c: Candidate) -> list[Action]:
         """Apply the threshold table to ``c``; fetch its payload while missing."""

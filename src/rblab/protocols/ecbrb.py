@@ -119,11 +119,6 @@ class EcBrb3f1(Fetching, DoubleEcho):
 
 
 class EcBrb4f1(Fetching):
-    # ACCs are counted as the double-echo engine counts them; ``check``
-    # applies this protocol's rules.
-    on_acc = DoubleEcho.on_acc
-    tally = DoubleEcho.tally
-
     def __init__(self, config: ProtocolConfig):
         super().__init__(config)
         self.inner = Bracha(ProtocolConfig(
@@ -225,6 +220,9 @@ class EcBrb4f1(Fetching):
         rec.echo_voted |= bit
         rec.add_element(msg.element)
         return self.check(rec, s, h) if self._attempt_decode(rec) else []
+
+    def on_acc(self, frm: NodeId, msg: WireMessage, rec: Instance | None) -> list[Action]:
+        return self.tally(frm, msg, rec, msg.digest, Instance.count_acc)
 
     def _attempt_decode(self, rec: Instance) -> bool:
         """Error-correct the element set, once it holds n-f elements, under

@@ -37,8 +37,10 @@ take it with their one recipient. A queued copy is one
 ``(time, seq, to, packet)`` entry, where the packet holds what every
 copy of the emit shares: the ``Receive`` event, the envelope size, the
 depth, the instance's depth row and the kind's wire code as an int, so a
-receive neither builds a key nor looks the row up. A broadcast or an
-injected message is an entry with ``to = None``. Per-link state lives in
+receive neither builds a key nor looks the row up. A queued call, a
+broadcast or an injected message, is ``(time, seq, None, (method, args))``
+and runs ``method(world, *args)`` with ``_process_bcast`` or ``_emit``
+unbound, so a call holds no reference to its world. Per-link state lives in
 n x n tables: the hop counts and ``hops * base_delay`` are built once per
 (topology, n, base_delay) and shared read-only as tuples, while each world
 keeps its own lists of when each link's transmitter frees up and of its
@@ -89,6 +91,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import hashing
 from .core import (
@@ -285,14 +288,8 @@ class RunStats:
     def total_sent_bytes(self, kind: MsgKind | None = None) -> int:
         return _total(self._sent_bytes, kind)
 
-    def total_recv_bytes(self, kind: MsgKind | None = None) -> int:
-        return _total(self._recv_bytes, kind)
-
     def total_sent_count(self, kind: MsgKind | None = None) -> int:
         return _total(self._sent_count, kind)
-
-    def total_recv_count(self, kind: MsgKind | None = None) -> int:
-        return _total(self._recv_count, kind)
 
 
 def _views(tallies: list[list[int]]) -> list[Counter]:
@@ -306,23 +303,7 @@ def _total(tallies: list[list[int]], kind: MsgKind | None) -> int:
     return sum(row[kind] for row in tallies)
 
 
-@dataclass(slots=True)
-class _Bcast:
-    node: NodeId
-    payload: Payload
-    h: SeqIndex
-
-
-@dataclass(slots=True)
-class _Inject:
-    frm: NodeId
-    to: NodeId
-    msg: WireMessage
-    delay: float | None
-
-
-@dataclass(slots=True)
-class TraceRow:
+class TraceRow(NamedTuple):  # one traced event; the fields are the trace's columns
     index: int
     time: float
     event: str
@@ -333,13 +314,6 @@ class TraceRow:
     h: int
     size: int
     depth: int
-
-    FIELDS = ("index", "time", "event", "node", "frm", "kind",
-              "source", "h", "size", "depth")
-
-    def as_tuple(self) -> tuple:
-        return (self.index, repr(self.time), self.event, self.node, self.frm,
-                self.kind, self.source, self.h, self.size, self.depth)
 
 
 class SimWorld:
@@ -361,8 +335,8 @@ class SimWorld:
         self.delay_policy = None
         self.broadcasts: list[tuple[NodeId, Payload, SeqIndex]] = []
         self.trace: list[TraceRow] = []
-        # (time, seq, to, packet), or (time, seq, None, _Bcast | _Inject).
-        self._queue: list[tuple[float, int, NodeId | None, tuple | _Bcast | _Inject]] = []
+        # A copy (time, seq, to, packet), or a call (time, seq, None, (method, args)).
+        self._queue: list[tuple[float, int, NodeId | None, tuple]] = []
         self._seq = itertools.count()
         self._busy_until = [[0.0] * self.n for _ in range(self.n)]
         self._last_arrival = [[0.0] * self.n for _ in range(self.n)]
@@ -390,21 +364,24 @@ class SimWorld:
         self.automata[node] = strategy.wrap(self.automata[node])
 
     # -- scheduling ----------------------------------------------------------
-    def _push(self, time: float, item: _Bcast | _Inject) -> None:
-        heapq.heappush(self._queue, (time, next(self._seq), None, item))
+    def _push(self, at: float, method, *args) -> None:
+        """Queue the call ``method(self, *args)`` at ``at``, not before now."""
+        if at < self.time:
+            raise ValueError(f"cannot schedule at {at}, before the world's time {self.time}")
+        heapq.heappush(self._queue, (at, next(self._seq), None, (method, args)))
 
     def broadcast(self, node: NodeId, payload: Payload, h: SeqIndex,
                   at: float = 0.0) -> None:
+        self._push(at, SimWorld._process_bcast, node, payload, h)
         self.broadcasts.append((node, payload, h))
         self._source_nodes.add(node)
-        self._push(at, _Bcast(node, payload, h))
 
     def inject(self, at: float, frm: NodeId, to: NodeId, msg: WireMessage,
                delay: float | None = None) -> None:
         """Schedule a hand-crafted send at an absolute time (adversary use),
         at causal depth 1. A copy injected with a ``delay`` of its own takes
         that delay and is never shown to ``delay_policy``."""
-        self._push(at, _Inject(frm, to, msg, delay))
+        self._push(at, SimWorld._emit, frm, (to,), msg, 1, delay)
 
     def quiescent(self) -> bool:
         return not self._queue
@@ -449,20 +426,17 @@ class SimWorld:
                     actions = automata[to].step(event)
                     if actions:
                         self._apply(to, actions, ctx)
-                elif type(packet) is _Bcast:
-                    self._process_bcast(packet)
                 else:
-                    self._emit(packet.frm, (packet.to,), packet.msg, 1,
-                               forced_delay=packet.delay)
+                    method, args = packet
+                    method(self, *args)
         finally:
             stats.events_processed += steps
         if until is not None and until > self.time:
             self.time = until
         return stats
 
-    def _process_bcast(self, item: _Bcast) -> None:
-        node, h = item.node, item.h
-        actions = self.automata[node].step(BroadcastRequest(item.payload, h))
+    def _process_bcast(self, node: NodeId, payload: Payload, h: SeqIndex) -> None:
+        actions = self.automata[node].step(BroadcastRequest(payload, h))
         self._trace("bcast", node, node, "-", node, h, 0, 0)
         self._apply(node, actions, ctx=0)
 

@@ -116,7 +116,7 @@ class OracleWorld:
             self.time = until
 
     def _record(self, *row) -> None:
-        self.trace.append((len(self.trace), repr(self.time)) + row)
+        self.trace.append((len(self.trace), self.time) + row)
 
     def _broadcast(self, node, payload, h) -> None:
         actions = self.automata[node].step(BroadcastRequest(payload, h))

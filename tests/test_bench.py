@@ -22,7 +22,7 @@ from rblab.bench import (
     trace_to_text,
 )
 from rblab.protocols import ProtocolKind
-from rblab.simnet import TopologyKind
+from rblab.simnet import TopologyKind, TraceRow
 
 GOOD = """\
 [protocol]
@@ -125,6 +125,13 @@ def test_the_configuration_reference_matches_the_schema():
                 assert type(value) in (int, float) and value == type(value)(documented), key
 
 
+def test_the_wire_format_names_the_trace_columns_in_order():
+    text = (DOCS.parent / "wire-format.md").read_text(encoding="utf-8")
+    section = text.split("## Event trace", 1)[1]
+    fields_line = section.split("```", 2)[1].strip()
+    assert tuple(fields_line.split()) == TraceRow._fields
+
+
 def test_the_strategy_row_lists_every_strategy_in_order():
     row = next(line for line in DOCS.read_text(encoding="utf-8").splitlines()
                if line.startswith("| `strategy` |"))
@@ -189,6 +196,22 @@ def test_nodes_without_a_strategy_are_refused_not_run_honestly(tmp_path, capsys)
     assert capsys.readouterr().err == f"error: {err.value}\n"
     row, world = run_experiment(load_config(_write(tmp_path, text + "strategy = silent\n")))
     assert world.byzantine == {3} and row["error"] == ""
+
+
+def test_a_strategy_with_no_node_to_corrupt_is_refused_not_run_honestly(tmp_path, capsys):
+    # crb-flood at n = 1 with `silent` once ran with no faulty node: left
+    # out, `nodes` picks a node other than the source, and there is none.
+    text = "[protocol]\nkind = crb-flood\nn = 1\nf = 0\n\n[adversary]\nstrategy = silent\n"
+    path = _write(tmp_path, text)
+    with pytest.raises(ValidationError) as err:
+        load_config(path)
+    assert str(err.value) == (
+        "[adversary] strategy 'silent' has no node to corrupt: with nodes left out "
+        "it picks one other than the source, and n=1 has none")
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+    for fixed in (text + "nodes = 0\n", text.replace("silent", "equivocate")):
+        assert load_config(_write(tmp_path, fixed)).faulty_nodes() == [0]
 
 
 def test_a_bad_node_list_names_its_documented_type(tmp_path):

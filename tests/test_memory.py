@@ -80,6 +80,22 @@ def test_fault_matrix_worlds_are_freed_by_refcount(strategy):
     assert left and set(left.values()) == {0}, left
 
 
+def test_a_world_dropped_with_queued_calls_is_freed_by_refcount():
+    # A queued broadcast or injection holds an unbound method and its
+    # arguments, not the world it will run in.
+    n = 4
+    with collector_off():
+        world = SimWorld([make_automaton(ProtocolConfig(ProtocolKind.BRACHA, n, 1, node=i))
+                          for i in range(n)])
+        world.broadcast(0, b"early", 1)
+        world.broadcast(1, b"late", 1, at=5.0)
+        world.inject(6.0, 2, 3, WireMessage(MsgKind.ECHO, 1, 1, payload=b"late"))
+        world.run(until=1.0)
+        assert len(world._queue) == 2
+        del world
+        assert gc.collect() == 0
+
+
 # Bytes a finished world holds per broadcast beyond its schedule
 # (tracemalloc), for the five stream configs at 300 x 1 KiB broadcasts:
 # 1.25x a measured 1.55 KiB (crb-flood), 1.71 (bracha), 2.28 (h-brb-3f1),

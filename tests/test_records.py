@@ -1,7 +1,7 @@
 """The records built per message and per delivery.
 
-Messages, events, actions and the simulator's queue items and delivery
-records are plain slotted dataclasses: cheap to build, compared by value,
+Messages, events, actions and the simulator's delivery records are plain
+slotted dataclasses: cheap to build, compared by value,
 not hashable and mutable by Python's rules. Every recipient of a multicast
 shares one message object, so the program must never change a message once
 it is sent; the run-wide check below watches every message each node
@@ -30,9 +30,6 @@ from rblab.simnet import (
     DeliverRecord,
     NetParams,
     Topology,
-    TraceRow,
-    _Bcast,
-    _Inject,
     check_acc_consistency,
     check_broadcast_properties,
 )
@@ -53,9 +50,6 @@ SLOTTED = {
     Multicast: lambda: Multicast(_msg()),
     Deliver: lambda: Deliver(1, b"payload", 3),
     DeliverRecord: lambda: DeliverRecord(0.5, b"payload", 2),
-    _Bcast: lambda: _Bcast(1, b"payload", 3),
-    _Inject: lambda: _Inject(0, 1, _msg(), None),
-    TraceRow: lambda: TraceRow(0, 0.5, "recv", 1, 0, "ECHO", 1, 7, 45, 2),
 }
 
 

@@ -176,7 +176,7 @@ def test_jitter_is_seeded_and_deterministic():
                             seed=seed, record_trace=True)
         world.broadcast(0, b"jittered", 1)
         world.run()
-        return [row.as_tuple() for row in world.trace]
+        return world.trace
 
     assert trace_for(7) == trace_for(7)
     assert trace_for(7) != trace_for(8)
@@ -188,8 +188,8 @@ def test_conservation_and_loopback_accounting():
     world = build_world(ProtocolKind.CRB_FLOOD, 1, 0)
     world.broadcast(0, b"self", 1)
     stats = world.run()
-    assert stats.total_sent_bytes() == stats.total_recv_bytes()
-    assert stats.total_sent_count() == stats.total_recv_count()
+    assert stats.total_sent_bytes() == sum(c.total() for c in stats.recv_bytes)
+    assert stats.total_sent_count() == sum(c.total() for c in stats.recv_count)
     assert stats.total_sent_bytes() > 0  # loopback copies are still counted
     assert stats.delivers[(0, 0, 1)].payload == b"self"
 
@@ -296,8 +296,7 @@ def test_a_capped_world_resumes_as_if_never_capped():
     # Every run call stops before the event that would exceed the cap.
     assert trips == (uncapped.stats.events_processed - 1) // 5
     assert capped.stats.events_processed == uncapped.stats.events_processed == 74
-    assert [row.as_tuple() for row in capped.trace] \
-        == [row.as_tuple() for row in uncapped.trace]
+    assert capped.trace == uncapped.trace
     assert capped.stats.delivers == uncapped.stats.delivers
     assert check_broadcast_properties(capped) == []
 
@@ -394,14 +393,37 @@ def test_only_an_honest_node_delivering_twice_breaks_integrity():
 
 
 def test_trace_field_order_is_stable():
-    assert TraceRow.FIELDS == ("index", "time", "event", "node", "frm",
-                               "kind", "source", "h", "size", "depth")
+    assert TraceRow._fields == ("index", "time", "event", "node", "frm",
+                                "kind", "source", "h", "size", "depth")
     world = build_world(ProtocolKind.CRB_FLOOD, 2, 0, record_trace=True)
     world.broadcast(0, b"t", 1)
     world.run()
     first = world.trace[0]
     assert first.event == "bcast" and first.index == 0
-    assert len(first.as_tuple()) == len(TraceRow.FIELDS)
+    assert len(first) == len(TraceRow._fields)
+
+
+def test_scheduling_before_the_clock_is_refused():
+    # A broadcast at t = 0 after a run to t = 0.6 was once accepted, and
+    # the trace's time ran back.
+    world = build_world(ProtocolKind.BRACHA, 4, 1, record_trace=True)
+    world.broadcast(0, b"a", 1)
+    world.run()
+    assert world.time == pytest.approx(0.6)
+    late = WireMessage(MsgKind.ECHO, 1, 1, payload=b"b")
+    with pytest.raises(ValueError, match="before the world's time"):
+        world.broadcast(1, b"b", 1, at=0.0)
+    with pytest.raises(ValueError, match="before the world's time"):
+        world.inject(0.5, 1, 2, late)
+    assert world.quiescent() and world.broadcasts == [(0, b"a", 1)]
+    world.run(until=2.0)
+    with pytest.raises(ValueError, match="before the world's time"):
+        world.broadcast(1, b"b", 1, at=1.0)
+    world.broadcast(1, b"b", 1, at=2.0)
+    world.run()
+    times = [row.time for row in world.trace]
+    assert times == sorted(times) and times[-1] > 2.0
+    assert check_broadcast_properties(world) == []
 
 
 def test_truncated_run_reports_termination_violations():
@@ -517,7 +539,7 @@ def test_each_sent_message_is_sized_and_hashed_once(monkeypatch):
     world.broadcast(0, payload, 1)
     stats = world.run()
     assert check_broadcast_properties(world) == []
-    receives = stats.total_recv_count()
+    receives = sum(c.total() for c in stats.recv_count)
     assert receives == len(book.sent) == n + 2 * n * n
     assert set(book.sizers) == {"_emit"}          # never at receive
     assert len(book.sizers) == len(book.emits)    # once per emitted message
@@ -778,7 +800,7 @@ def test_each_distinct_tunneled_envelope_is_parsed_once_per_node(monkeypatch):
     world.broadcast(0, random.Random(5).randbytes(1024), 1)
     world.run()
     assert check_broadcast_properties(world) == []
-    assert world.stats.total_recv_count(MsgKind.HASH_RB) == n * (1 + 2 * n)
+    assert sum(c[MsgKind.HASH_RB] for c in world.stats.recv_count) == n * (1 + 2 * n)
     assert max(parses) <= 3, parses
     # Every node closed the instance; no parse is kept on its record.
     assert all(type(a.instances[(0, 1)]) is Closed for a in world.automata)

@@ -152,7 +152,7 @@ def _simulated(world):
     stats = world.stats
     return dict(
         time=world.time,
-        trace=[row.as_tuple() for row in world.trace],
+        trace=list(world.trace),
         delivers={key: (rec.time, rec.payload, rec.depth)
                   for key, rec in stats.delivers.items()},
         double_deliveries=stats.double_deliveries,
