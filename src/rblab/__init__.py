@@ -17,7 +17,6 @@ from .adversary import (
     Strategy,
     UnknownScenario,
     WitnessAutomaton,
-    WitnessProtocolConfig,
     build_witness_world,
     build_world,
     corrupt_element,
@@ -83,7 +82,7 @@ __all__ = [
     "Receive", "ResilienceViolation", "ScenarioOptionError", "ScenarioResult", "Send",
     "SimWorld", "StepCapExceeded", "Strategy", "SubsetDecoder", "Topology",
     "TopologyKind", "UnknownScenario", "WireMessage", "WitnessAutomaton",
-    "WitnessProtocolConfig", "build_witness_world", "build_world",
+    "build_witness_world", "build_world",
     "causal_depth", "check_acc_consistency", "check_broadcast_properties",
     "corrupt_element", "decode_correcting", "decode_envelope",
     "decode_erasure", "encode", "encode_envelope", "envelope_size", "expand",

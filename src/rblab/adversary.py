@@ -22,7 +22,7 @@ from __future__ import annotations
 import inspect
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import hashing
 from .codec import CodedElement
@@ -104,15 +104,20 @@ class Silent(Strategy):
         return []
 
 
-class Crash(Strategy):
+class _Rewriting(Strategy):
+    """Rewrites the honest actions, each Multicast expanded to one Send per
+    recipient, through the subclass's ``transform``."""
+
+    def step(self, event):
+        return self.transform(expand(self.automaton.step(event), self.automaton.n))
+
+
+class Crash(_Rewriting):
     """Honest until a send budget runs out, then dead; the budget can expire
     mid-multicast, truncating the fan-out partway through."""
 
     def __init__(self, after_sends: int):
         self.remaining = after_sends
-
-    def step(self, event):
-        return self.transform(expand(self.automaton.step(event), self.automaton.n))
 
     def transform(self, actions: list[Action]) -> list[Action]:
         if self.remaining <= 0:
@@ -164,15 +169,12 @@ def corrupt_element(element: CodedElement, seed) -> CodedElement:
     return CodedElement(element.index, element.data, element.claimed_len ^ 1)
 
 
-class CorruptRelay(Strategy):
+class CorruptRelay(_Rewriting):
     """Relays protocol traffic but flips bytes in every coded element it
     sends to others (headers and its own loopback copies stay intact)."""
 
     def __init__(self, seed: int = 0):
         self.seed = seed
-
-    def step(self, event):
-        return self.transform(expand(self.automaton.step(event), self.automaton.n))
 
     def transform(self, actions: list[Action]) -> list[Action]:
         node = self.automaton.me
@@ -183,9 +185,7 @@ class CorruptRelay(Strategy):
                 msg = action.msg
                 key = (f"{self.seed}:{node}:{action.to}:{int(msg.kind)}:"
                        f"{msg.source}:{msg.h}:{msg.element.index}")
-                corrupted = WireMessage(msg.kind, msg.source, msg.h, msg.payload, msg.digest,
-                                        corrupt_element(msg.element, key), msg.instance)
-                out.append(Send(action.to, corrupted))
+                out.append(Send(action.to, replace(msg, element=corrupt_element(msg.element, key))))
             else:
                 out.append(action)
         return out
@@ -193,34 +193,23 @@ class CorruptRelay(Strategy):
 
 # -- naive witness protocol ---------------------------------------------------
 
-@dataclass
-class WitnessProtocolConfig:
-    """Parameters of the strawman: deliver after ``deliver_threshold``
-    witness messages; ``allow_double_witness`` lets a node witness more
-    than one value per broadcast (used only by the scripted timelines)."""
-
-    n: int
-    f: int
-    deliver_threshold: int
-    allow_double_witness: bool = False
-
-    def validate(self) -> None:
-        if not 1 <= self.deliver_threshold <= self.n:
-            raise ValueError(
-                f"deliver_threshold {self.deliver_threshold} outside [1, {self.n}]")
-
-
 class WitnessAutomaton(Automaton):
-    """One node of the strawman witness protocol (see the module docstring).
-    ``Automaton.step`` dispatches its events and sends the source's MSG
-    wave; it handles MSG and ECHO only and ignores every other kind."""
+    """One node of the strawman witness protocol (see the module docstring):
+    it delivers after ``deliver_threshold`` witness messages, and
+    ``allow_double_witness`` lets it witness more than one value per
+    broadcast (used only by the scripted timelines). ``Automaton.step``
+    dispatches its events and sends the source's MSG wave; it handles MSG
+    and ECHO only and ignores every other kind."""
 
-    def __init__(self, config: WitnessProtocolConfig, node: NodeId):
-        config.validate()
-        self.config = config
-        self.n = config.n
-        self.f = config.f
+    def __init__(self, n: int, f: int, node: NodeId, deliver_threshold: int,
+                 allow_double_witness: bool = False):
+        if not 1 <= deliver_threshold <= n:
+            raise ValueError(f"deliver_threshold {deliver_threshold} outside [1, {n}]")
+        self.n = n
+        self.f = f
         self.me = node
+        self.deliver_threshold = deliver_threshold
+        self.allow_double_witness = allow_double_witness
         self.instances = {}  # looked up by ``step``; the strawman opens none
         self.supporters: dict[tuple[NodeId, SeqIndex, Payload], set[NodeId]] = {}
         self.witnessed: dict[tuple[NodeId, SeqIndex], set[Payload]] = {}
@@ -242,7 +231,7 @@ class WitnessAutomaton(Automaton):
         actions: list[Action] = []
         if len(senders) >= self.f + 1:
             actions += self._witness(s, h, m)
-        if len(senders) >= self.config.deliver_threshold and (s, h) not in self.delivered:
+        if len(senders) >= self.deliver_threshold and (s, h) not in self.delivered:
             self.delivered.add((s, h))
             actions.append(Deliver(s, m, h))
         return actions
@@ -250,7 +239,7 @@ class WitnessAutomaton(Automaton):
     def _witness(self, s: NodeId, h: SeqIndex, m: Payload) -> list[Action]:
         # One value per broadcast, or each value once under double witnessing.
         done = self.witnessed.setdefault((s, h), set())
-        if (m in done) if self.config.allow_double_witness else done:
+        if (m in done) if self.allow_double_witness else done:
             return []
         done.add(m)
         return [Multicast(WireMessage(MsgKind.ECHO, s, h, payload=m))]
@@ -263,8 +252,8 @@ class WitnessAutomaton(Automaton):
 def build_witness_world(f: int, deliver_threshold: int, *,
                         allow_double_witness: bool = False, seed: int = 0) -> SimWorld:
     n = 5 * f
-    config = WitnessProtocolConfig(n, f, deliver_threshold, allow_double_witness)
-    return SimWorld([WitnessAutomaton(config, i) for i in range(n)], seed=seed)
+    return SimWorld([WitnessAutomaton(n, f, i, deliver_threshold, allow_double_witness)
+                     for i in range(n)], seed=seed)
 
 
 # -- scripted executions -------------------------------------------------------
@@ -366,7 +355,7 @@ def script_exec2(world: SimWorld) -> ScriptInfo:
     return ScriptInfo(b, h, _M1, _M2, g, phase=1.0)
 
 
-def script_helper4(world: SimWorld, *, equivocate: bool = True) -> ScriptInfo:
+def script_helper4(world: SimWorld) -> ScriptInfo:
     """Six-node slow-node timeline for the digest-voting 3f+1 protocol: the
     faulty source shows node 0 a different value, and vote deliveries to
     node 0 are timed so its payload request can only start after the vote
@@ -386,8 +375,7 @@ def script_helper4(world: SimWorld, *, equivocate: bool = True) -> ScriptInfo:
         return 0.9
 
     world.delay_policy = policy
-    first = WireMessage(MsgKind.MSG, b, h, payload=m_evil if equivocate else m)
-    world.inject(0.0, b, victim, first, delay=0.9)
+    world.inject(0.0, b, victim, WireMessage(MsgKind.MSG, b, h, payload=m_evil), delay=0.9)
     for to in range(1, 5):
         world.inject(0.0, b, to, WireMessage(MsgKind.MSG, b, h, payload=m), delay=0.9)
     for to in range(1, 5):

@@ -18,6 +18,7 @@ import configparser
 import csv
 import io
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -54,12 +55,13 @@ class ValidationError(ValueError):
     """The config describes an impossible experiment; names the bound."""
 
 
+# One ``msgs_<kind>`` column per message kind, in ``MsgKind`` order.
+_MSG_COLUMNS = {f"msgs_{kind.name.lower()}": kind for kind in MsgKind}
 REPORT_COLUMNS = (
     "protocol", "n", "f", "k", "L", "seed", "topology", "bandwidth",
     "broadcasts", "deliveries", "duration", "throughput",
     "mean_latency", "max_latency", "source_bytes", "total_bytes",
-    "msgs_msg", "msgs_echo", "msgs_acc", "msgs_req", "msgs_fwd",
-    "msgs_hash_rb", "depth", "error",
+    *_MSG_COLUMNS, "depth", "error",
 )
 
 
@@ -126,12 +128,13 @@ class ExperimentConfig:
             raise ValidationError("broadcasts must be >= 1")
         if self.payload_size < 1:
             raise ValidationError("payload_size must be >= 1")
-        if self.gap < 0 or self.base_delay < 0 or self.jitter < 0:
-            raise ValidationError("gap, base_delay, and jitter must be >= 0")
+        # Written so that NaN fails each check.
+        if not all(0 <= value < math.inf for value in (self.gap, self.base_delay, self.jitter)):
+            raise ValidationError("gap, base_delay, and jitter must be >= 0 and finite")
         for name in ("bandwidth_mbit", "source_bandwidth_kbytes"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValidationError(f"{name} must be positive")
+            if value is not None and not 0 < value < math.inf:
+                raise ValidationError(f"{name} must be positive and finite")
         if self.strategy not in STRATEGIES:
             raise ValidationError(
                 f"unknown strategy {self.strategy!r}; choices: {', '.join(STRATEGIES)}")
@@ -310,12 +313,7 @@ def run_experiment(config: ExperimentConfig, *, record_trace: bool = False,
         "max_latency": max(latencies) if latencies else "",
         "source_bytes": sum(stats.sent_bytes[config.source].values()),
         "total_bytes": stats.total_sent_bytes(),
-        "msgs_msg": stats.total_sent_count(MsgKind.MSG),
-        "msgs_echo": stats.total_sent_count(MsgKind.ECHO),
-        "msgs_acc": stats.total_sent_count(MsgKind.ACC),
-        "msgs_req": stats.total_sent_count(MsgKind.REQ),
-        "msgs_fwd": stats.total_sent_count(MsgKind.FWD),
-        "msgs_hash_rb": stats.total_sent_count(MsgKind.HASH_RB),
+        **{column: stats.total_sent_count(kind) for column, kind in _MSG_COLUMNS.items()},
         "depth": max(depths) if depths else "",
         "error": error,
     }
@@ -384,26 +382,20 @@ def _row_text(row: dict, args) -> str:
     return "".join(f"{c.ljust(width)}  {_fmt(row[c])}\n" for c in REPORT_COLUMNS)
 
 
-def _run_config(args, record_trace: bool = False):
-    """Load ``args.config``, apply ``--seed`` and run it; returns (row,
-    world), or None after reporting a bad config."""
+def _cmd_run(args) -> int:
+    """``run`` and ``trace``: load ``args.config``, apply ``--seed``, run it
+    and write the report, or for ``trace`` the event trace."""
+    trace = args.command == "trace"
     try:
         config = load_config(args.config)
         if args.seed is not None:
             config.seed = args.seed
-        return run_experiment(config, record_trace=record_trace,
-                              allow_overfault=args.allow_overfault)
+        row, world = run_experiment(config, record_trace=trace,
+                                    allow_overfault=args.allow_overfault)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return None
-
-
-def _cmd_run(args) -> int:
-    ran = _run_config(args)
-    if ran is None:
         return 2
-    row, _ = ran
-    _emit(_row_text(row, args), args.out)
+    _emit(trace_to_text(world) if trace else _row_text(row, args), args.out)
     return 1 if row["error"] else 0
 
 
@@ -439,38 +431,29 @@ def _cmd_scenario(args) -> int:
     return 0 if result.passed else 1
 
 
-def _cmd_trace(args) -> int:
-    ran = _run_config(args, record_trace=True)
-    if ran is None:
-        return 2
-    row, world = ran
-    _emit(trace_to_text(world), args.out)
-    return 1 if row["error"] else 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="rblab",
         description="Reliable-broadcast protocol laboratory benchmark CLI.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # The options run, matrix and trace share.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=None,
+                        help="override the workload seed")
+    common.add_argument("--out", default=None, help="write the output here")
+    common.add_argument("--allow-overfault", action="store_true",
+                        help="permit more faulty nodes than f")
 
-    p_run = sub.add_parser("run", help="run one experiment config")
+    p_run = sub.add_parser("run", parents=[common], help="run one experiment config")
     p_run.add_argument("config", help="path to an INI experiment config")
-    p_run.add_argument("--seed", type=int, default=None,
-                       help="override the workload seed")
-    p_run.add_argument("--out", default=None, help="write the report here")
     p_run.add_argument("--csv", action="store_true", help="emit CSV")
     p_run.add_argument("--json", action="store_true", help="emit JSON")
-    p_run.add_argument("--allow-overfault", action="store_true",
-                       help="permit more faulty nodes than f")
     p_run.set_defaults(fn=_cmd_run)
 
-    p_matrix = sub.add_parser("matrix", help="run many configs, emit sorted CSV")
+    p_matrix = sub.add_parser("matrix", parents=[common],
+                              help="run many configs, emit sorted CSV")
     p_matrix.add_argument("configs", nargs="+",
                           help="config files or directories of .ini files")
-    p_matrix.add_argument("--seed", type=int, default=None)
-    p_matrix.add_argument("--out", default=None)
-    p_matrix.add_argument("--allow-overfault", action="store_true")
     p_matrix.set_defaults(fn=_cmd_matrix)
 
     p_scenario = sub.add_parser("scenario", help="run a named adversarial scenario")
@@ -481,12 +464,10 @@ def main(argv=None) -> int:
                             help="substitute a real protocol into the script")
     p_scenario.set_defaults(fn=_cmd_scenario)
 
-    p_trace = sub.add_parser("trace", help="run one config and dump the event trace")
+    p_trace = sub.add_parser("trace", parents=[common],
+                             help="run one config and dump the event trace")
     p_trace.add_argument("config")
-    p_trace.add_argument("--seed", type=int, default=None)
-    p_trace.add_argument("--out", default=None)
-    p_trace.add_argument("--allow-overfault", action="store_true")
-    p_trace.set_defaults(fn=_cmd_trace)
+    p_trace.set_defaults(fn=_cmd_run)
 
     args = parser.parse_args(argv)
     return args.fn(args)

@@ -375,7 +375,7 @@ class Instance:
 
     __slots__ = (
         "candidates", "echo_voted", "acc_voted", "req_taken", "fwd_taken",
-        "msg_seen", "echo_sent", "acc_sent", "decoded", "delivered",
+        "msg_seen", "echo_sent", "acc_sent", "delivered",
         "elements", "decoded_lens", "endorsed",
     )
 
@@ -388,7 +388,6 @@ class Instance:
         self.msg_seen = False   # the source's MSG (or first flood copy) was taken
         self.echo_sent = False
         self.acc_sent = False
-        self.decoded = False    # ec-crb ran its one erasure decode
         self.delivered = False
         # ec-crb, ec-brb-4f1: the distinct elements held
         self.elements: set[CodedElement] | None = None

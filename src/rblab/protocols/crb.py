@@ -74,11 +74,11 @@ class EcCrb(Fetching):
 
     def _store(self, rec: Instance, s: NodeId, h: SeqIndex,
                element: CodedElement) -> list[Action]:
-        """Hold ``element`` and decode, once, when k are held, unless the
-        payload was delivered first."""
-        if rec.acc_sent or rec.decoded or len(rec.add_element(element)) < self.params.k:
+        """Hold ``element`` and decode, once, when k are first held, unless
+        the payload was delivered first. No element is added after that."""
+        k = self.params.k
+        if rec.acc_sent or len(rec.elements or ()) >= k or len(rec.add_element(element)) < k:
             return self.check(rec, s, h)
-        rec.decoded = True
         elements = sorted(rec.elements, key=lambda e: (e.index, e.data))
         try:
             payload = decode_erasure(elements[: self.params.k], self.params,

@@ -85,6 +85,7 @@ import ctypes
 import gc
 import heapq
 import itertools
+import math
 import random
 import sys
 from collections import Counter
@@ -365,9 +366,11 @@ class SimWorld:
 
     # -- scheduling ----------------------------------------------------------
     def _push(self, at: float, method, *args) -> None:
-        """Queue the call ``method(self, *args)`` at ``at``, not before now."""
-        if at < self.time:
-            raise ValueError(f"cannot schedule at {at}, before the world's time {self.time}")
+        """Queue the call ``method(self, *args)`` at ``at``: a finite time,
+        not before now."""
+        if not self.time <= at < math.inf:
+            raise ValueError(f"cannot schedule at {at}: a time must be finite and not "
+                             f"before the world's time {self.time}")
         heapq.heappush(self._queue, (at, next(self._seq), None, (method, args)))
 
     def broadcast(self, node: NodeId, payload: Payload, h: SeqIndex,
@@ -381,6 +384,8 @@ class SimWorld:
         """Schedule a hand-crafted send at an absolute time (adversary use),
         at causal depth 1. A copy injected with a ``delay`` of its own takes
         that delay and is never shown to ``delay_policy``."""
+        if delay is not None and not 0 <= delay < math.inf:
+            raise ValueError(f"delay {delay} must be >= 0 and finite")
         self._push(at, SimWorld._emit, frm, (to,), msg, 1, delay)
 
     def quiescent(self) -> bool:

@@ -15,7 +15,6 @@ from rblab.adversary import (
     Strategy,
     UnknownScenario,
     WitnessAutomaton,
-    WitnessProtocolConfig,
     build_witness_world,
     build_world,
     corrupt_element,
@@ -46,30 +45,29 @@ from rblab.simnet import (
 
 # -- naive witness protocol ------------------------------------------------------
 
-def _wcfg(threshold, double=False, n=5, f=1):
-    return WitnessProtocolConfig(n, f, threshold, allow_double_witness=double)
+def _witness(threshold, double=False, n=5, f=1):
+    return WitnessAutomaton(n, f, 0, threshold, allow_double_witness=double)
 
 
-def test_witness_config_bounds():
-    _wcfg(1).validate()
-    _wcfg(5).validate()
+def test_witness_threshold_bounds():
+    _witness(1)
+    _witness(5)
     with pytest.raises(ValueError):
-        _wcfg(0).validate()
+        _witness(0)
     with pytest.raises(ValueError):
-        _wcfg(6).validate()
+        _witness(6)
 
 
 def test_witness_source_and_direct_witness():
-    cfg = _wcfg(3)
-    node = WitnessAutomaton(cfg, 0)
+    node = _witness(3)
     acts = node.step(BroadcastRequest(b"m", 1))
     assert [type(a) for a in acts] == [Multicast]  # one action per wave
-    wave = expand(acts, cfg.n)
+    wave = expand(acts, node.n)
     assert [a.to for a in wave] == [0, 1, 2, 3, 4]
     assert all(a.msg.kind is MsgKind.MSG for a in wave)
     # Direct witness: MSG from its claimed source triggers a witness wave.
     msg = WireMessage(MsgKind.MSG, 2, 1, payload=b"v")
-    wave = expand(node.step(Receive(2, msg)), cfg.n)
+    wave = expand(node.step(Receive(2, msg)), node.n)
     assert all(a.msg.kind is MsgKind.ECHO and a.msg.payload == b"v" for a in wave)
     assert len(wave) == 5
     # A relayed MSG (sender is not the source) is not trusted.
@@ -80,13 +78,12 @@ def test_witness_source_and_direct_witness():
 
 
 def test_witness_indirect_threshold_and_delivery():
-    cfg = _wcfg(3)
-    node = WitnessAutomaton(cfg, 0)
+    node = _witness(3)
     wit = WireMessage(MsgKind.ECHO, 4, 1, payload=b"v")
     assert node.step(Receive(1, wit)) == []
     assert node.step(Receive(1, wit)) == []  # same sender
     # f+1 distinct witnesses: witness indirectly.
-    acts = expand(node.step(Receive(2, wit)), cfg.n)
+    acts = expand(node.step(Receive(2, wit)), node.n)
     assert len(acts) == 5 and all(isinstance(a, Send) for a in acts)
     acts = node.step(Receive(3, wit))
     assert acts == [Deliver(4, b"v", 1)]
@@ -95,8 +92,7 @@ def test_witness_indirect_threshold_and_delivery():
 
 
 def test_double_witness_toggle():
-    cfg_off = _wcfg(5)
-    plain = WitnessAutomaton(cfg_off, 0)
+    plain = _witness(5)
     wit1 = WireMessage(MsgKind.ECHO, 4, 1, payload=b"v1")
     wit2 = WireMessage(MsgKind.ECHO, 4, 1, payload=b"v2")
     for frm in (1, 2):
@@ -105,13 +101,12 @@ def test_double_witness_toggle():
     for frm in (1, 2):
         assert plain.step(Receive(frm, wit2)) == []
 
-    cfg_on = _wcfg(5, double=True)
-    eager = WitnessAutomaton(cfg_on, 0)
+    eager = _witness(5, double=True)
     for frm in (1, 2):
         eager.step(Receive(frm, wit1))
     acts = eager.step(Receive(1, wit2))
     assert acts == []
-    acts = expand(eager.step(Receive(2, wit2)), cfg_on.n)
+    acts = expand(eager.step(Receive(2, wit2)), eager.n)
     assert len(acts) == 5  # second witness wave, for the second value
     # But each value is witnessed at most once.
     assert eager.step(Receive(3, wit2)) == []
@@ -147,7 +142,7 @@ _REQUEST = BroadcastRequest(b"x", 1)
 
 
 def test_silent_strategy_suppresses_everything():
-    node = WitnessAutomaton(_wcfg(3), 0)
+    node = _witness(3)
     silent = Silent().wrap(node)
     assert silent.step(_REQUEST) == []
     assert silent.step(Receive(2, WireMessage(MsgKind.MSG, 2, 1, payload=b"v"))) == []
@@ -499,16 +494,6 @@ def test_slow_node_delivery_lands_in_phase_five():
     result = run_scenario("helper4")
     assert result.passed
     assert any("phase r+5" in msg for msg in result.messages)
-
-
-def test_honest_source_variant_finishes_two_phases_sooner():
-    world = build_world(ProtocolKind.H_BRB_3F1, 6, 1)
-    info = script_helper4(world, equivocate=False)
-    world.run()
-    rec = world.stats.delivers[(0, info.source, info.h)]
-    assert rec.payload == info.m1
-    assert rec.time == pytest.approx(3.2)
-    assert phase_of(rec.time, info.phase) == 3
 
 
 def test_scenario_registry_all_pass():

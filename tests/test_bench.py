@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from rblab import bench
 from rblab.adversary import ScenarioResult
 from rblab.bench import (
     _SCHEMA,
@@ -132,6 +133,13 @@ def test_the_wire_format_names_the_trace_columns_in_order():
     assert tuple(fields_line.split()) == TraceRow._fields
 
 
+def test_the_wire_format_names_the_report_columns_in_order():
+    text = (DOCS.parent / "wire-format.md").read_text(encoding="utf-8")
+    section = text.split("## Report CSV", 1)[1].split("\n## ", 1)[0]
+    listed = section.split("in\norder:", 1)[1].split(".\n", 1)[0]
+    assert tuple(re.findall(r"[a-z_A-Z]+", listed)) == REPORT_COLUMNS
+
+
 def test_the_strategy_row_lists_every_strategy_in_order():
     row = next(line for line in DOCS.read_text(encoding="utf-8").splitlines()
                if line.startswith("| `strategy` |"))
@@ -152,6 +160,7 @@ def test_the_strategy_row_lists_every_strategy_in_order():
      "source 9 outside"),
     (GOOD.replace("strategy = silent", "strategy = crash\ncrash_after = -1"),
      "crash_after must be >= 0"),
+    (GOOD.replace("seed = 5", "seed = 5\ngap = nan"), "jitter must be >= 0 and finite"),
 ])
 def test_validation_errors_name_the_bound(tmp_path, text, needle):
     with pytest.raises(ValidationError) as err:
@@ -236,6 +245,16 @@ def test_config_object_validation_bounds():
         ExperimentConfig(**base, jitter=-1.0).validate()
     with pytest.raises(ValidationError, match="bandwidth_mbit"):
         ExperimentConfig(**base, bandwidth_mbit=0.0).validate()
+    # NaN passes a plain ``< 0`` check; a gap of nan once ran to nan times.
+    nan, inf = float("nan"), float("inf")
+    for name in ("gap", "base_delay", "jitter"):
+        for value in (nan, inf):
+            with pytest.raises(ValidationError, match="must be >= 0 and finite"):
+                ExperimentConfig(**base, **{name: value}).validate()
+    for name in ("bandwidth_mbit", "source_bandwidth_kbytes"):
+        for value in (nan, inf):
+            with pytest.raises(ValidationError, match=f"{name} must be positive and finite"):
+                ExperimentConfig(**base, **{name: value}).validate()
     with pytest.raises(ValidationError, match="adversary nodes"):
         ExperimentConfig(**base, strategy="silent",
                          adversary_nodes=(7,)).validate()
@@ -372,6 +391,16 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     width = max(map(len, REPORT_COLUMNS))
     assert [line[:width].rstrip() for line in lines] == list(REPORT_COLUMNS)
     assert lines[REPORT_COLUMNS.index("seed")] == "seed".ljust(width) + "  5"
+
+
+def test_a_step_capped_run_reports_its_error(tmp_path, monkeypatch):
+    build_world = bench.build_world
+    monkeypatch.setattr(bench, "build_world",
+                        lambda *args, **kw: build_world(*args, **kw, max_steps=5))
+    out = tmp_path / "row.json"
+    assert main(["run", str(_write(tmp_path, GOOD)), "--json", "--out", str(out)]) == 1
+    row = json.loads(out.read_text())
+    assert row["error"] == "exceeded 5 events"
 
 
 def test_an_over_f_config_runs_only_with_allow_overfault(tmp_path, capsys):

@@ -14,7 +14,7 @@ import pytest
 
 import test_acceptance
 from test_acceptance import FAULT_MATRIX, _fault_injected_violations
-from rblab.adversary import WitnessAutomaton, WitnessProtocolConfig, build_world
+from rblab.adversary import WitnessAutomaton, build_world
 from rblab.codec import CodedElement, CodeParams
 from rblab.core import (
     BroadcastRequest,
@@ -88,7 +88,7 @@ def test_step_rejects_an_event_that_is_not_one(kind):
 
 
 def test_the_witness_strawman_rejects_a_non_event_and_tallies_only_what_it_reads():
-    node = WitnessAutomaton(WitnessProtocolConfig(5, 1, deliver_threshold=1), node=0)
+    node = WitnessAutomaton(5, 1, node=0, deliver_threshold=1)
     for event in (object(), Send(1, _msg()), Deliver(0, b"m", 1), _msg()):
         with pytest.raises(TypeError):
             node.step(event)

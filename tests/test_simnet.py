@@ -423,6 +423,31 @@ def test_scheduling_before_the_clock_is_refused():
     world.run()
     times = [row.time for row in world.trace]
     assert times == sorted(times) and times[-1] > 2.0
+
+
+@pytest.mark.parametrize("at", [float("nan"), float("inf")])
+def test_scheduling_at_a_time_that_is_not_finite_is_refused(at):
+    # A broadcast at nan was once accepted, since nan < now is false, and
+    # broke the queue's ordering.
+    world = build_world(ProtocolKind.BRACHA, 4, 1)
+    msg = WireMessage(MsgKind.ECHO, 1, 1, payload=b"b")
+    with pytest.raises(ValueError, match="must be finite"):
+        world.broadcast(0, b"a", 1, at=at)
+    with pytest.raises(ValueError, match="must be finite"):
+        world.inject(at, 1, 2, msg)
+    assert world.quiescent() and world.broadcasts == []
+
+
+@pytest.mark.parametrize("delay", [-0.5, float("nan"), float("inf")])
+def test_an_injected_delay_that_is_negative_or_not_finite_is_refused(delay):
+    world = build_world(ProtocolKind.BRACHA, 4, 1)
+    msg = WireMessage(MsgKind.ECHO, 1, 1, payload=b"b")
+    with pytest.raises(ValueError, match="must be >= 0 and finite"):
+        world.inject(0.0, 1, 2, msg, delay=delay)
+    assert world.quiescent()
+    world.inject(0.0, 1, 2, msg, delay=0.0)
+    world.run()
+    assert world.time == 0.0
     assert check_broadcast_properties(world) == []
 
 
