@@ -423,6 +423,7 @@ def test_scheduling_before_the_clock_is_refused():
     world.run()
     times = [row.time for row in world.trace]
     assert times == sorted(times) and times[-1] > 2.0
+    assert check_broadcast_properties(world) == []
 
 
 @pytest.mark.parametrize("at", [float("nan"), float("inf")])
@@ -448,7 +449,6 @@ def test_an_injected_delay_that_is_negative_or_not_finite_is_refused(delay):
     world.inject(0.0, 1, 2, msg, delay=0.0)
     world.run()
     assert world.time == 0.0
-    assert check_broadcast_properties(world) == []
 
 
 def test_truncated_run_reports_termination_violations():
