@@ -29,11 +29,11 @@ closed.
 
 An open instance is an ``Instance``. It holds the sent, seen and delivered
 flags, the masks of senders whose ECHO and ACC already counted and whose
-REQ and FWD were taken, the erasure-coded protocols' element sets, and one
-``Candidate`` per digest heard of (per payload in bracha): its payload once
-known, its ECHO and ACC backers in arrival order, whom its payload was
-requested from, and ec-brb-3f1's online decoder of the elements voted for
-it.
+REQ and FWD were taken, the erasure-coded protocols' elements (the first
+at each position), and one ``Candidate`` per digest heard of (per payload
+in bracha): its payload once known, its ECHO and ACC backers in arrival
+order, whom its payload was requested from, and ec-brb-3f1's online
+decoder of the elements voted for it.
 
 A node closes an instance once the protocol's only work left there is
 answering REQs: it has delivered and sent every vote it will send (each
@@ -370,7 +370,8 @@ class Instance:
     ignore the key. Its REQ and its FWD are likewise taken once per
     instance, whatever digest or payload they carry. The erasure-coded
     fields stay None in automata that do not use them; ec-crb and ec-brb-4f1
-    hold each element through ``add_element``.
+    hold their elements through ``add_element``, one per position: the
+    first element at a position is kept.
     """
 
     __slots__ = (
@@ -389,19 +390,20 @@ class Instance:
         self.echo_sent = False
         self.acc_sent = False
         self.delivered = False
-        # ec-crb, ec-brb-4f1: the distinct elements held
-        self.elements: set[CodedElement] | None = None
+        # ec-crb, ec-brb-4f1: position -> the first element held there
+        self.elements: dict[int, CodedElement] | None = None
         # ec-brb-4f1: lengths that decoded; the digest the nested broadcast
         # delivered
         self.decoded_lens: set[int] | None = None
         self.endorsed: Digest | None = None
 
-    def add_element(self, element: CodedElement) -> set[CodedElement]:
-        """Hold ``element`` (ec-crb, ec-brb-4f1); the set of those held."""
+    def add_element(self, element: CodedElement) -> dict[int, CodedElement]:
+        """Hold ``element`` (ec-crb, ec-brb-4f1) unless its position is
+        already held; the elements held, by position."""
         held = self.elements
         if held is None:
-            held = self.elements = set()
-        held.add(element)
+            held = self.elements = {}
+        held.setdefault(element.index, element)
         return held
 
     def closed(self) -> Closed:

@@ -18,7 +18,9 @@ the crashed source never reached still delivers. A node closes the
 instance once it has delivered and sent its ACC, and has echoed the
 source's MSG: it echoes every MSG from the source, so closing before would
 lose the ECHO of a late one. Its closed record keeps the payload and
-answers REQs.
+answers REQs. A node holds the first element it gets at each position, so
+k elements are k positions; a crash-faulty source sends each node one
+MSG, so no position gets two.
 """
 from __future__ import annotations
 
@@ -74,15 +76,15 @@ class EcCrb(Fetching):
 
     def _store(self, rec: Instance, s: NodeId, h: SeqIndex,
                element: CodedElement) -> list[Action]:
-        """Hold ``element`` and decode, once, when k are first held, unless
-        the payload was delivered first. No element is added after that."""
+        """Hold ``element`` at its position and decode, once, when k
+        positions are first held, unless the payload was delivered first.
+        No element is added after that."""
         k = self.params.k
         if rec.acc_sent or len(rec.elements or ()) >= k or len(rec.add_element(element)) < k:
             return self.check(rec, s, h)
-        elements = sorted(rec.elements, key=lambda e: (e.index, e.data))
+        held = rec.elements
         try:
-            payload = decode_erasure(elements[: self.params.k], self.params,
-                                     elements[0].claimed_len)
+            payload = decode_erasure(held.values(), self.params, held[min(held)].claimed_len)
         except CodecError:
             return []
         return self.check(rec, s, h, rec.hold(self.digest_of(payload), payload))

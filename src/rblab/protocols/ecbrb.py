@@ -15,7 +15,7 @@ of those f+1 is honest, and an honest node ACCs only a payload it holds,
 so it answers.
 
 EcBrb4f1 (n >= 4f+1) codes at k = n-3f, which leaves enough distance to
-decode through f corruptions outright: once n-f elements are held
+decode through f corruptions outright: once n-f positions are held
 (``Instance.add_element``), ``_attempt_decode`` error-corrects them
 without any digest hint. The digest still matters for agreement, so the
 source runs a nested full-payload broadcast of the 32-byte digest,
@@ -29,10 +29,13 @@ layer. The envelope does not name its sender, so every honest node's ECHO
 of one digest is the same bytes, and an honest instance tunnels three
 distinct envelopes (the nested MSG, ECHO and ACC) in 1 + 2n multicasts.
 Each carries the 32-byte digest, so a HASH_RB of any other size is dropped
-unparsed. A node keeps its recent parses in one small cache, and opens no
-record for an envelope it rejects. A node closes the instance once it has
-delivered, taken the source's MSG and sent its ACC, and its nested
-instance has closed; the nested record retires with it.
+unparsed. A node keeps its recent parses, rejections included, in a small
+memo of its own, and opens no record for an envelope it rejects. The outer
+``step`` has made the checks a nested one would repeat, so a tunneled
+message goes to the nested handler after one lookup of the nested record.
+A node closes the instance once it has delivered, taken the source's MSG
+and sent its ACC, and its nested instance has closed; the nested record
+retires with it.
 
 In both, node i only ever sends the element at position i+1 (the source
 sends it the same one), so an ECHO whose element index is not its
@@ -40,8 +43,6 @@ sender's + 1, or a MSG whose index is not the receiver's + 1, is dropped:
 it cannot void or take another node's position.
 """
 from __future__ import annotations
-
-import functools
 
 from .. import hashing
 from ..codec import (
@@ -63,7 +64,6 @@ from ..core import (
     Multicast,
     NodeId,
     Payload,
-    Receive,
     Send,
     SeqIndex,
     WireMessage,
@@ -79,6 +79,7 @@ from .bracha import Bracha
 _ECHO = MsgKind.ECHO
 _NESTED_KINDS = (MsgKind.MSG, MsgKind.ECHO, MsgKind.ACC)
 _NESTED_SIZE = HEADER_SIZE + hashing.DIGEST_SIZE  # a header and the digest
+_PARSES_KEPT = 32  # a node's parse memo keeps this many, dropping the oldest
 
 
 class EcBrb3f1(Fetching, DoubleEcho):
@@ -124,9 +125,11 @@ class EcBrb4f1(Fetching):
         self.inner = Bracha(ProtocolConfig(
             ProtocolKind.BRACHA, self.n, self.f, self.me,
             strict_resilience=False))
-        # This node's recent parses: an honest instance's 1 + 2n tunneled
-        # multicasts carry only three distinct envelopes.
-        self.untunnel = functools.lru_cache(maxsize=32)(EcBrb4f1._untunnel)
+        # This node's recent parses, rejections (None) included, by
+        # (envelope, s, h), oldest first: an honest instance's 1 + 2n
+        # tunneled multicasts carry only three distinct envelopes. Kept per
+        # node, so a rerun of a world parses again what its first run did.
+        self.parses: dict[tuple[bytes, NodeId, SeqIndex], WireMessage | None] = {}
 
     def source_sends(self, payload: Payload, h: SeqIndex) -> list[Action]:
         sends = self._tunnel(self.inner.source_sends(self.digest_of(payload), h))
@@ -154,12 +157,24 @@ class EcBrb4f1(Fetching):
         if envelope is None or len(envelope) != _NESTED_SIZE:
             return []
         s, h = msg.source, msg.h
-        inner_msg = self.untunnel(envelope, s, h)
+        key = (envelope, s, h)
+        parses = self.parses
+        try:
+            inner_msg = parses[key]
+        except KeyError:
+            inner_msg = parses[key] = self._untunnel(envelope, s, h)
+            if len(parses) > _PARSES_KEPT:
+                del parses[next(iter(parses))]
         if inner_msg is None:
+            return []
+        # ``_untunnel`` let through only kinds the nested Bracha handles.
+        inner = self.inner
+        inner_rec = inner.instances.get((s, h))
+        if type(inner_rec) is Closed:
             return []
         if rec is None:
             rec = self.instances[(s, h)] = Instance()
-        inner_actions = self.inner.step(Receive(frm, inner_msg))
+        inner_actions = inner._handler_of[inner_msg.kind](inner, frm, inner_msg, inner_rec)
         if not inner_actions:
             return []
         actions = self._tunnel(inner_actions)
@@ -225,12 +240,12 @@ class EcBrb4f1(Fetching):
         return self.tally(frm, msg, rec, msg.digest, Instance.count_acc)
 
     def _attempt_decode(self, rec: Instance) -> bool:
-        """Error-correct the element set, once it holds n-f elements, under
+        """Error-correct the elements held, once n-f positions are, under
         each plausible payload length; whether a new payload is held.
 
         Every claimed length not yet decoded is tried; a reconstruction is
         only acted on once the nested broadcast endorses its digest."""
-        elements = rec.elements
+        elements = rec.elements.values()
         if len(elements) < self.n_minus_f:
             return False
         done = rec.decoded_lens

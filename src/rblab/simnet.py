@@ -11,7 +11,8 @@ message out before the next starts) and FIFO arrival ordering per link.
 Self-addressed copies loop back instantly but still count toward byte
 totals. Latency is shaped only through ``delay_policy``, which may replace
 a copy's whole delay (transmit time included) on any link, and ``inject``,
-which schedules hand-crafted traffic with a delay of its own.
+which schedules hand-crafted traffic with a delay of its own. Either delay
+must be >= 0 and finite, or ``ValueError`` is raised.
 
 The world also records everything the analysis layer needs: per-node,
 per-kind message and byte counters, delivery times, causal depth (how many
@@ -115,6 +116,7 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
 
 # Read per message: a module constant costs less than an enum member read.
 _ACC = MsgKind.ACC
+_INF = math.inf  # read per policy delay: cheaper than the module attribute
 _CODES = max(MsgKind) + 1  # tally slots per node, indexed by wire code
 
 
@@ -510,6 +512,8 @@ class SimWorld:
                     delay = 0.0
                 elif policy is not None:
                     delay = policy(frm, to, msg)
+                    if delay is not None and not 0 <= delay < _INF:
+                        raise ValueError(f"delay {delay} from delay_policy must be >= 0 and finite")
             if delay is None:
                 delay = link_delay[to]
                 if jitter:

@@ -435,6 +435,22 @@ def test_cli_matrix_is_exit_zero_even_with_broken_configs(tmp_path, capsys):
     assert lines[0] == ",".join(REPORT_COLUMNS)
 
 
+def test_cli_matrix_takes_config_files_as_well_as_directories(tmp_path):
+    # A file argument is one config; a directory argument is every .ini in
+    # it. The other config beside the file is not read.
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    good = _write(configs, GOOD, name="good.ini")
+    _write(configs, "[protocol]\nkind = nope\nn = 4\nf = 1\n", name="bad.ini")
+    flood = _write(tmp_path, "[protocol]\nkind = crb-flood\nn = 3\nf = 0\n", name="flood.ini")
+    out = tmp_path / "matrix.csv"
+    assert main(["matrix", str(good), "--out", str(out)]) == 0
+    assert out.read_text() == rows_to_csv([run_experiment(load_config(good))[0]])
+    assert main(["matrix", str(flood), str(configs), "--out", str(out)]) == 0
+    assert out.read_text() == rows_to_csv(run_matrix([flood, configs / "bad.ini", good]))
+    assert len(out.read_text().strip().split("\n")) == 4  # header + three rows
+
+
 def test_cli_scenario_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["scenario", "silent"]) == 0
     assert "PASS silent" in capsys.readouterr().out

@@ -501,8 +501,34 @@ def test_misindexed_coded_element_is_not_held(kind):
     _recv(node, 2, WireMessage(MsgKind.ECHO, s, h, digest=digest, element=elements[2]))
     if kind is ProtocolKind.EC_BRB_3F1:
         assert rec.candidates[d].decoder.groups == {len(m): {3: elements[2].data}}
-    else:
-        assert rec.elements == {elements[2]}
+        return
+    assert rec.elements == {3: elements[2]}
+    # Position 1, this node's, is the one two senders fill: the source's
+    # MSG and the node's own ECHO. A second, different element there is
+    # not held: the first one stays.
+    other = CodedElement(1, bytes(len(elements[0].data)), len(m))
+    _recv(node, s, WireMessage(MsgKind.MSG, s, h, element=elements[0]))
+    _recv(node, 0, WireMessage(MsgKind.ECHO, s, h, element=other))
+    assert rec.echo_voted == 0b101
+    assert rec.elements == {1: elements[0], 3: elements[2]}
+
+
+def test_ec_crb_holds_the_first_element_at_a_position():
+    # ec-crb checks no ECHO's position against its sender, so a second,
+    # different element can reach a position already held. It is not held,
+    # and the k positions held still decode.
+    m, s, h = b"first element", 3, 1
+    node = _auto(ProtocolKind.EC_CRB, 4, 1, node=0)
+    k = node.params.k
+    elements = encode(m, node.params)
+    other = CodedElement(3, bytes(len(elements[2].data)), len(m))
+    assert _recv(node, 2, WireMessage(MsgKind.ECHO, s, h, element=elements[2])) == []
+    assert _recv(node, 1, WireMessage(MsgKind.ECHO, s, h, element=other)) == []
+    assert _record(node, s, h).elements == {3: elements[2]}
+    actions = []
+    for j in range(k - 1):
+        actions += _recv(node, j, WireMessage(MsgKind.ECHO, s, h, element=elements[j]))
+    assert _delivers(actions) == [Deliver(s, m, h)]
 
 
 # -- coded Byzantine broadcast, high-rate variant ------------------------------
@@ -844,18 +870,18 @@ class _CountingGets(dict):
         return super().get(key, default)
 
 
-def _handlers_reached_only_through_step(monkeypatch, cls, called):
+def _handlers_reached_only_through(monkeypatch, cls, caller, called):
     """Make every handler of ``cls`` record its calls in ``called`` and
-    fail unless ``Automaton.step`` made the call; a call by attribute name
-    bypasses ``step``'s table and fails too."""
-    step_code = Automaton.step.__code__
+    fail unless ``caller``'s table lookup made the call; a call by
+    attribute name bypasses the table and fails too."""
+    caller_code = caller.__code__
     table = {}
     for kind, handler in cls._handler_of.items():
-        def through_step(self, *args, _handler=handler, _kind=kind):
-            assert sys._getframe(1).f_code is step_code, f"{_kind.name} handler called directly"
+        def through_table(self, *args, _handler=handler, _kind=kind):
+            assert sys._getframe(1).f_code is caller_code, f"{_kind.name} handler called directly"
             called.add((cls.__name__, _kind.name))
             return _handler(self, *args)
-        table[kind] = through_step
+        table[kind] = through_table
 
         def direct(self, *args, _kind=kind):
             raise AssertionError(f"{cls.__name__} called its {_kind.name} handler by name")
@@ -883,22 +909,30 @@ def test_a_receive_looks_its_record_up_once(kind, monkeypatch):
         return 100.0 if msg.kind is MsgKind.ECHO and src != relay else None
     world.delay_policy = slow_into_node_1
     called: set = set()
-    classes = {type(world.automata[0])}
-    if kind is ProtocolKind.EC_BRB_4F1:
-        classes.add(type(world.automata[0].inner))
-    for cls in classes:
-        _handlers_reached_only_through_step(monkeypatch, cls, called)
-    receives = []
+    cls = type(world.automata[0])
+    nested = kind is ProtocolKind.EC_BRB_4F1
+    if nested:
+        # ec-brb-4f1's nested Bracha is reached only from ``on_hash_rb``'s
+        # lookup in its table.
+        _handlers_reached_only_through(monkeypatch, type(world.automata[0].inner),
+                                       cls._handler_of[MsgKind.HASH_RB], called)
+    _handlers_reached_only_through(monkeypatch, cls, Automaton.step, called)
+    receives, tunneled = [], []
     for node in world.automata:
         if isinstance(node, Strategy):
             node = node.automaton  # the relay's honest automaton, stepped for each event
         node.instances = table = _CountingGets(node.instances)
+        inner = _CountingGets()  # ec-brb-4f1's nested table; untouched elsewhere
+        if nested:
+            node.inner.instances = inner = _CountingGets(node.inner.instances)
 
-        def step(event, real=node.step, table=table):
-            before = table.gets
+        def step(event, real=node.step, table=table, inner=inner):
+            before, inner_before = table.gets, inner.gets
             actions = real(event)
             if isinstance(event, Receive):
                 receives.append(table.gets - before)
+                if inner.gets > inner_before:
+                    tunneled.append(inner.gets - inner_before)
             return actions
         node.step = step
     for h in range(1, 9):
@@ -914,7 +948,10 @@ def test_a_receive_looks_its_record_up_once(kind, monkeypatch):
         expected.add("ACC")
     if kind in FETCHING_KINDS:
         expected |= {"REQ", "FWD"}
-    if kind is ProtocolKind.EC_BRB_4F1:
+    if nested:
         expected.add("HASH_RB")
         assert {("Bracha", "MSG"), ("Bracha", "ECHO"), ("Bracha", "ACC")} <= called
+        # Each tunneled receive that reached the nested table looked the
+        # nested record up once.
+        assert tunneled and set(tunneled) == {1}
     assert expected <= reached

@@ -451,6 +451,17 @@ def test_an_injected_delay_that_is_negative_or_not_finite_is_refused(delay):
     assert world.time == 0.0
 
 
+@pytest.mark.parametrize("delay", [-0.5, float("nan"), float("inf")])
+def test_a_policy_delay_that_is_negative_or_not_finite_is_refused(delay):
+    # A nan from the policy once ran the world on to time nan.
+    world = build_world(ProtocolKind.BRACHA, 4, 1)
+    world.delay_policy = lambda src, dst, msg: delay if dst == 2 else None
+    world.broadcast(0, b"a", 1)
+    with pytest.raises(ValueError, match="must be >= 0 and finite"):
+        world.run()
+    assert world.time == 0.0
+
+
 def test_truncated_run_reports_termination_violations():
     world = build_world(ProtocolKind.BRACHA, 4, 1)
     world.broadcast(0, b"cut short", 1)
