@@ -2,17 +2,17 @@
 
 A SimWorld owns one automaton per node, a hop-count topology, and a single
 event queue ordered by (time, insertion sequence), which makes every run a
-pure function of its inputs and seed. Message latency is
+pure function of its inputs and seed. A copy between two nodes waits for
+its directed link's transmitter, which clocks out one copy in bits /
+bandwidth (no time if uncapped) before the next starts, then propagates for
+``inject``'s delay if it has one, else the ``delay_policy`` value if not
+None (either must be >= 0 and finite, or ``ValueError`` is raised), else
 
-    hops * base_delay + uniform[0, jitter) + bits / bandwidth
+    hops * base_delay + uniform[0, jitter)
 
-with per-directed-link transmit serialization (a link finishes clocking one
-message out before the next starts) and FIFO arrival ordering per link.
-Self-addressed copies loop back instantly but still count toward byte
-totals. Latency is shaped only through ``delay_policy``, which may replace
-a copy's whole delay (transmit time included) on any link, and ``inject``,
-which schedules hand-crafted traffic with a delay of its own. Either delay
-must be >= 0 and finite, or ``ValueError`` is raised.
+It never arrives before an earlier copy on its link (FIFO). A copy to its
+own sender uses no transmitter and arrives at once (after ``inject``'s
+delay, if any), but still counts toward byte totals.
 
 The world also records everything the analysis layer needs: per-node,
 per-kind message and byte counters, delivery times, causal depth (how many
@@ -355,8 +355,7 @@ class SimWorld:
     def attach_adversary(self, node: NodeId, strategy, *,
                          allow_overfault: bool = False) -> None:
         """Make ``node`` faulty: step ``strategy.wrap(its automaton)`` instead."""
-        if not 0 <= node < self.n:
-            raise ValueError(f"node {node} outside [0, {self.n})")
+        self._check_node(node)
         if node in self.byzantine:
             raise ValueError(f"node {node} is already faulty")
         f = self.automata[node].f
@@ -365,6 +364,10 @@ class SimWorld:
             raise FaultBudgetExceeded(f"attaching faulty node #{count} exceeds f={f}")
         self.byzantine.add(node)
         self.automata[node] = strategy.wrap(self.automata[node])
+
+    def _check_node(self, node: NodeId) -> None:
+        if not 0 <= node < self.n:
+            raise ValueError(f"node {node} outside [0, {self.n})")
 
     # -- scheduling ----------------------------------------------------------
     def _push(self, at: float, method, *args) -> None:
@@ -377,6 +380,7 @@ class SimWorld:
 
     def broadcast(self, node: NodeId, payload: Payload, h: SeqIndex,
                   at: float = 0.0) -> None:
+        self._check_node(node)
         self._push(at, SimWorld._process_bcast, node, payload, h)
         self.broadcasts.append((node, payload, h))
         self._source_nodes.add(node)
@@ -384,8 +388,10 @@ class SimWorld:
     def inject(self, at: float, frm: NodeId, to: NodeId, msg: WireMessage,
                delay: float | None = None) -> None:
         """Schedule a hand-crafted send at an absolute time (adversary use),
-        at causal depth 1. A copy injected with a ``delay`` of its own takes
-        that delay and is never shown to ``delay_policy``."""
+        at causal depth 1. A ``delay`` is the copy's propagation delay, so
+        ``delay_policy`` is not asked, but a capped link still clocks it out."""
+        self._check_node(frm)
+        self._check_node(to)
         if delay is not None and not 0 <= delay < math.inf:
             raise ValueError(f"delay {delay} must be >= 0 and finite")
         self._push(at, SimWorld._emit, frm, (to,), msg, 1, delay)
@@ -398,6 +404,8 @@ class SimWorld:
         """Process events in order until the queue is empty or the next one
         is later than ``until``. The cyclic garbage collector is paused
         meanwhile and left as the caller had it (see the module docstring)."""
+        if until is not None and not math.isfinite(until):
+            raise ValueError(f"cannot run until {until}: a time must be finite")
         collecting = gc.isenabled()
         gc.disable()
         try:
@@ -476,10 +484,10 @@ class SimWorld:
     def _emit(self, frm: NodeId, recipients, msg: WireMessage, depth: int,
               forced_delay: float | None = None) -> None:
         """Send ``msg`` from ``frm`` to each of ``recipients`` in order:
-        message bookkeeping and the packet ``(event, size, depth, row,
-        code)`` once, link work and a queued ``(arrival, seq, to, packet)``
-        entry per recipient. The message is sized through this module's
-        ``envelope_size``, which perfbench patches by name."""
+        bookkeeping and the packet ``(event, size, depth, row, code)`` once,
+        then per recipient an ``(arrival, seq, to, packet)`` entry timed by
+        the module docstring's rule, ``forced_delay`` being ``inject``'s. The
+        message is sized through ``envelope_size``, which perfbench patches by name."""
         size = envelope_size(msg)
         kind = msg.kind
         code = int(kind)  # an exact int indexes the tallies faster than an IntEnum
@@ -507,22 +515,22 @@ class SimWorld:
         queue, seq, push = self._queue, self._seq, heapq.heappush
         for to in recipients:
             delay = forced_delay
-            if delay is None:
-                if frm == to:
-                    delay = 0.0
-                elif policy is not None:
+            if frm != to:
+                if delay is None and policy is not None:
                     delay = policy(frm, to, msg)
                     if delay is not None and not 0 <= delay < _INF:
                         raise ValueError(f"delay {delay} from delay_policy must be >= 0 and finite")
-            if delay is None:
-                delay = link_delay[to]
-                if jitter:
-                    # uniform(0, jitter) with the same draw and the same float.
-                    delay += jitter * draw()
+                if delay is None:
+                    delay = link_delay[to]
+                    if jitter:
+                        # uniform(0, jitter) with the same draw and the same float.
+                        delay += jitter * draw()
                 if bandwidth:
                     start = busy[to] if busy[to] > now else now
                     busy[to] = start + transmit
                     delay += (start - now) + transmit
+            elif delay is None:
+                delay = 0.0
             arrival = now + delay
             if last_arrival[to] > arrival:
                 arrival = last_arrival[to]

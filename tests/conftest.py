@@ -50,11 +50,11 @@ def wire_round_trip(monkeypatch):
 
 
 def stretch_link(world, frm: int, to: int) -> None:
-    """Make the directed link ``frm -> to`` 100 times slower on a net without
-    a bandwidth cap: each copy on it takes (hops * base_delay + jitter *
-    draw) * 100, drawing from the world's RNG where the default delay would,
-    and only when there is jitter. Other links keep the default. The policy
-    holds no reference to the world, which keeps the world free of cycles."""
+    """Make the directed link ``frm -> to`` 100 times slower: each copy on it
+    propagates for (hops * base_delay + jitter * draw) * 100, drawing from the
+    world's RNG where the default delay would, and only when there is jitter.
+    Other links keep the default. The policy holds no reference to the world,
+    which keeps the world free of cycles."""
     base = world.hops[frm][to] * world.net.base_delay
     jitter, draw = world.net.jitter, world.rng.random
 

@@ -4,15 +4,17 @@
 strategy wrapped around its honest one, one copy of one message at a
 time. It keeps one heap of ``(time, seq, item)``, where an item is a
 broadcast, an injected send or one queued copy, and one counter numbers
-every push in order. A copy's delay is
+every push in order. A copy to another node waits until its directed link
+has clocked out the copies sent on it before, takes bits / bandwidth to
+clock out itself, and then propagates for its injected delay if it has
+one, else the ``delay_policy``'s value if not None, else
 
-    hops * base_delay + uniform[0, jitter) + bits / bandwidth
+    hops * base_delay + uniform[0, jitter)
 
-A directed link clocks out one copy before the next starts. Arrivals on a
-link keep their send order, and a copy to the sender itself arrives at once.
-A ``delay_policy`` may replace a copy's whole delay, and an injected send
-brings its own delay. Links leaving a node that broadcasts take the source
-bandwidth when one is set.
+Arrivals on a link keep their send order. A copy to the sender itself
+clocks out nothing and arrives at once, after its injected delay if it has
+one. Links leaving a node that broadcasts take the source bandwidth when
+one is set.
 
 Each copy is sized by serializing it, and each ACC copy is hashed from
 scratch. Tallies are per-node ``Counter``s, and causal depth is a plain dict.
@@ -157,14 +159,15 @@ class OracleWorld:
                 .setdefault(frm, set()).add(digest)
         now, net, link = self.time, self.net, (frm, to)
         delay = forced
-        if delay is None and frm == to:
-            delay = 0.0
-        if delay is None and self.delay_policy is not None:
-            delay = self.delay_policy(frm, to, msg)
-        if delay is None:
-            delay = self.hops[frm][to] * net.base_delay
-            if net.jitter:
-                delay += self.rng.uniform(0, net.jitter)
+        if frm == to:
+            delay = delay or 0.0
+        else:
+            if delay is None and self.delay_policy is not None:
+                delay = self.delay_policy(frm, to, msg)
+            if delay is None:
+                delay = self.hops[frm][to] * net.base_delay
+                if net.jitter:
+                    delay += self.rng.uniform(0, net.jitter)
             bandwidth = net.bandwidth
             if net.source_bandwidth is not None and frm in self.sources:
                 bandwidth = net.source_bandwidth

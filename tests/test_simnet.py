@@ -119,17 +119,21 @@ def test_per_hop_latency():
     assert stats.delivers[(0, 0, 1)].time == 0.0  # loopback is instant
 
 
-def test_bandwidth_serializes_a_link():
+@pytest.mark.parametrize("second_payload, delay, arrival", [
+    (b"", None, 1.13),        # 13 bytes, clocked out after the first
+    (bytes(87), 0.5, 2.5),    # 100 bytes, then its own propagation delay
+], ids=["default-delay", "injected-delay"])
+def test_bandwidth_serializes_a_link(second_payload, delay, arrival):
     world = build_world(ProtocolKind.CRB_FLOOD, 2, 0,
                         net=NetParams(base_delay=0.0, bandwidth=100.0),
                         record_trace=True)
     first = WireMessage(MsgKind.ECHO, 0, 1, payload=bytes(87))   # 100 bytes
-    second = WireMessage(MsgKind.ECHO, 0, 2, payload=b"")        # 13 bytes
+    second = WireMessage(MsgKind.ECHO, 0, 2, payload=second_payload)
     world.inject(0.0, 0, 1, first)
-    world.inject(0.0, 0, 1, second)
+    world.inject(0.0, 0, 1, second, delay=delay)
     world.run()
     times = [t for t, _, _ in _recv_times(world)]
-    assert times == [pytest.approx(1.0), pytest.approx(1.13)]
+    assert times == [pytest.approx(1.0), pytest.approx(arrival)]
 
 
 def test_source_bandwidth_caps_only_broadcasting_sources():
@@ -161,12 +165,27 @@ def test_link_fifo_never_reorders():
     assert [row.time for row in rows] == [10.0, 10.0]
 
 
-def test_perturbed_link_stretches_delay():
-    world = build_world(ProtocolKind.CRB_FLOOD, 2, 0, net=NetParams(base_delay=0.1))
+@pytest.mark.parametrize("bandwidth, arrival", [(None, 20.0), (1000.0, 21.013)],
+                         ids=["uncapped", "capped"])
+def test_perturbed_link_stretches_delay(bandwidth, arrival):
+    # Capped, the 1,013-byte MSG also takes 1.013 s to clock out.
+    world = build_world(ProtocolKind.CRB_FLOOD, 2, 0,
+                        net=NetParams(base_delay=0.1, bandwidth=bandwidth))
     stretch_link(world, 0, 1)
-    world.broadcast(0, b"m", 1)
+    world.broadcast(0, bytes(1000), 1)
     stats = world.run()
-    assert stats.delivers[(1, 0, 1)].time == pytest.approx(20.0)
+    assert stats.delivers[(1, 0, 1)].time == pytest.approx(arrival)
+
+
+def test_a_policy_delay_on_a_capped_link_waits_for_the_transmitter():
+    # A policy value once replaced the whole delay: both MSGs arrived at 0.5.
+    world = build_world(ProtocolKind.CRB_FLOOD, 2, 0, net=NetParams(bandwidth=1000.0))
+    world.delay_policy = lambda src, dst, msg: 0.5 if (src, dst) == (0, 1) else None
+    world.broadcast(0, bytes(1000), 1)
+    world.broadcast(0, bytes(1000), 2)
+    stats = world.run()
+    assert [stats.delivers[(1, 0, h)].time for h in (1, 2)] == \
+        [pytest.approx(1.513), pytest.approx(2.526)]
 
 
 def test_jitter_is_seeded_and_deterministic():
@@ -437,6 +456,36 @@ def test_scheduling_at_a_time_that_is_not_finite_is_refused(at):
     with pytest.raises(ValueError, match="must be finite"):
         world.inject(at, 1, 2, msg)
     assert world.quiescent() and world.broadcasts == []
+
+
+@pytest.mark.parametrize("node", [-1, 4, 7])
+def test_a_node_outside_the_world_is_refused_at_the_call(node):
+    # broadcast(-1) once stepped node 3 and sent its MSG from node -1, and an
+    # injected copy to -1 was traced as received by -1; 4 and 7 raised
+    # IndexError only once the world ran.
+    world = build_world(ProtocolKind.BRACHA, 4, 1)
+    msg = WireMessage(MsgKind.ECHO, 1, 1, payload=b"b")
+    refused = rf"node {node} outside \[0, 4\)"
+    with pytest.raises(ValueError, match=refused):
+        world.broadcast(node, b"a", 1)
+    with pytest.raises(ValueError, match=refused):
+        world.inject(0.0, node, 2, msg)
+    with pytest.raises(ValueError, match=refused):
+        world.inject(0.0, 1, node, msg)
+    assert world.quiescent() and world.broadcasts == []
+
+
+@pytest.mark.parametrize("until", [float("nan"), float("inf"), -float("inf")])
+def test_running_until_a_time_that_is_not_finite_is_refused(until):
+    # until=nan once returned having processed nothing, and until=inf left
+    # the world's clock at inf, after which every broadcast was refused.
+    world = build_world(ProtocolKind.BRACHA, 4, 1)
+    world.broadcast(0, b"a", 1)
+    with pytest.raises(ValueError, match="must be finite"):
+        world.run(until=until)
+    assert world.time == 0.0 and world.stats.events_processed == 0
+    world.run()
+    assert check_broadcast_properties(world) == [] and len(world.stats.delivers) == 4
 
 
 @pytest.mark.parametrize("delay", [-0.5, float("nan"), float("inf")])
