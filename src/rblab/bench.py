@@ -135,6 +135,11 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
                 raise ValidationError(f"{name} must be positive and finite")
+        try:  # a finite rate can still overflow in bytes per second
+            self.net_params()
+        except ValueError as exc:
+            raise ValidationError(
+                f"bandwidth_mbit or source_bandwidth_kbytes is too large: {exc}") from None
         if self.strategy not in STRATEGIES:
             raise ValidationError(
                 f"unknown strategy {self.strategy!r}; choices: {', '.join(STRATEGIES)}")

@@ -16,17 +16,17 @@ a (k, 256, p) table holds, for each column and data byte, the products with
 all r coefficients, zero-padded to a power of two p, so each data byte
 costs one p-byte copy and an XOR; one transpose at the end puts the r
 output rows in order.
-Decoding is systematic: shards that sit at data positions are copied, and
-only the decode-matrix rows of the missing data shards are multiplied.
-Decode matrices evaluate the Lagrange basis of Gao's error locator at the
-points 1..n, cached per set of held positions. The three decoders,
-``decode_erasure`` (ec-crb), ``decode_correcting`` (ec-brb-4f1) and
-``SubsetDecoder`` (ec-brb-3f1), differ only in how they filter their input
-and in the radius they decode within: 0, min(f, P-k-f) and the whole
-unique-decoding radius. One decode serves them all. A clean round costs one
-product: the rows that rebuild the missing data shards and those that
-predict the other held shards are multiplied together. Only dirty input
-runs Gao's error locator.
+Encoding and each decode round are one polynomial evaluation: the rows of
+the decode matrix of k held positions for the wanted positions, times the
+k held shards, in one product. Decode matrices evaluate the Lagrange basis
+of Gao's error locator at the points 1..n, cached per set of held
+positions. The three decoders, ``decode_erasure`` (ec-crb),
+``decode_correcting`` (ec-brb-4f1) and ``SubsetDecoder`` (ec-brb-3f1),
+differ only in how they filter their input and in the radius they decode
+within: 0, min(f, P-k-f) and the whole unique-decoding radius. One decode
+serves them all. A clean round costs one product, which yields every data
+shard and predicts the held shards past the first k; none when the k held
+shards are the data shards. Only dirty input runs Gao's error locator.
 
 An element ``encode`` built carries its whole codeword: (n, k, the payload,
 the shard at each position), shared by all n elements. It is never on the
@@ -181,12 +181,6 @@ def shard_width(payload_len: int, k: int) -> int:
     return (payload_len + k - 1) // k if payload_len else 0
 
 
-def _generator_matrix(n: int, k: int) -> np.ndarray:
-    """Rows 1..n of the systematic generator: row j maps data shards to the
-    shard at position j. Rows 1..k are unit vectors."""
-    return _decode_matrix(n, k, tuple(range(1, k + 1)))
-
-
 @lru_cache(maxsize=4096)
 def _decode_matrix(n: int, k: int, positions: tuple[int, ...]) -> np.ndarray:
     """The (n, k) map from the k shards held at ``positions`` to the whole
@@ -208,46 +202,25 @@ def _decode_matrix(n: int, k: int, positions: tuple[int, ...]) -> np.ndarray:
     return rows
 
 
-def _data_shards(payload: bytes, k: int) -> np.ndarray:
-    width = shard_width(len(payload), k)
-    padded = payload.ljust(k * width, b"\0")
-    return np.frombuffer(padded, dtype=np.uint8).reshape(k, width)
+def _evaluate(n: int, k: int, positions: tuple[int, ...], shards: np.ndarray,
+              at: tuple[int, ...]) -> np.ndarray:
+    """The shards at positions ``at`` of the codeword that holds the k
+    ``shards`` at ``positions``: one product of the decode-matrix rows for
+    ``at``, or none when ``at`` is empty or asks for the held shards."""
+    if not at or at == positions:
+        return shards[:len(at)]
+    return gf_matmul(_decode_matrix(n, k, positions)[np.array(at) - 1], shards)
 
 
 def encode(payload: bytes, params: CodeParams) -> list[CodedElement]:
     """Split ``payload`` into n coded elements, any k of which rebuild it."""
     n, k = params.n, params.k
-    shards = _data_shards(payload, k)
-    width = shards.shape[1]
-    if n > k and width:
-        parity = gf_matmul(_generator_matrix(n, k)[k:], shards)
-    else:
-        parity = np.zeros((n - k, width), dtype=np.uint8)
+    width = shard_width(len(payload), k)
+    shards = np.frombuffer(payload.ljust(k * width, b"\0"), dtype=np.uint8).reshape(k, width)
+    parity = _evaluate(n, k, tuple(range(1, k + 1)), shards, tuple(range(k + 1, n + 1)))
     data = tuple([row.tobytes() for row in shards] + [row.tobytes() for row in parity])
     codeword = (n, k, bytes(payload), data)
     return [CodedElement(i + 1, shard, len(payload), codeword) for i, shard in enumerate(data)]
-
-
-def _systematic_decode(n: int, k: int, positions: tuple[int, ...], values: np.ndarray,
-                       extra: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Data shards from the k shards ``values`` held at ascending
-    ``positions``, and the codeword's shards at the positions ``extra``.
-
-    Shards at data positions are copied; the missing data shards and the
-    extra ones come from one product of their decode-matrix rows."""
-    missing = tuple(d for d in range(1, k + 1) if d not in positions)
-    if not missing and not extra:
-        return values, values[:0]
-    rows = _decode_matrix(n, k, positions)[np.array(missing + extra) - 1]
-    product = gf_matmul(rows, values)
-    if not missing:
-        return values, product
-    data = np.empty_like(values)
-    for i, p in enumerate(positions):
-        if p <= k:
-            data[p - 1] = values[i]
-    data[np.array(missing) - 1] = product[:len(missing)]
-    return data, product[len(missing):]
 
 
 def _codewords(elements):
@@ -361,7 +334,7 @@ def _decode(params: CodeParams, shards: dict[int, bytes], payload_len: int, radi
     product: its data is the answer if d is within the capped radius r, and
     there is none if r < d <= P-k-r. Otherwise a clean input passes the
     first check: one product evaluates the polynomial through the first k
-    positions at the missing data positions and at the rest of the held
+    held positions at the data positions 1..k and at the rest of the held
     ones, and the rest is compared with the held shards byte for byte.
     Otherwise Gao's decoder runs on one column that fails the check; a
     corrupt shard sits at the same position in every column, so the roots
@@ -388,7 +361,8 @@ def _decode(params: CodeParams, shards: dict[int, bytes], payload_len: int, radi
     held, rows = positions, np.frombuffer(joined, dtype=np.uint8).reshape(len(positions), -1)
     while True:
         erased = len(positions) - len(held)
-        data, rest = _systematic_decode(n, k, tuple(held[:k]), rows[:k], tuple(held[k:]))
+        values = _evaluate(n, k, tuple(held[:k]), rows[:k], (*range(1, k + 1), *held[k:]))
+        data, rest = values[:k], values[k:]
         # Two byte copies and one memcmp: np.array_equal timed slower here.
         if rest.tobytes() == rows[k:].tobytes():
             return data.reshape(-1)[:payload_len].tobytes()

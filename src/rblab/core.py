@@ -83,6 +83,8 @@ from .codec import (
 
 NodeId = int
 SeqIndex = int
+# The header carries h in 4 bytes, so a sequence index lies in [0, SEQ_LIMIT).
+SEQ_LIMIT = 1 << 32
 Payload = bytes
 Digest = bytes
 
@@ -191,7 +193,7 @@ def encode_envelope(msg: WireMessage) -> bytes:
         raise MalformedEnvelope(f"digest must be {hashing.DIGEST_SIZE} bytes")
     if msg.instance not in _INSTANCE_CODES:
         raise MalformedEnvelope(f"unknown instance tag {msg.instance!r}")
-    if not 0 <= msg.source <= 0xFFFF or not 0 <= msg.h <= 0xFFFFFFFF:
+    if not 0 <= msg.source <= 0xFFFF or not 0 <= msg.h < SEQ_LIMIT:
         raise MalformedEnvelope("source or sequence index out of range")
     parts = []
     if msg.digest is not None:

@@ -172,11 +172,13 @@ class EcBrb4f1(Fetching):
         inner_rec = inner.instances.get((s, h))
         if type(inner_rec) is Closed:
             return []
-        if rec is None:
-            rec = self.instances[(s, h)] = Instance()
         inner_actions = inner._handler_of[inner_msg.kind](inner, frm, inner_msg, inner_rec)
         if not inner_actions:
             return []
+        # Opened only now, so a tunneled message the nested broadcast drops
+        # leaves no outer record.
+        if rec is None:
+            rec = self.instances[(s, h)] = Instance()
         actions = self._tunnel(inner_actions)
         # The nested instance is (s, h) too and delivers at most once: its
         # payload is the digest this instance may accept.

@@ -104,6 +104,7 @@ from .core import (
     Multicast,
     NodeId,
     Payload,
+    SEQ_LIMIT,
     Receive,
     Send,
     SeqIndex,
@@ -221,12 +222,25 @@ class NetParams:
     """Per-hop latency, one-sided jitter, and link bandwidth.
 
     Bandwidths are bytes per second per directed link, None = unlimited;
-    links leaving a broadcasting source can be capped separately."""
+    links leaving a broadcasting source can be capped separately. A delay
+    or jitter that is negative or not finite, or a bandwidth that is not
+    positive and finite, raises ``ValueError``."""
 
     base_delay: float = 0.1
     jitter: float = 0.0
     bandwidth: float | None = None
     source_bandwidth: float | None = None
+
+    def __post_init__(self) -> None:
+        # Written so that NaN fails each check.
+        for name in ("base_delay", "jitter"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} {value} must be >= 0 and finite")
+        for name in ("bandwidth", "source_bandwidth"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} {value} must be None or positive and finite")
 
 
 @dataclass(slots=True)
@@ -366,6 +380,8 @@ class SimWorld:
         self.automata[node] = strategy.wrap(self.automata[node])
 
     def _check_node(self, node: NodeId) -> None:
+        if type(node) is not int:
+            raise ValueError(f"node {node!r} is not an int")
         if not 0 <= node < self.n:
             raise ValueError(f"node {node} outside [0, {self.n})")
 
@@ -381,6 +397,10 @@ class SimWorld:
     def broadcast(self, node: NodeId, payload: Payload, h: SeqIndex,
                   at: float = 0.0) -> None:
         self._check_node(node)
+        if not isinstance(payload, bytes):
+            raise ValueError(f"payload must be bytes, got {type(payload).__name__}")
+        if type(h) is not int or not 0 <= h < SEQ_LIMIT:
+            raise ValueError(f"sequence index {h!r} is not an int in [0, {SEQ_LIMIT})")
         self._push(at, SimWorld._process_bcast, node, payload, h)
         self.broadcasts.append((node, payload, h))
         self._source_nodes.add(node)

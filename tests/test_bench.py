@@ -161,6 +161,8 @@ def test_the_strategy_row_lists_every_strategy_in_order():
     (GOOD.replace("strategy = silent", "strategy = crash\ncrash_after = -1"),
      "crash_after must be >= 0"),
     (GOOD.replace("seed = 5", "seed = 5\ngap = nan"), "jitter must be >= 0 and finite"),
+    (GOOD.replace("base_delay = 0.05", "base_delay = 0.05\nbandwidth_mbit = 1e305"),
+     "bandwidth_mbit or source_bandwidth_kbytes is too large: bandwidth inf"),
 ])
 def test_validation_errors_name_the_bound(tmp_path, text, needle):
     with pytest.raises(ValidationError) as err:

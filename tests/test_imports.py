@@ -10,13 +10,18 @@ A top-level function, class or constant whose name starts with one
 underscore must be read somewhere under src/: by name, as an attribute,
 or by a ``from ... import``. No ``from ... import``, at any depth, may
 name a single-underscore name: a private name stays with its module.
+
+The default test run must also collect the benchmark's tests: their span
+expectations pin function names under src/, so a rename there fails the
+default run.
 """
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 MODULES = sorted(SRC.rglob("*.py"))
 
 
@@ -128,3 +133,10 @@ def test_the_scan_sees_a_private_import(tmp_path):
                       "def late():\n    from .b import _spare as spare\n    return spare\n",
                       encoding="utf-8")
     assert _private_imports(module) == ["line 1: a _hidden", "line 5: .b _spare"]
+
+
+def test_the_default_run_collects_the_benchmarks_tests():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    with open(ROOT / "pyproject.toml", "rb") as file:
+        testpaths = tomllib.load(file)["tool"]["pytest"]["ini_options"]["testpaths"]
+    assert "perfbench/tests" in testpaths and "tests" in testpaths

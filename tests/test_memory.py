@@ -313,6 +313,18 @@ def test_rejected_tunneled_envelopes_make_no_records():
     assert held[10_000] - held[1_000] < 1024 and held[1_000] < 32 * 1024, held
 
 
+def test_tunneled_messages_the_nested_broadcast_drops_make_no_records():
+    # Each envelope parses, but its nested MSG of source 4 comes from node 2,
+    # so the nested broadcast drops it.
+    node = make_automaton(ProtocolConfig(ProtocolKind.EC_BRB_4F1, 5, 1, node=0))
+    rng = random.Random(5)
+    for h in range(1, 10_001):
+        nested = WireMessage(MsgKind.MSG, 4, h, payload=rng.randbytes(32), instance="hash-rb")
+        msg = WireMessage(MsgKind.HASH_RB, 4, h, payload=encode_envelope(nested))
+        assert node.step(Receive(2, msg)) == []
+    assert node.instances == {} and node.inner.instances == {}
+
+
 @pytest.mark.parametrize("kind", [ProtocolKind.H_BRB_3F1, ProtocolKind.EC_BRB_4F1],
                          ids=lambda kind: kind.value)
 def test_requests_for_unknown_instances_make_no_records(kind):

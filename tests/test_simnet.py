@@ -475,6 +475,77 @@ def test_a_node_outside_the_world_is_refused_at_the_call(node):
     assert world.quiescent() and world.broadcasts == []
 
 
+# (node, payload, h) broadcasts the wire cannot carry. True was recorded as
+# node True; 1.0 and a str payload raised TypeError only once the world ran;
+# a bytearray ran in h-brb-3f1; h = -1 and 2**40 ran in bracha and
+# h-brb-3f1 and raised from the event loop in ec-brb-4f1.
+BAD_BROADCASTS = {
+    "bool-node": (True, b"a", 1, "node True is not an int"),
+    "float-node": (1.0, b"a", 1, "node 1.0 is not an int"),
+    "str-payload": (0, "a", 1, "payload must be bytes, got str"),
+    "bytearray-payload": (0, bytearray(b"a"), 1, "payload must be bytes, got bytearray"),
+    "negative-h": (0, b"a", -1, r"sequence index -1 is not an int in \[0, 4294967296\)"),
+    "wide-h": (0, b"a", 2**40, r"sequence index 1099511627776 is not an int in \[0, "),
+    "float-h": (0, b"a", 1.0, r"sequence index 1.0 is not an int in \[0, "),
+}
+
+
+@pytest.mark.parametrize("kind", [ProtocolKind.BRACHA, ProtocolKind.H_BRB_3F1,
+                                  ProtocolKind.EC_BRB_4F1], ids=lambda kind: kind.value)
+@pytest.mark.parametrize("case", BAD_BROADCASTS)
+def test_a_broadcast_the_wire_cannot_carry_is_refused_at_the_call(kind, case):
+    node, payload, h, refused = BAD_BROADCASTS[case]
+    world = build_world(kind, 5, 1)
+    with pytest.raises(ValueError, match=refused):
+        world.broadcast(node, payload, h)
+    assert world.quiescent() and world.broadcasts == []
+    world.run()
+    assert world.stats.events_processed == 0
+
+
+@pytest.mark.parametrize("node", [True, 2.0])
+def test_a_node_that_is_not_an_int_is_refused_at_the_call(node):
+    world = build_world(ProtocolKind.BRACHA, 4, 1)
+    msg = WireMessage(MsgKind.ECHO, 1, 1, payload=b"b")
+    refused = rf"node {node!r} is not an int"
+    with pytest.raises(ValueError, match=refused):
+        world.attach_adversary(node, Silent())
+    with pytest.raises(ValueError, match=refused):
+        world.inject(0.0, node, 2, msg)
+    with pytest.raises(ValueError, match=refused):
+        world.inject(0.0, 1, node, msg)
+    assert world.byzantine == set() and world.quiescent()
+
+
+def test_the_widest_sequence_index_is_carried():
+    world = build_world(ProtocolKind.EC_BRB_4F1, 5, 1)
+    world.broadcast(0, b"a", 2**32 - 1)
+    world.run()
+    assert check_broadcast_properties(world) == []
+    assert len(world.stats.delivers) == 5
+
+
+# Link settings the simulator cannot run. jitter=nan and bandwidth=nan ran
+# to a world time of nan that ``check_broadcast_properties`` passed;
+# base_delay=-1.0 delivered everything at 0.0; bandwidth=-1000.0 clocked
+# copies out in negative time; source_bandwidth=0.0 ran as uncapped.
+BAD_NETS = {
+    "nan-jitter": (dict(jitter=float("nan")), "jitter nan must be >= 0 and finite"),
+    "nan-bandwidth": (dict(bandwidth=float("nan")), "bandwidth nan must be None or positive"),
+    "negative-base-delay": (dict(base_delay=-1.0), "base_delay -1.0 must be >= 0 and finite"),
+    "negative-bandwidth": (dict(bandwidth=-1000.0), "bandwidth -1000.0 must be None or positive"),
+    "zero-source-bandwidth": (dict(source_bandwidth=0.0),
+                              "source_bandwidth 0.0 must be None or positive"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_NETS)
+def test_net_params_refuse_values_the_simulator_cannot_run(case):
+    values, refused = BAD_NETS[case]
+    with pytest.raises(ValueError, match=refused):
+        NetParams(**values)
+
+
 @pytest.mark.parametrize("until", [float("nan"), float("inf"), -float("inf")])
 def test_running_until_a_time_that_is_not_finite_is_refused(until):
     # until=nan once returned having processed nothing, and until=inf left
